@@ -7,9 +7,8 @@ from .assembly import (BlockSystem, CoefficientVector, RawSystem,
                        assemble_raw, determinant_recursion, dense_solve,
                        normalize, normalizer_blocks, rhs_scale, solve_spec,
                        w_sequence)
-from .green import (BetaSequence, GreenColumn, beta_real_recursion,
-                    beta_sequence, gamma_q, green_last_column,
-                    layer_coefficients)
+from .green import (BetaSequence, GreenColumn, beta_sequence, gamma_q,
+                    green_last_column, layer_coefficients)
 from .evaluate import (DiagnosticsReport, RadialSolution, diagnostics,
                        disc_slice, energy_lower_bound, energy_norm,
                        energy_upper_bound, eval_radial, interface_residuals,
@@ -27,8 +26,8 @@ __all__ = [
     "BlockSystem", "CoefficientVector", "RawSystem", "assemble_raw",
     "determinant_recursion", "dense_solve", "normalize", "normalizer_blocks",
     "rhs_scale", "solve_spec", "w_sequence",
-    "BetaSequence", "GreenColumn", "beta_real_recursion", "beta_sequence",
-    "gamma_q", "green_last_column", "layer_coefficients",
+    "BetaSequence", "GreenColumn", "beta_sequence", "gamma_q",
+    "green_last_column", "layer_coefficients",
     "DiagnosticsReport", "RadialSolution", "diagnostics", "disc_slice",
     "energy_lower_bound", "energy_norm", "energy_upper_bound", "eval_radial",
     "interface_residuals", "solve", "solve_direct", "sup_radial",

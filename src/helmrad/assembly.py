@@ -323,7 +323,11 @@ def dense_solve(system: BlockSystem) -> tuple[CoefficientVector, float]:
     even extended entries to carry the answer, the solve is redone in
     arbitrary precision on the raw system.  Returns the coefficient vector
     together with the relative residual ||M x - rhs||_inf / ||rhs||_inf.
+    A single layer (n = 0) has no interior unknowns: B_1 = rhs_scale.
     """
+    if system.n == 0:
+        return CoefficientVector(entries=np.zeros(0, dtype=complex),
+                                 b_last=system.rhs_scale), 0.0
     rhs = system.rhs
     ab = _to_banded(system)
     try:

@@ -8,12 +8,10 @@ identical runs produce byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -27,24 +25,6 @@ EXIT_VALIDATION = 2
 EXIT_NEAR_RESONANT = 3
 
 _RESIDUAL_TOL = 1e-9
-
-
-def _fmt(x: float) -> float:
-    # round-trippable decimal with a fixed significand width
-    return float(f"{x:.17g}")
-
-
-def _atomic_write(path: str, text: str):
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-helmrad-")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _load_spec(arg: str) -> ProblemSpec:
@@ -86,16 +66,16 @@ def cmd_solve(args) -> int:
         evaluate.write_disc_csv(sol, out(args.output_dir, "disc.csv"),
                                 grid=args.grid)
     green_doc = {
-        "odd": [[_fmt(v.real), _fmt(v.imag)] for v in column.odd_entries],
-        "even": [[_fmt(v.real), _fmt(v.imag)] for v in column.even_entries],
-        "odd_log_magnitude": [_fmt(v) for v in column.odd_log_mag],
-        "even_log_magnitude": [_fmt(v) if math.isfinite(v) else None
+        "odd": [[v.real, v.imag] for v in column.odd_entries],
+        "even": [[v.real, v.imag] for v in column.even_entries],
+        "odd_log_magnitude": list(column.odd_log_mag),
+        "even_log_magnitude": [v if math.isfinite(v) else None
                                for v in column.even_log_mag],
     }
-    _atomic_write(out(args.output_dir, "green_column.json"),
-                  _json_dumps(green_doc))
-    _atomic_write(out(args.output_dir, "diagnostics.json"),
-                  _json_dumps(report.to_dict()))
+    evaluate._atomic_write(out(args.output_dir, "green_column.json"),
+                           _json_dumps(green_doc))
+    evaluate._atomic_write(out(args.output_dir, "diagnostics.json"),
+                           _json_dumps(report.to_dict()))
     if not report.passes(_RESIDUAL_TOL):
         print("residual thresholds exceeded", file=sys.stderr)
         return EXIT_SUITE_FAILED
@@ -147,14 +127,12 @@ def cmd_scan(args) -> int:
     os.makedirs(args.output_dir, exist_ok=True)
     seeds = [(args.seed, 0.0)] + [
         (args.seed + 1 + k, args.jitter) for k in range(args.samples)]
-    workers = int(os.environ.get("HELM_THREADS", "0")) or None
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(lambda sj: _scan_sample(base, *sj), seeds))
+    rows = [_scan_sample(base, *sj) for sj in seeds]
     lines = ["seed,jitter,omega,sup_norm,max_green_magnitude"]
     for (seed, jit), (omega, sup, mg) in zip(seeds, rows):
         lines.append(f"{seed},{jit:.17g},{omega:.17g},{sup:.17g},{mg:.17g}")
-    _atomic_write(os.path.join(args.output_dir, "scan.csv"),
-                  "\n".join(lines) + "\n")
+    evaluate._atomic_write(os.path.join(args.output_dir, "scan.csv"),
+                           "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -167,7 +145,7 @@ def _suite_oracle(rng) -> list:
         scale = max(np.max(np.abs(direct.entries)),
                     np.max(np.abs(rec.entries)))
         err = np.max(np.abs(direct.entries - rec.entries)) / scale
-        results.append({"case": k, "max_relative_error": _fmt(float(err)),
+        results.append({"case": k, "max_relative_error": float(err),
                         "ok": bool(err <= 1e-9)})
     return results
 
@@ -219,7 +197,7 @@ def _suite_figures() -> list:
         sol = evaluate.solve(spec)
         sup = evaluate.sup_scaled(sol)
         ok = abs(sup - target) <= tol * target
-        results.append({"n": n, "sup": _fmt(sup), "target": target,
+        results.append({"n": n, "sup": sup, "target": target,
                         "ok": bool(ok)})
     return results
 
@@ -231,7 +209,7 @@ def _suite_specfun() -> list:
     xs = np.linspace(0.05, 100.0, 257)
     err = max(abs(x * abs(spherical_hankel_h1(0, x)) - 1.0) for x in xs)
     results.append({"check": "unit_outgoing_modulus",
-                    "max_error": _fmt(err), "ok": bool(err <= 1e-13)})
+                    "max_error": err, "ok": bool(err <= 1e-13)})
     pair = FundamentalPair(3, 0)
     err = 0.0
     for x in xs:
@@ -239,7 +217,7 @@ def _suite_specfun() -> list:
         target = 1.0 / x ** 2 + 1.0 / x ** 4
         err = max(err, abs(abs(dh) ** 2 - target) / target)
     results.append({"check": "outgoing_derivative_modulus",
-                    "max_relative_error": _fmt(err), "ok": bool(err <= 1e-12)})
+                    "max_relative_error": err, "ok": bool(err <= 1e-12)})
     err = max(abs(x * spherical_bessel_j(0, x)) - 2 * x / (1 + x)
               for x in xs)
     results.append({"check": "regular_branch_bound", "ok": bool(err <= 0.0)})
@@ -270,11 +248,11 @@ def cmd_whisper(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     doc = {
-        "omega_star": _fmt(res.omega_star),
-        "min_wronskian_modulus": _fmt(res.min_wronskian),
-        "a2": [_fmt(res.a2.real), _fmt(res.a2.imag)],
-        "b1": [_fmt(res.b1.real), _fmt(res.b1.imag)],
-        "b2": [_fmt(res.b2.real), _fmt(res.b2.imag)],
+        "omega_star": res.omega_star,
+        "min_wronskian_modulus": res.min_wronskian,
+        "a2": [res.a2.real, res.a2.imag],
+        "b1": [res.b1.real, res.b1.imag],
+        "b2": [res.b2.real, res.b2.imag],
     }
     sys.stdout.write(_json_dumps(doc))
     return EXIT_OK

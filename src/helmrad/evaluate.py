@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
+import os
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,10 +87,6 @@ def eval_radial(sol: RadialSolution, r: float):
             der = 0.0 + 0.0j
         return val, der
     return _eval_in_layer(sol, spec.profile.layer_of(r), r)
-
-
-def eval_radial_many(sol: RadialSolution, rs: np.ndarray) -> np.ndarray:
-    return np.array([eval_radial(sol, float(r))[0] for r in rs])
 
 
 def interface_residuals(sol: RadialSolution) -> list:
@@ -350,23 +349,39 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _atomic_write(path, text: str):
+    """Write ``text`` verbatim to ``path`` through a temp file and a rename."""
+    directory = os.path.dirname(os.path.abspath(path)) or "."
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-helmrad-")
+    try:
+        with os.fdopen(fd, "w", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def write_radial_csv(sol: RadialSolution, path, samples: int = 1024):
     rs = np.linspace(0.0, 1.0, samples)
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["r", "re_u", "im_u", "abs_u"])
-        for r in rs:
-            v = eval_radial(sol, float(r))[0]
-            wr.writerow([_fmt(r), _fmt(v.real), _fmt(v.imag), _fmt(abs(v))])
+    buf = io.StringIO()
+    wr = csv.writer(buf)
+    wr.writerow(["r", "re_u", "im_u", "abs_u"])
+    for r in rs:
+        v = eval_radial(sol, float(r))[0]
+        wr.writerow([_fmt(r), _fmt(v.real), _fmt(v.imag), _fmt(abs(v))])
+    _atomic_write(path, buf.getvalue())
 
 
 def write_disc_csv(sol: RadialSolution, path, grid: int = 64):
     xs, ys, field, _ = disc_slice(sol, grid)
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["x", "y", "abs_u"])
-        for iy, y in enumerate(ys):
-            for ix, x in enumerate(xs):
-                v = field[iy, ix]
-                wr.writerow([_fmt(x), _fmt(y),
-                             "nan" if math.isnan(v) else _fmt(v)])
+    buf = io.StringIO()
+    wr = csv.writer(buf)
+    wr.writerow(["x", "y", "abs_u"])
+    for iy, y in enumerate(ys):
+        for ix, x in enumerate(xs):
+            v = field[iy, ix]
+            wr.writerow([_fmt(x), _fmt(y),
+                         "nan" if math.isnan(v) else _fmt(v)])
+    _atomic_write(path, buf.getvalue())

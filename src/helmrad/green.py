@@ -10,15 +10,15 @@ long before the recursion itself loses accuracy.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .assembly import CoefficientVector, rhs_scale
 from .problem import ProblemSpec
-from .specfun import FundamentalPair, fundamental_eval, wronskian_w
+from .specfun import FundamentalPair, fundamental_eval
 
 #: |beta_n| below this is treated as a resonance of the denominator
 NEAR_RESONANCE_FLOOR = 1e-250
@@ -65,41 +65,77 @@ class GammaData:
     q: complex
 
 
-def _gamma_core(spec: ProblemSpec, ell: int):
-    """Extended-precision (gt_plus, gt_minus, g_plus, g_minus, q, loss).
+class _Tier(NamedTuple):
+    """The arithmetic one run of the recursion is carried out in.
 
-    ``loss`` is the decimal-digit cancellation inside gt_plus (its operands
-    can exceed the difference by orders of magnitude at stiff interfaces).
+    ``real`` builds a real number from a double, ``cexp(t)`` is exp(i t),
+    and ``pair_eval(pair, which, x)`` gives (f, f') of the fundamental
+    system.  A step of modulus zero folds to log-modulus -inf when
+    ``folds_zero_step`` is set; otherwise normalising it raises
+    ``ZeroDivisionError``.
     """
-    if not 1 <= ell <= spec.n:
-        raise ValueError(f"interface index out of range: {ell}")
+
+    real: Callable
+    cexp: Callable
+    log: Callable
+    pair_eval: Callable
+    folds_zero_step: bool
+
+
+_EXTENDED = _Tier(
+    real=_EXT, cexp=_cexp, log=np.log,
+    pair_eval=lambda pair, which, x: fundamental_eval(pair, which, x, _EXT),
+    folds_zero_step=True)
+
+
+class _Interface(NamedTuple):
+    gt_terms: tuple   # the two products whose difference is gt_plus
+    gt_plus: object
+    gt_minus: object
+    g_plus: object
+    g_minus: object
+    q: object
+    w12: object       # w^{1,2} of the right-hand layer at the jump point
+
+
+def _interface(tier: _Tier, spec: ProblemSpec, omega, x, ell: int
+               ) -> _Interface:
+    """Reflection quantities and w^{1,2} at interface ell in ``tier``.
+
+    ``omega`` and the jump points ``x`` are tier numbers.
+    """
     pair = FundamentalPair(spec.dimension, spec.mode)
-    c_l, c_r = _EXT(spec.speed(ell)), _EXT(spec.speed(ell + 1))
-    z = _EXT(spec.omega) * _EXT(spec.profile.jump_points[ell])
-    f1l, df1l = fundamental_eval(pair, 1, z / c_l, _EXT)
-    f1r, df1r = fundamental_eval(pair, 1, z / c_r, _EXT)
-    t1 = f1r * np.conj(df1l) / c_l
-    t2 = df1r * np.conj(f1l) / c_r
+    c_l, c_r = tier.real(spec.speed(ell)), tier.real(spec.speed(ell + 1))
+    z = omega * x[ell]
+    f1l, df1l = tier.pair_eval(pair, 1, z / c_l)
+    f1r, df1r = tier.pair_eval(pair, 1, z / c_r)
+    f2r, df2r = tier.pair_eval(pair, 2, z / c_r)
+    t1 = f1r * df1l.conjugate() / c_l
+    t2 = df1r * f1l.conjugate() / c_r
     gt_plus = t1 - t2
     gt_minus = df1l * f1r / c_l - df1r * f1l / c_r
     if abs(gt_plus) < 1e-300:
         raise GammaDegenerate(f"gamma-plus vanished at interface {ell}")
-    loss = max(0.0, float(np.log10(max(abs(t1), abs(t2)) / abs(gt_plus))))
-    g_plus = _IU * _cexp(z / c_l - z / c_r) * gt_plus
-    g_minus = _IU * _cexp(-z / c_l - z / c_r) * gt_minus
-    return gt_plus, gt_minus, g_plus, g_minus, g_minus / g_plus, loss
+    g_plus = 1j * tier.cexp(z / c_l - z / c_r) * gt_plus
+    g_minus = 1j * tier.cexp(-z / c_l - z / c_r) * gt_minus
+    return _Interface((t1, t2), gt_plus, gt_minus, g_plus, g_minus,
+                      g_minus / g_plus,
+                      w12=f1r * df2r / c_r - df1r * f2r / c_r)
 
 
 def gamma_q(spec: ProblemSpec, ell: int) -> GammaData:
     """Reflection quantities at interface ell (1-based)."""
-    gt_plus, gt_minus, g_plus, g_minus, q, _ = _gamma_core(spec, ell)
+    if not 1 <= ell <= spec.n:
+        raise ValueError(f"interface index out of range: {ell}")
+    it = _interface(_EXTENDED, spec, _EXT(spec.omega),
+                    [_EXT(v) for v in spec.profile.jump_points], ell)
     return GammaData(
-        gamma_tilde_plus=complex(gt_plus),
-        gamma_tilde_minus=complex(gt_minus),
-        q_tilde=complex(gt_minus / gt_plus),
-        gamma_plus=complex(g_plus),
-        gamma_minus=complex(g_minus),
-        q=complex(q),
+        gamma_tilde_plus=complex(it.gt_plus),
+        gamma_tilde_minus=complex(it.gt_minus),
+        q_tilde=complex(it.gt_minus / it.gt_plus),
+        gamma_plus=complex(it.g_plus),
+        gamma_minus=complex(it.g_minus),
+        q=complex(it.q),
     )
 
 
@@ -119,12 +155,12 @@ class BetaSequence:
     tilde_log_moduli: np.ndarray
     tilde_phases: np.ndarray
     q: np.ndarray               # (n,) relative reflection strengths
-    loss_digits: float = 0.0    # decimal digits lost to step cancellation
     # log magnitude and sign of Im(e^{i z_ell / c_{ell+1}} beta_ell): the
     # imaginary part can sit many digits below |beta_ell|, so it is
     # extracted at the working precision of the recursion itself
-    rot_im_log: np.ndarray | None = None
-    rot_im_sign: np.ndarray | None = None
+    rot_im_log: np.ndarray
+    rot_im_sign: np.ndarray
+    loss_digits: float = 0.0    # decimal digits lost to step cancellation
 
     @property
     def beta(self) -> np.ndarray:
@@ -135,17 +171,58 @@ class BetaSequence:
     def beta_tilde(self) -> np.ndarray:
         return np.exp(self.tilde_log_moduli) * self.tilde_phases
 
-    @property
-    def moduli(self) -> np.ndarray:
-        return np.exp(self.log_moduli)
 
-
-def _advance(log_mod, step_value):
+def _advance(tier: _Tier, log_mod, step_value):
     """Fold a recursion step (applied to a unit phase) into log form."""
     mag = abs(step_value)
-    if mag == 0.0:
-        return -_EXT(np.inf), _CEXT(1.0)
-    return log_mod + np.log(mag), step_value / mag
+    if mag == 0 and tier.folds_zero_step:
+        return tier.real(-math.inf), tier.real(1) + 0j
+    return log_mod + tier.log(mag), step_value / mag
+
+
+def _recursion(tier: _Tier, spec: ProblemSpec, omega, x):
+    """Run both recursions in ``tier``; ``omega`` and ``x`` are tier numbers.
+
+    Returns lists (log_mod, phases, tilde_log, tilde_phases, interfaces,
+    cores): the per-interface quantities and the interference terms
+    u + q*conj(u) are handed back for the caller's cancellation estimate.
+    """
+    log_mod, phases = [tier.real(0)], [tier.real(1) + 0j]
+    tlog, tphases = [tier.real(0)], [tier.real(1) + 0j]
+    interfaces, cores = [], []
+    for ell in range(1, spec.n + 1):
+        it = _interface(tier, spec, omega, x, ell)
+        c_l = tier.real(spec.speed(ell))
+        u = tier.cexp(-(omega * (x[ell] - x[ell - 1]) / c_l)) * phases[-1]
+        core = u + it.q * u.conjugate()
+        interfaces.append(it)
+        cores.append(core)
+        step = it.g_plus / (2j * it.w12) * core
+        lm, ph = _advance(tier, log_mod[-1], step)
+        log_mod.append(lm)
+        phases.append(ph)
+        tstep = it.gt_plus / 2 * (
+            tphases[-1] - tier.real((-1.0) ** ell) * (it.gt_minus / it.gt_plus)
+            * tphases[-1].conjugate())
+        lm, ph = _advance(tier, tlog[-1], tstep)
+        tlog.append(lm)
+        tphases.append(ph)
+    return log_mod, phases, tlog, tphases, interfaces, cores
+
+
+def _rotated_im(tier: _Tier, spec: ProblemSpec, omega, x, log_mod, phases):
+    """Im(e^{i z_ell/c_{ell+1}} beta_ell) as (log magnitude, sign) lists."""
+    im_log, im_sign = [tier.real(-math.inf)], [0.0]
+    for ell in range(1, spec.n + 1):
+        im = (tier.cexp(omega * x[ell] / tier.real(spec.speed(ell + 1)))
+              * phases[ell]).imag
+        if im == 0:
+            im_log.append(tier.real(-math.inf))
+            im_sign.append(0.0)
+        else:
+            im_log.append(tier.log(abs(im)) + log_mod[ell])
+            im_sign.append(1.0 if im > 0 else -1.0)
+    return im_log, im_sign
 
 
 #: escalate to arbitrary precision beyond this many lost decimal digits;
@@ -173,143 +250,48 @@ def _beta_mp(spec: ProblemSpec, digits: float, data=None):
     """
     import mpmath as mp
     from .specfun import fundamental_eval_mp
-    n = spec.n
-    pair = FundamentalPair(spec.dimension, spec.mode)
+    tier = _Tier(real=mp.mpf, cexp=lambda t: mp.exp(1j * t), log=mp.log,
+                 pair_eval=fundamental_eval_mp, folds_zero_step=False)
     with mp.workdps(30 + int(math.ceil(digits))):
-        log_mod, phases = [mp.mpf(0)], [mp.mpc(1)]
-        tlog, tphases = [mp.mpf(0)], [mp.mpc(1)]
         if data is None:
             omega = mp.mpf(spec.omega)
             x = [mp.mpf(v) for v in spec.profile.jump_points]
         else:
             omega, x = data(spec)
-        for ell in range(1, n + 1):
-            c_l, c_r = mp.mpf(spec.speed(ell)), mp.mpf(spec.speed(ell + 1))
-            z = omega * x[ell]
-            f1l, df1l = fundamental_eval_mp(pair, 1, z / c_l)
-            f1r, df1r = fundamental_eval_mp(pair, 1, z / c_r)
-            f2r, df2r = fundamental_eval_mp(pair, 2, z / c_r)
-            gt_plus = f1r * mp.conj(df1l) / c_l - df1r * mp.conj(f1l) / c_r
-            gt_minus = df1l * f1r / c_l - df1r * f1l / c_r
-            if gt_plus == 0:
-                raise GammaDegenerate(
-                    f"gamma-plus vanished at interface {ell}")
-            g_plus = 1j * mp.exp(1j * (z / c_l - z / c_r)) * gt_plus
-            g_minus = 1j * mp.exp(1j * (-z / c_l - z / c_r)) * gt_minus
-            q = g_minus / g_plus
-            w12 = f1r * df2r / c_r - df1r * f2r / c_r
-            pref = g_plus / (2j * w12)
-            u = mp.exp(-1j * omega * (x[ell] - x[ell - 1]) / c_l) * phases[-1]
-            step = pref * (u + q * mp.conj(u))
-            mag = abs(step)
-            log_mod.append(log_mod[-1] + mp.log(mag))
-            phases.append(step / mag)
-            tstep = gt_plus / 2 * (tphases[-1] - (-1) ** ell
-                                   * (gt_minus / gt_plus)
-                                   * mp.conj(tphases[-1]))
-            tmag = abs(tstep)
-            tlog.append(tlog[-1] + mp.log(tmag))
-            tphases.append(tstep / tmag)
-        im_log = [mp.mpf('-inf')]
-        im_sign = [mp.mpf(0)]
-        for ell in range(1, n + 1):
-            c_r = mp.mpf(spec.speed(ell + 1))
-            im = (mp.exp(1j * omega * x[ell] / c_r) * phases[ell]).imag
-            if im == 0:
-                im_log.append(mp.mpf('-inf'))
-                im_sign.append(mp.mpf(0))
-            else:
-                im_log.append(mp.log(abs(im)) + log_mod[ell])
-                im_sign.append(mp.sign(im))
+        log_mod, phases, tlog, tphases, _, _ = _recursion(tier, spec, omega, x)
+        im_log, im_sign = _rotated_im(tier, spec, omega, x, log_mod, phases)
         return (np.array([_to_longdouble(v) for v in log_mod], dtype=_EXT),
                 np.array([_to_clongdouble(v) for v in phases], dtype=_CEXT),
                 np.array([_to_longdouble(v) for v in tlog], dtype=_EXT),
                 np.array([_to_clongdouble(v) for v in tphases], dtype=_CEXT),
                 np.array([_to_longdouble(v) for v in im_log], dtype=_EXT),
-                np.array([float(v) for v in im_sign]))
+                np.array(im_sign))
 
 
-def beta_sequence(spec: ProblemSpec, check_m0: bool = True) -> BetaSequence:
-    """Run both recursions; for d=3, m=0 the simplified form is cross-checked.
-
-    The chain runs in extended precision while accumulating an estimate of
-    the decimal digits lost to cancellation (inside gamma-plus and in the
-    interference step u + q*conj(u)); past ``_LOSS_LIMIT`` digits the whole
-    sequence is recomputed in arbitrary precision sized to the loss.
-
-    The d=3, m=0 cross-check asserts that the general (Wronskian-built)
-    step and the jump-ratio step agree to 1e-12 in phase and log-modulus.
-    """
-    n = spec.n
-    pair = FundamentalPair(spec.dimension, spec.mode)
-    log_mod = np.zeros(n + 1, dtype=_EXT)
-    phases = np.ones(n + 1, dtype=_CEXT)
-    tlog = np.zeros(n + 1, dtype=_EXT)
-    tphases = np.ones(n + 1, dtype=_CEXT)
-    qs = np.zeros(n, dtype=complex)
-    m0_path = spec.dimension == 3 and spec.mode == 0 and check_m0
-    omega = _EXT(spec.omega)
-    x = [_EXT(v) for v in spec.profile.jump_points]
-    loss = 0.0
-    for ell in range(1, n + 1):
-        gt_plus, gt_minus, g_plus, _, q, gamma_loss = _gamma_core(spec, ell)
-        qs[ell - 1] = complex(q)
+def _check_m0(spec: ProblemSpec, omega, x, log_mod, phases):
+    """Assert that the jump-ratio step (d=3, m=0) reproduces the sequence."""
+    for ell in range(1, spec.n + 1):
         c_l, c_r = _EXT(spec.speed(ell)), _EXT(spec.speed(ell + 1))
-        w12 = wronskian_w(pair, 1, 2, spec.speed(ell + 1),
-                          spec.speed(ell + 1), spec.z[ell], dtype=_EXT)
-        pref = g_plus / (2 * _IU * w12)
-        delta = omega * (x[ell] - x[ell - 1]) / c_l
-        u = _cexp(-delta) * phases[ell - 1]
-        core = u + q * np.conj(u)
-        if abs(core) > 0.0:
-            loss += gamma_loss + max(
-                0.0, float(np.log10((1.0 + abs(q)) / abs(core))))
-        step = pref * core
-        log_mod[ell], phases[ell] = _advance(log_mod[ell - 1], step)
-        tstep = gt_plus / 2 * (
-            tphases[ell - 1] - _EXT((-1.0) ** ell) * (gt_minus / gt_plus)
-            * np.conj(tphases[ell - 1]))
-        tlog[ell], tphases[ell] = _advance(tlog[ell - 1], tstep)
-        if m0_path:
-            q0 = (c_r - c_l) / (c_r + c_l)
-            step0 = (u + q0 * np.conj(u)) / (1 + q0)
-            dphase = abs(step0 / abs(step0) - phases[ell]) if step0 != 0 else 0
-            dlog = abs(np.log(abs(step0)) + log_mod[ell - 1] - log_mod[ell])
-            if dphase > _M0_CHECK_TOL or dlog > _M0_CHECK_TOL:
-                raise AssertionError(
-                    f"m=0 recursion paths diverged at ell={ell}: "
-                    f"phase {dphase:.3e}, log-modulus {dlog:.3e}")
-    im_log, im_sign, im_loss = _rotated_im(spec, log_mod, phases)
-    if loss > _LOSS_LIMIT or im_loss > _LOSS_LIMIT:
-        (log_mod, phases, tlog, tphases,
-         im_log, im_sign) = _beta_mp(spec, 1.2 * (loss + im_loss) + 10.0)
-    return BetaSequence(n=n, log_moduli=log_mod, phases=phases,
-                        tilde_log_moduli=tlog, tilde_phases=tphases, q=qs,
-                        loss_digits=loss, rot_im_log=im_log,
-                        rot_im_sign=im_sign)
+        u = _cexp(-(omega * (x[ell] - x[ell - 1]) / c_l)) * phases[ell - 1]
+        q0 = (c_r - c_l) / (c_r + c_l)
+        step0 = (u + q0 * np.conj(u)) / (1 + q0)
+        dphase = abs(step0 / abs(step0) - phases[ell]) if step0 != 0 else 0
+        dlog = abs(np.log(abs(step0)) + log_mod[ell - 1] - log_mod[ell])
+        if dphase > _M0_CHECK_TOL or dlog > _M0_CHECK_TOL:
+            raise AssertionError(
+                f"m=0 recursion paths diverged at ell={ell}: "
+                f"phase {dphase:.3e}, log-modulus {dlog:.3e}")
 
 
-def _rotated_im(spec: ProblemSpec, log_mod, phases):
-    """Extended-precision Im(e^{i z_ell/c_{ell+1}} beta_ell) in log/sign form.
+def _im_loss(n: int, log_mod, im_log, im_sign) -> float:
+    """Decimal digits the column entries would lose to the Im extraction.
 
-    Also returns the decimal digits the column entries would lose to this
-    extraction: the imaginary part can cancel far below the unit-modulus
-    rotated phase, and the loss is weighted by how close the affected entry
-    sits to the column's largest one (cancellation inside an entry that is
-    itself negligible cannot surface in the assembled coefficients).
+    The imaginary part can cancel far below the unit-modulus rotated phase,
+    and the loss is weighted by how close the affected entry sits to the
+    column's largest one (cancellation inside an entry that is itself
+    negligible cannot surface in the assembled coefficients).
     """
-    n = spec.n
-    omega = _EXT(spec.omega)
-    x = spec.profile.jump_points
-    im_log = np.full(n + 1, -np.inf, dtype=_EXT)
-    im_sign = np.zeros(n + 1)
-    for ell in range(1, n + 1):
-        im = (_cexp(omega * _EXT(x[ell]) / _EXT(spec.speed(ell + 1)))
-              * phases[ell]).imag
-        if im != 0.0:
-            im_log[ell] = np.log(np.abs(im)) + log_mod[ell]
-            im_sign[ell] = 1.0 if im > 0.0 else -1.0
-    top = max(float(np.max(log_mod[:n])),
+    top = max(float(np.max(log_mod[:n], initial=-np.inf)),
               float(np.max(im_log[1:], initial=-np.inf)))
     im_loss = 0.0
     for ell in range(1, n + 1):
@@ -321,29 +303,51 @@ def _rotated_im(spec: ProblemSpec, log_mod, phases):
             # an exact extended-precision zero may mask a tiny true value
             im_loss = max(im_loss, 19.0 - max(
                 0.0, top - float(log_mod[ell])) / math.log(10.0))
-    return im_log, im_sign, im_loss
+    return im_loss
 
 
-def beta_real_recursion(spec: ProblemSpec) -> np.ndarray:
-    """(Re beta_ell, Im beta_ell) via the 2x2 real one-step matrices."""
+def beta_sequence(spec: ProblemSpec) -> BetaSequence:
+    """Run both recursions; for d=3, m=0 the simplified form is cross-checked.
+
+    The chain runs in extended precision while accumulating an estimate of
+    the decimal digits lost to cancellation (inside gamma-plus and in the
+    interference step u + q*conj(u)); past ``_LOSS_LIMIT`` digits the whole
+    sequence is recomputed in arbitrary precision sized to the loss.
+
+    The d=3, m=0 cross-check asserts that the general (Wronskian-built)
+    step and the jump-ratio step agree to 1e-12 in phase and log-modulus.
+    """
     n = spec.n
-    pair = FundamentalPair(spec.dimension, spec.mode)
-    out = np.zeros((n + 1, 2))
-    out[0] = [1.0, 0.0]
-    delta = spec.delta
-    for ell in range(1, n + 1):
-        g = gamma_q(spec, ell)
-        w12 = wronskian_w(pair, 1, 2, spec.speed(ell + 1), spec.speed(ell + 1),
-                          spec.z[ell])
-        base = g.gamma_plus / (2j * w12)
-        theta = base * cmath.exp(-1j * delta[ell - 1])
-        phi = base * g.q * cmath.exp(1j * delta[ell - 1])
-        M = np.array([
-            [theta.real + phi.real, phi.imag - theta.imag],
-            [theta.imag + phi.imag, theta.real - phi.real],
-        ])
-        out[ell] = M @ out[ell - 1]
-    return out
+    omega = _EXT(spec.omega)
+    x = [_EXT(v) for v in spec.profile.jump_points]
+    log_mod, phases, tlog, tphases, interfaces, cores = _recursion(
+        _EXTENDED, spec, omega, x)
+    log_mod = np.array(log_mod, dtype=_EXT)
+    phases = np.array(phases, dtype=_CEXT)
+    tlog = np.array(tlog, dtype=_EXT)
+    tphases = np.array(tphases, dtype=_CEXT)
+    if spec.dimension == 3 and spec.mode == 0:
+        _check_m0(spec, omega, x, log_mod, phases)
+    loss = 0.0
+    for it, core in zip(interfaces, cores):
+        # digits cancelled inside gamma-plus and in the interference step
+        if abs(core) > 0.0:
+            loss += max(0.0, float(np.log10(
+                max(map(abs, it.gt_terms)) / abs(it.gt_plus)))) + max(
+                0.0, float(np.log10((1.0 + abs(it.q)) / abs(core))))
+    im_log, im_sign = _rotated_im(_EXTENDED, spec, omega, x, log_mod, phases)
+    im_log = np.array(im_log, dtype=_EXT)
+    im_sign = np.array(im_sign)
+    im_loss = _im_loss(n, log_mod, im_log, im_sign)
+    if loss > _LOSS_LIMIT or im_loss > _LOSS_LIMIT:
+        (log_mod, phases, tlog, tphases,
+         im_log, im_sign) = _beta_mp(spec, 1.2 * (loss + im_loss) + 10.0)
+    return BetaSequence(n=n, log_moduli=log_mod, phases=phases,
+                        tilde_log_moduli=tlog, tilde_phases=tphases,
+                        q=np.array([complex(it.q) for it in interfaces],
+                                   dtype=complex),
+                        rot_im_log=im_log, rot_im_sign=im_sign,
+                        loss_digits=loss)
 
 
 @dataclass(frozen=True)
@@ -366,7 +370,7 @@ class GreenColumn:
         return len(self.odd_entries)
 
     def max_abs(self) -> float:
-        return float(np.exp(max(np.max(self.odd_log_mag),
+        return float(np.exp(max(np.max(self.odd_log_mag, initial=-np.inf),
                                 np.max(self.even_log_mag, initial=-np.inf))))
 
 
@@ -394,14 +398,7 @@ def green_last_column(spec: ProblemSpec, beta: BetaSequence | None = None,
         odd_log[ell - 1] = float(beta.log_moduli[ell - 1] - denom_log)
         odd[ell - 1] = complex(num_phase / denom_phase) * math.exp(
             min(odd_log[ell - 1], 700.0))
-        if beta.rot_im_log is not None:
-            im_log, sign = beta.rot_im_log[ell], beta.rot_im_sign[ell]
-        else:
-            im = (_cexp(omega * x[ell] / _EXT(spec.speed(ell + 1)))
-                  * beta.phases[ell]).imag
-            im_log = np.log(np.abs(im)) + beta.log_moduli[ell] \
-                if im != 0.0 else -np.inf
-            sign = float(np.sign(im))
+        im_log, sign = beta.rot_im_log[ell], beta.rot_im_sign[ell]
         if sign != 0.0:
             even_log[ell - 1] = float(im_log - denom_log)
             # the scalar products feeding the companion sequence are purely

@@ -15,9 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: normalisation constants of the fundamental system, per dimension
-NORMALIZATION = {1: 1.0, 3: math.sqrt(math.pi / 2.0)}
-
 #: extra orders above m for the downward recurrence start index; the flat
 #: margin keeps the dominant-solution contamination below extended-precision
 #: rounding even in the turning-point region (order comparable to argument)

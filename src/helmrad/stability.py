@@ -74,8 +74,6 @@ class StabilityReport:
     per_step_violations: list
     majorant_violations: list
     alpha_fit: float
-    s_components: np.ndarray      # Re beta - 1
-    t_components: np.ndarray      # -Im beta - z_ell / c_{ell+1}
 
     def to_dict(self) -> dict:
         return {
@@ -118,11 +116,6 @@ def certify_beta_bounds(spec: ProblemSpec,
             bound = 0.5 * math.log1p(growth * min(delta[ell - 1], 1.0))
             if log_b[ell] - log_b[ell - 2] > bound + _SLACK:
                 major_bad.append(ell)
-    moduli = np.exp(log_b - np.max(log_b))  # shape only, for diagnostics
-    b = beta.beta if np.max(log_b) < 700 else moduli * beta.phases
-    s = np.real(b) - 1.0
-    t = -np.imag(b) - spec.z[: spec.n + 1] / np.array(
-        [spec.speed(j + 1) for j in range(spec.n + 1)])
     alpha = math.exp(max(np.max(np.abs(log_b)), 0.0) / spec.omega)
     return StabilityReport(
         log_beta_moduli=log_b,
@@ -131,8 +124,6 @@ def certify_beta_bounds(spec: ProblemSpec,
         per_step_violations=step_bad,
         majorant_violations=major_bad,
         alpha_fit=alpha,
-        s_components=s,
-        t_components=t,
     )
 
 
@@ -159,12 +150,6 @@ class RefinedCheck:
     min_exponent: float | None
 
 
-def _im_rotated(spec: ProblemSpec, beta: green.BetaSequence,
-                ell: int) -> float:
-    phase = cmath.exp(1j * spec.z[ell] / spec.speed(ell + 1))
-    return (phase * beta.phases[ell]).imag * math.exp(beta.log_moduli[ell])
-
-
 def refined_small_z_check(spec: ProblemSpec,
                           min_magnitude: float = 1e-14) -> RefinedCheck:
     """Certify the cubic small-argument decay of the rotated imaginary part.
@@ -185,10 +170,10 @@ def refined_small_z_check(spec: ProblemSpec,
     ratios = []
     exponents = {}
     for ell in window:
-        base_im = abs(_im_rotated(specs[0], betas[0], ell))
+        # |Im(e^{i z/c} beta)|, as the recursion extracted it
+        ims = [float(np.exp(be.rot_im_log[ell])) for be in betas]
         z0 = specs[0].z[ell]
-        ratios.append((ell, base_im / z0 ** 3 if z0 > 0 else 0.0))
-        ims = [abs(_im_rotated(sp, be, ell)) for sp, be in zip(specs, betas)]
+        ratios.append((ell, ims[0] / z0 ** 3 if z0 > 0 else 0.0))
         if min(ims) < min_magnitude:
             continue
         zs = [sp.z[ell] for sp in specs]
@@ -247,8 +232,8 @@ def green_growth_law(spec: ProblemSpec) -> GrowthLaw:
         raise NotInInterference("profile/frequency pair is not critical")
     q = relative_jumps(spec.profile)
     n = spec.n
-    log_mod, phases, *_ = green._beta_mp(spec, digits=20.0,
-                                         data=_critical_data)
+    log_mod, _, _, _, im_log, _ = green._beta_mp(spec, digits=20.0,
+                                                 data=_critical_data)
     c_total = math.fsum(spec.profile.speeds)
     x_crit = np.cumsum([0.0] + list(spec.profile.speeds)) / c_total
     omega_crit = math.pi / 2.0 * c_total
@@ -256,13 +241,10 @@ def green_growth_law(spec: ProblemSpec) -> GrowthLaw:
     obs_even = np.full(n, -np.inf)
     for ell in range(1, n + 1):
         obs_odd[ell - 1] = float(log_mod[ell - 1] - log_mod[n])
-        im = (cmath.exp(1j * omega_crit * x_crit[ell] / spec.speed(ell + 1))
-              * complex(phases[ell])).imag
         # entries whose Im factor vanishes in exact arithmetic show up as
         # rounding noise here; report them as exactly absent
-        if abs(im) > 1e-12:
-            obs_even[ell - 1] = math.log(abs(im)) \
-                + float(log_mod[ell] - log_mod[n])
+        if im_log[ell] - log_mod[ell] > math.log(1e-12):
+            obs_even[ell - 1] = float(im_log[ell] - log_mod[n])
     log_factors = np.array([
         math.log(1.0 + q[k - 1]) - math.log(1.0 - (-1.0) ** (k - 1) * q[k - 1])
         for k in range(1, n + 1)])

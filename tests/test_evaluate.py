@@ -13,6 +13,7 @@ import pytest
 import scipy.integrate
 
 from helmrad import evaluate
+from helmrad.assembly import rhs_scale
 from helmrad.evaluate import (RadialSolution, UnsupportedMode, diagnostics,
                               dtn_residual, energy_lower_bound, energy_norm,
                               energy_upper_bound, eval_radial,
@@ -92,6 +93,22 @@ class TestResiduals:
     def test_sample_count_is_validated(self):
         with pytest.raises(ValueError):
             ode_residual(solve(SPECS[0]), samples_per_layer=2)
+
+
+class TestSingleLayer:
+    """n = 0: no interior unknowns, and B_1 is the boundary coefficient."""
+
+    SPEC = _spec((1.3,), (), 3.0, m=10, g=2.0 - 1.0j)
+
+    def test_both_routes_give_the_closed_form(self):
+        sol = solve(self.SPEC)
+        direct, resid = solve_direct(self.SPEC)
+        b1 = rhs_scale(self.SPEC)
+        for s in (sol, direct):
+            assert len(s.coeffs.entries) == 0
+            assert s.coeffs.b(1) == b1
+        assert resid == 0.0
+        assert diagnostics(sol).passes()
 
 
 def _energy_by_uniform_grid(sol, samples=100001):

@@ -1,5 +1,6 @@
 """Scalar recursion and the closed-form last Green's-operator column."""
 
+import cmath
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from helmrad import assembly, green
 from helmrad.problem import (ProblemSpec, WaveSpeedProfile,
                              construct_localisation_example,
                              construct_stable_example)
+from helmrad.specfun import FundamentalPair, wronskian_w
 
 
 def _spec(speeds, cuts, omega, d=3, m=0, g=1.0 + 0.0j):
@@ -27,11 +29,37 @@ SPECS = [
 ]
 
 
+def beta_real_recursion(spec: ProblemSpec) -> np.ndarray:
+    """(Re beta_ell, Im beta_ell) via the 2x2 real one-step matrices.
+
+    A double-precision oracle for the log/phase recursion: it advances
+    (Re, Im) directly and builds w^{1,2} through ``wronskian_w``.
+    """
+    n = spec.n
+    pair = FundamentalPair(spec.dimension, spec.mode)
+    out = np.zeros((n + 1, 2))
+    out[0] = [1.0, 0.0]
+    delta = spec.delta
+    for ell in range(1, n + 1):
+        g = green.gamma_q(spec, ell)
+        w12 = wronskian_w(pair, 1, 2, spec.speed(ell + 1), spec.speed(ell + 1),
+                          spec.z[ell])
+        base = g.gamma_plus / (2j * w12)
+        theta = base * cmath.exp(-1j * delta[ell - 1])
+        phi = base * g.q * cmath.exp(1j * delta[ell - 1])
+        M = np.array([
+            [theta.real + phi.real, phi.imag - theta.imag],
+            [theta.imag + phi.imag, theta.real - phi.real],
+        ])
+        out[ell] = M @ out[ell - 1]
+    return out
+
+
 class TestBetaSequence:
     @pytest.mark.parametrize("spec", SPECS)
     def test_log_phase_form_matches_real_matrix_recursion(self, spec):
         seq = green.beta_sequence(spec)
-        flat = green.beta_real_recursion(spec)
+        flat = beta_real_recursion(spec)
         ref = flat[:, 0] + 1j * flat[:, 1]
         assert np.allclose(seq.beta, ref, rtol=1e-10, atol=1e-12)
 
@@ -54,19 +82,25 @@ class TestBetaSequence:
                 abs=1e-10)
 
     def test_m0_cross_check_runs(self):
-        # the d=3, m=0 path asserts internally; just exercise both branches
-        green.beta_sequence(SPECS[0], check_m0=True)
-        green.beta_sequence(SPECS[0], check_m0=False)
+        # the d=3, m=0 path asserts internally
+        green.beta_sequence(SPECS[0])
 
-    def test_escalated_sequence_agrees_with_extended(self):
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_escalated_sequence_agrees_with_extended(self, spec):
         """Force the arbitrary-precision rerun and compare the results."""
-        spec = SPECS[2]
         plain = green.beta_sequence(spec)
         forced = green._beta_mp(spec, digits=30.0)
         assert np.allclose(np.asarray(plain.log_moduli, dtype=float),
                            np.asarray(forced[0], dtype=float), atol=1e-12)
         assert np.allclose(np.asarray(plain.phases, dtype=complex),
                            np.asarray(forced[1], dtype=complex), atol=1e-12)
+        assert np.allclose(np.asarray(plain.tilde_log_moduli, dtype=float),
+                           np.asarray(forced[2], dtype=float), atol=1e-12)
+        assert np.allclose(np.asarray(plain.tilde_phases, dtype=complex),
+                           np.asarray(forced[3], dtype=complex), atol=1e-12)
+        assert np.allclose(np.asarray(plain.rot_im_log, dtype=float),
+                           np.asarray(forced[4], dtype=float), atol=1e-10)
+        assert np.array_equal(plain.rot_im_sign, forced[5])
 
     def test_stable_construction_alternates_sign(self):
         spec = construct_stable_example(6, 1.0, 3.0)
