@@ -17,7 +17,8 @@ import numpy as np
 
 from . import assembly, evaluate, green, stability
 from .problem import (ProblemSpec, construct_localisation_example,
-                      construct_stable_example)
+                      construct_stable_example, random_alternating,
+                      random_spec)
 
 EXIT_OK = 0
 EXIT_SUITE_FAILED = 1
@@ -139,7 +140,7 @@ def cmd_scan(args) -> int:
 def _suite_oracle(rng) -> list:
     results = []
     for k in range(200):
-        spec = _random_spec(rng)
+        spec = random_spec(rng)
         direct, _ = assembly.solve_spec(spec)
         rec = green.layer_coefficients(spec)
         scale = max(np.max(np.abs(direct.entries)),
@@ -150,42 +151,15 @@ def _suite_oracle(rng) -> list:
     return results
 
 
-def _random_spec(rng, n_max: int = 20) -> ProblemSpec:
-    from .problem import WaveSpeedProfile
-    d = int(rng.choice([1, 3]))
-    m = int(rng.integers(0, 6)) if d == 3 else 0
-    n = int(rng.integers(1, n_max + 1))
-    cuts = np.sort(rng.uniform(0.02, 0.98, size=n))
-    x = (0.0, *map(float, cuts), 1.0)
-    c = tuple(float(v) for v in rng.uniform(0.5, 4.0, size=n + 1))
-    omega = float(rng.uniform(1.0, 50.0))
-    return ProblemSpec(WaveSpeedProfile(x, c), dimension=d, mode=m,
-                       omega=omega, boundary_coefficient=1.0 + 0.0j)
-
-
 def _suite_bounds(rng) -> list:
     results = []
     for k in range(500):
-        spec = _random_alternating(rng)
+        spec = random_alternating(rng)
         rep = stability.certify_beta_bounds(spec)
         results.append({"case": k, "per_step_ok": rep.per_step_ok,
                         "majorant_ok": rep.majorant_ok,
                         "ok": rep.per_step_ok and rep.majorant_ok})
     return results
-
-
-def _random_alternating(rng) -> ProblemSpec:
-    from .problem import WaveSpeedProfile
-    n = int(rng.integers(1, 41))
-    q = float(rng.uniform(-0.8, 0.8))
-    c1 = 1.0
-    c2 = c1 * (1.0 + q) / (1.0 - q)
-    speeds = tuple(c1 if j % 2 == 0 else c2 for j in range(n + 1))
-    cuts = np.sort(rng.uniform(0.02, 0.98, size=n))
-    x = (0.0, *map(float, cuts), 1.0)
-    omega = float(rng.uniform(1.0, 60.0))
-    return ProblemSpec(WaveSpeedProfile(x, speeds), dimension=3, mode=0,
-                       omega=omega, boundary_coefficient=1.0 + 0.0j)
 
 
 def _suite_figures() -> list:

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import csv
-import io
+import functools
 import json
 import math
 import os
@@ -54,8 +53,9 @@ def solve_direct(spec: ProblemSpec) -> tuple[RadialSolution, float]:
     return RadialSolution(spec=spec, coeffs=coeffs), resid
 
 
-def _eval_in_layer(sol: RadialSolution, j: int, r: float):
-    """Ansatz value/derivative on layer j at radius r (r > 0)."""
+def _eval_in_layer(sol: RadialSolution, j: int, r):
+    """Ansatz value/derivative on layer j at radius r > 0 (or at each entry
+    of a 1-D array of radii)."""
     spec = sol.spec
     k = spec.omega / spec.speed(j)
     a, b = sol.coeffs.a(j), sol.coeffs.b(j)
@@ -70,6 +70,21 @@ def _eval_in_layer(sol: RadialSolution, j: int, r: float):
     val += b * f2
     der += b * k * df2
     return val, der
+
+
+def _radial_values(sol: RadialSolution, rs: np.ndarray) -> np.ndarray:
+    """u at each radius of ``rs`` in [0, 1], as ``eval_radial`` takes it."""
+    profile = sol.spec.profile
+    N = profile.num_layers
+    layer = np.clip(np.searchsorted(profile.jump_points, rs, side="left"),
+                    1, N)
+    u = np.empty(len(rs), dtype=complex)
+    u[rs == 0.0] = eval_radial(sol, 0.0)[0]
+    for j in range(1, N + 1):
+        sel = (layer == j) & (rs > 0.0)
+        if sel.any():
+            u[sel] = _eval_in_layer(sol, j, rs[sel])[0]
+    return u
 
 
 def eval_radial(sol: RadialSolution, r: float):
@@ -115,41 +130,45 @@ def ode_residual(sol: RadialSolution, samples_per_layer: int = 8) -> float:
     spec = sol.spec
     d = spec.dimension
     lam = np.longdouble(spec.angular_eigenvalue)
-    worst = 0.0
     # Chebyshev nodes in the open interior of each layer
     theta = (2.0 * np.arange(samples_per_layer) + 1.0) \
         / (2.0 * samples_per_layer) * math.pi
-    unit = 0.5 * (1.0 - np.cos(theta))
+    unit = (0.5 * (1.0 - np.cos(theta))).astype(np.longdouble)
     # the equation's terms grow like lam/x^2 relative to the solution near
     # the origin, so the collocation runs in extended precision to keep the
-    # evaluator's own floor well under the acceptance tolerance
+    # evaluator's own floor well under the acceptance tolerance; the nodes
+    # of every layer form one batch, each carrying its layer's k, A and B
     cdt = np.clongdouble
+    nodes = []
     for j in range(1, spec.profile.num_layers + 1):
-        x0, x1 = spec.profile.jump_points[j - 1], spec.profile.jump_points[j]
-        k = np.longdouble(spec.omega) / np.longdouble(spec.speed(j))
         a, b = cdt(sol.coeffs.a(j)), cdt(sol.coeffs.b(j))
         if a == 0.0 and b == 0.0:
             continue
-        for t in unit:
-            r = np.longdouble(x0) + (np.longdouble(x1) - np.longdouble(x0)) \
-                * np.longdouble(t)
-            if r <= 0.0:
-                continue
-            x = k * r
-            val = der = dd = cdt(0.0)
-            mag = np.longdouble(0.0)
-            for coef, which in ((a, 1), (b, 2)):
-                if coef == 0.0:
-                    continue
-                f, df, d2f = fundamental_eval_d2(sol.pair, which, x,
-                                                 dtype=np.longdouble)
-                val += coef * f
-                der += coef * k * df
-                dd += coef * k * k * d2f
-                mag += abs(coef * f)
-            resid = -dd - (d - 1) / r * der + (lam / r**2 - k * k) * val
-            worst = max(worst, float(abs(resid) / (k * k * max(mag, 1e-300))))
-    return worst
+        x0, x1 = map(np.longdouble, spec.profile.jump_points[j - 1:j + 1])
+        r = x0 + (x1 - x0) * unit
+        r = r[r > 0.0]
+        k = np.longdouble(spec.omega) / np.longdouble(spec.speed(j))
+        nodes.append((r, np.full_like(r, k), np.full(r.shape, a),
+                      np.full(r.shape, b)))
+    if not nodes:
+        return 0.0
+    r, k, a, b = (np.concatenate(col) for col in zip(*nodes))
+    x = k * r
+    val, der, dd = (np.zeros(r.shape, dtype=cdt) for _ in range(3))
+    mag = np.zeros(r.shape, dtype=np.longdouble)
+    for coef, which in ((a, 1), (b, 2)):
+        use = coef != 0.0
+        if not use.any():
+            continue
+        f, df, d2f = fundamental_eval_d2(sol.pair, which, x[use],
+                                         dtype=np.longdouble)
+        c, kc = coef[use], k[use]
+        val[use] += c * f
+        der[use] += c * kc * df
+        dd[use] += c * kc * kc * d2f
+        mag[use] += np.abs(c * f)
+    resid = -dd - (d - 1) / r * der + (lam / r**2 - k * k) * val
+    return float(np.max(np.abs(resid) / (k * k * np.maximum(mag, 1e-300))))
 
 
 def dtn_residual(sol: RadialSolution) -> float:
@@ -163,23 +182,29 @@ def dtn_residual(sol: RadialSolution) -> float:
     return abs(defect) / max(1.0, abs(g))
 
 
+@functools.lru_cache(maxsize=16)
+def _gauss_legendre(order: int):
+    """Nodes and weights of the order-``order`` rule on [-1, 1] (read-only)."""
+    rule = np.polynomial.legendre.leggauss(order)
+    for a in rule:
+        a.setflags(write=False)
+    return rule
+
+
 def _layer_quad(sol: RadialSolution, j: int, order: int) -> float:
     """Energy-density integral over layer j at a fixed quadrature order."""
     spec = sol.spec
     x0, x1 = spec.profile.jump_points[j - 1], spec.profile.jump_points[j]
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = _gauss_legendre(order)
     r = 0.5 * (x1 - x0) * nodes + 0.5 * (x0 + x1)
     w = 0.5 * (x1 - x0) * weights
     d, lam = spec.dimension, spec.angular_eigenvalue
     kj = spec.omega / spec.speed(j)
-    total = 0.0
-    for ri, wi in zip(r, w):
-        val, der = _eval_in_layer(sol, j, ri)
-        dens = (abs(der) ** 2 + (kj * abs(val)) ** 2) * ri ** (d - 1)
-        if lam != 0.0:
-            dens += lam * abs(val) ** 2 * ri ** (d - 3)
-        total += wi * dens
-    return total
+    val, der = _eval_in_layer(sol, j, r)
+    dens = (np.abs(der) ** 2 + (kj * np.abs(val)) ** 2) * r ** (d - 1)
+    if lam != 0.0:
+        dens += lam * np.abs(val) ** 2 * r ** (d - 3)
+    return float(w @ dens)
 
 
 def energy_norm(sol: RadialSolution, quad_order: int = _QUAD_ORDER) -> float:
@@ -251,10 +276,9 @@ def sup_radial(sol: RadialSolution, samples_per_layer: int = 512) -> float:
     x = spec.profile.jump_points
     for j in range(1, spec.profile.num_layers + 1):
         rs = np.linspace(x[j - 1], x[j], samples_per_layer, endpoint=True)
-        for r in rs:
-            if r == 0.0:
-                continue
-            best = max(best, abs(_eval_in_layer(sol, j, float(r))[0]))
+        rs = rs[rs > 0.0]
+        if rs.size:
+            best = max(best, np.max(np.abs(_eval_in_layer(sol, j, rs)[0])))
     return best
 
 
@@ -275,17 +299,13 @@ def disc_slice(sol: RadialSolution, grid: int):
     if spec.dimension != 3 or spec.mode != 0:
         raise UnsupportedMode("disc rendering needs d=3, m=0")
     axis = np.linspace(-1.0, 1.0, grid)
-    field = np.full((grid, grid), np.nan)
-    # radial lookup table: the mode is radially symmetric
-    radii = np.unique(np.hypot(*np.meshgrid(axis, axis)).ravel())
-    radii = radii[radii <= 1.0]
-    table = {float(r): abs(eval_radial(sol, float(r))[0]) * Y00_3D
-             for r in radii}
-    for iy, y in enumerate(axis):
-        for ix, x in enumerate(axis):
-            r = float(np.hypot(x, y))
-            if r <= 1.0:
-                field[iy, ix] = table[r]
+    # the mode is radially symmetric: evaluate each distinct radius once
+    radii, where = np.unique(np.hypot(*np.meshgrid(axis, axis)).ravel(),
+                             return_inverse=True)
+    inside = radii <= 1.0
+    values = np.full(radii.shape, np.nan)
+    values[inside] = np.abs(_radial_values(sol, radii[inside])) * Y00_3D
+    field = values[where].reshape(grid, grid)
     sup = float(np.nanmax(field)) if np.any(np.isfinite(field)) else 0.0
     return axis, axis, field, sup
 
@@ -345,10 +365,6 @@ def diagnostics(sol: RadialSolution, quad_order: int = _QUAD_ORDER
     )
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _atomic_write(path, text: str):
     """Write ``text`` verbatim to ``path`` through a temp file and a rename."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
@@ -365,23 +381,24 @@ def _atomic_write(path, text: str):
 
 def write_radial_csv(sol: RadialSolution, path, samples: int = 1024):
     rs = np.linspace(0.0, 1.0, samples)
-    buf = io.StringIO()
-    wr = csv.writer(buf)
-    wr.writerow(["r", "re_u", "im_u", "abs_u"])
-    for r in rs:
-        v = eval_radial(sol, float(r))[0]
-        wr.writerow([_fmt(r), _fmt(v.real), _fmt(v.imag), _fmt(abs(v))])
-    _atomic_write(path, buf.getvalue())
+    u = _radial_values(sol, rs)
+    # the bytes csv.writer writes: its \r\n terminator, no quoting needed
+    lines = ["r,re_u,im_u,abs_u\r\n"]
+    lines += [f"{r:.17g},{v.real:.17g},{v.imag:.17g},{abs(v):.17g}\r\n"
+              for r, v in zip(rs.tolist(), u.tolist())]
+    _atomic_write(path, "".join(lines))
 
 
 def write_disc_csv(sol: RadialSolution, path, grid: int = 64):
     xs, ys, field, _ = disc_slice(sol, grid)
-    buf = io.StringIO()
-    wr = csv.writer(buf)
-    wr.writerow(["x", "y", "abs_u"])
-    for iy, y in enumerate(ys):
-        for ix, x in enumerate(xs):
-            v = field[iy, ix]
-            wr.writerow([_fmt(x), _fmt(y),
-                         "nan" if math.isnan(v) else _fmt(v)])
-    _atomic_write(path, buf.getvalue())
+    # each distinct bit pattern is formatted once: the axes hold grid values
+    # and the radially symmetric field about grid^2 / 8 (NaN outside)
+    xf, yf = ([f"{v:.17g}" for v in axis.tolist()] for axis in (xs, ys))
+    bits, where = np.unique(np.ascontiguousarray(field, dtype=np.float64)
+                            .view(np.uint64), return_inverse=True)
+    cells = np.array([f"{v:.17g}" for v in bits.view(np.float64).tolist()],
+                     dtype=object)[where.ravel()].reshape(field.shape)
+    lines = ["x,y,abs_u\r\n"]
+    for y, row in zip(yf, cells.tolist()):
+        lines += [f"{x},{y},{v}\r\n" for x, v in zip(xf, row)]
+    _atomic_write(path, "".join(lines))

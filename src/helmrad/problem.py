@@ -220,6 +220,39 @@ def construct_stable_example(n: int, c1: float, c2: float,
     return _build_example(n, c1, c2, 2, d, m, g)
 
 
+def random_spec(rng, n_max: int = 20) -> ProblemSpec:
+    """Seeded mixed draw: d in {1, 3}, m 0-5, n 1-n_max, omega 1-50.
+
+    Behind ``helmrad verify --suite oracle`` and the test populations.
+    """
+    d = int(rng.choice([1, 3]))
+    m = int(rng.integers(0, 6)) if d == 3 else 0
+    n = int(rng.integers(1, n_max + 1))
+    cuts = np.sort(rng.uniform(0.02, 0.98, size=n))
+    x = (0.0, *map(float, cuts), 1.0)
+    c = tuple(float(v) for v in rng.uniform(0.5, 4.0, size=n + 1))
+    omega = float(rng.uniform(1.0, 50.0))
+    return ProblemSpec(WaveSpeedProfile(x, c), dimension=d, mode=m,
+                       omega=omega, boundary_coefficient=1.0 + 0.0j)
+
+
+def random_alternating(rng) -> ProblemSpec:
+    """Seeded d=3, m=0 draw with speeds alternating at one jump ratio q.
+
+    Behind ``helmrad verify --suite bounds`` and the test populations.
+    """
+    n = int(rng.integers(1, 41))
+    q = float(rng.uniform(-0.8, 0.8))
+    c1 = 1.0
+    c2 = c1 * (1.0 + q) / (1.0 - q)
+    speeds = tuple(c1 if j % 2 == 0 else c2 for j in range(n + 1))
+    cuts = np.sort(rng.uniform(0.02, 0.98, size=n))
+    x = (0.0, *map(float, cuts), 1.0)
+    omega = float(rng.uniform(1.0, 60.0))
+    return ProblemSpec(WaveSpeedProfile(x, speeds), dimension=3, mode=0,
+                       omega=omega, boundary_coefficient=1.0 + 0.0j)
+
+
 def is_localisation_interference(spec: ProblemSpec, tol: float = 1e-10) -> bool:
     """Oscillatory jumps with q_1 > 0 and all phase factors within tol of +/-i."""
     q = relative_jumps(spec.profile)

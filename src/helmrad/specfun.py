@@ -5,6 +5,10 @@ the pair (e^{ix}, cos x).  Bessel values are produced by recurrences chosen
 for stability: downward (Miller) recurrence for j_m, upward recurrence for
 y_m.  All arguments are real and positive; everything here is a pure
 function.
+
+The double/extended recurrences and the fundamental-pair evaluators also
+take a 1-D array of arguments.  Their results then gain a trailing point
+axis, and a float argument keeps its scalar path.
 """
 
 from __future__ import annotations
@@ -20,6 +24,10 @@ import numpy as np
 #: rounding even in the turning-point region (order comparable to argument)
 _MILLER_GUARD = 20
 _MILLER_MARGIN = 30
+
+#: arguments of this exact type take the array path; a type identity test
+#: keeps the positivity check on a float within ~30 ns of a bare compare
+_NDARRAY = np.ndarray
 
 #: rescale threshold while recurring downward, to stay clear of overflow
 _RESCALE = 1e250
@@ -50,15 +58,16 @@ def _complex_dtype(dtype):
 
 
 def spherical_jn_seq(m_max: int, x: float, dtype=np.float64) -> np.ndarray:
-    """j_0(x)..j_{m_max}(x) for x > 0.
+    """j_0(x)..j_{m_max}(x) for x > 0, shape (m_max + 1,) + x.shape.
 
     Orders >= 2 come from downward recurrence started ``m_max + max(20,
     ceil(1.5 x))`` orders up, normalised against the closed-form j_0 (or
-    j_1 near zeros of sin).  ``dtype`` selects the working precision; the
+    j_1 near zeros of sin).  An array of arguments shares one start, taken
+    from its largest entry.  ``dtype`` selects the working precision; the
     recursion paths run in extended precision where cancellation would
     otherwise be the accuracy limit.
     """
-    if x <= 0.0:
+    if (x <= 0.0).any() if type(x) is _NDARRAY else x <= 0.0:
         raise ValueError("argument must be positive")
     x = dtype(x)
     j0 = np.sin(x) / x
@@ -67,6 +76,8 @@ def spherical_jn_seq(m_max: int, x: float, dtype=np.float64) -> np.ndarray:
     j1 = np.sin(x) / x**2 - np.cos(x) / x
     if m_max == 1:
         return np.array([j0, j1], dtype=dtype)
+    if x.shape:
+        return _miller_rows(m_max, x, j0, j1)
 
     start = m_max + max(_MILLER_GUARD, math.ceil(1.5 * float(x))) \
         + _MILLER_MARGIN
@@ -85,12 +96,39 @@ def spherical_jn_seq(m_max: int, x: float, dtype=np.float64) -> np.ndarray:
     return f[: m_max + 1] * scale
 
 
+def _miller_rows(m_max: int, x: np.ndarray, j0, j1) -> np.ndarray:
+    """The downward recurrence of ``spherical_jn_seq`` over an array x.
+
+    Only the two running rows and the m_max + 1 returned rows are held; a
+    point that passes the rescale threshold has its own rows scaled down.
+    """
+    start = m_max + max(_MILLER_GUARD, math.ceil(1.5 * float(x.max()))) \
+        + _MILLER_MARGIN
+    f = np.empty((m_max + 1,) + x.shape, dtype=x.dtype)
+    upper, cur = np.zeros_like(x), np.ones_like(x)
+    shrink = x.dtype.type(1.0) / _RESCALE
+    for k in range(start, 0, -1):
+        if k <= m_max:
+            f[k] = cur
+        lower = (2 * k + 1) / x * cur - upper
+        big = np.abs(lower) > _RESCALE
+        if big.any():
+            lower[big] *= shrink
+            cur[big] *= shrink
+            f[k:, big] *= shrink
+        upper, cur = cur, lower
+    f[0] = cur
+    return f * np.where(np.abs(j0) >= np.abs(j1), j0 / f[0], j1 / f[1])
+
+
 def spherical_yn_seq(m_max: int, x: float, dtype=np.float64) -> np.ndarray:
     """y_0(x)..y_{m_max}(x) for x > 0, by upward recurrence (stable)."""
-    if x <= 0.0:
+    if (x <= 0.0).any() if type(x) is _NDARRAY else x <= 0.0:
         raise ValueError("argument must be positive")
     x = dtype(x)
-    y = np.zeros(m_max + 1, dtype=dtype)
+    # an int length allocates faster than a shape tuple on the float path
+    y = np.zeros((m_max + 1,) + x.shape if x.shape else m_max + 1,
+                 dtype=dtype)
     y[0] = -np.cos(x) / x
     if m_max >= 1:
         y[1] = -np.cos(x) / x**2 - np.sin(x) / x
@@ -117,9 +155,9 @@ def spherical_hankel_h1(m: int, x: float) -> complex:
 def _family_seq(d: int, which: int, m_max: int, x: float,
                 dtype=np.float64) -> np.ndarray:
     """Orders 0..m_max of the selected spherical family (complex for h)."""
-    cdt = _complex_dtype(dtype)
-    out = np.zeros(m_max + 1, dtype=cdt)
-    out.real = spherical_jn_seq(m_max, x, dtype)
+    re = spherical_jn_seq(m_max, x, dtype)
+    out = np.zeros(re.shape, dtype=_complex_dtype(dtype))
+    out.real = re
     if which == 1:
         out.imag = spherical_yn_seq(m_max, x, dtype)
     return out
@@ -127,14 +165,14 @@ def _family_seq(d: int, which: int, m_max: int, x: float,
 
 def fundamental_eval(pair: FundamentalPair, which: int, x: float,
                      dtype=np.float64):
-    """Value and derivative of f_{m,d,which} at x > 0.
+    """Value and derivative of f_{m,d,which} at x > 0 (or at each entry).
 
     Derivatives use f'_m = f_{m-1} - (m+1)/x f_m (and f'_0 = -f_1), never
     finite differences.
     """
     if which not in (1, 2):
         raise ValueError("which must be 1 or 2")
-    if x <= 0.0:
+    if (x <= 0.0).any() if type(x) is _NDARRAY else x <= 0.0:
         raise ValueError("argument must be positive")
     if pair.d == 1:
         xe = dtype(x)
@@ -153,7 +191,7 @@ def fundamental_eval(pair: FundamentalPair, which: int, x: float,
 
 def fundamental_eval_d2(pair: FundamentalPair, which: int, x: float,
                         dtype=np.float64):
-    """(f, f', f'') of f_{m,d,which} at x > 0.
+    """(f, f', f'') of f_{m,d,which} at x > 0 (or at each entry).
 
     The second derivative is assembled from the order-raising identity
     f'_m = -f_{m+1} + (m/x) f_m applied twice, so an ODE residual formed
@@ -209,24 +247,28 @@ def fundamental_eval_mp(pair: FundamentalPair, which: int, x):
             return v, 1j * v
         return mp.mpc(mp.cos(x)), mp.mpc(-mp.sin(x))
 
-    pref = mp.sqrt(mp.pi / (2 * x))
+    m = pair.m
+    # exp(ix) (or sin x) is shared by the closed forms of orders 0 and 1;
+    # the prefactor only by the Bessel-function orders >= 2
+    if m <= 2:
+        trig = mp.exp(1j * x) if which == 1 else mp.sin(x)
+    if m >= 2:
+        pref = mp.sqrt(mp.pi / (2 * x))
 
     def f(mm):
         # orders 0 and 1 in elementary closed form; the generic path via
         # half-integer Bessel functions is orders of magnitude slower
         if mm == 0:
-            return -1j * mp.exp(1j * x) / x if which == 1 \
-                else mp.mpc(mp.sin(x) / x)
+            return -1j * trig / x if which == 1 else mp.mpc(trig / x)
         if mm == 1:
             if which == 1:
-                return -mp.exp(1j * x) * (1 + 1j / x) / x
-            return mp.mpc(mp.sin(x) / x ** 2 - mp.cos(x) / x)
+                return -trig * (1 + 1j / x) / x
+            return mp.mpc(trig / x ** 2 - mp.cos(x) / x)
         v = pref * mp.besselj(mm + mp.mpf(1) / 2, x)
         if which == 1:
             v = v + 1j * pref * mp.bessely(mm + mp.mpf(1) / 2, x)
         return mp.mpc(v)
 
-    m = pair.m
     v = f(m)
     dv = -f(1) if m == 0 else f(m - 1) - (m + 1) / x * v
     return v, dv

@@ -1,14 +1,14 @@
 """Shared fixtures: seeded problem generators used across the test suite.
 
-The random populations intentionally reuse the generators behind the CLI
-verification suites so that `pytest` and `helmrad verify` exercise the same
-distributions.
+The random populations are the generators behind the CLI verification
+suites (``helmrad.problem.random_spec`` and ``random_alternating``), so that
+`pytest` and `helmrad verify` exercise the same distributions.
 """
 
 import numpy as np
 import pytest
 
-from helmrad.cli import _random_alternating, _random_spec
+from helmrad import problem
 
 
 @pytest.fixture
@@ -18,12 +18,12 @@ def rng():
 
 @pytest.fixture
 def random_spec():
-    return _random_spec
+    return problem.random_spec
 
 
 @pytest.fixture
 def random_alternating():
-    return _random_alternating
+    return problem.random_alternating
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

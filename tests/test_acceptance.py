@@ -34,7 +34,8 @@ from helmrad import (
 )
 from helmrad.evaluate import (RadialSolution, dtn_residual,
                               interface_residuals, ode_residual)
-from helmrad.problem import WaveSpeedProfile
+from helmrad.problem import (WaveSpeedProfile, random_alternating,
+                             random_spec)
 from helmrad.specfun import (FundamentalPair, fundamental_eval,
                              spherical_hankel_h1, spherical_jn_seq,
                              spherical_yn_seq, wronskian_w)
@@ -58,8 +59,7 @@ _ACCEPTED = []
 
 def _oracle_population():
     rng = np.random.default_rng(20260823)
-    from helmrad.cli import _random_spec
-    return [_random_spec(rng) for _ in range(200)]
+    return [random_spec(rng) for _ in range(200)]
 
 
 def test_criterion_01_oracle_equivalence(request):
@@ -84,11 +84,10 @@ def test_criterion_01_oracle_equivalence(request):
 
 def test_criterion_02_determinant_identity(request):
     rng = np.random.default_rng(20260823)
-    from helmrad.cli import _random_spec
     t0 = time.perf_counter()
     worst = 0.0
     for _ in range(50):
-        spec = _random_spec(rng, n_max=10)
+        spec = random_spec(rng, n_max=10)
         d_rec = determinant_recursion(spec)
         d_dir = np.linalg.det(normalize(spec).to_dense())
         worst = max(worst, abs(d_rec - d_dir) / abs(d_dir))
@@ -102,10 +101,9 @@ def test_criterion_02_determinant_identity(request):
 
 def test_criterion_03_w_sequence_identity(request):
     rng = np.random.default_rng(20260823)
-    from helmrad.cli import _random_spec
     worst = 0.0
     for _ in range(50):
-        spec = _random_spec(rng, n_max=10)
+        spec = random_spec(rng, n_max=10)
         n = spec.n
         W = w_sequence(spec)
         bt = beta_sequence(spec).beta_tilde[n]
@@ -207,11 +205,10 @@ def test_criterion_07_energy_lower_bound(request):
 
 def test_criterion_08_beta_bound_certification(request):
     rng = np.random.default_rng(20260823)
-    from helmrad.cli import _random_alternating
     t0 = time.perf_counter()
     violations = 0
     for _ in range(500):
-        report = certify_beta_bounds(_random_alternating(rng))
+        report = certify_beta_bounds(random_alternating(rng))
         violations += not (report.per_step_ok and report.majorant_ok)
     elapsed = time.perf_counter() - t0
     ok = violations == 0 and elapsed < 5.0

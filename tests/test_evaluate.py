@@ -5,6 +5,8 @@ verification of the first-layer closed-form energy lower bound on the
 localised examples.
 """
 
+import csv
+import io
 import json
 import math
 
@@ -182,6 +184,132 @@ class TestEnergy:
             energy_lower_bound(sol)
         with pytest.raises(UnsupportedMode):
             sup_scaled(sol)
+
+
+def _energy_pointwise(sol, order=32):
+    """energy_norm's adaptive Gauss-Legendre rule, one eval_radial a node."""
+    spec = sol.spec
+    d, lam = spec.dimension, spec.angular_eigenvalue
+    x = spec.profile.jump_points
+    prev = None
+    while True:
+        nodes, weights = np.polynomial.legendre.leggauss(order)
+        total = 0.0
+        for j in range(1, len(x)):
+            half = 0.5 * (x[j] - x[j - 1])
+            kj = spec.omega / spec.speed(j)
+            for t, w in zip(nodes, weights):
+                r = half * t + 0.5 * (x[j - 1] + x[j])
+                val, der = eval_radial(sol, float(r))
+                dens = (abs(der) ** 2 + (kj * abs(val)) ** 2) * r ** (d - 1)
+                if lam != 0.0:
+                    dens += lam * abs(val) ** 2 * r ** (d - 3)
+                total += half * w * dens
+        if prev is not None and abs(total - prev) <= 1e-10 * max(prev, 1.0):
+            return math.sqrt(total)
+        prev = total
+        order *= 2
+
+
+class TestBatchedFieldQuantities:
+    """The array evaluator against pointwise references from eval_radial."""
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_sup_radial(self, spec):
+        sol = solve(spec)
+        x = spec.profile.jump_points
+        ref = max(abs(eval_radial(sol, float(r))[0])
+                  for j in range(1, len(x))
+                  for r in np.linspace(x[j - 1], x[j], 64))
+        assert sup_radial(sol, 64) == pytest.approx(ref, rel=1e-13)
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_energy_norm(self, spec):
+        sol = solve(spec)
+        assert energy_norm(sol) == pytest.approx(_energy_pointwise(sol),
+                                                 rel=1e-13)
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_disc_slice(self, spec):
+        sol = solve(spec)
+        if spec.dimension != 3 or spec.mode != 0:
+            with pytest.raises(UnsupportedMode):
+                evaluate.disc_slice(sol, 9)
+            return
+        xs, ys, field, sup = evaluate.disc_slice(sol, 9)
+        ref = np.full((9, 9), np.nan)
+        for iy, y in enumerate(ys):
+            for ix, x in enumerate(xs):
+                r = math.hypot(x, y)
+                if r <= 1.0:
+                    ref[iy, ix] = abs(eval_radial(sol, r)[0]) \
+                        / math.sqrt(4.0 * math.pi)
+        assert np.array_equal(np.isnan(field), np.isnan(ref))
+        inside = ~np.isnan(ref)
+        assert np.max(np.abs(field[inside] - ref[inside])) \
+            <= 1e-14 * np.max(ref[inside])
+        assert sup == np.max(field[inside])
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_radial_csv(self, spec, tmp_path):
+        sol = solve(spec)
+        path = tmp_path / "radial.csv"
+        evaluate.write_radial_csv(sol, path, samples=101)
+        rows = list(csv.reader(path.read_text().splitlines()))
+        assert rows[0] == ["r", "re_u", "im_u", "abs_u"]
+        got = np.array(rows[1:], dtype=float)
+        rs = np.linspace(0.0, 1.0, 101)
+        assert np.array_equal(got[:, 0], rs)
+        ref = np.array([eval_radial(sol, float(r))[0] for r in rs])
+        scale = np.max(np.abs(ref))
+        for col, want in zip(got[:, 1:].T, (ref.real, ref.imag,
+                                            np.abs(ref))):
+            assert np.max(np.abs(col - want)) <= 1e-14 * scale
+
+
+class TestCsvBytes:
+    """The CSV writers emit exactly what csv.writer writes for the field."""
+
+    @staticmethod
+    def _csv_writer_text(rows):
+        buf = io.StringIO()
+        wr = csv.writer(buf)
+        # the cells the writers used to hand csv.writer: "%.17g", or "nan"
+        for row in rows:
+            wr.writerow([v if isinstance(v, str) else
+                         "nan" if math.isnan(v) else f"{v:.17g}"
+                         for v in row])
+        return buf.getvalue().encode()
+
+    def test_disc_csv(self, tmp_path, monkeypatch):
+        axis = np.linspace(-1.0, 1.0, 5)
+        field = np.array([
+            [np.nan, 0.25, 1e-300, 0.25, np.nan],
+            [0.1, -0.0, 123456.789, 0.1, 2.0 / 3.0],
+            [1e-300, 123456.789, 7.0, 123456.789, 1e-300],
+            [0.1, 0.0, 123456.789, 0.1, 2.0 / 3.0],
+            [np.nan, 0.25, 1e-300, 0.25, np.nan]])
+        monkeypatch.setattr(evaluate, "disc_slice",
+                            lambda sol, grid: (axis, axis, field, 7.0))
+        evaluate.write_disc_csv(None, tmp_path / "disc.csv", grid=5)
+        expected = self._csv_writer_text(
+            [["x", "y", "abs_u"]]
+            + [[float(x), float(y), float(field[iy, ix])]
+               for iy, y in enumerate(axis) for ix, x in enumerate(axis)])
+        assert (tmp_path / "disc.csv").read_bytes() == expected
+
+    def test_radial_csv(self, tmp_path, monkeypatch):
+        u = np.array([1.0 + 0.0j, -0.0 - 1e-300j, 2.0 / 3.0 + 1e17j,
+                      complex(np.nan, 0.5), -123.456 + 7.0j])
+        monkeypatch.setattr(evaluate, "_radial_values", lambda sol, rs: u)
+        evaluate.write_radial_csv(None, tmp_path / "radial.csv",
+                                  samples=len(u))
+        rs = np.linspace(0.0, 1.0, len(u))
+        expected = self._csv_writer_text(
+            [["r", "re_u", "im_u", "abs_u"]]
+            + [[float(r), v.real, v.imag, abs(v)]
+               for r, v in zip(rs, u.tolist())])
+        assert (tmp_path / "radial.csv").read_bytes() == expected
 
 
 class TestNormsAndReports:

@@ -101,6 +101,86 @@ class TestDerivatives:
         assert dv == pytest.approx(-math.sin(0.8))
 
 
+#: arguments 1e-6..200, with points at and beside the turning points x = m
+_BATCH_X = np.unique(np.concatenate([
+    np.geomspace(1e-6, 200.0, 97),
+    [0.999, 1.0, 2.0, 6.9, 7.0, 7.1, 29.7, 30.0, 30.4]]))
+_BATCH_PAIRS = [(1, 0)] + [(3, m) for m in (0, 1, 2, 7, 30)]
+
+
+class TestArrayArguments:
+    """An array of arguments gives the per-point float results."""
+
+    @pytest.mark.parametrize("fn", [fundamental_eval, fundamental_eval_d2])
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    @pytest.mark.parametrize("which", [1, 2])
+    @pytest.mark.parametrize("d,m", _BATCH_PAIRS)
+    def test_batch_matches_pointwise(self, d, m, which, dtype, fn):
+        pair = FundamentalPair(d, m)
+        x = _BATCH_X.astype(dtype)
+        with np.errstate(all="ignore"):
+            batch = fn(pair, which, x, dtype)
+            ref = [np.array(col)
+                   for col in zip(*(fn(pair, which, v, dtype) for v in x))]
+        # envelope of the k-th derivative: the largest returned term, each
+        # scaled to derivative order k by the natural rate 1 + (m+1)/x
+        rate = 1.0 + (m + 1) / x
+        base = np.max([np.abs(q) / rate ** k for k, q in enumerate(ref)],
+                      axis=0)
+        for k, (got, want) in enumerate(zip(batch, ref)):
+            assert got.shape == x.shape
+            assert got.dtype == want.dtype
+            assert np.all(np.abs(got - want) <= 1e-14 * base * rate ** k)
+
+    @pytest.mark.parametrize("m,which,x,expected", [
+        (0, 1, 2.5, ("0x1.ea44b494c7782p-3", "0x1.4825ff2d13c64p-2",
+                     "-0x1.aa33bce46ede4p-2", "0x1.c77fd0e16f4cap-4")),
+        (2, 2, 0.75, ("0x1.270c61a9348c2p-5", "0x0.0p+0",
+                      "0x1.7972ccad5550cp-4", "0x0.0p+0")),
+        (7, 1, 7.25, ("0x1.82852d205ad1ep-4", "-0x1.a97cb7ca81a24p-3",
+                      "0x1.52a8f479c371ep-5", "0x1.c4fdf1bf0cffbp-4")),
+        (30, 2, 31.5, ("0x1.4cc58c0215966p-5", "0x0.0p+0",
+                       "0x1.cee73d5469130p-8", "0x0.0p+0")),
+    ])
+    def test_float_argument_keeps_its_scalar_values(self, m, which, x,
+                                                    expected):
+        """Bit patterns of the scalar path, pinned (x86-64, glibc libm)
+        before the recurrences took arrays."""
+        f, df = fundamental_eval(FundamentalPair(3, m), which, x)
+        assert isinstance(f, np.complex128)
+        assert tuple(v.hex() for v in (f.real, f.imag, df.real, df.imag)) \
+            == expected
+
+    def test_sequences_gain_a_trailing_point_axis(self):
+        x = np.array([0.3, 4.0, 25.0])
+        j = spherical_jn_seq(12, x)
+        y = spherical_yn_seq(12, x)
+        assert j.shape == y.shape == (13, 3)
+        for i, v in enumerate(x):
+            assert np.allclose(j[:, i], spherical_jn_seq(12, float(v)),
+                               rtol=1e-13, atol=0.0)
+            assert np.allclose(y[:, i], spherical_yn_seq(12, float(v)),
+                               rtol=1e-13, atol=0.0)
+
+    def test_batched_recurrence_holds_no_start_by_points_table(self):
+        """A (start + 2) x points table would take ~100 MB here."""
+        import tracemalloc
+        x = np.linspace(1.0, 2000.0, 4096)
+        tracemalloc.start()
+        try:
+            spherical_jn_seq(3, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
+    def test_nonpositive_entry_rejected(self):
+        with pytest.raises(ValueError):
+            spherical_jn_seq(3, np.array([0.5, 0.0]))
+        with pytest.raises(ValueError):
+            fundamental_eval(FundamentalPair(3, 0), 1, np.array([-1.0, 2.0]))
+
+
 class TestArbitraryPrecision:
     @pytest.mark.parametrize("m", [0, 1, 2, 6])
     @pytest.mark.parametrize("which", [1, 2])
