@@ -3,10 +3,8 @@
 from .problem import (ProblemSpec, WaveSpeedProfile,
                       construct_localisation_example,
                       construct_stable_example, relative_jumps, validate)
-from .assembly import (BlockSystem, CoefficientVector, RawSystem,
-                       assemble_raw, determinant_recursion, dense_solve,
-                       normalize, normalizer_blocks, rhs_scale, solve_spec,
-                       w_sequence)
+from .assembly import (BlockSystem, CoefficientVector, dense_solve,
+                       normalize, rhs_scale, solve_spec)
 from .green import (BetaSequence, GreenColumn, beta_sequence, gamma_q,
                     green_last_column, layer_coefficients)
 from .evaluate import (DiagnosticsReport, RadialSolution, diagnostics,
@@ -23,9 +21,8 @@ __version__ = "0.1.0"
 __all__ = [
     "ProblemSpec", "WaveSpeedProfile", "construct_localisation_example",
     "construct_stable_example", "relative_jumps", "validate",
-    "BlockSystem", "CoefficientVector", "RawSystem", "assemble_raw",
-    "determinant_recursion", "dense_solve", "normalize", "normalizer_blocks",
-    "rhs_scale", "solve_spec", "w_sequence",
+    "BlockSystem", "CoefficientVector", "dense_solve", "normalize",
+    "rhs_scale", "solve_spec",
     "BetaSequence", "GreenColumn", "beta_sequence", "gamma_q",
     "green_last_column", "layer_coefficients",
     "DiagnosticsReport", "RadialSolution", "diagnostics", "disc_slice",

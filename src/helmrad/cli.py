@@ -8,6 +8,7 @@ identical runs produce byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -244,14 +245,12 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--output-dir", default=".")
     s.add_argument("--grid", type=int, default=64)
     s.add_argument("--quad-order", type=int, default=32)
-    s.set_defaults(func=cmd_solve)
 
     c = sub.add_parser("construct", help="emit a constructed example spec")
     c.add_argument("--kind", choices=["localised", "stable"], required=True)
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--c1", type=float, required=True)
     c.add_argument("--c2", type=float, required=True)
-    c.set_defaults(func=cmd_construct)
 
     sc = sub.add_parser("scan", help="perturbation sweep around a base spec")
     sc.add_argument("--input", required=True)
@@ -259,13 +258,11 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--seed", type=int, required=True)
     sc.add_argument("--samples", type=int, default=100)
     sc.add_argument("--jitter", type=float, default=0.01)
-    sc.set_defaults(func=cmd_scan)
 
     v = sub.add_parser("verify", help="run a named acceptance suite")
     v.add_argument("--suite", choices=["oracle", "bounds", "figures",
                                        "specfun"], required=True)
     v.add_argument("--seed", type=int, default=20260823)
-    v.set_defaults(func=cmd_verify)
 
     w = sub.add_parser("whisper", help="single-interface resonance scan")
     w.add_argument("--m", type=int, required=True)
@@ -274,13 +271,18 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--x1", type=float, required=True)
     w.add_argument("--omega-window", type=float, nargs=2, required=True)
     w.add_argument("--samples", type=int, default=400)
-    w.set_defaults(func=cmd_whisper)
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    args = _parser().parse_args(argv)
+    # looked up at call time, so a replaced module attribute is what runs
+    return globals()[f"cmd_{args.command}"](args)
 
 
 if __name__ == "__main__":

@@ -221,8 +221,9 @@ def fundamental_eval_d2(pair: FundamentalPair, which: int, x: float,
 def wronskian_w(pair: FundamentalPair, p: int, q: int,
                 c_j: float, c_k: float, z: float,
                 dtype=np.float64) -> complex:
-    """Scaled Wronskian w^{p,q} of f_p(./c_j) and f_q(./c_k) at z > 0."""
-    if min(c_j, c_k, z) <= 0.0:
+    """Scaled Wronskian w^{p,q} of f_p(./c_j), f_q(./c_k) at (each) z > 0."""
+    if min(c_j, c_k) <= 0.0 or \
+            ((z <= 0.0).any() if type(z) is _NDARRAY else z <= 0.0):
         raise ValueError("speeds and evaluation point must be positive")
     # arguments are formed in working precision so z/c carries no rounding
     # beyond the representation of z and c themselves

@@ -279,7 +279,7 @@ class WhisperResult:
 
 def single_interface_wronskian(m: int, c1: float, c2: float, x1: float,
                                omega: float) -> complex:
-    """The interface Wronskian whose near-zeros mark the resonances."""
+    """Interface Wronskian at (each) omega; its near-zeros mark resonances."""
     pair = FundamentalPair(3, m)
     return wronskian_w(pair, 1, 2, c2, c1, omega * x1)
 
@@ -299,8 +299,7 @@ def whispering_gallery_scan(m: int, c1: float, c2: float, x1: float,
         raise ValueError("interface must be interior")
     lo, hi = omega_window
     grid = np.linspace(lo, hi, samples)
-    mags = np.array([abs(single_interface_wronskian(m, c1, c2, x1, w))
-                     for w in grid])
+    mags = np.abs(single_interface_wronskian(m, c1, c2, x1, grid))
     k = int(np.argmin(mags))
     if k in (0, len(grid) - 1):
         raise WindowTooCoarse(
@@ -314,5 +313,6 @@ def whispering_gallery_scan(m: int, c1: float, c2: float, x1: float,
     a2 = 1j * omega_star / c2 * h_out * (w22 / w12) * g
     b1 = h_out / (x1 ** 2 * omega_star * w12) * g
     b2 = 1j * omega_star / c2 * h_out * g
-    return WhisperResult(omega_star=omega_star, min_wronskian=float(mags[k]),
+    # the scalar |w12|: the batch value can differ from it in the last bit
+    return WhisperResult(omega_star=omega_star, min_wronskian=float(abs(w12)),
                          a2=a2, b1=b1, b2=b2)

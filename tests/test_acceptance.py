@@ -20,7 +20,6 @@ from helmrad import (
     certify_beta_bounds,
     construct_localisation_example,
     construct_stable_example,
-    determinant_recursion,
     energy_norm,
     green_growth_law,
     green_last_column,
@@ -30,7 +29,6 @@ from helmrad import (
     solve,
     solve_spec,
     sup_scaled,
-    w_sequence,
 )
 from helmrad.evaluate import (RadialSolution, dtn_residual,
                               interface_residuals, ode_residual)
@@ -40,6 +38,7 @@ from helmrad.specfun import (FundamentalPair, fundamental_eval,
                              spherical_hankel_h1, spherical_jn_seq,
                              spherical_yn_seq, wronskian_w)
 from helmrad.stability import whispering_gallery_scan
+from interface_oracles import determinant_recursion, w_sequence
 
 
 def _record(request, number, ok, detail):

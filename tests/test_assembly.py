@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from helmrad.assembly import (R_HAT, T_HAT, CoefficientVector,
-                              assemble_raw, dense_solve,
-                              determinant_recursion, normalize,
-                              normalizer_blocks, rhs_scale, solve_spec,
-                              w_sequence)
+                              dense_solve, normalize, rhs_scale, solve_spec)
 from helmrad.problem import ProblemSpec, WaveSpeedProfile
+from interface_oracles import (assemble_raw, determinant_recursion,
+                               normalizer_blocks, w_sequence)
 
 
 def _spec(speeds, cuts, omega, d=3, m=0, g=1.0 + 0.0j):
