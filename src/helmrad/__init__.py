@@ -5,7 +5,7 @@ from .problem import (ProblemSpec, WaveSpeedProfile,
                       construct_stable_example, relative_jumps, validate)
 from .assembly import (BlockSystem, CoefficientVector, dense_solve,
                        normalize, rhs_scale, solve_spec)
-from .green import (BetaSequence, GreenColumn, beta_sequence, gamma_q,
+from .green import (BetaSequence, GreenColumn, beta_sequence,
                     green_last_column, layer_coefficients)
 from .evaluate import (DiagnosticsReport, RadialSolution, diagnostics,
                        disc_slice, energy_lower_bound, energy_norm,
@@ -23,7 +23,7 @@ __all__ = [
     "construct_stable_example", "relative_jumps", "validate",
     "BlockSystem", "CoefficientVector", "dense_solve", "normalize",
     "rhs_scale", "solve_spec",
-    "BetaSequence", "GreenColumn", "beta_sequence", "gamma_q",
+    "BetaSequence", "GreenColumn", "beta_sequence",
     "green_last_column", "layer_coefficients",
     "DiagnosticsReport", "RadialSolution", "diagnostics", "disc_slice",
     "energy_lower_bound", "energy_norm", "energy_upper_bound", "eval_radial",

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .assembly import CoefficientVector, rhs_scale
 from .problem import ProblemSpec
-from .specfun import FundamentalPair, fundamental_eval
+from .specfun import EXTENDED, FundamentalPair, Tier, mp_tier
 
 #: |beta_n| below this is treated as a resonance of the denominator
 NEAR_RESONANCE_FLOOR = 1e-250
@@ -32,11 +32,7 @@ _M0_CHECK_TOL = 1e-12
 _EXT = np.longdouble
 _CEXT = np.clongdouble
 _IU = _CEXT(1j)
-
-
-def _cexp(t) -> complex:
-    """exp(i t) in extended precision for a real extended scalar t."""
-    return np.exp(_IU * _EXT(t))
+_cexp = EXTENDED.cexp
 
 
 class GammaDegenerate(Exception):
@@ -53,41 +49,6 @@ class NearResonantDenominator(Exception):
             f"{log_magnitude / math.log(10.0):.3f}")
 
 
-@dataclass(frozen=True)
-class GammaData:
-    """Interface reflection quantities at a single jump point."""
-
-    gamma_tilde_plus: complex
-    gamma_tilde_minus: complex
-    q_tilde: complex
-    gamma_plus: complex
-    gamma_minus: complex
-    q: complex
-
-
-class _Tier(NamedTuple):
-    """The arithmetic one run of the recursion is carried out in.
-
-    ``real`` builds a real number from a double, ``cexp(t)`` is exp(i t),
-    and ``pair_eval(pair, which, x)`` gives (f, f') of the fundamental
-    system.  A step of modulus zero folds to log-modulus -inf when
-    ``folds_zero_step`` is set; otherwise normalising it raises
-    ``ZeroDivisionError``.
-    """
-
-    real: Callable
-    cexp: Callable
-    log: Callable
-    pair_eval: Callable
-    folds_zero_step: bool
-
-
-_EXTENDED = _Tier(
-    real=_EXT, cexp=_cexp, log=np.log,
-    pair_eval=lambda pair, which, x: fundamental_eval(pair, which, x, _EXT),
-    folds_zero_step=True)
-
-
 class _Interface(NamedTuple):
     gt_terms: tuple   # the two products whose difference is gt_plus
     gt_plus: object
@@ -98,7 +59,7 @@ class _Interface(NamedTuple):
     w12: object       # w^{1,2} of the right-hand layer at the jump point
 
 
-def _interface(tier: _Tier, spec: ProblemSpec, omega, x, ell: int
+def _interface(tier: Tier, spec: ProblemSpec, omega, x, ell: int
                ) -> _Interface:
     """Reflection quantities and w^{1,2} at interface ell in ``tier``.
 
@@ -107,9 +68,8 @@ def _interface(tier: _Tier, spec: ProblemSpec, omega, x, ell: int
     pair = FundamentalPair(spec.dimension, spec.mode)
     c_l, c_r = tier.real(spec.speed(ell)), tier.real(spec.speed(ell + 1))
     z = omega * x[ell]
-    f1l, df1l = tier.pair_eval(pair, 1, z / c_l)
-    f1r, df1r = tier.pair_eval(pair, 1, z / c_r)
-    f2r, df2r = tier.pair_eval(pair, 2, z / c_r)
+    f1l, df1l, _, _ = tier.pair_eval(pair, z / c_l)
+    f1r, df1r, f2r, df2r = tier.pair_eval(pair, z / c_r)
     t1 = f1r * df1l.conjugate() / c_l
     t2 = df1r * f1l.conjugate() / c_r
     gt_plus = t1 - t2
@@ -121,22 +81,6 @@ def _interface(tier: _Tier, spec: ProblemSpec, omega, x, ell: int
     return _Interface((t1, t2), gt_plus, gt_minus, g_plus, g_minus,
                       g_minus / g_plus,
                       w12=f1r * df2r / c_r - df1r * f2r / c_r)
-
-
-def gamma_q(spec: ProblemSpec, ell: int) -> GammaData:
-    """Reflection quantities at interface ell (1-based)."""
-    if not 1 <= ell <= spec.n:
-        raise ValueError(f"interface index out of range: {ell}")
-    it = _interface(_EXTENDED, spec, _EXT(spec.omega),
-                    [_EXT(v) for v in spec.profile.jump_points], ell)
-    return GammaData(
-        gamma_tilde_plus=complex(it.gt_plus),
-        gamma_tilde_minus=complex(it.gt_minus),
-        q_tilde=complex(it.gt_minus / it.gt_plus),
-        gamma_plus=complex(it.g_plus),
-        gamma_minus=complex(it.g_minus),
-        q=complex(it.q),
-    )
 
 
 @dataclass(frozen=True)
@@ -172,7 +116,7 @@ class BetaSequence:
         return np.exp(self.tilde_log_moduli) * self.tilde_phases
 
 
-def _advance(tier: _Tier, log_mod, step_value):
+def _advance(tier: Tier, log_mod, step_value):
     """Fold a recursion step (applied to a unit phase) into log form."""
     mag = abs(step_value)
     if mag == 0 and tier.folds_zero_step:
@@ -180,7 +124,7 @@ def _advance(tier: _Tier, log_mod, step_value):
     return log_mod + tier.log(mag), step_value / mag
 
 
-def _recursion(tier: _Tier, spec: ProblemSpec, omega, x):
+def _recursion(tier: Tier, spec: ProblemSpec, omega, x):
     """Run both recursions in ``tier``; ``omega`` and ``x`` are tier numbers.
 
     Returns lists (log_mod, phases, tilde_log, tilde_phases, interfaces,
@@ -210,7 +154,7 @@ def _recursion(tier: _Tier, spec: ProblemSpec, omega, x):
     return log_mod, phases, tlog, tphases, interfaces, cores
 
 
-def _rotated_im(tier: _Tier, spec: ProblemSpec, omega, x, log_mod, phases):
+def _rotated_im(tier: Tier, spec: ProblemSpec, omega, x, log_mod, phases):
     """Im(e^{i z_ell/c_{ell+1}} beta_ell) as (log magnitude, sign) lists."""
     im_log, im_sign = [tier.real(-math.inf)], [0.0]
     for ell in range(1, spec.n + 1):
@@ -249,9 +193,7 @@ def _beta_mp(spec: ProblemSpec, digits: float, data=None):
     double-rounded values stored on the spec.
     """
     import mpmath as mp
-    from .specfun import fundamental_eval_mp
-    tier = _Tier(real=mp.mpf, cexp=lambda t: mp.exp(1j * t), log=mp.log,
-                 pair_eval=fundamental_eval_mp, folds_zero_step=False)
+    tier = mp_tier()
     with mp.workdps(30 + int(math.ceil(digits))):
         if data is None:
             omega = mp.mpf(spec.omega)
@@ -321,7 +263,7 @@ def beta_sequence(spec: ProblemSpec) -> BetaSequence:
     omega = _EXT(spec.omega)
     x = [_EXT(v) for v in spec.profile.jump_points]
     log_mod, phases, tlog, tphases, interfaces, cores = _recursion(
-        _EXTENDED, spec, omega, x)
+        EXTENDED, spec, omega, x)
     log_mod = np.array(log_mod, dtype=_EXT)
     phases = np.array(phases, dtype=_CEXT)
     tlog = np.array(tlog, dtype=_EXT)
@@ -335,7 +277,7 @@ def beta_sequence(spec: ProblemSpec) -> BetaSequence:
             loss += max(0.0, float(np.log10(
                 max(map(abs, it.gt_terms)) / abs(it.gt_plus)))) + max(
                 0.0, float(np.log10((1.0 + abs(it.q)) / abs(core))))
-    im_log, im_sign = _rotated_im(_EXTENDED, spec, omega, x, log_mod, phases)
+    im_log, im_sign = _rotated_im(EXTENDED, spec, omega, x, log_mod, phases)
     im_log = np.array(im_log, dtype=_EXT)
     im_sign = np.array(im_sign)
     im_loss = _im_loss(n, log_mod, im_log, im_sign)

@@ -14,8 +14,10 @@ axis, and a float argument keeps its scalar path.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -236,23 +238,25 @@ def fundamental_eval_mp(pair: FundamentalPair, which: int, x):
     """Arbitrary-precision value/derivative in the active mpmath context.
 
     Used by the precision-escalation tiers when cancellation or
-    conditioning exceeds what extended hardware floats can absorb.
+    conditioning exceeds what extended hardware floats can absorb.  The
+    real part of f_1 is formed by the same operations for either ``which``,
+    so f_2 = Re f_1 and f_2' = Re f_1' hold bit for bit.
     """
     import mpmath as mp
     x = mp.mpf(x)
     if x <= 0:
         raise ValueError("argument must be positive")
+    part = mp.mpc if which == 1 else lambda re, im: mp.mpc(re)
     if pair.d == 1:
-        if which == 1:
-            v = mp.exp(1j * x)
-            return v, 1j * v
-        return mp.mpc(mp.cos(x)), mp.mpc(-mp.sin(x))
+        c, s = mp.cos_sin(x)
+        return part(c, s), part(-s, c)
 
     m = pair.m
-    # exp(ix) (or sin x) is shared by the closed forms of orders 0 and 1;
+    # cos x and sin x are shared by the closed forms of orders 0 and 1;
     # the prefactor only by the Bessel-function orders >= 2
     if m <= 2:
-        trig = mp.exp(1j * x) if which == 1 else mp.sin(x)
+        c, s = mp.cos_sin(x)
+        j0, y0 = s / x, -c / x
     if m >= 2:
         pref = mp.sqrt(mp.pi / (2 * x))
 
@@ -260,19 +264,68 @@ def fundamental_eval_mp(pair: FundamentalPair, which: int, x):
         # orders 0 and 1 in elementary closed form; the generic path via
         # half-integer Bessel functions is orders of magnitude slower
         if mm == 0:
-            return -1j * trig / x if which == 1 else mp.mpc(trig / x)
+            return part(j0, y0)
         if mm == 1:
-            if which == 1:
-                return -trig * (1 + 1j / x) / x
-            return mp.mpc(trig / x ** 2 - mp.cos(x) / x)
-        v = pref * mp.besselj(mm + mp.mpf(1) / 2, x)
-        if which == 1:
-            v = v + 1j * pref * mp.bessely(mm + mp.mpf(1) / 2, x)
-        return mp.mpc(v)
+            return part((j0 - c) / x, (y0 - s) / x)
+        nu = mm + mp.mpf(1) / 2
+        return part(pref * mp.besselj(nu, x),
+                    pref * mp.bessely(nu, x) if which == 1 else None)
 
     v = f(m)
     dv = -f(1) if m == 0 else f(m - 1) - (m + 1) / x * v
     return v, dv
+
+
+class Tier(NamedTuple):
+    """The arithmetic one computation is carried out in.
+
+    ``real`` builds a real number from a double, ``cexp(t)`` is exp(i t),
+    ``log`` and ``log10`` are logarithms of reals, ``pair_eval(pair, x)``
+    gives (f_1, f_1', f_2, f_2') of the fundamental system from one f_1
+    evaluation, and ``cdtype`` is the dtype of an array of the tier's
+    complex numbers.  A step of modulus zero folds to log-modulus -inf when
+    ``folds_zero_step`` is set; otherwise normalising it raises
+    ``ZeroDivisionError``.
+    """
+
+    real: Callable
+    cexp: Callable
+    log: Callable
+    log10: Callable
+    pair_eval: Callable
+    cdtype: object
+    folds_zero_step: bool
+
+
+def _with_f2(f, df):
+    """(f_1, f_1', f_2, f_2') from f_1: on the positive axis f_2 = Re f_1
+    and f_2' = Re f_1', bit for bit in both tiers (not so in double, where
+    y_m can overflow and make Re f_1' NaN).  f_2 keeps the complex type,
+    so products with it round as those of a ``which=2`` evaluation."""
+    return f, df, type(f)(f.real), type(df)(df.real)
+
+
+_IU_EXT = np.clongdouble(1j)
+
+#: numpy's extended precision: the problem data are exact doubles, so the
+#: extra bits are all signal
+EXTENDED = Tier(
+    real=np.longdouble, cexp=lambda t: np.exp(_IU_EXT * np.longdouble(t)),
+    log=np.log, log10=np.log10,
+    pair_eval=lambda pair, x: _with_f2(
+        *fundamental_eval(pair, 1, x, np.longdouble)),
+    cdtype=np.clongdouble, folds_zero_step=True)
+
+
+@functools.cache
+def mp_tier() -> Tier:
+    """mpmath, at the precision of the active context (built on first use)."""
+    import mpmath as mp
+    return Tier(
+        real=mp.mpf, cexp=lambda t: mp.exp(1j * t), log=mp.log,
+        log10=mp.log10,
+        pair_eval=lambda pair, x: _with_f2(*fundamental_eval_mp(pair, 1, x)),
+        cdtype=object, folds_zero_step=False)
 
 
 def eval_limit_at_origin(pair: FundamentalPair, which: int) -> complex:

@@ -3,17 +3,21 @@
 The raw (unnormalised) block system, the row-normalising blocks that turn
 it into the normalised one, and the determinant companion recursion are
 written here in plain double precision from ``wronskian_w`` and
-``fundamental_eval``.  The tests compare helmrad's normalised system,
-its banded solve and its beta recursion against them.
+``fundamental_eval``; the raw system is also built in mpmath and solved
+densely.  The dense form of a normalised system is assembled from its
+blocks.  The tests compare helmrad's normalised system, its banded solve
+and its beta recursion against them.
 """
 
 from dataclasses import dataclass
 
+import mpmath as mp
 import numpy as np
 
-from helmrad.assembly import DegenerateNormaliser
+from helmrad.assembly import R_HAT, T_HAT, BlockSystem, DegenerateNormaliser
 from helmrad.problem import ProblemSpec
-from helmrad.specfun import FundamentalPair, fundamental_eval, wronskian_w
+from helmrad.specfun import (FundamentalPair, fundamental_eval,
+                             fundamental_eval_mp, wronskian_w)
 
 #: normaliser magnitudes below this are treated as exactly singular
 _DEGENERACY_FLOOR = 1e-300
@@ -118,3 +122,69 @@ def determinant_recursion(spec: ProblemSpec) -> complex:
         denom *= wronskian_w(pair, 2, 1, spec.speed(ell + 1), spec.speed(ell),
                              spec.z[ell])
     return complex(W[spec.n, 0] / denom)
+
+
+def to_dense(system: BlockSystem) -> np.ndarray:
+    """The normalised matrix in double, placed block by block."""
+    n = system.n
+    M = np.zeros((2 * n, 2 * n), dtype=complex)
+    for ell in range(n):
+        i = 2 * ell
+        M[i:i + 2, i:i + 2] = system.S_hat[ell].astype(complex)
+        if ell < n - 1:
+            M[i:i + 2, i + 2:i + 4] = T_HAT
+            M[i + 2:i + 4, i:i + 2] = R_HAT
+    return M
+
+
+def raw_solve_mp(spec: ProblemSpec, digits: int = 60) -> np.ndarray:
+    """Interior coefficients (B_1, A_2, ..., A_{n+1}) from the raw system.
+
+    The continuity rows and the boundary right-hand side are built in
+    mpmath at ``digits`` digits from separate f_1 and f_2 evaluations,
+    each row and then each column is scaled to unit maximum, and the
+    system is solved by mpmath's dense LU.
+    """
+    pair = _pair(spec)
+    n = spec.n
+    N = 2 * n
+    with mp.workdps(digits):
+        omega = mp.mpf(spec.omega)
+        xs = [mp.mpf(v) for v in spec.profile.jump_points]
+        M = mp.matrix(N, N)
+        # rows 2(ell-1), +1: continuity of u and u'/c at interface ell
+        for ell in range(1, n + 1):
+            c_l, c_r = mp.mpf(spec.speed(ell)), mp.mpf(spec.speed(ell + 1))
+            z = omega * xs[ell]
+            f1l, df1l = fundamental_eval_mp(pair, 1, z / c_l)
+            f2l, df2l = fundamental_eval_mp(pair, 2, z / c_l)
+            f1r, df1r = fundamental_eval_mp(pair, 1, z / c_r)
+            f2r, df2r = fundamental_eval_mp(pair, 2, z / c_r)
+            i = 2 * (ell - 1)
+            if ell > 1:
+                M[i, i - 1], M[i + 1, i - 1] = f1l, df1l / c_l
+            M[i, i], M[i + 1, i] = f2l, df2l / c_l
+            M[i, i + 1], M[i + 1, i + 1] = -f1r, -df1r / c_r
+            if ell < n:
+                M[i, i + 2], M[i + 1, i + 2] = -f2r, -df2r / c_r
+        cN = mp.mpf(spec.speed(n + 1))
+        kappa = omega / cN
+        f1b, df1b = fundamental_eval_mp(pair, 1, kappa)
+        f2b, df2b = fundamental_eval_mp(pair, 2, kappa)
+        C = f1b * mp.mpc(complex(spec.boundary_coefficient)) \
+            / (kappa * (f1b * df2b - df1b * f2b))
+        f2o, df2o = fundamental_eval_mp(pair, 2, omega * xs[n] / cN)
+        rhs = mp.matrix(N, 1)
+        rhs[N - 2] = C * f2o
+        rhs[N - 1] = C * df2o / cN
+        # rows, then columns, to unit maximum: at high modes the entries
+        # span hundreds of orders of magnitude
+        for i in range(N):
+            s = 1 / max(abs(M[i, j]) for j in range(N))
+            M[i, :] *= s
+            rhs[i] *= s
+        cols = [1 / max(abs(M[i, j]) for i in range(N)) for j in range(N)]
+        for j in range(N):
+            M[:, j] *= cols[j]
+        x = mp.lu_solve(M, rhs)
+        return np.array([complex(x[j] * cols[j]) for j in range(N)])

@@ -3,8 +3,10 @@
 The refined extended-precision solve is accepted on its own convergence
 and componentwise backward error; the banded elimination in mpmath runs
 only when that test fails, and returns only answers its residual confirms.
-Also covers the array Wronskian behind the whispering-gallery scan and the
-reused command-line parser.
+Every answer is compared with the raw system solved densely in mpmath
+(``interface_oracles.raw_solve_mp``), which shares no code with either
+tier.  Also covers the array Wronskian behind the whispering-gallery scan
+and the reused command-line parser.
 """
 
 import mpmath as mp
@@ -12,14 +14,11 @@ import numpy as np
 import pytest
 
 from helmrad import assembly, cli
-from helmrad.assembly import (R_HAT, T_HAT, SingularSystem, normalize,
-                              solve_spec)
+from helmrad.assembly import SingularSystem, normalize, solve_spec
 from helmrad.problem import ProblemSpec, random_spec
 from helmrad.specfun import FundamentalPair, wronskian_w
 from helmrad.stability import single_interface_wronskian
-
-#: digits on top of the 25 guard digits for the forced mpmath reference
-_REF_DIGITS = 35
+from interface_oracles import raw_solve_mp, to_dense
 
 # high-mode specs, literals as stored with the benchmark's population:
 # fault (c): refinement with the double factors diverges here; taken as
@@ -41,15 +40,36 @@ TINY_A2 = dict(dimension=3, mode=50, omega=5.352878199020918,
                boundary_coefficient=[1.0, 0.0],
                jump_points=[0.0, 1e-08, 1.0],
                speeds=[9.385380815093153, 0.17982042923902544])
+# the blocks of this system lose 19 digits to cancellation in mpmath
+CANCELLING = dict(dimension=3, mode=15, omega=2.5990971183721125,
+                  boundary_coefficient=[1.0, 0.0],
+                  jump_points=[0.0, 1e-08, 0.951770860405345, 1.0],
+                  speeds=[2.898948072996783, 5.754224440156181,
+                          4.346961346264625])
 
 
 def _normwise(x, ref):
     return float(np.max(np.abs(x - ref)) / np.max(np.abs(ref)))
 
 
-def _forced_mp(spec):
-    x, _ = assembly._solve_mp(spec, _REF_DIGITS)
+def _forced_mp(spec, digits=assembly._MP_DIGITS):
+    x, _ = assembly._solve_mp(normalize(spec), digits)
     return x
+
+
+@pytest.fixture(scope="module")
+def formerly_escalated():
+    """The oracle-200 specs whose normwise condition number sent them to
+    mpmath, with their raw-system references."""
+    rng = np.random.default_rng(20260823)
+    specs = []
+    for spec in (random_spec(rng) for _ in range(200)):
+        system = normalize(spec)
+        eps = float(np.finfo(system.S_hat.real.dtype).eps)
+        if np.linalg.cond(to_dense(system)) * eps \
+                * 10.0 ** system.block_loss > 1e-12:
+            specs.append(spec)
+    return [(spec, raw_solve_mp(spec)) for spec in specs]
 
 
 @pytest.fixture
@@ -58,34 +78,25 @@ def mp_calls(monkeypatch):
     calls = []
     solve_mp = assembly._solve_mp
 
-    def spy(spec, digits):
+    def spy(system, digits):
         calls.append(digits)
-        return solve_mp(spec, digits)
+        return solve_mp(system, digits)
     monkeypatch.setattr(assembly, "_solve_mp", spy)
     return calls
 
 
 class TestRefinedAcceptance:
     def test_formerly_escalated_oracle_specs_stay_in_extended(
-            self, monkeypatch):
+            self, monkeypatch, formerly_escalated):
         """The specs a normwise condition number sent to mpmath are solved
         by the refined extended-precision answer, which agrees with a
         60-digit solve."""
-        rng = np.random.default_rng(20260823)
-        specs = []
-        for spec in (random_spec(rng) for _ in range(200)):
-            system = normalize(spec)
-            eps = float(np.finfo(system.S_hat.real.dtype).eps)
-            if np.linalg.cond(system.to_dense()) * eps \
-                    * 10.0 ** system.block_loss > 1e-12:
-                specs.append(spec)
-        assert len(specs) == 31
-        refs = [_forced_mp(spec) for spec in specs]
+        assert len(formerly_escalated) == 31
 
-        def refuse(spec, digits):
+        def refuse(system, digits):
             raise AssertionError("escalated to arbitrary precision")
         monkeypatch.setattr(assembly, "_solve_mp", refuse)
-        for spec, ref in zip(specs, refs):
+        for spec, ref in formerly_escalated:
             coeffs, resid = solve_spec(spec)
             assert resid < 1e-15
             assert _normwise(coeffs.entries, ref) <= 1e-13
@@ -93,13 +104,13 @@ class TestRefinedAcceptance:
     def test_wrong_refined_solve_escalates(self, mp_calls):
         spec = ProblemSpec.from_dict(FAULT_C)
         coeffs, _ = solve_spec(spec)
-        assert len(mp_calls) == 1
-        assert _normwise(coeffs.entries, _forced_mp(spec)) <= 1e-13
+        assert mp_calls == [assembly._MP_DIGITS]
+        assert _normwise(coeffs.entries, raw_solve_mp(spec)) <= 1e-13
 
     def test_badly_scaled_high_mode_system_solves(self):
         spec = ProblemSpec.from_dict(FAULT_D)
         coeffs, _ = solve_spec(spec)
-        assert _normwise(coeffs.entries, _forced_mp(spec)) <= 1e-13
+        assert _normwise(coeffs.entries, raw_solve_mp(spec)) <= 1e-13
 
     def test_failed_residual_check_doubles_the_precision(self, monkeypatch):
         spec = ProblemSpec.from_dict(FAULT_C)
@@ -113,12 +124,12 @@ class TestRefinedAcceptance:
             return solve_mp(spec, digits)
         monkeypatch.setattr(assembly, "_solve_mp", short_first)
         coeffs, _ = solve_spec(spec)
-        assert calls[1] == 2 * calls[0] + assembly._GUARD_DIGITS
+        assert calls[1] == 2 * calls[0]
         monkeypatch.undo()
-        assert _normwise(coeffs.entries, _forced_mp(spec)) <= 1e-13
+        assert _normwise(coeffs.entries, raw_solve_mp(spec)) <= 1e-13
 
     def test_second_failure_raises(self, monkeypatch):
-        def fail(spec, digits):
+        def fail(system, digits):
             raise SingularSystem("residual check failed")
         monkeypatch.setattr(assembly, "_solve_mp", fail)
         with pytest.raises(SingularSystem):
@@ -131,51 +142,69 @@ class TestRefinedAcceptance:
 
 
 class TestBandedMpElimination:
+    @pytest.mark.parametrize("doc", [FAULT_C, FAULT_D])
+    def test_forced_escalation_matches_the_raw_system(self, doc):
+        spec = ProblemSpec.from_dict(doc)
+        assert _normwise(_forced_mp(spec), raw_solve_mp(spec)) <= 1e-13
+
+    def test_forced_escalation_on_formerly_escalated_specs(
+            self, formerly_escalated):
+        for spec, ref in formerly_escalated:
+            assert _normwise(_forced_mp(spec), ref) <= 1e-13
+
     def test_matches_dense_lu(self):
         rng = np.random.default_rng(3)
-        N, kl, ku = 12, assembly._RAW_BAND, assembly._RAW_BAND
+        N = 12
         with mp.workdps(30):
-            A = [[mp.mpc(0)] * N for _ in range(N)]
+            A = mp.matrix(N, N)
+            band = np.zeros((3, N), dtype=object)
             for i in range(N):
-                for j in range(max(0, i - kl), min(N, i + ku + 1)):
-                    # rows of very different size, as in the raw system
-                    A[i][j] = mp.mpc(*rng.normal(size=2)) * 10.0 ** (3 * i)
+                for j in range(max(0, i - 1), min(N, i + 2)):
+                    # rows of very different size, as in the high-mode
+                    # systems
+                    A[i, j] = mp.mpc(*rng.normal(size=2)) * 10.0 ** (3 * i)
+                    band[1 + i - j, j] = A[i, j]
             b = [mp.mpc(*rng.normal(size=2)) for _ in range(N)]
-            ref = mp.lu_solve(mp.matrix(A), mp.matrix(b))
-            U = [list(row) for row in A]
-            steps = assembly._band_lu_mp(U)
-            x = assembly._band_lu_solve_mp(U, steps, b)
+            ref = mp.lu_solve(A, mp.matrix(b))
+            x = assembly._tridiag_solve(assembly._tridiag_lu(band), b)
             err = max(abs(x[i] - ref[i]) / abs(ref[i]) for i in range(N))
         assert err < 1e-25
 
     def test_zero_pivot_raises(self):
         with mp.workdps(30):
-            A = [[mp.mpc(1), mp.mpc(2)], [mp.mpc(2), mp.mpc(4)]]
+            # [[1, 2], [2, 4]] in band layout
+            band = np.array([[0, mp.mpc(2)], [mp.mpc(1), mp.mpc(4)],
+                             [mp.mpc(2), 0]], dtype=object)
             with pytest.raises(SingularSystem):
-                assembly._band_lu_mp(A)
+                assembly._tridiag_lu(band)
 
     def test_too_few_digits_fail_the_residual_check(self):
         # 10 working digits cannot resolve this system; the answer must
         # not come back
         with pytest.raises(SingularSystem):
-            assembly._solve_mp(ProblemSpec.from_dict(FAULT_D), -15)
+            _forced_mp(ProblemSpec.from_dict(FAULT_D), 10)
+
+    def test_block_cancellation_tightens_the_step_test(self):
+        """19 of the blocks' 35 digits cancel here.  The refinement step,
+        about 1e-36, passes 1e-20 alone but not once scaled by the
+        cancellation; at the working 75 digits the answer is accepted."""
+        spec = ProblemSpec.from_dict(CANCELLING)
+        with pytest.raises(SingularSystem):
+            _forced_mp(spec, 35)
+        assert _normwise(_forced_mp(spec), raw_solve_mp(spec)) <= 1e-13
 
 
 class TestBandStorage:
     @pytest.mark.parametrize("doc", [FAULT_C, FAULT_D])
     def test_band_holds_the_block_tridiagonal_matrix(self, doc):
         system = normalize(ProblemSpec.from_dict(doc))
-        n = system.n
-        M = np.zeros((2 * n, 2 * n), dtype=complex)
-        for ell in range(n):
-            i = 2 * ell
-            M[i:i + 2, i:i + 2] = system.S_hat[ell].astype(complex)
-            if ell < n - 1:
-                M[i:i + 2, i + 2:i + 4] = T_HAT
-                M[i + 2:i + 4, i:i + 2] = R_HAT
-        assert np.array_equal(system.to_dense(), M)
-        x = np.arange(1, 2 * n + 1) * (1.0 - 0.5j)
-        y = system.matvec(x).astype(complex)
+        M = to_dense(system)
+        band = system.band()
+        b = band.astype(complex)
+        assert np.array_equal(
+            np.diag(b[1]) + np.diag(b[0, 1:], 1) + np.diag(b[2, :-1], -1), M)
+        x = np.arange(1, 2 * system.n + 1) * (1.0 - 0.5j)
+        y = assembly._band_matvec(band, x).astype(complex)
         assert np.max(np.abs(y - M @ x)) \
             <= 1e-15 * np.max(np.abs(M) @ np.abs(x))
 

@@ -202,6 +202,55 @@ class TestArbitraryPrecision:
             assert complex(v) == pytest.approx(np.exp(1j * 1.1), rel=1e-14)
 
 
+IDENTITY_PAIRS = [(1, 0)] + [(3, m) for m in (0, 1, 2, 3, 7, 13, 30, 50)]
+IDENTITY_ARGS = np.geomspace(1e-6, 200.0, 301)
+
+
+class TestRealPartIdentity:
+    """f_2 = Re f_1 and f_2' = Re f_1' bit for bit on the positive axis.
+
+    The precision tiers evaluate f_1 alone and take f_2 from its real part.
+    Double-precision callers keep ``which=2``: there y_m overflows at high
+    order and small argument, and Re f_1' is NaN (m = 50, x = 1e-6).
+    """
+
+    @staticmethod
+    def _same(a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        return np.array_equal(a, b) \
+            and np.array_equal(np.signbit(a), np.signbit(b))
+
+    @pytest.mark.parametrize("d,m", IDENTITY_PAIRS)
+    def test_extended(self, d, m):
+        pair = FundamentalPair(d, m)
+        ext = np.longdouble
+        f1, df1 = fundamental_eval(pair, 1, IDENTITY_ARGS.astype(ext), ext)
+        f2, df2 = fundamental_eval(pair, 2, IDENTITY_ARGS.astype(ext), ext)
+        assert self._same(f1.real, f2.real) and self._same(df1.real, df2.real)
+        for x in IDENTITY_ARGS:
+            f1, df1 = fundamental_eval(pair, 1, ext(x), ext)
+            f2, df2 = fundamental_eval(pair, 2, ext(x), ext)
+            assert self._same(f1.real, f2.real)
+            assert self._same(df1.real, df2.real)
+
+    @pytest.mark.parametrize("d,m", IDENTITY_PAIRS)
+    def test_mpmath(self, d, m):
+        import mpmath as mp
+        pair = FundamentalPair(d, m)
+        with mp.workdps(40):
+            for x in IDENTITY_ARGS:
+                f1, df1 = fundamental_eval_mp(pair, 1, x)
+                f2, df2 = fundamental_eval_mp(pair, 2, x)
+                assert f1.real == f2.real and f2.imag == 0
+                assert df1.real == df2.real and df2.imag == 0
+
+    def test_double_keeps_which_2(self):
+        with np.errstate(all="ignore"):
+            _, df1 = fundamental_eval(FundamentalPair(3, 50), 1, 1e-6)
+            _, df2 = fundamental_eval(FundamentalPair(3, 50), 2, 1e-6)
+        assert np.isnan(df1.real) and not np.isnan(df2.real)
+
+
 class TestValidation:
     def test_pair_rejects_bad_dimension(self):
         with pytest.raises(ValueError):
