@@ -23,8 +23,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .problem import ProblemSpec
-from .specfun import (EXTENDED, FundamentalPair, Tier, fundamental_eval,
-                      mp_tier, wronskian_w)
+from .specfun import EXTENDED, FundamentalPair, Tier, fundamental_eval, mp_tier
 
 #: exact sub/super-diagonal blocks of the normalised system
 R_HAT = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -132,15 +131,19 @@ def rhs_scale(spec: ProblemSpec) -> complex:
     """The single nonzero entry of the normalised right-hand side.
 
     Coincides with the boundary coefficient B_N fixed by the radiation
-    condition, since omega * w^{1,2} at the outer boundary equals
-    kappa_{N,N} * W(f_1, f_2)(kappa_{N,N}).
+    condition, f_1(kappa) g / (omega w^{1,2}) at the outer boundary, where
+    kappa = omega / c_N.  There omega w^{1,2} = kappa W(f_1, f_2)(kappa),
+    and the Wronskian is known in closed form: W(h_m, j_m)(x) = -i/x^2 for
+    d=3 and W(e^{ix}, cos x) = -i for d=1.  So B_N = i kappa f_1(kappa) g
+    for d=3 and i f_1(kappa) g / kappa for d=1, with kappa and f_1
+    evaluated in extended precision.
     """
-    pair = _pair(spec)
-    N = spec.n + 1
-    kappa = spec.kappa(N, N)
-    f1, _ = fundamental_eval(pair, 1, kappa)
-    w12 = wronskian_w(pair, 1, 2, spec.speed(N), spec.speed(N), spec.z[N])
-    return f1 * complex(spec.boundary_coefficient) / (spec.omega * w12)
+    ext = np.longdouble
+    kappa = ext(spec.omega) / ext(spec.speed(spec.n + 1))
+    f1, _ = fundamental_eval(_pair(spec), 1, kappa, ext)
+    factor = kappa if spec.dimension == 3 else 1 / kappa
+    return complex(1j * factor * f1
+                   * np.clongdouble(complex(spec.boundary_coefficient)))
 
 
 def _wronskian_terms(tier: Tier, fp, dfp, fq, dfq, c_j, c_k):
@@ -273,13 +276,16 @@ def _tridiag_solve(lu: tuple, b: list) -> list:
 def _solve_mp(system: BlockSystem, digits: int) -> tuple[np.ndarray, float]:
     """Entries and relative residual of ``system``, with its blocks rebuilt
     by :func:`_blocks` in mpmath at ``digits`` working digits and solved by
-    row-scaled tridiagonal elimination.  Raises SingularSystem unless one
-    refinement step against the answer's own residual, scaled up by
-    10**block_loss, moves no entry by more than _MP_TOL of itself.  The
-    step estimates the condition number times the unit roundoff, and the
-    blocks carry 10**block_loss unit roundoffs of error from cancellation
-    (block_loss as measured in mpmath), so the scaled step bounds the
-    error of the answer to first order."""
+    row-scaled tridiagonal elimination.  Raises SingularSystem unless, for
+    every entry, max(|step|, 10**-digits |x|) * 10**block_loss <= _MP_TOL
+    |x|, where the step is one refinement step against the answer's own
+    residual and block_loss the digits cancelled in the blocks as measured
+    in mpmath.  The step estimates the condition number times the unit
+    roundoff, and the blocks carry 10**block_loss unit roundoffs of error
+    from cancellation, so the scaled step bounds the error of the answer to
+    first order.  A step far below the unit roundoff vouches for no more
+    than the roundoff itself: the blocks' cancellation error still reaches
+    the answer componentwise, hence the floor of 10**-digits."""
     import mpmath as mp
 
     with mp.workdps(digits):
@@ -305,7 +311,9 @@ def _solve_mp(system: BlockSystem, digits: int) -> tuple[np.ndarray, float]:
         r = b - _band_matvec(band, x)
         dx = _tridiag_solve(lu, r)
         amp = mp.mpf(10) ** block_loss
-        if not all(amp * abs(d) <= _MP_TOL * abs(v) for d, v in zip(dx, x)):
+        unit = mp.mpf(10) ** -digits
+        if not all(amp * max(abs(d), unit * abs(v)) <= _MP_TOL * abs(v)
+                   for d, v in zip(dx, x)):
             raise SingularSystem(
                 "arbitrary-precision solve failed its residual check")
         resid = float(max(abs(v) for v in r) / abs(b[-1]))

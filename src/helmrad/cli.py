@@ -52,8 +52,9 @@ def cmd_solve(args) -> int:
         print(f"error: invalid problem description: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     os.makedirs(args.output_dir, exist_ok=True)
+    beta = green.beta_sequence(spec)
     try:
-        column = green.green_last_column(spec)
+        column = green.green_last_column(spec, beta)
     except green.NearResonantDenominator as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NEAR_RESONANT
@@ -76,8 +77,12 @@ def cmd_solve(args) -> int:
     }
     evaluate._atomic_write(out(args.output_dir, "green_column.json"),
                            _json_dumps(green_doc))
+    bound = beta.error_bound_digits
+    diag_doc = dict(report.to_dict(), recursion={
+        "tier": beta.tier,
+        "error_bound_digits": bound if math.isfinite(bound) else None})
     evaluate._atomic_write(out(args.output_dir, "diagnostics.json"),
-                           _json_dumps(report.to_dict()))
+                           _json_dumps(diag_doc))
     if not report.passes(_RESIDUAL_TOL):
         print("residual thresholds exceeded", file=sys.stderr)
         return EXIT_SUITE_FAILED

@@ -6,6 +6,16 @@ recursion is real-linear in (beta, conj beta), so it can be advanced on the
 unit circle while the modulus is accumulated in log space — configurations
 with strong localisation reach moduli like 3^(n/2), which overflow doubles
 long before the recursion itself loses accuracy.
+
+The recursion runs in extended precision and carries a running first-order
+error bound through each step's Jacobian.  When the bound exceeds a
+relative error of 1e-13, or the extraction of the imaginary parts loses
+more than six digits, the whole sequence is rerun once in mpmath, at
+digits sized from the summed per-step cancellation.  Still open: that sum
+is estimated in extended precision and cannot see losses past about 19
+digits, so high modes can come back wrong; the Im-loss weight ignores the
+size of the field term an entry feeds; and no rerun is checked against a
+second, higher precision.
 """
 
 from __future__ import annotations
@@ -104,7 +114,13 @@ class BetaSequence:
     # extracted at the working precision of the recursion itself
     rot_im_log: np.ndarray
     rot_im_sign: np.ndarray
-    loss_digits: float = 0.0    # decimal digits lost to step cancellation
+    #: "extended", or "mp@<digits>" for an arbitrary-precision rerun at
+    #: that many working decimal digits
+    tier: str = "extended"
+    #: decimal digits lost by the extended recursion to first order: its
+    #: relative error is at most eps * 10**error_bound_digits, with eps the
+    #: rounding unit of np.longdouble (the estimate that decided the tier)
+    error_bound_digits: float = 0.0
 
     @property
     def beta(self) -> np.ndarray:
@@ -128,19 +144,40 @@ def _recursion(tier: Tier, spec: ProblemSpec, omega, x):
     """Run both recursions in ``tier``; ``omega`` and ``x`` are tier numbers.
 
     Returns lists (log_mod, phases, tilde_log, tilde_phases, interfaces,
-    cores): the per-interface quantities and the interference terms
-    u + q*conj(u) are handed back for the caller's cancellation estimate.
+    cores) and the running first-order error bound of (log_mod, phases) in
+    units of the tier's rounding unit.  A phase error e of beta_{ell-1}
+    moves the step's core u + q*conj(u) by i*e*(u - q*conj(u)), so with the
+    step's Jacobian J = (u - q*conj(u)) / (u + q*conj(u)) it reaches
+    beta_ell as Re J * e in phase and -Im J * e in log-modulus (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2002, ch. 3).  Each
+    step adds its local rounding: the core cancelling against its operands,
+    amplified by the cancellation inside gamma-plus, and the rounding of
+    the layer phase delta carried through J.  The bound is the largest
+    phase plus log-modulus error over the steps; an exact zero step is
+    skipped.  The per-interface quantities and the cores are handed back
+    for sizing an escalation.
     """
     log_mod, phases = [tier.real(0)], [tier.real(1) + 0j]
     tlog, tphases = [tier.real(0)], [tier.real(1) + 0j]
     interfaces, cores = [], []
+    phase_err = log_err = bound = tier.real(0)
     for ell in range(1, spec.n + 1):
         it = _interface(tier, spec, omega, x, ell)
         c_l = tier.real(spec.speed(ell))
-        u = tier.cexp(-(omega * (x[ell] - x[ell - 1]) / c_l)) * phases[-1]
-        core = u + it.q * u.conjugate()
+        delta = omega * (x[ell] - x[ell - 1]) / c_l
+        u = tier.cexp(-delta) * phases[-1]
+        qu = it.q * u.conjugate()
+        core = u + qu
         interfaces.append(it)
         cores.append(core)
+        if core != 0:
+            jac = (u - qu) / core
+            local = (1 + abs(it.q)) / abs(core) * (
+                1 + max(map(abs, it.gt_terms)) / abs(it.gt_plus)) \
+                + abs(jac) * delta
+            log_err += abs(jac.imag) * phase_err + local
+            phase_err = abs(jac.real) * phase_err + local
+            bound = max(bound, phase_err + log_err)
         step = it.g_plus / (2j * it.w12) * core
         lm, ph = _advance(tier, log_mod[-1], step)
         log_mod.append(lm)
@@ -151,7 +188,7 @@ def _recursion(tier: Tier, spec: ProblemSpec, omega, x):
         lm, ph = _advance(tier, tlog[-1], tstep)
         tlog.append(lm)
         tphases.append(ph)
-    return log_mod, phases, tlog, tphases, interfaces, cores
+    return log_mod, phases, tlog, tphases, interfaces, cores, bound
 
 
 def _rotated_im(tier: Tier, spec: ProblemSpec, omega, x, log_mod, phases):
@@ -169,7 +206,12 @@ def _rotated_im(tier: Tier, spec: ProblemSpec, omega, x, log_mod, phases):
     return im_log, im_sign
 
 
-#: escalate to arbitrary precision beyond this many lost decimal digits;
+#: escalate to arbitrary precision when the running error bound of the
+#: extended recursion exceeds this relative error
+_ERROR_LIMIT = 1e-13
+_EPS = np.finfo(_EXT).eps
+
+#: escalate beyond this many decimal digits lost to the Im extraction;
 #: extended precision carries ~19, so this leaves a dozen good digits
 _LOSS_LIMIT = 6.0
 
@@ -194,13 +236,13 @@ def _beta_mp(spec: ProblemSpec, digits: float, data=None):
     """
     import mpmath as mp
     tier = mp_tier()
-    with mp.workdps(30 + int(math.ceil(digits))):
+    with mp.workdps(_mp_dps(digits)):
         if data is None:
             omega = mp.mpf(spec.omega)
             x = [mp.mpf(v) for v in spec.profile.jump_points]
         else:
             omega, x = data(spec)
-        log_mod, phases, tlog, tphases, _, _ = _recursion(tier, spec, omega, x)
+        log_mod, phases, tlog, tphases = _recursion(tier, spec, omega, x)[:4]
         im_log, im_sign = _rotated_im(tier, spec, omega, x, log_mod, phases)
         return (np.array([_to_longdouble(v) for v in log_mod], dtype=_EXT),
                 np.array([_to_clongdouble(v) for v in phases], dtype=_CEXT),
@@ -248,13 +290,35 @@ def _im_loss(n: int, log_mod, im_log, im_sign) -> float:
     return im_loss
 
 
+def _summed_loss(interfaces, cores) -> float:
+    """Decimal digits cancelled inside gamma-plus and in the interference
+    steps, summed over the steps; sizes an arbitrary-precision rerun."""
+    loss = 0.0
+    for it, core in zip(interfaces, cores):
+        if abs(core) > 0.0:
+            loss += max(0.0, float(np.log10(
+                max(map(abs, it.gt_terms)) / abs(it.gt_plus)))) + max(
+                0.0, float(np.log10((1.0 + abs(it.q)) / abs(core))))
+    return loss
+
+
+def _mp_dps(digits: float) -> int:
+    """Working decimal digits of an arbitrary-precision rerun."""
+    return 30 + int(math.ceil(digits))
+
+
 def beta_sequence(spec: ProblemSpec) -> BetaSequence:
     """Run both recursions; for d=3, m=0 the simplified form is cross-checked.
 
-    The chain runs in extended precision while accumulating an estimate of
-    the decimal digits lost to cancellation (inside gamma-plus and in the
-    interference step u + q*conj(u)); past ``_LOSS_LIMIT`` digits the whole
-    sequence is recomputed in arbitrary precision sized to the loss.
+    The chain runs in extended precision and carries a running first-order
+    error bound through each step's Jacobian (see ``_recursion``).  The
+    whole sequence is recomputed in arbitrary precision when that bound
+    exceeds a relative error of 1e-13, or when the Im extraction loses
+    more than ``_LOSS_LIMIT`` digits.  The rerun is sized from the summed
+    per-step cancellation digits plus the Im loss, 1.2 * (sum + Im loss) +
+    10, and runs once; nothing checks it at a second precision.  The
+    bound's rounding unit comes from ``np.finfo``, so where ``np.longdouble``
+    is plain double the same test escalates at its own limit.
 
     The d=3, m=0 cross-check asserts that the general (Wronskian-built)
     step and the jump-ratio step agree to 1e-12 in phase and log-modulus.
@@ -262,7 +326,7 @@ def beta_sequence(spec: ProblemSpec) -> BetaSequence:
     n = spec.n
     omega = _EXT(spec.omega)
     x = [_EXT(v) for v in spec.profile.jump_points]
-    log_mod, phases, tlog, tphases, interfaces, cores = _recursion(
+    log_mod, phases, tlog, tphases, interfaces, cores, bound = _recursion(
         EXTENDED, spec, omega, x)
     log_mod = np.array(log_mod, dtype=_EXT)
     phases = np.array(phases, dtype=_CEXT)
@@ -270,26 +334,22 @@ def beta_sequence(spec: ProblemSpec) -> BetaSequence:
     tphases = np.array(tphases, dtype=_CEXT)
     if spec.dimension == 3 and spec.mode == 0:
         _check_m0(spec, omega, x, log_mod, phases)
-    loss = 0.0
-    for it, core in zip(interfaces, cores):
-        # digits cancelled inside gamma-plus and in the interference step
-        if abs(core) > 0.0:
-            loss += max(0.0, float(np.log10(
-                max(map(abs, it.gt_terms)) / abs(it.gt_plus)))) + max(
-                0.0, float(np.log10((1.0 + abs(it.q)) / abs(core))))
     im_log, im_sign = _rotated_im(EXTENDED, spec, omega, x, log_mod, phases)
     im_log = np.array(im_log, dtype=_EXT)
     im_sign = np.array(im_sign)
     im_loss = _im_loss(n, log_mod, im_log, im_sign)
-    if loss > _LOSS_LIMIT or im_loss > _LOSS_LIMIT:
+    tier = "extended"
+    if _EPS * bound > _ERROR_LIMIT or im_loss > _LOSS_LIMIT:
+        digits = 1.2 * (_summed_loss(interfaces, cores) + im_loss) + 10.0
         (log_mod, phases, tlog, tphases,
-         im_log, im_sign) = _beta_mp(spec, 1.2 * (loss + im_loss) + 10.0)
+         im_log, im_sign) = _beta_mp(spec, digits)
+        tier = f"mp@{_mp_dps(digits)}"
     return BetaSequence(n=n, log_moduli=log_mod, phases=phases,
                         tilde_log_moduli=tlog, tilde_phases=tphases,
                         q=np.array([complex(it.q) for it in interfaces],
                                    dtype=complex),
-                        rot_im_log=im_log, rot_im_sign=im_sign,
-                        loss_digits=loss)
+                        rot_im_log=im_log, rot_im_sign=im_sign, tier=tier,
+                        error_bound_digits=float(np.log10(max(bound, 1))))
 
 
 @dataclass(frozen=True)

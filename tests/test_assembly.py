@@ -1,5 +1,6 @@
 """Interface system assembly, normalisation, and the banded solve."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -8,6 +9,7 @@ from helmrad.assembly import (R_HAT, T_HAT, CoefficientVector, _band_matvec,
 from helmrad.problem import ProblemSpec, WaveSpeedProfile
 from interface_oracles import (assemble_raw, determinant_recursion,
                                normalizer_blocks, to_dense, w_sequence)
+from populations import high_mode_population
 
 
 def _spec(speeds, cuts, omega, d=3, m=0, g=1.0 + 0.0j):
@@ -76,6 +78,34 @@ class TestSolve:
         spec = SPECS[0]
         assert abs(rhs_scale(spec)) == pytest.approx(
             abs(complex(spec.boundary_coefficient)), rel=1e-12)
+
+    @pytest.mark.parametrize("spec", high_mode_population()
+                             + [s for s in SPECS if s.dimension == 1])
+    def test_rhs_scale_matches_60_digits(self, spec):
+        """f_1(kappa) g / (kappa W(f_1, f_2)(kappa)) with the Bessel
+        functions and the Wronskian taken from mpmath at 60 digits."""
+        m = spec.mode
+        with mp.workdps(60):
+            kappa = mp.mpf(spec.omega) / mp.mpf(spec.speed(spec.n + 1))
+            if spec.dimension == 1:
+                f1, df1 = mp.expj(kappa), 1j * mp.expj(kappa)
+                f2, df2 = mp.cos(kappa), -mp.sin(kappa)
+            else:
+                half = mp.sqrt(mp.pi / (2 * kappa))
+
+                def h(k, regular):
+                    nu = k + mp.mpf(1) / 2
+                    j = half * mp.besselj(nu, kappa)
+                    return j if regular else j + 1j * half * mp.bessely(
+                        nu, kappa)
+                f1, f2 = h(m, False), h(m, True)
+                # f_m' = (m/x) f_m - f_{m+1}
+                df1 = m / kappa * f1 - h(m + 1, False)
+                df2 = m / kappa * f2 - h(m + 1, True)
+            ref = f1 * mp.mpc(complex(spec.boundary_coefficient)) \
+                / (kappa * (f1 * df2 - df1 * f2))
+            err = abs(mp.mpc(rhs_scale(spec)) - ref) / abs(ref)
+        assert err <= 5e-16
 
     def test_boundary_coefficient_scales_solution_linearly(self):
         base, _ = solve_spec(SPECS[0])

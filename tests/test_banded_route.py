@@ -19,22 +19,9 @@ from helmrad.problem import ProblemSpec, random_spec
 from helmrad.specfun import FundamentalPair, wronskian_w
 from helmrad.stability import single_interface_wronskian
 from interface_oracles import raw_solve_mp, to_dense
+from populations import FAULT_C, FAULT_D, high_mode_population
 
-# high-mode specs, literals as stored with the benchmark's population:
-# fault (c): refinement with the double factors diverges here; taken as
-# it stands, the answer is wrong by a factor of 1e21 or more
-FAULT_C = dict(dimension=3, mode=30, omega=7.086389133912954,
-               boundary_coefficient=[1.0, 0.0],
-               jump_points=[0.0, 0.05638264574284964, 0.631148806017453, 1.0],
-               speeds=[10.155648231717109, 0.22163251877829607,
-                       0.13984743380345396])
-# fault (d): mpmath's dense LU called this system numerically singular
-FAULT_D = dict(dimension=3, mode=20, omega=0.5605376570828529,
-               boundary_coefficient=[1.0, 0.0],
-               jump_points=[0.0, 0.17974365144767035, 0.9037845024235195,
-                            0.9054173266933417, 1.0],
-               speeds=[0.5888156532791181, 9.618509570750803,
-                       0.5340690479615751, 1.408578525350417])
+# high-mode specs, literals as stored with the benchmark's population
 # A_2 is about 1e-828, below the smallest double
 TINY_A2 = dict(dimension=3, mode=50, omega=5.352878199020918,
                boundary_coefficient=[1.0, 0.0],
@@ -183,6 +170,29 @@ class TestBandedMpElimination:
         # not come back
         with pytest.raises(SingularSystem):
             _forced_mp(ProblemSpec.from_dict(FAULT_D), 10)
+
+    def test_tiny_step_vouches_for_no_more_than_the_roundoff(self):
+        """At 25 digits the refinement step here is about 1e-66, far below
+        the roundoff, while 19 digits cancel in the blocks and leave the
+        answer's smallest entry off by 9e-8.  The step test floors the step
+        at 10**-digits, so this answer is refused."""
+        with pytest.raises(SingularSystem):
+            _forced_mp(ProblemSpec.from_dict(CANCELLING), 25)
+
+    def test_high_mode_escalations_pass_at_the_working_digits(self,
+                                                              mp_calls):
+        """The floor on the step refuses no high-mode answer at 75
+        digits: every escalation runs once."""
+        escalated = 0
+        for spec in high_mode_population():
+            del mp_calls[:]
+            try:
+                solve_spec(spec)
+            except OverflowError:      # coefficients below the double range
+                pass
+            assert mp_calls in ([], [assembly._MP_DIGITS])
+            escalated += bool(mp_calls)
+        assert escalated > 0
 
     def test_block_cancellation_tightens_the_step_test(self):
         """19 of the blocks' 35 digits cancel here.  The refinement step,

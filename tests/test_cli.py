@@ -3,6 +3,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from helmrad import cli, green
@@ -75,12 +76,35 @@ class TestSolve:
 
     def test_near_resonant_denominator_exits_with_code_3(self, tmp_path,
                                                          monkeypatch):
-        def boom(spec):
+        def boom(spec, beta=None):
             raise green.NearResonantDenominator(-700.0)
         monkeypatch.setattr(cli.green, "green_last_column", boom)
         rc = cli.main(["solve", "--input", _spec_json(),
                        "--output-dir", str(tmp_path)])
         assert rc == cli.EXIT_NEAR_RESONANT
+
+    @pytest.mark.parametrize("doc,tier", [
+        (_spec_json(), "extended"),
+        # oracle spec 123: the running error bound exceeds 1e-13, so the
+        # recursion reruns in mpmath
+        (_spec_json(mode=2, omega=1.176961883771309,
+                    jump_points=[0.0, 0.28568229931158484,
+                                 0.8554825316138414, 1.0],
+                    speeds=[3.211782823521993, 1.414705653870246,
+                            1.37354058243666]), "mp@51"),
+    ])
+    def test_diagnostics_record_the_recursion_tier(self, doc, tier,
+                                                   tmp_path):
+        out = tmp_path / "tier"
+        cli.main(["solve", "--input", doc, "--output-dir", str(out),
+                  "--grid", "8"])
+        diag = json.loads((out / "diagnostics.json").read_text())
+        beta = green.beta_sequence(ProblemSpec.from_json(doc))
+        assert diag["recursion"] == {
+            "tier": tier, "error_bound_digits": beta.error_bound_digits}
+        limit = -13.0 - float(np.log10(np.finfo(np.longdouble).eps))
+        assert (diag["recursion"]["error_bound_digits"] > limit) \
+            == (tier != "extended")
 
     def test_single_layer(self, tmp_path):
         out = tmp_path / "one"

@@ -9,9 +9,12 @@ import pytest
 from helmrad import assembly, green
 from helmrad.problem import (ProblemSpec, WaveSpeedProfile,
                              construct_localisation_example,
-                             construct_stable_example)
-from helmrad.specfun import FundamentalPair, fundamental_eval, wronskian_w
+                             construct_stable_example, random_alternating,
+                             random_spec)
+from helmrad.specfun import (EXTENDED, FundamentalPair, fundamental_eval,
+                             wronskian_w)
 from interface_oracles import to_dense
+from populations import high_mode_population
 
 
 def _spec(speeds, cuts, omega, d=3, m=0, g=1.0 + 0.0j):
@@ -138,6 +141,95 @@ class TestBetaSequence:
         # interface; the column entries are ratios against it and grow
         assert float(seq.log_moduli[8]) == pytest.approx(
             -4.0 * math.log(3.0), abs=1e-9)
+
+
+class Escalated(Exception):
+    pass
+
+
+def _summed_loss(spec: ProblemSpec) -> float:
+    """Digits cancelled per step, summed: the escalation test that the
+    running error bound replaced."""
+    x = [np.longdouble(v) for v in spec.profile.jump_points]
+    rec = green._recursion(EXTENDED, spec, np.longdouble(spec.omega), x)
+    return green._summed_loss(rec[4], rec[5])
+
+
+@pytest.fixture(scope="module")
+def kept_in_extended():
+    """Among the seed-20260823 oracle and alternating specs whose summed
+    digits exceed the old limit: those the running bound keeps in extended
+    precision, each with its sequence and a 40-digit rerun, and the number
+    it escalates, per population."""
+    rng = np.random.default_rng(20260823)
+    oracle = [random_spec(rng) for _ in range(200)]
+    rng = np.random.default_rng(20260823)
+    alternating = [random_alternating(rng) for _ in range(500)]
+    kept = {"oracle": [], "alternating": []}
+    escalated = {"oracle": 0, "alternating": 0}
+    rerun = green._beta_mp
+
+    def refuse(spec, digits, data=None):
+        raise Escalated
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(green, "_beta_mp", refuse)
+        for kind, specs in (("oracle", oracle),
+                            ("alternating", alternating)):
+            for spec in specs:
+                if _summed_loss(spec) <= green._LOSS_LIMIT:
+                    continue
+                try:
+                    seq = green.beta_sequence(spec)
+                except Escalated:
+                    escalated[kind] += 1
+                    continue
+                kept[kind].append((spec, seq, rerun(spec, 40)))
+    return kept, escalated
+
+
+class TestRunningErrorBound:
+    def test_no_alternating_spec_escalates(self, kept_in_extended):
+        kept, escalated = kept_in_extended
+        assert kept["alternating"] and escalated["alternating"] == 0
+        assert kept["oracle"]
+
+    def test_kept_sequences_agree_with_40_digits(self, kept_in_extended):
+        kept, _ = kept_in_extended
+        for spec, seq, ref in kept["oracle"] + kept["alternating"]:
+            for mine, theirs in ((seq.log_moduli, ref[0]),
+                                 (seq.phases, ref[1]),
+                                 (seq.tilde_log_moduli, ref[2]),
+                                 (seq.tilde_phases, ref[3])):
+                assert np.max(np.abs(mine - theirs)) <= 1e-13
+            assert seq.tier == "extended"
+
+    def test_bound_covers_the_observed_error(self, kept_in_extended):
+        """First order and with unit constants, the bound is an estimate;
+        the observed error stays within twice it."""
+        kept, _ = kept_in_extended
+        eps = np.finfo(np.longdouble).eps
+        for spec, seq, ref in kept["oracle"] + kept["alternating"]:
+            err = max(np.max(np.abs(seq.log_moduli - ref[0])),
+                      np.max(np.abs(seq.phases - ref[1])))
+            assert err <= 2 * eps * 10.0 ** seq.error_bound_digits
+
+    def test_high_mode_recursions_escalate_once(self, monkeypatch):
+        calls = []
+        rerun = green._beta_mp
+
+        def spy(spec, digits, data=None):
+            calls.append(digits)
+            return rerun(spec, digits, data)
+        monkeypatch.setattr(green, "_beta_mp", spy)
+        for spec in high_mode_population():
+            del calls[:]
+            try:
+                seq = green.beta_sequence(spec)
+                assert seq.tier == ("extended" if spec.n == 0
+                                    else f"mp@{green._mp_dps(calls[0])}")
+            except ZeroDivisionError:
+                pass    # the rerun meets an exact zero step (fault c)
+            assert len(calls) == (spec.n > 0)
 
 
 class TestGreenColumn:
