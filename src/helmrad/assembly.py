@@ -79,12 +79,6 @@ class BlockSystem:
     spec: ProblemSpec
     block_loss: float = 0.0   # decimal digits cancelled inside the blocks
 
-    @property
-    def rhs(self) -> np.ndarray:
-        r = np.zeros(2 * self.n, dtype=complex)
-        r[-1] = self.rhs_scale
-        return r
-
     def band(self) -> np.ndarray:
         """The diagonals in LAPACK band layout, in the blocks' dtype: column
         j holds M[j-1, j], M[j, j] and M[j+1, j]."""
@@ -104,13 +98,13 @@ class CoefficientVector:
     """Layer coefficients of the fundamental-system ansatz.
 
     ``entries`` holds the 2n interior unknowns in the ordering
-    (B_1, A_2, B_2, ..., A_n, B_n, A_{n+1}); A_1 = 0 and B_N are stored
-    separately.  ``a(j)``/``b(j)`` are 1-based per-layer accessors.
+    (B_1, A_2, B_2, ..., A_n, B_n, A_{n+1}); B_N is stored separately,
+    and A_1 is always 0 (regularity at the origin).  ``a(j)``/``b(j)``
+    are 1-based per-layer accessors.
     """
 
     entries: np.ndarray
     b_last: complex
-    a_first: complex = 0.0 + 0.0j
 
     @property
     def num_layers(self) -> int:
@@ -118,7 +112,7 @@ class CoefficientVector:
 
     def a(self, j: int) -> complex:
         if j == 1:
-            return self.a_first
+            return 0j
         return complex(self.entries[2 * (j - 1) - 1])
 
     def b(self, j: int) -> complex:

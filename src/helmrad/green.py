@@ -8,20 +8,20 @@ with strong localisation reach moduli like 3^(n/2), which overflow doubles
 long before the recursion itself loses accuracy.
 
 The recursion runs in extended precision and carries a running first-order
-error bound through each step's Jacobian.  When the bound exceeds a
+error estimate through each step's Jacobian.  When the estimate exceeds a
 relative error of 1e-13, or the extraction of the imaginary parts loses
 more than six digits, the whole sequence is rerun once in mpmath, at
-digits sized from the summed per-step cancellation.  Still open: that sum
-is estimated in extended precision and cannot see losses past about 19
-digits, so high modes can come back wrong; the Im-loss weight ignores the
-size of the field term an entry feeds; and no rerun is checked against a
-second, higher precision.
+digits sized from the summed per-step cancellation.  The rerun checks its
+own estimate against the same 1e-13 and raises ZeroDivisionError past it.
+Still open: the estimate is first order and misses some rounding terms, so
+a few high modes still come back wrong without an error, and the Im-loss
+weight ignores the size of the field term an entry feeds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -62,10 +62,8 @@ class NearResonantDenominator(Exception):
 class _Interface(NamedTuple):
     gt_terms: tuple   # the two products whose difference is gt_plus
     gt_plus: object
-    gt_minus: object
     g_plus: object
-    g_minus: object
-    q: object
+    q: object         # relative reflection strength g_minus / g_plus
     w12: object       # w^{1,2} of the right-hand layer at the jump point
 
 
@@ -88,27 +86,21 @@ def _interface(tier: Tier, spec: ProblemSpec, omega, x, ell: int
         raise GammaDegenerate(f"gamma-plus vanished at interface {ell}")
     g_plus = 1j * tier.cexp(z / c_l - z / c_r) * gt_plus
     g_minus = 1j * tier.cexp(-z / c_l - z / c_r) * gt_minus
-    return _Interface((t1, t2), gt_plus, gt_minus, g_plus, g_minus,
-                      g_minus / g_plus,
+    return _Interface((t1, t2), gt_plus, g_plus, g_minus / g_plus,
                       w12=f1r * df2r / c_r - df1r * f2r / c_r)
 
 
 @dataclass(frozen=True)
 class BetaSequence:
-    """Both scalar recursions in log-modulus + unit-phase form.
+    """The scalar recursion beta_0..beta_n in log-modulus + unit-phase form.
 
-    ``log_moduli[ell]`` and ``phases[ell]`` describe beta_ell (the
-    phase-adjusted sequence entering the Green-column formulas);
-    ``tilde_log_moduli``/``tilde_phases`` the companion sequence that feeds
-    the determinant identities.
+    ``log_moduli[ell]`` and ``phases[ell]`` describe beta_ell, the
+    phase-adjusted sequence entering the Green-column formulas.
     """
 
     n: int
     log_moduli: np.ndarray      # (n+1,)
     phases: np.ndarray          # (n+1,) complex, unit modulus
-    tilde_log_moduli: np.ndarray
-    tilde_phases: np.ndarray
-    q: np.ndarray               # (n,) relative reflection strengths
     # log magnitude and sign of Im(e^{i z_ell / c_{ell+1}} beta_ell): the
     # imaginary part can sit many digits below |beta_ell|, so it is
     # extracted at the working precision of the recursion itself
@@ -117,19 +109,18 @@ class BetaSequence:
     #: "extended", or "mp@<digits>" for an arbitrary-precision rerun at
     #: that many working decimal digits
     tier: str = "extended"
-    #: decimal digits lost by the extended recursion to first order: its
-    #: relative error is at most eps * 10**error_bound_digits, with eps the
-    #: rounding unit of np.longdouble (the estimate that decided the tier)
+    #: decimal digits the extended recursion lost, a first-order estimate
+    #: that decided the tier: its relative error is about
+    #: eps * 10**error_bound_digits, eps the rounding unit of np.longdouble.
+    #: Not a bound: no term covers the rounding of gamma-plus's phase factor
+    #: exp(i(z/c_l - z/c_r)) or of the pair evaluations at z/c, both growing
+    #: with the argument.  ``_beta_mp`` alone records the rerun's estimate.
     error_bound_digits: float = 0.0
 
     @property
     def beta(self) -> np.ndarray:
         """beta_0..beta_n as complex values (may overflow for huge n)."""
         return np.exp(self.log_moduli) * self.phases
-
-    @property
-    def beta_tilde(self) -> np.ndarray:
-        return np.exp(self.tilde_log_moduli) * self.tilde_phases
 
 
 def _advance(tier: Tier, log_mod, step_value):
@@ -140,25 +131,37 @@ def _advance(tier: Tier, log_mod, step_value):
     return log_mod + tier.log(mag), step_value / mag
 
 
-def _recursion(tier: Tier, spec: ProblemSpec, omega, x):
-    """Run both recursions in ``tier``; ``omega`` and ``x`` are tier numbers.
+class _Run(NamedTuple):
+    """One pass of the recursion, as lists of tier numbers; the interfaces
+    and cores size an escalation."""
 
-    Returns lists (log_mod, phases, tilde_log, tilde_phases, interfaces,
-    cores) and the running first-order error bound of (log_mod, phases) in
-    units of the tier's rounding unit.  A phase error e of beta_{ell-1}
-    moves the step's core u + q*conj(u) by i*e*(u - q*conj(u)), so with the
-    step's Jacobian J = (u - q*conj(u)) / (u + q*conj(u)) it reaches
-    beta_ell as Re J * e in phase and -Im J * e in log-modulus (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, 2002, ch. 3).  Each
-    step adds its local rounding: the core cancelling against its operands,
-    amplified by the cancellation inside gamma-plus, and the rounding of
-    the layer phase delta carried through J.  The bound is the largest
-    phase plus log-modulus error over the steps; an exact zero step is
-    skipped.  The per-interface quantities and the cores are handed back
-    for sizing an escalation.
+    log_mod: list
+    phases: list
+    im_log: list
+    im_sign: list
+    interfaces: list
+    cores: list
+    bound: object       # running error bound, in rounding units
+
+
+def _recursion(tier: Tier, spec: ProblemSpec, omega, x) -> _Run:
+    """Run the recursion in ``tier``; ``omega`` and ``x`` are tier numbers.
+
+    Each step also extracts Im(e^{i z_ell/c_{ell+1}} beta_ell) and carries
+    a running first-order error bound of (log_mod, phases) in units of the
+    tier's rounding unit.  A phase error e of beta_{ell-1} moves the step's
+    core u + q*conj(u) by i*e*(u - q*conj(u)), so with the step's Jacobian
+    J = (u - q*conj(u)) / (u + q*conj(u)) it reaches beta_ell as Re J * e
+    in phase and -Im J * e in log-modulus (Higham, *Accuracy and Stability
+    of Numerical Algorithms*, 2002, ch. 3).  Each step adds its local
+    rounding: the core cancelling against its operands, amplified by the
+    cancellation inside gamma-plus, and the rounding of the layer phase
+    delta carried through J.  The bound is the largest phase plus
+    log-modulus error over the steps; a core that cancels to exactly zero
+    has lost every digit and makes it infinite.
     """
     log_mod, phases = [tier.real(0)], [tier.real(1) + 0j]
-    tlog, tphases = [tier.real(0)], [tier.real(1) + 0j]
+    im_log, im_sign = [tier.real(-math.inf)], [0.0]
     interfaces, cores = [], []
     phase_err = log_err = bound = tier.real(0)
     for ell in range(1, spec.n + 1):
@@ -170,7 +173,9 @@ def _recursion(tier: Tier, spec: ProblemSpec, omega, x):
         core = u + qu
         interfaces.append(it)
         cores.append(core)
-        if core != 0:
+        if core == 0:
+            bound = tier.real(math.inf)
+        else:
             jac = (u - qu) / core
             local = (1 + abs(it.q)) / abs(core) * (
                 1 + max(map(abs, it.gt_terms)) / abs(it.gt_plus)) \
@@ -182,32 +187,31 @@ def _recursion(tier: Tier, spec: ProblemSpec, omega, x):
         lm, ph = _advance(tier, log_mod[-1], step)
         log_mod.append(lm)
         phases.append(ph)
-        tstep = it.gt_plus / 2 * (
-            tphases[-1] - tier.real((-1.0) ** ell) * (it.gt_minus / it.gt_plus)
-            * tphases[-1].conjugate())
-        lm, ph = _advance(tier, tlog[-1], tstep)
-        tlog.append(lm)
-        tphases.append(ph)
-    return log_mod, phases, tlog, tphases, interfaces, cores, bound
-
-
-def _rotated_im(tier: Tier, spec: ProblemSpec, omega, x, log_mod, phases):
-    """Im(e^{i z_ell/c_{ell+1}} beta_ell) as (log magnitude, sign) lists."""
-    im_log, im_sign = [tier.real(-math.inf)], [0.0]
-    for ell in range(1, spec.n + 1):
         im = (tier.cexp(omega * x[ell] / tier.real(spec.speed(ell + 1)))
-              * phases[ell]).imag
+              * ph).imag
         if im == 0:
             im_log.append(tier.real(-math.inf))
             im_sign.append(0.0)
         else:
-            im_log.append(tier.log(abs(im)) + log_mod[ell])
+            im_log.append(tier.log(abs(im)) + lm)
             im_sign.append(1.0 if im > 0 else -1.0)
-    return im_log, im_sign
+    return _Run(log_mod, phases, im_log, im_sign, interfaces, cores, bound)
 
 
-#: escalate to arbitrary precision when the running error bound of the
-#: extended recursion exceeds this relative error
+def _sequence(run: _Run, tier: str, digits: float, real=_EXT, cplx=_CEXT
+              ) -> BetaSequence:
+    """``run`` as a record; ``real`` and ``cplx`` convert its numbers."""
+    return BetaSequence(
+        n=len(run.log_mod) - 1,
+        log_moduli=np.array([real(v) for v in run.log_mod], dtype=_EXT),
+        phases=np.array([cplx(v) for v in run.phases], dtype=_CEXT),
+        rot_im_log=np.array([real(v) for v in run.im_log], dtype=_EXT),
+        rot_im_sign=np.array(run.im_sign), tier=tier,
+        error_bound_digits=digits)
+
+
+#: relative error estimate past which the extended recursion escalates
+#: to arbitrary precision, and the arbitrary-precision rerun is refused
 _ERROR_LIMIT = 1e-13
 _EPS = np.finfo(_EXT).eps
 
@@ -226,8 +230,11 @@ def _to_clongdouble(v) -> np.clongdouble:
         + _IU * np.clongdouble(_to_longdouble(v.imag))
 
 
-def _beta_mp(spec: ProblemSpec, digits: float, data=None):
-    """Arbitrary-precision rerun of both recursions in log/phase form.
+def _beta_mp(spec: ProblemSpec, digits: float, data=None) -> BetaSequence:
+    """Arbitrary-precision rerun of the recursion at ``_mp_dps(digits)``
+    working digits.  It raises ZeroDivisionError instead of returning when
+    a step cancels to exactly zero, or when mpmath's rounding unit times
+    the running error bound of ``_recursion`` exceeds ``_ERROR_LIMIT``.
 
     ``data``, when given, is a callable ``spec -> (omega, jump_points)``
     evaluated inside the high-precision context; it lets callers substitute
@@ -235,21 +242,21 @@ def _beta_mp(spec: ProblemSpec, digits: float, data=None):
     double-rounded values stored on the spec.
     """
     import mpmath as mp
-    tier = mp_tier()
     with mp.workdps(_mp_dps(digits)):
         if data is None:
             omega = mp.mpf(spec.omega)
             x = [mp.mpf(v) for v in spec.profile.jump_points]
         else:
             omega, x = data(spec)
-        log_mod, phases, tlog, tphases = _recursion(tier, spec, omega, x)[:4]
-        im_log, im_sign = _rotated_im(tier, spec, omega, x, log_mod, phases)
-        return (np.array([_to_longdouble(v) for v in log_mod], dtype=_EXT),
-                np.array([_to_clongdouble(v) for v in phases], dtype=_CEXT),
-                np.array([_to_longdouble(v) for v in tlog], dtype=_EXT),
-                np.array([_to_clongdouble(v) for v in tphases], dtype=_CEXT),
-                np.array([_to_longdouble(v) for v in im_log], dtype=_EXT),
-                np.array(im_sign))
+        run = _recursion(mp_tier(), spec, omega, x)
+        if mp.eps * run.bound > _ERROR_LIMIT:
+            raise ZeroDivisionError(
+                f"arbitrary-precision rerun at {mp.mp.dps} digits: estimated "
+                f"relative error {mp.nstr(mp.eps * run.bound, 3)} exceeds "
+                f"{_ERROR_LIMIT:g}")
+        return _sequence(run, f"mp@{mp.mp.dps}",
+                         float(mp.log10(max(run.bound, 1))),
+                         _to_longdouble, _to_clongdouble)
 
 
 def _check_m0(spec: ProblemSpec, omega, x, log_mod, phases):
@@ -273,17 +280,20 @@ def _im_loss(n: int, log_mod, im_log, im_sign) -> float:
     The imaginary part can cancel far below the unit-modulus rotated phase,
     and the loss is weighted by how close the affected entry sits to the
     column's largest one (cancellation inside an entry that is itself
-    negligible cannot surface in the assembled coefficients).
+    negligible cannot surface in the assembled coefficients).  Entries
+    after an exact zero step are skipped: that step escalates on its own.
     """
     top = max(float(np.max(log_mod[:n], initial=-np.inf)),
               float(np.max(im_log[1:], initial=-np.inf)))
     im_loss = 0.0
     for ell in range(1, n + 1):
+        if not np.isfinite(log_mod[ell]):
+            continue
         if im_sign[ell] != 0.0:
             depth = float(log_mod[ell] - im_log[ell]) \
                 - max(0.0, top - float(im_log[ell]))
             im_loss = max(im_loss, depth / math.log(10.0))
-        elif np.isfinite(log_mod[ell]):
+        else:
             # an exact extended-precision zero may mask a tiny true value
             im_loss = max(im_loss, 19.0 - max(
                 0.0, top - float(log_mod[ell])) / math.log(10.0))
@@ -308,48 +318,38 @@ def _mp_dps(digits: float) -> int:
 
 
 def beta_sequence(spec: ProblemSpec) -> BetaSequence:
-    """Run both recursions; for d=3, m=0 the simplified form is cross-checked.
+    """Run the recursion; for d=3, m=0 the simplified form is cross-checked.
 
-    The chain runs in extended precision and carries a running first-order
-    error bound through each step's Jacobian (see ``_recursion``).  The
-    whole sequence is recomputed in arbitrary precision when that bound
-    exceeds a relative error of 1e-13, or when the Im extraction loses
-    more than ``_LOSS_LIMIT`` digits.  The rerun is sized from the summed
-    per-step cancellation digits plus the Im loss, 1.2 * (sum + Im loss) +
-    10, and runs once; nothing checks it at a second precision.  The
-    bound's rounding unit comes from ``np.finfo``, so where ``np.longdouble``
-    is plain double the same test escalates at its own limit.
+    The chain runs in extended precision with the running error estimate
+    of ``_recursion``.  It is rerun once in arbitrary precision when the
+    estimate exceeds a relative error of 1e-13 (an exact zero step makes it
+    infinite) or the Im extraction loses more than ``_LOSS_LIMIT`` digits,
+    at 1.2 * (summed per-step cancellation digits + Im loss) + 10 digits;
+    ``_beta_mp`` raises ZeroDivisionError when the rerun's own estimate
+    exceeds 1e-13.  That check covers beta, not the Im extraction, and the
+    estimate is first order and misses some rounding terms (see
+    ``BetaSequence.error_bound_digits``): specs 1, 14 and 20 of the
+    high-mode test population still come back wrong without an error.  The
+    rounding unit comes from ``np.finfo``, so where ``np.longdouble`` is
+    plain double the same test escalates at its own limit.
 
     The d=3, m=0 cross-check asserts that the general (Wronskian-built)
     step and the jump-ratio step agree to 1e-12 in phase and log-modulus.
     """
-    n = spec.n
     omega = _EXT(spec.omega)
     x = [_EXT(v) for v in spec.profile.jump_points]
-    log_mod, phases, tlog, tphases, interfaces, cores, bound = _recursion(
-        EXTENDED, spec, omega, x)
-    log_mod = np.array(log_mod, dtype=_EXT)
-    phases = np.array(phases, dtype=_CEXT)
-    tlog = np.array(tlog, dtype=_EXT)
-    tphases = np.array(tphases, dtype=_CEXT)
+    run = _recursion(EXTENDED, spec, omega, x)
+    seq = _sequence(run, "extended", float(np.log10(max(run.bound, 1))))
     if spec.dimension == 3 and spec.mode == 0:
-        _check_m0(spec, omega, x, log_mod, phases)
-    im_log, im_sign = _rotated_im(EXTENDED, spec, omega, x, log_mod, phases)
-    im_log = np.array(im_log, dtype=_EXT)
-    im_sign = np.array(im_sign)
-    im_loss = _im_loss(n, log_mod, im_log, im_sign)
-    tier = "extended"
-    if _EPS * bound > _ERROR_LIMIT or im_loss > _LOSS_LIMIT:
-        digits = 1.2 * (_summed_loss(interfaces, cores) + im_loss) + 10.0
-        (log_mod, phases, tlog, tphases,
-         im_log, im_sign) = _beta_mp(spec, digits)
-        tier = f"mp@{_mp_dps(digits)}"
-    return BetaSequence(n=n, log_moduli=log_mod, phases=phases,
-                        tilde_log_moduli=tlog, tilde_phases=tphases,
-                        q=np.array([complex(it.q) for it in interfaces],
-                                   dtype=complex),
-                        rot_im_log=im_log, rot_im_sign=im_sign, tier=tier,
-                        error_bound_digits=float(np.log10(max(bound, 1))))
+        _check_m0(spec, omega, x, seq.log_moduli, seq.phases)
+    im_loss = _im_loss(spec.n, seq.log_moduli, seq.rot_im_log,
+                       seq.rot_im_sign)
+    if _EPS * run.bound > _ERROR_LIMIT or im_loss > _LOSS_LIMIT:
+        digits = 1.2 * (_summed_loss(run.interfaces, run.cores)
+                        + im_loss) + 10.0
+        return replace(_beta_mp(spec, digits),
+                       error_bound_digits=seq.error_bound_digits)
+    return seq
 
 
 @dataclass(frozen=True)
@@ -403,7 +403,7 @@ def green_last_column(spec: ProblemSpec, beta: BetaSequence | None = None,
         im_log, sign = beta.rot_im_log[ell], beta.rot_im_sign[ell]
         if sign != 0.0:
             even_log[ell - 1] = float(im_log - denom_log)
-            # the scalar products feeding the companion sequence are purely
+            # the scalar products behind the even entries are purely
             # imaginary, so conjugation contributes the factor -i here
             even[ell - 1] = complex(-_IU * _EXT(sign) / denom_phase) \
                 * math.exp(min(even_log[ell - 1], 700.0))

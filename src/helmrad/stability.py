@@ -232,8 +232,8 @@ def green_growth_law(spec: ProblemSpec) -> GrowthLaw:
         raise NotInInterference("profile/frequency pair is not critical")
     q = relative_jumps(spec.profile)
     n = spec.n
-    log_mod, _, _, _, im_log, _ = green._beta_mp(spec, digits=20.0,
-                                                 data=_critical_data)
+    seq = green._beta_mp(spec, digits=20.0, data=_critical_data)
+    log_mod, im_log = seq.log_moduli, seq.rot_im_log
     c_total = math.fsum(spec.profile.speeds)
     x_crit = np.cumsum([0.0] + list(spec.profile.speeds)) / c_total
     omega_crit = math.pi / 2.0 * c_total

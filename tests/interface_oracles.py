@@ -6,7 +6,8 @@ written here in plain double precision from ``wronskian_w`` and
 ``fundamental_eval``; the raw system is also built in mpmath and solved
 densely.  The dense form of a normalised system is assembled from its
 blocks.  The tests compare helmrad's normalised system, its banded solve
-and its beta recursion against them.
+and its beta recursion against them; the determinant identities read the
+companion of beta through a closed-form map.
 """
 
 from dataclasses import dataclass
@@ -122,6 +123,31 @@ def determinant_recursion(spec: ProblemSpec) -> complex:
         denom *= wronskian_w(pair, 2, 1, spec.speed(ell + 1), spec.speed(ell),
                              spec.z[ell])
     return complex(W[spec.n, 0] / denom)
+
+
+def rhs(system: BlockSystem) -> np.ndarray:
+    """The normalised right-hand side: rhs_scale at position 2n, else 0."""
+    r = np.zeros(2 * system.n, dtype=complex)
+    r[-1] = system.rhs_scale
+    return r
+
+
+def beta_tilde(spec: ProblemSpec, beta: complex) -> complex:
+    """The companion value beta-tilde_n of the determinant identities,
+    mapped in closed form from beta_n.
+
+    beta-tilde_ell = (-i)^ell e^{i z_ell/c_{ell+1}} beta_ell / prod R_k over
+    k = 1..ell, with R_k = z_k^2/c_{k+1} for d=3 and c_{k+1} for d=1: the
+    Wronskians W(h_m, j_m)(x) = -i/x^2 and W(e^{ix}, cos x) = -i give
+    1/w^{1,2}_k = i R_k.
+    """
+    n = spec.n
+    z = spec.z
+    prod = 1.0
+    for k in range(1, n + 1):
+        c = spec.speed(k + 1)
+        prod *= z[k] ** 2 / c if spec.dimension == 3 else c
+    return (-1j) ** n * np.exp(1j * z[n] / spec.speed(n + 1)) * beta / prod
 
 
 def to_dense(system: BlockSystem) -> np.ndarray:

@@ -162,8 +162,9 @@ class TestScan:
 
 
 class TestVerify:
-    def test_specfun_suite_passes(self, capsys):
-        rc = cli.main(["verify", "--suite", "specfun"])
+    @pytest.mark.parametrize("suite", ["specfun", "oracle", "bounds"])
+    def test_suite_passes(self, suite, capsys):
+        rc = cli.main(["verify", "--suite", suite])
         assert rc == cli.EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         assert doc["ok"] is True

@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -15,6 +16,8 @@ from helmrad.specfun import (EXTENDED, FundamentalPair, fundamental_eval,
                              wronskian_w)
 from interface_oracles import to_dense
 from populations import high_mode_population
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def _spec(speeds, cuts, omega, d=3, m=0, g=1.0 + 0.0j):
@@ -91,7 +94,6 @@ class TestBetaSequence:
     def test_phases_stay_on_the_unit_circle(self, spec):
         seq = green.beta_sequence(spec)
         assert np.allclose(np.abs(seq.phases), 1.0, atol=1e-15)
-        assert np.allclose(np.abs(seq.tilde_phases), 1.0, atol=1e-15)
         assert seq.log_moduli[0] == 0.0 and seq.phases[0] == 1.0
 
     def test_rotated_im_matches_direct_extraction(self):
@@ -114,17 +116,17 @@ class TestBetaSequence:
         """Force the arbitrary-precision rerun and compare the results."""
         plain = green.beta_sequence(spec)
         forced = green._beta_mp(spec, digits=30.0)
+        assert forced.tier == "mp@60"
         assert np.allclose(np.asarray(plain.log_moduli, dtype=float),
-                           np.asarray(forced[0], dtype=float), atol=1e-12)
+                           np.asarray(forced.log_moduli, dtype=float),
+                           atol=1e-12)
         assert np.allclose(np.asarray(plain.phases, dtype=complex),
-                           np.asarray(forced[1], dtype=complex), atol=1e-12)
-        assert np.allclose(np.asarray(plain.tilde_log_moduli, dtype=float),
-                           np.asarray(forced[2], dtype=float), atol=1e-12)
-        assert np.allclose(np.asarray(plain.tilde_phases, dtype=complex),
-                           np.asarray(forced[3], dtype=complex), atol=1e-12)
+                           np.asarray(forced.phases, dtype=complex),
+                           atol=1e-12)
         assert np.allclose(np.asarray(plain.rot_im_log, dtype=float),
-                           np.asarray(forced[4], dtype=float), atol=1e-10)
-        assert np.array_equal(plain.rot_im_sign, forced[5])
+                           np.asarray(forced.rot_im_log, dtype=float),
+                           atol=1e-10)
+        assert np.array_equal(plain.rot_im_sign, forced.rot_im_sign)
 
     def test_stable_construction_alternates_sign(self):
         spec = construct_stable_example(6, 1.0, 3.0)
@@ -151,8 +153,8 @@ def _summed_loss(spec: ProblemSpec) -> float:
     """Digits cancelled per step, summed: the escalation test that the
     running error bound replaced."""
     x = [np.longdouble(v) for v in spec.profile.jump_points]
-    rec = green._recursion(EXTENDED, spec, np.longdouble(spec.omega), x)
-    return green._summed_loss(rec[4], rec[5])
+    run = green._recursion(EXTENDED, spec, np.longdouble(spec.omega), x)
+    return green._summed_loss(run.interfaces, run.cores)
 
 
 @pytest.fixture(scope="module")
@@ -196,10 +198,8 @@ class TestRunningErrorBound:
     def test_kept_sequences_agree_with_40_digits(self, kept_in_extended):
         kept, _ = kept_in_extended
         for spec, seq, ref in kept["oracle"] + kept["alternating"]:
-            for mine, theirs in ((seq.log_moduli, ref[0]),
-                                 (seq.phases, ref[1]),
-                                 (seq.tilde_log_moduli, ref[2]),
-                                 (seq.tilde_phases, ref[3])):
+            for mine, theirs in ((seq.log_moduli, ref.log_moduli),
+                                 (seq.phases, ref.phases)):
                 assert np.max(np.abs(mine - theirs)) <= 1e-13
             assert seq.tier == "extended"
 
@@ -209,8 +209,8 @@ class TestRunningErrorBound:
         kept, _ = kept_in_extended
         eps = np.finfo(np.longdouble).eps
         for spec, seq, ref in kept["oracle"] + kept["alternating"]:
-            err = max(np.max(np.abs(seq.log_moduli - ref[0])),
-                      np.max(np.abs(seq.phases - ref[1])))
+            err = max(np.max(np.abs(seq.log_moduli - ref.log_moduli)),
+                      np.max(np.abs(seq.phases - ref.phases)))
             assert err <= 2 * eps * 10.0 ** seq.error_bound_digits
 
     def test_high_mode_recursions_escalate_once(self, monkeypatch):
@@ -228,8 +228,51 @@ class TestRunningErrorBound:
                 assert seq.tier == ("extended" if spec.n == 0
                                     else f"mp@{green._mp_dps(calls[0])}")
             except ZeroDivisionError:
-                pass    # the rerun meets an exact zero step (fault c)
+                pass    # the rerun refuses its own answer (fault c)
             assert len(calls) == (spec.n > 0)
+
+
+class TestRerunSelfCheck:
+    """The mpmath rerun carries the running error bound in its own rounding
+    unit and refuses an answer whose estimate exceeds 1e-13."""
+
+    @pytest.mark.parametrize("index", [2, 33])
+    def test_flagged_high_mode_reruns_raise(self, index):
+        """Taken as they stand, both reruns give coefficients wrong by 6.3e80
+        and 4.0 against the benchmark's mpmath reference."""
+        with pytest.raises(ZeroDivisionError,
+                           match="estimated relative error"):
+            green.beta_sequence(high_mode_population()[index])
+
+    def test_escalated_oracle_specs_pass_with_margin(self, monkeypatch):
+        """Every rerun of the seed-20260823 oracle population is accepted,
+        its own estimate far below the 1e-13 it is checked against."""
+        records = []
+        rerun = green._beta_mp
+
+        def spy(spec, digits, data=None):
+            records.append(rerun(spec, digits, data))
+            return records[-1]
+        monkeypatch.setattr(green, "_beta_mp", spy)
+        rng = np.random.default_rng(20260823)
+        for _ in range(200):
+            green.beta_sequence(random_spec(rng))
+        assert records
+        for seq in records:
+            with mp.workdps(int(seq.tier.removeprefix("mp@"))):
+                assert mp.eps * mp.mpf(10) ** seq.error_bound_digits <= 1e-30
+
+    def test_exact_zero_core_escalates_by_itself(self):
+        """High-mode spec 7: the first core cancels to exactly zero in
+        extended precision, which alone makes the bound infinite."""
+        spec = high_mode_population()[7]
+        x = [np.longdouble(v) for v in spec.profile.jump_points]
+        run = green._recursion(EXTENDED, spec, np.longdouble(spec.omega), x)
+        assert run.cores[0] == 0 and run.bound == np.inf
+        log_mod = np.array(run.log_mod)
+        assert np.isneginf(log_mod[1:]).all()
+        assert green._im_loss(spec.n, log_mod, np.array(run.im_log),
+                              np.array(run.im_sign)) == 0.0
 
 
 class TestGreenColumn:
@@ -292,7 +335,9 @@ class TestLayerCoefficients:
 class TestGammaData:
     def test_m0_reflection_strength_is_the_speed_contrast(self):
         spec = SPECS[0]
-        q = green.beta_sequence(spec).q[0]
+        x = [np.longdouble(v) for v in spec.profile.jump_points]
+        q = complex(green._interface(EXTENDED, spec,
+                                     np.longdouble(spec.omega), x, 1).q)
         c1, c2 = spec.profile.speeds
         assert abs(q) == pytest.approx(abs((c2 - c1) / (c2 + c1)),
                                        rel=1e-12)
