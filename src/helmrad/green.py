@@ -8,14 +8,14 @@ with strong localisation reach moduli like 3^(n/2), which overflow doubles
 long before the recursion itself loses accuracy.
 
 The recursion runs in extended precision and carries a running first-order
-error estimate through each step's Jacobian.  When the estimate exceeds a
-relative error of 1e-13, or the extraction of the imaginary parts loses
-more than six digits, the whole sequence is rerun once in mpmath, at
-digits sized from the summed per-step cancellation.  The rerun checks its
-own estimate against the same 1e-13 and raises ZeroDivisionError past it.
-Still open: the estimate is first order and misses some rounding terms, so
-a few high modes still come back wrong without an error, and the Im-loss
-weight ignores the size of the field term an entry feeds.
+error bound through each step's Jacobian.  One rule judges a run in either
+precision: the bound in the tier's rounding unit, amplified by the digits
+the extraction of the imaginary parts loses, must stay within a relative
+1e-13.  An extended run past it is rerun once in mpmath, at digits sized
+from the summed per-step cancellation; an mpmath run past it raises
+ZeroDivisionError.  Still open: the estimate is first order and misses some
+rounding terms, and the Im-loss weight ignores the size of the field term
+an entry feeds, so a few high modes still come back wrong without an error.
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ class BetaSequence:
 def _advance(tier: Tier, log_mod, step_value):
     """Fold a recursion step (applied to a unit phase) into log form."""
     mag = abs(step_value)
-    if mag == 0 and tier.folds_zero_step:
+    if mag == 0:
         return tier.real(-math.inf), tier.real(1) + 0j
     return log_mod + tier.log(mag), step_value / mag
 
@@ -215,10 +215,6 @@ def _sequence(run: _Run, tier: str, digits: float, real=_EXT, cplx=_CEXT
 _ERROR_LIMIT = 1e-13
 _EPS = np.finfo(_EXT).eps
 
-#: escalate beyond this many decimal digits lost to the Im extraction;
-#: extended precision carries ~19, so this leaves a dozen good digits
-_LOSS_LIMIT = 6.0
-
 
 def _to_longdouble(v) -> np.longdouble:
     import mpmath as mp
@@ -233,8 +229,9 @@ def _to_clongdouble(v) -> np.clongdouble:
 def _beta_mp(spec: ProblemSpec, digits: float, data=None) -> BetaSequence:
     """Arbitrary-precision rerun of the recursion at ``_mp_dps(digits)``
     working digits.  It raises ZeroDivisionError instead of returning when
-    a step cancels to exactly zero, or when mpmath's rounding unit times
-    the running error bound of ``_recursion`` exceeds ``_ERROR_LIMIT``.
+    the run's own error estimate (``_error``, in mpmath's rounding unit)
+    exceeds ``_ERROR_LIMIT``; a step that cancels to exactly zero makes
+    the estimate infinite.
 
     ``data``, when given, is a callable ``spec -> (omega, jump_points)``
     evaluated inside the high-precision context; it lets callers substitute
@@ -249,10 +246,11 @@ def _beta_mp(spec: ProblemSpec, digits: float, data=None) -> BetaSequence:
         else:
             omega, x = data(spec)
         run = _recursion(mp_tier(), spec, omega, x)
-        if mp.eps * run.bound > _ERROR_LIMIT:
+        error = _error(mp_tier(), run, mp.eps)
+        if error > _ERROR_LIMIT:
             raise ZeroDivisionError(
                 f"arbitrary-precision rerun at {mp.mp.dps} digits: estimated "
-                f"relative error {mp.nstr(mp.eps * run.bound, 3)} exceeds "
+                f"relative error {mp.nstr(error, 3)} exceeds "
                 f"{_ERROR_LIMIT:g}")
         return _sequence(run, f"mp@{mp.mp.dps}",
                          float(mp.log10(max(run.bound, 1))),
@@ -274,30 +272,39 @@ def _check_m0(spec: ProblemSpec, omega, x, log_mod, phases):
                 f"phase {dphase:.3e}, log-modulus {dlog:.3e}")
 
 
-def _im_loss(n: int, log_mod, im_log, im_sign) -> float:
+def _im_loss(run: _Run, digits: float) -> float:
     """Decimal digits the column entries would lose to the Im extraction.
 
     The imaginary part can cancel far below the unit-modulus rotated phase,
     and the loss is weighted by how close the affected entry sits to the
     column's largest one (cancellation inside an entry that is itself
-    negligible cannot surface in the assembled coefficients).  Entries
-    after an exact zero step are skipped: that step escalates on its own.
+    negligible cannot surface in the assembled coefficients).  An exact
+    zero may mask a tiny true value and loses all ``digits`` of the tier.
+    Entries after an exact zero step are skipped: its bound is infinite.
     """
-    top = max(float(np.max(log_mod[:n], initial=-np.inf)),
-              float(np.max(im_log[1:], initial=-np.inf)))
+    log_mod, im_log = run.log_mod, run.im_log
+    n = len(log_mod) - 1
+    top = float(max(log_mod[:n] + im_log[1:], default=-math.inf))
     im_loss = 0.0
     for ell in range(1, n + 1):
-        if not np.isfinite(log_mod[ell]):
+        if not math.isfinite(log_mod[ell]):
             continue
-        if im_sign[ell] != 0.0:
+        if run.im_sign[ell] != 0.0:
             depth = float(log_mod[ell] - im_log[ell]) \
                 - max(0.0, top - float(im_log[ell]))
             im_loss = max(im_loss, depth / math.log(10.0))
         else:
-            # an exact extended-precision zero may mask a tiny true value
-            im_loss = max(im_loss, 19.0 - max(
+            im_loss = max(im_loss, digits - max(
                 0.0, top - float(log_mod[ell])) / math.log(10.0))
     return im_loss
+
+
+def _error(tier: Tier, run: _Run, eps):
+    """Relative error estimate of the column from ``run``: its bound in the
+    tier's rounding unit ``eps``, times 10 to the Im-extraction loss.  It is
+    a tier number; at hundreds of mpmath digits a float would underflow."""
+    loss = _im_loss(run, -float(tier.log10(eps)))
+    return eps * run.bound * tier.real(10) ** loss
 
 
 def _summed_loss(interfaces, cores) -> float:
@@ -320,18 +327,15 @@ def _mp_dps(digits: float) -> int:
 def beta_sequence(spec: ProblemSpec) -> BetaSequence:
     """Run the recursion; for d=3, m=0 the simplified form is cross-checked.
 
-    The chain runs in extended precision with the running error estimate
-    of ``_recursion``.  It is rerun once in arbitrary precision when the
-    estimate exceeds a relative error of 1e-13 (an exact zero step makes it
-    infinite) or the Im extraction loses more than ``_LOSS_LIMIT`` digits,
-    at 1.2 * (summed per-step cancellation digits + Im loss) + 10 digits;
-    ``_beta_mp`` raises ZeroDivisionError when the rerun's own estimate
-    exceeds 1e-13.  That check covers beta, not the Im extraction, and the
-    estimate is first order and misses some rounding terms (see
-    ``BetaSequence.error_bound_digits``): specs 1, 14 and 20 of the
-    high-mode test population still come back wrong without an error.  The
-    rounding unit comes from ``np.finfo``, so where ``np.longdouble`` is
-    plain double the same test escalates at its own limit.
+    The chain runs in extended precision and is rerun once in arbitrary
+    precision, at 1.2 * (summed per-step cancellation digits + Im loss) + 10
+    digits, when its estimate ``_error`` exceeds ``_ERROR_LIMIT``; the
+    rerun is judged by the same rule.  The estimate is first order, misses
+    some rounding terms (see ``BetaSequence.error_bound_digits``) and weighs
+    the Im loss by the entry's place in the column, not by the field term
+    it feeds: specs 1 and 20 of the high-mode test population still come
+    back wrong without an error.  The rounding unit comes from ``np.finfo``,
+    so where ``np.longdouble`` is plain double the rule escalates there.
 
     The d=3, m=0 cross-check asserts that the general (Wronskian-built)
     step and the jump-ratio step agree to 1e-12 in phase and log-modulus.
@@ -342,11 +346,9 @@ def beta_sequence(spec: ProblemSpec) -> BetaSequence:
     seq = _sequence(run, "extended", float(np.log10(max(run.bound, 1))))
     if spec.dimension == 3 and spec.mode == 0:
         _check_m0(spec, omega, x, seq.log_moduli, seq.phases)
-    im_loss = _im_loss(spec.n, seq.log_moduli, seq.rot_im_log,
-                       seq.rot_im_sign)
-    if _EPS * run.bound > _ERROR_LIMIT or im_loss > _LOSS_LIMIT:
+    if _error(EXTENDED, run, _EPS) > _ERROR_LIMIT:
         digits = 1.2 * (_summed_loss(run.interfaces, run.cores)
-                        + im_loss) + 10.0
+                        + _im_loss(run, -float(np.log10(_EPS)))) + 10.0
         return replace(_beta_mp(spec, digits),
                        error_bound_digits=seq.error_bound_digits)
     return seq

@@ -283,9 +283,7 @@ class Tier(NamedTuple):
     ``log`` and ``log10`` are logarithms of reals, ``pair_eval(pair, x)``
     gives (f_1, f_1', f_2, f_2') of the fundamental system from one f_1
     evaluation, and ``cdtype`` is the dtype of an array of the tier's
-    complex numbers.  A step of modulus zero folds to log-modulus -inf when
-    ``folds_zero_step`` is set; otherwise normalising it raises
-    ``ZeroDivisionError``.
+    complex numbers.
     """
 
     real: Callable
@@ -294,7 +292,6 @@ class Tier(NamedTuple):
     log10: Callable
     pair_eval: Callable
     cdtype: object
-    folds_zero_step: bool
 
 
 def _with_f2(f, df):
@@ -314,7 +311,7 @@ EXTENDED = Tier(
     log=np.log, log10=np.log10,
     pair_eval=lambda pair, x: _with_f2(
         *fundamental_eval(pair, 1, x, np.longdouble)),
-    cdtype=np.clongdouble, folds_zero_step=True)
+    cdtype=np.clongdouble)
 
 
 @functools.cache
@@ -325,7 +322,7 @@ def mp_tier() -> Tier:
         real=mp.mpf, cexp=lambda t: mp.exp(1j * t), log=mp.log,
         log10=mp.log10,
         pair_eval=lambda pair, x: _with_f2(*fundamental_eval_mp(pair, 1, x)),
-        cdtype=object, folds_zero_step=False)
+        cdtype=object)
 
 
 def eval_limit_at_origin(pair: FundamentalPair, which: int) -> complex:

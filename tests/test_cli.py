@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from helmrad import cli, green
-from helmrad.problem import ProblemSpec, WaveSpeedProfile
+from helmrad.problem import (ProblemSpec, WaveSpeedProfile,
+                             construct_localisation_example)
 
 
 def _spec_json(**overrides):
@@ -105,6 +106,16 @@ class TestSolve:
         limit = -13.0 - float(np.log10(np.finfo(np.longdouble).eps))
         assert (diag["recursion"]["error_bound_digits"] > limit) \
             == (tier != "extended")
+
+    def test_localised_n32_passes_the_residual_gate(self, tmp_path):
+        """Its field grows by 3^16 across the layers: interface jumps
+        scaled by max(1, |u|) failed this correct solve at 1.5e-7."""
+        doc = json.dumps(construct_localisation_example(32, 1.0, 3.0)
+                         .to_dict())
+        rc = cli.main(["solve", "--input", doc,
+                       "--output-dir", str(tmp_path / "loc32"),
+                       "--grid", "8"])
+        assert rc == cli.EXIT_OK
 
     def test_single_layer(self, tmp_path):
         out = tmp_path / "one"

@@ -15,7 +15,7 @@ import pytest
 import scipy.integrate
 
 from helmrad import evaluate
-from helmrad.assembly import rhs_scale
+from helmrad.assembly import CoefficientVector, rhs_scale
 from helmrad.evaluate import (RadialSolution, UnsupportedMode, diagnostics,
                               dtn_residual, energy_lower_bound, energy_norm,
                               energy_upper_bound, eval_radial,
@@ -23,6 +23,7 @@ from helmrad.evaluate import (RadialSolution, UnsupportedMode, diagnostics,
                               solve_direct, sup_radial, sup_scaled)
 from helmrad.problem import (ProblemSpec, WaveSpeedProfile,
                              construct_localisation_example)
+from interface_oracles import raw_solve_mp
 
 
 def _spec(speeds, cuts, omega, d=3, m=0, g=1.0 + 0.0j):
@@ -91,6 +92,26 @@ class TestResiduals:
             coeffs=type(sol.coeffs)(entries=sol.coeffs.entries * 1.01,
                                     b_last=sol.coeffs.b_last))
         assert np.max(np.asarray(interface_residuals(bad))) > 1e-4
+
+    def test_interface_residuals_are_backward_errors(self):
+        """Localised n = 32: the field grows by 3^16 across the layers, and
+        jumps scaled by max(1, |u|) read 1.5e-7 on these mpmath-exact
+        coefficients.  Against the term sizes they read rounding, and a
+        relative 1e-8 in one coefficient still shows."""
+        spec = construct_localisation_example(32, 1.0, 3.0)
+        exact = CoefficientVector(entries=raw_solve_mp(spec),
+                                  b_last=rhs_scale(spec))
+        sol = RadialSolution(spec=spec, coeffs=exact)
+        assert np.max(np.asarray(interface_residuals(sol))) <= 1e-14
+        entries = exact.entries.copy()
+        entries[20] *= 1.0 + 1e-8
+        bad = RadialSolution(spec=spec, coeffs=CoefficientVector(
+            entries=entries, b_last=exact.b_last))
+        assert np.max(np.asarray(interface_residuals(bad))) > 1e-9
+
+    def test_zero_field_has_zero_interface_residuals(self):
+        sol = solve(_spec((1.0, 2.0), (0.4,), 3.0, g=0.0))
+        assert interface_residuals(sol) == [(0.0, 0.0)]
 
     def test_sample_count_is_validated(self):
         with pytest.raises(ValueError):
