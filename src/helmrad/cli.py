@@ -26,8 +26,6 @@ EXIT_SUITE_FAILED = 1
 EXIT_VALIDATION = 2
 EXIT_NEAR_RESONANT = 3
 
-_RESIDUAL_TOL = 1e-9
-
 
 def _load_spec(arg: str) -> ProblemSpec:
     text = arg
@@ -83,7 +81,7 @@ def cmd_solve(args) -> int:
         "error_bound_digits": bound if math.isfinite(bound) else None})
     evaluate._atomic_write(out(args.output_dir, "diagnostics.json"),
                            _json_dumps(diag_doc))
-    if not report.passes(_RESIDUAL_TOL):
+    if not report.passes():
         print("residual thresholds exceeded", file=sys.stderr)
         return EXIT_SUITE_FAILED
     return EXIT_OK

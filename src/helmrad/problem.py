@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -100,12 +101,19 @@ class ProblemSpec:
     boundary_coefficient: complex = 1.0 + 0.0j
 
     def __post_init__(self):
+        for name in ("dimension", "mode"):
+            value = getattr(self, name)
+            if isinstance(value, bool) \
+                    or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
         if self.dimension not in (1, 3):
             raise ValueError("dimension must be 1 or 3")
         if self.mode < 0 or (self.dimension == 1 and self.mode != 0):
             raise ValueError("mode must be non-negative, and 0 when d=1")
         if not (self.omega > 0.0 and math.isfinite(self.omega)):
             raise ValueError("frequency must be positive")
+        if not cmath.isfinite(complex(self.boundary_coefficient)):
+            raise ValueError("boundary coefficient must be finite")
 
     # -- derived quantities ------------------------------------------------
 
@@ -157,8 +165,8 @@ class ProblemSpec:
         gre, gim = doc["boundary_coefficient"]
         return cls(
             profile=WaveSpeedProfile(tuple(doc["jump_points"]), tuple(doc["speeds"])),
-            dimension=int(doc["dimension"]),
-            mode=int(doc["mode"]),
+            dimension=doc["dimension"],
+            mode=doc["mode"],
             omega=float(doc["omega"]),
             boundary_coefficient=complex(gre, gim),
         )

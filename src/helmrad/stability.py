@@ -25,6 +25,9 @@ C0_MAJORANT = 20.0
 #: numerical slack for the log-space inequality checks
 _SLACK = 1e-12
 
+#: smallest rotated imaginary part the small-argument fit uses
+_IM_FLOOR = 1e-14
+
 
 class InapplicableProfile(Exception):
     """The diagnostic needs an alternating two-speed profile with d=3, m=0."""
@@ -89,13 +92,12 @@ class StabilityReport:
         return json.dumps(self.to_dict(), **kwargs)
 
 
-def certify_beta_bounds(spec: ProblemSpec,
-                        c0: float = C0_MAJORANT) -> StabilityReport:
+def certify_beta_bounds(spec: ProblemSpec) -> StabilityReport:
     """Check the per-step modulus bracket and the two-step majorant.
 
     Per step: (1-|q|)/(1+q) <= |beta_ell|/|beta_{ell-1}| <= (1+|q|)/(1+q).
-    Two-step: |beta_{2l}|^2 <= |beta_{2l-2}|^2 (1 + c0 |q| / (1-q^2)^2
-    * min(delta_{2l}, 1)).  Both are verified in log space with 1e-12 slack.
+    Two-step: |beta_{2l}/beta_{2l-2}|^2 <= 1 + C0_MAJORANT |q| / (1-q^2)^2
+    * min(delta_{2l}, 1).  Both are verified in log space with 1e-12 slack.
     """
     q_mag = abs(_require_alternating(spec))
     beta = green.beta_sequence(spec)
@@ -111,7 +113,7 @@ def certify_beta_bounds(spec: ProblemSpec,
         if not (lo - _SLACK <= ratio <= hi + _SLACK):
             step_bad.append(ell)
     if q_mag < 1.0:
-        growth = c0 * q_mag / (1.0 - q_mag ** 2) ** 2
+        growth = C0_MAJORANT * q_mag / (1.0 - q_mag ** 2) ** 2
         for ell in range(2, spec.n + 1, 2):
             bound = 0.5 * math.log1p(growth * min(delta[ell - 1], 1.0))
             if log_b[ell] - log_b[ell - 2] > bound + _SLACK:
@@ -150,13 +152,12 @@ class RefinedCheck:
     min_exponent: float | None
 
 
-def refined_small_z_check(spec: ProblemSpec,
-                          min_magnitude: float = 1e-14) -> RefinedCheck:
+def refined_small_z_check(spec: ProblemSpec) -> RefinedCheck:
     """Certify the cubic small-argument decay of the rotated imaginary part.
 
     Rescans the same profile at omega/2 and omega/4 and fits, per window
     index, the exponent of |Im(e^{i z/c} beta)| against z.  Entries whose
-    imaginary part is below ``min_magnitude`` at any scan are skipped (they
+    imaginary part is below ``_IM_FLOOR`` at any scan are skipped (they
     sit at the rounding floor and carry no scaling information).
     """
     if spec.dimension != 3 or spec.mode != 0:
@@ -174,7 +175,7 @@ def refined_small_z_check(spec: ProblemSpec,
         ims = [float(np.exp(be.rot_im_log[ell])) for be in betas]
         z0 = specs[0].z[ell]
         ratios.append((ell, ims[0] / z0 ** 3 if z0 > 0 else 0.0))
-        if min(ims) < min_magnitude:
+        if min(ims) < _IM_FLOOR:
             continue
         zs = [sp.z[ell] for sp in specs]
         slope, _, _ = fit_loglinear(np.log(zs), np.log(ims))

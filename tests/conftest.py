@@ -1,4 +1,5 @@
-"""Shared fixtures: seeded problem generators used across the test suite.
+"""Shared fixtures: seeded problem generators used across the test suite,
+and the d=3, m=0 recursion oracle applied to every run the suite makes.
 
 The random populations are the generators behind the CLI verification
 suites (``helmrad.problem.random_spec`` and ``random_alternating``), so that
@@ -8,7 +9,25 @@ suites (``helmrad.problem.random_spec`` and ``random_alternating``), so that
 import numpy as np
 import pytest
 
-from helmrad import problem
+import m0_oracle
+from helmrad import green, problem
+from helmrad.specfun import EXTENDED
+
+
+@pytest.fixture(scope="session", autouse=True)
+def m0_oracle_on_every_extended_run():
+    """Check every extended-precision d=3, m=0 recursion run of the session
+    against the jump-ratio step (``m0_oracle``), to 1e-12."""
+    recursion = green._recursion
+
+    def checked(tier, spec, omega, x):
+        run = recursion(tier, spec, omega, x)
+        if tier is EXTENDED and spec.dimension == 3 and spec.mode == 0:
+            m0_oracle.check(spec, omega, x, run)
+        return run
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(green, "_recursion", checked)
+        yield
 
 
 @pytest.fixture

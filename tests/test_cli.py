@@ -67,6 +67,11 @@ class TestSolve:
         _spec_json(jump_points=[0.0, 1.4, 1.0]),
         _spec_json(speeds=[1.0, -2.0]),
         _spec_json(omega=-3.0),
+        _spec_json(mode=2.7),
+        _spec_json(mode=True),
+        _spec_json(dimension=3.5),
+        _spec_json(boundary_coefficient=[float("nan"), 0.0]),
+        _spec_json(boundary_coefficient=[float("inf"), 0.0]),
     ])
     def test_invalid_input_exits_with_validation_code(self, bad, tmp_path,
                                                       capsys):

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -14,6 +15,7 @@ from helmrad.problem import (ProblemSpec, WaveSpeedProfile,
                              random_spec)
 from helmrad.specfun import (EXTENDED, FundamentalPair, fundamental_eval,
                              wronskian_w)
+import m0_oracle
 from interface_oracles import to_dense
 from populations import high_mode_population
 
@@ -106,8 +108,24 @@ class TestBetaSequence:
                 abs=1e-10)
 
     def test_m0_cross_check_runs(self):
-        # the d=3, m=0 path asserts internally
-        green.beta_sequence(SPECS[0])
+        spec = SPECS[0]
+        omega = np.longdouble(spec.omega)
+        x = [np.longdouble(v) for v in spec.profile.jump_points]
+        run = green._recursion(EXTENDED, spec, omega, x)
+        assert m0_oracle.divergence(spec, omega, x, run) <= 1e-12
+
+    def test_m0_oracle_rejects_a_perturbed_run(self, monkeypatch):
+        """q scaled by 1 + 1e-11 moves the steps by 3.6e-12, past the
+        oracle's 1e-12; the conftest hook must reject the run, or it checks
+        nothing."""
+        interface = green._interface
+
+        def perturbed(*args):
+            it = interface(*args)
+            return it._replace(q=it.q * (1 + 1e-11))
+        monkeypatch.setattr(green, "_interface", perturbed)
+        with pytest.raises(AssertionError, match="m=0 step paths diverged"):
+            green.beta_sequence(SPECS[0])
 
     @pytest.mark.parametrize("spec", SPECS)
     def test_escalated_sequence_agrees_with_extended(self, spec):
@@ -326,9 +344,10 @@ class TestGreenColumn:
         assert col.max_abs() >= max(np.max(np.abs(col.odd_entries)),
                                     np.max(np.abs(col.even_entries)))
 
-    def test_near_resonance_guard(self):
+    def test_near_resonance_guard(self, monkeypatch):
+        monkeypatch.setattr(green, "NEAR_RESONANCE_FLOOR", 1e300)
         with pytest.raises(green.NearResonantDenominator):
-            green.green_last_column(SPECS[0], resonance_floor=1e300)
+            green.green_last_column(SPECS[0])
 
     def test_column_growth_for_a_deep_localised_profile(self):
         # past ~24 interfaces the double-rounded construction data drift
@@ -356,6 +375,26 @@ class TestLayerCoefficients:
         spec = _spec((1.0, 2.0), (0.4,), 3.0, g=3.0 - 4.0j)
         rec = green.layer_coefficients(spec)
         assert abs(rec.b_last) == pytest.approx(5.0, rel=1e-12)
+
+    def test_outer_coefficient_has_the_boundary_modulus(self):
+        """For d=3, m=0 the scaled outgoing solution has unit modulus on
+        the boundary, so B_N = ``rhs_scale`` has |B_N| = |g|: checked on
+        the seed-20260823 alternating and oracle draws and the constructed
+        families, each at three boundary coefficients."""
+        rng = np.random.default_rng(20260823)
+        specs = [random_alternating(rng) for _ in range(500)]
+        rng = np.random.default_rng(20260823)
+        specs += [random_spec(rng) for _ in range(200)]
+        specs += [build(n, 1.0, 3.0) for n in range(1, 33)
+                  for build in (construct_localisation_example,
+                                construct_stable_example)]
+        specs += SPECS
+        radial = [s for s in specs if s.dimension == 3 and s.mode == 0]
+        for spec in radial:
+            for g in (1.0, 2.0 - 1.0j, 1e-3j):
+                b_last = assembly.rhs_scale(
+                    replace(spec, boundary_coefficient=g))
+                assert abs(abs(b_last) - abs(g)) <= 1e-12 * max(1.0, abs(g))
 
 
 class TestGammaData:

@@ -53,6 +53,17 @@ class TestValidation:
             ProblemSpec(p, dimension=1, mode=1)
         with pytest.raises(ValueError):
             ProblemSpec(p, omega=0.0)
+        for bad in (dict(dimension=3.5), dict(dimension=True),
+                    dict(mode=2.7), dict(mode=True), dict(mode=np.bool_(1)),
+                    dict(boundary_coefficient=complex(math.nan, 0.0)),
+                    dict(boundary_coefficient=complex(math.inf, 0.0))):
+            with pytest.raises(ValueError):
+                ProblemSpec(p, **bad)
+
+    def test_spec_accepts_numpy_integers(self):
+        spec = ProblemSpec(_profile(1.0, 2.0), dimension=np.int64(3),
+                           mode=np.int32(2))
+        assert (spec.dimension, spec.mode) == (3, 2)
 
 
 class TestDerivedQuantities:
