@@ -23,6 +23,13 @@ class Violation(NamedTuple):
     reason: str
 
 
+def _real(value, name: str) -> float:
+    """``value`` as a float, if it is a real number and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class WaveSpeedProfile:
     """Piecewise-constant wave speed on the unit ball."""
@@ -31,8 +38,10 @@ class WaveSpeedProfile:
     speeds: tuple       # c_1..c_N, speed on (x_{j-1}, x_j)
 
     def __post_init__(self):
-        object.__setattr__(self, "jump_points", tuple(float(x) for x in self.jump_points))
-        object.__setattr__(self, "speeds", tuple(float(c) for c in self.speeds))
+        object.__setattr__(self, "jump_points", tuple(
+            _real(x, "jump point") for x in self.jump_points))
+        object.__setattr__(self, "speeds", tuple(
+            _real(c, "wave speed") for c in self.speeds))
         bad = validate(self)
         if bad:
             raise ValueError("invalid wave-speed profile: " + "; ".join(
@@ -106,6 +115,9 @@ class ProblemSpec:
             if isinstance(value, bool) \
                     or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer")
+            # a plain int, so that to_json can serialise it
+            object.__setattr__(self, name, int(value))
+        object.__setattr__(self, "omega", _real(self.omega, "frequency"))
         if self.dimension not in (1, 3):
             raise ValueError("dimension must be 1 or 3")
         if self.mode < 0 or (self.dimension == 1 and self.mode != 0):
@@ -167,8 +179,9 @@ class ProblemSpec:
             profile=WaveSpeedProfile(tuple(doc["jump_points"]), tuple(doc["speeds"])),
             dimension=doc["dimension"],
             mode=doc["mode"],
-            omega=float(doc["omega"]),
-            boundary_coefficient=complex(gre, gim),
+            omega=doc["omega"],
+            boundary_coefficient=complex(_real(gre, "boundary coefficient"),
+                                         _real(gim, "boundary coefficient")),
         )
 
     @classmethod

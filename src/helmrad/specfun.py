@@ -238,9 +238,11 @@ def fundamental_eval_mp(pair: FundamentalPair, which: int, x):
     """Arbitrary-precision value/derivative in the active mpmath context.
 
     Used by the precision-escalation tiers when cancellation or
-    conditioning exceeds what extended hardware floats can absorb.  The
-    real part of f_1 is formed by the same operations for either ``which``,
-    so f_2 = Re f_1 and f_2' = Re f_1' hold bit for bit.
+    conditioning exceeds what extended hardware floats can absorb.  y_m
+    comes from the upward recurrence on the closed forms of orders 0 and 1,
+    and j_m, j_{m-1} from one hypergeometric series per order.  The real
+    part of f_1 is formed by the same operations for either ``which``, so
+    f_2 = Re f_1 and f_2' = Re f_1' hold bit for bit.
     """
     import mpmath as mp
     x = mp.mpf(x)
@@ -252,28 +254,26 @@ def fundamental_eval_mp(pair: FundamentalPair, which: int, x):
         return part(c, s), part(-s, c)
 
     m = pair.m
-    # cos x and sin x are shared by the closed forms of orders 0 and 1;
-    # the prefactor only by the Bessel-function orders >= 2
-    if m <= 2:
+    # the recurrence, upward and so stable for y, gets 10 guard digits; for
+    # x < 1 the closed form j_1 = (j_0 - cos x)/x cancels 2 log10(1/x) digits
+    guard = 10 if m >= 2 else \
+        5 + int(mp.ceil(-2 * mp.log10(x))) if x < 1 else 0
+    with mp.workdps(mp.mp.dps + guard):
         c, s = mp.cos_sin(x)
-        j0, y0 = s / x, -c / x
+        j_lo, y_lo = s / x, -c / x
+        j, y = (j_lo - c) / x, (y_lo - s) / x
+        for k in range(1, m):
+            y_lo, y = y, (2 * k + 1) / x * y - y_lo
     if m >= 2:
-        pref = mp.sqrt(mp.pi / (2 * x))
-
-    def f(mm):
-        # orders 0 and 1 in elementary closed form; the generic path via
-        # half-integer Bessel functions is orders of magnitude slower
-        if mm == 0:
-            return part(j0, y0)
-        if mm == 1:
-            return part((j0 - c) / x, (y0 - s) / x)
-        nu = mm + mp.mpf(1) / 2
-        return part(pref * mp.besselj(nu, x),
-                    pref * mp.bessely(nu, x) if which == 1 else None)
-
-    v = f(m)
-    dv = -f(1) if m == 0 else f(m - 1) - (m + 1) / x * v
-    return v, dv
+        # j_k(x) = x^k/(2k+1)!! 0F1(; k + 3/2; -x^2/4), z formed exactly
+        z = mp.ldexp(mp.fmul(x, -x, exact=True), -2)
+        j_lo, j = (x**k / math.prod(range(3, 2 * k + 2, 2))
+                   * mp.hyp0f1(mp.mpf(2 * k + 3) / 2, z) for k in (m - 1, m))
+    # part() rounds to the working precision
+    if m == 0:
+        return part(j_lo, y_lo), -part(j, y)
+    v = part(j, y)
+    return v, part(j_lo, y_lo) - (m + 1) / x * v
 
 
 class Tier(NamedTuple):

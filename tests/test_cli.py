@@ -80,6 +80,19 @@ class TestSolve:
         assert rc == cli.EXIT_VALIDATION
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", [
+        _spec_json(omega=True),
+        _spec_json(speeds=[True, 2.0]),
+        _spec_json(jump_points=[0.0, "0.4", 1.0]),
+    ])
+    def test_non_real_numbers_exit_with_validation_code(self, bad, tmp_path,
+                                                        capsys):
+        rc = cli.main(["solve", "--input", bad,
+                       "--output-dir", str(tmp_path)])
+        assert rc == cli.EXIT_VALIDATION == 2
+        assert "must be a real number" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_near_resonant_denominator_exits_with_code_3(self, tmp_path,
                                                          monkeypatch):
         def boom(spec, beta=None):

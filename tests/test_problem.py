@@ -65,6 +65,50 @@ class TestValidation:
                            mode=np.int32(2))
         assert (spec.dimension, spec.mode) == (3, 2)
 
+    @staticmethod
+    def _doc(**overrides):
+        doc = ProblemSpec(_profile(1.0, 2.0), omega=3.0).to_dict()
+        doc.update(overrides)
+        return doc
+
+    @pytest.mark.parametrize("omega", [True, "3.0", None, 3.0 + 0.0j])
+    def test_rejects_non_real_frequency(self, omega):
+        with pytest.raises(ValueError, match="frequency"):
+            ProblemSpec.from_dict(self._doc(omega=omega))
+        with pytest.raises(ValueError, match="frequency"):
+            ProblemSpec(_profile(1.0, 2.0), omega=omega)
+
+    @pytest.mark.parametrize("speeds", [[True, 2.0], [1.0, "2"],
+                                        [1.0, np.bool_(True)]])
+    def test_rejects_non_real_speeds(self, speeds):
+        with pytest.raises(ValueError, match="wave speed"):
+            ProblemSpec.from_dict(self._doc(speeds=speeds))
+
+    @pytest.mark.parametrize("jump_points", [[0, "0.4", 1], [False, 0.5, 1],
+                                             [0.0, 0.5, True]])
+    def test_rejects_non_real_jump_points(self, jump_points):
+        with pytest.raises(ValueError, match="jump point"):
+            ProblemSpec.from_dict(self._doc(jump_points=jump_points))
+
+    @pytest.mark.parametrize("g", [[True, 0.0], [1.0, "0"]])
+    def test_rejects_non_real_boundary_coefficient(self, g):
+        with pytest.raises(ValueError, match="boundary coefficient"):
+            ProblemSpec.from_dict(self._doc(boundary_coefficient=g))
+
+    def test_accepts_numpy_and_integer_reals(self):
+        spec = ProblemSpec.from_dict(self._doc(
+            omega=np.float32(3.0), speeds=[1, np.float64(2.0)],
+            jump_points=[0, 0.5, 1]))
+        assert spec.omega == 3.0 and type(spec.omega) is float
+        assert spec.profile.speeds == (1.0, 2.0)
+        assert spec.profile.jump_points == (0.0, 0.5, 1.0)
+
+    def test_numpy_integers_round_trip_through_json(self):
+        spec = ProblemSpec(_profile(1.0, 2.0), dimension=np.int64(3),
+                           mode=np.int64(2), omega=np.float64(3.5))
+        assert type(spec.dimension) is int and type(spec.mode) is int
+        assert ProblemSpec.from_json(spec.to_json()) == spec
+
 
 class TestDerivedQuantities:
     def test_layer_of_boundaries_belong_left(self):

@@ -251,6 +251,113 @@ class TestRealPartIdentity:
         assert np.isnan(df1.real) and not np.isnan(df2.real)
 
 
+MP_ORDERS = [0, 1, 2, 3, 5, 13, 30, 50]
+MP_ARGS = np.geomspace(1e-8, 200.0, 25)
+
+
+class TestArbitraryPrecisionAccuracy:
+    """fundamental_eval_mp against itself at three times the digits.
+
+    Each component's error is measured against its term envelope, |f| for
+    f and |f_{m-1}| + (m+1)/x |f_m| for f' (|f_1| for f_0' = -f_1), so a
+    zero of j_m' does not read as a failure.
+    """
+
+    @pytest.mark.parametrize("dps", [50, 150])
+    @pytest.mark.parametrize("m", MP_ORDERS)
+    def test_within_100_units_of_the_working_precision(self, dps, m):
+        import mpmath as mp
+        pair = FundamentalPair(3, m)
+        worst = 0
+        for x in MP_ARGS:
+            with mp.workdps(3 * dps):
+                rf, rdf = fundamental_eval_mp(pair, 1, x)
+                lower = fundamental_eval_mp(FundamentalPair(3, m - 1), 1,
+                                            x)[0] if m else None
+            for which in (1, 2):
+                with mp.workdps(dps):
+                    f, df = fundamental_eval_mp(pair, which, x)
+                if which == 2:
+                    assert f.imag == 0 and df.imag == 0
+                with mp.workdps(3 * dps):
+                    for comp in ("real", "imag")[:3 - which]:
+                        ref, dref = getattr(rf, comp), getattr(rdf, comp)
+                        env = abs(getattr(lower, comp)) + (m + 1) / mp.mpf(x) \
+                            * abs(ref) if m else abs(dref)
+                        worst = max(worst,
+                                    abs(getattr(f, comp) - ref) / abs(ref),
+                                    abs(getattr(df, comp) - dref) / env)
+        assert worst <= 100 * mp.mpf(10) ** -dps
+
+    @pytest.mark.parametrize("m", [2, 13, 50])
+    def test_matches_mpmath_half_integer_bessel_functions(self, m):
+        """An independent reference: sqrt(pi/2x) (J, Y)_{m+1/2}(x)."""
+        import mpmath as mp
+        pair = FundamentalPair(3, m)
+        for x in (1e-6, 0.7, 9.0, 45.0):
+            with mp.workdps(60):
+                f = fundamental_eval_mp(pair, 1, x)[0]
+            with mp.workdps(120):
+                x = mp.mpf(x)
+                pref, nu = mp.sqrt(mp.pi / (2 * x)), m + mp.mpf(1) / 2
+                j, y = pref * mp.besselj(nu, x), pref * mp.bessely(nu, x)
+                assert abs(f.real - j) <= 1e-55 * abs(j)
+                assert abs(f.imag - y) <= 1e-55 * abs(y)
+
+    @pytest.mark.parametrize("x", [1.6e-8, 1e-3, 0.5])
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_closed_form_j1_keeps_its_digits_near_zero(self, m, x):
+        """j_1 = (j_0 - cos x)/x cancels 2 log10(1/x) digits for x < 1."""
+        import mpmath as mp
+        pair = FundamentalPair(3, m)
+        with mp.workdps(300):
+            f, df = fundamental_eval_mp(pair, 1, x)
+        with mp.workdps(900):
+            x = mp.mpf(x)
+            j1 = mp.sqrt(mp.pi / (2 * x)) * mp.besselj(mp.mpf(3) / 2, x)
+            j = -df.real if m == 0 else f.real
+            assert abs(j - j1) <= mp.mpf(10) ** -298 * j1
+
+
+class TestArbitraryPrecisionCost:
+    """One series per order for j; y by recurrence, with no bessely."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        import mpmath as mp
+        counts = {}
+        for name in ("besselj", "bessely", "hyp0f1"):
+            def counted(*args, _name=name, _fn=getattr(mp, name), **kwargs):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(mp, name, counted)
+        series = mp.mp.hypsum
+
+        def counted_series(*args, **kwargs):
+            counts["hypsum"] = counts.get("hypsum", 0) + 1
+            return series(*args, **kwargs)
+        monkeypatch.setattr(mp.mp, "hypsum", counted_series)
+        return counts
+
+    @pytest.mark.parametrize("m", [2, 7, 40])
+    @pytest.mark.parametrize("x", [1e-7, 0.6, 17.0, 150.0])
+    def test_two_bessel_j_evaluations_and_no_bessely(self, counts, m, x):
+        import mpmath as mp
+        with mp.workdps(75):
+            fundamental_eval_mp(FundamentalPair(3, m), 1, x)
+        assert counts.get("besselj", 0) + counts.get("hyp0f1", 0) <= 2
+        assert counts.get("bessely", 0) == 0
+        if x < 32:  # below mpmath's switch to the asymptotic expansion
+            assert counts["hypsum"] == 2
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_low_orders_take_no_series(self, counts, m):
+        import mpmath as mp
+        with mp.workdps(75):
+            fundamental_eval_mp(FundamentalPair(3, m), 1, 0.3)
+        assert not counts
+
+
 class TestValidation:
     def test_pair_rejects_bad_dimension(self):
         with pytest.raises(ValueError):
