@@ -140,6 +140,50 @@ def rhs_scale(spec: ProblemSpec) -> complex:
                    * np.clongdouble(complex(spec.boundary_coefficient)))
 
 
+_LOG_TINY, _LOG_MAX, _LOG_EPS = (math.log(v) for v in (
+    np.finfo(float).tiny, np.finfo(float).max, np.finfo(float).eps))
+
+
+def coefficient_vector(spec: ProblemSpec, log_mag, formed,
+                       b_last: complex) -> CoefficientVector:
+    """The coefficients as doubles, by the one rule of both routes.
+
+    ``log_mag`` is log|c| of each entry before rounding (-inf for 0);
+    ``formed(inside)`` gives the entries at the mask ``inside``, all normal
+    doubles, rounded as the route forms them; B_N is ``b_last``.  One
+    below the normal doubles becomes 0 if its term |c| max|f| over its
+    layer is below eps times the layer's largest, max|f| the larger
+    hypot(|f|, |f'|) at the layer's ends r > 0, in extended precision
+    (|h_50| at k 1e-8 passes 1e400).  Any other one outside the double
+    range raises OverflowError.
+    """
+    log_mag = np.concatenate((log_mag, [math.log(abs(b_last)) if b_last
+                                        else -np.inf]))
+    inside = (log_mag >= _LOG_TINY) & (log_mag <= _LOG_MAX)
+    keep = slice(None)
+    if not inside.all():
+        keep = inside[:-1]
+        for i in np.flatnonzero(~inside & (log_mag != -np.inf)):
+            j = (i + 1) // 2 + 1               # B_1 alone, then A_j, B_j
+            at = slice(max(2 * j - 3, 0), 2 * j - 1)
+            ext = np.longdouble
+            r = np.array([v for v in spec.profile.jump_points[j - 1:j + 1]
+                          if v > 0], dtype=ext)
+            f, df = fundamental_eval(_pair(spec), 1, ext(spec.omega)
+                                     / ext(spec.speed(j)) * r, ext)
+            # log max|f_1| and log max|f_2|, f_2 = Re f_1
+            env = [np.log(np.max(np.hypot(abs(g), abs(dg))))
+                   for g, dg in ((f, df), (f.real, df.real))]
+            terms = log_mag[at] + (env[1:] if j == 1 else env)
+            if not np.all(inside[at] | (log_mag[at] < _LOG_TINY)
+                          & (terms < np.max(terms) + _LOG_EPS)):
+                raise OverflowError(f"a coefficient of layer {j} is outside "
+                                    f"the double range and not negligible")
+    entries = np.zeros(len(log_mag) - 1, dtype=complex)
+    entries[keep] = formed(keep)
+    return CoefficientVector(entries, b_last if inside[-1] else 0j)
+
+
 def _wronskian_terms(tier: Tier, fp, dfp, fq, dfq, c_j, c_k):
     """(w^{p,q}, digits cancelled) from pre-evaluated pair values."""
     t1 = fp * dfq / c_k
@@ -190,8 +234,8 @@ def normalize(spec: ProblemSpec) -> BlockSystem:
 
 def _refine(system: BlockSystem, band: np.ndarray, lu: np.ndarray,
             piv: np.ndarray):
-    """(entries, relative residual) of the solution refined with the double
-    factors, or None if it fails the acceptance tests of dense_solve."""
+    """(solution, relative residual), refined in extended precision with the
+    double factors, or None if it fails the acceptance tests of dense_solve."""
     eps = np.finfo(band.real.dtype).eps
     # in log space: block_loss may be large or infinite
     if not math.log10(eps) + system.block_loss <= _LOG10_CANCEL_TOL:
@@ -216,17 +260,7 @@ def _refine(system: BlockSystem, band: np.ndarray, lu: np.ndarray,
                             where=scale > 0))
     if not berr <= _BERR_ULPS * eps:
         return None
-    with np.errstate(over="ignore", under="ignore"):
-        entries = _double(x.astype(complex), x != 0)
-    return entries, float(np.max(np.abs(r)) / abs(system.rhs_scale))
-
-
-def _double(x: np.ndarray, nonzero: np.ndarray) -> np.ndarray:
-    """``x`` if each entry whose exact value is nonzero is a normal double."""
-    normal = np.abs(x) >= np.finfo(float).tiny
-    if not np.all(np.isfinite(x) & (normal | ~nonzero)):
-        raise OverflowError("coefficients outside the double range")
-    return x
+    return x, float(np.max(np.abs(r)) / abs(system.rhs_scale))
 
 
 def _tridiag_lu(band: np.ndarray) -> tuple:
@@ -268,7 +302,7 @@ def _tridiag_solve(lu: tuple, b: list) -> list:
 
 
 def _solve_mp(system: BlockSystem, digits: int) -> tuple[np.ndarray, float]:
-    """Entries and relative residual of ``system``, with its blocks rebuilt
+    """Solution and relative residual of ``system``, with its blocks rebuilt
     by :func:`_blocks` in mpmath at ``digits`` working digits and solved by
     row-scaled tridiagonal elimination.  Raises SingularSystem unless, for
     every entry, max(|step|, 10**-digits |x|) * 10**block_loss <= _MP_TOL
@@ -311,9 +345,7 @@ def _solve_mp(system: BlockSystem, digits: int) -> tuple[np.ndarray, float]:
             raise SingularSystem(
                 "arbitrary-precision solve failed its residual check")
         resid = float(max(abs(v) for v in r) / abs(b[-1]))
-        x = x + dx
-        return _double(np.array([complex(v) for v in x]),
-                       np.array([bool(v) for v in x])), resid
+        return x + dx, resid
 
 
 def dense_solve(system: BlockSystem) -> tuple[CoefficientVector, float]:
@@ -328,13 +360,15 @@ def dense_solve(system: BlockSystem) -> tuple[CoefficientVector, float]:
     blocks overflow double) :func:`_solve_mp` rebuilds the same blocks in
     mpmath at 75 digits and solves them there; if its answer fails its
     refinement check, once more at 150 digits, then SingularSystem.
-    Coefficients outside the double range raise OverflowError.
+    Either answer becomes doubles by :func:`coefficient_vector`, the rule
+    of the recursion route too, which reads its column's log magnitudes:
+    the column's clipped entries are display values that decide no
+    coefficient.
     Returns the coefficients and the relative residual
     ||M x - rhs||_inf / ||rhs||_inf; for n = 0, B_1 = rhs_scale.
     """
     if system.n == 0:
-        return CoefficientVector(entries=np.zeros(0, dtype=complex),
-                                 b_last=system.rhs_scale), 0.0
+        return _coefficients(system, np.zeros(0)), 0.0
     band = system.band()
     ab = np.zeros((4, band.shape[1]), dtype=complex)
     with np.errstate(over="ignore"):
@@ -344,13 +378,24 @@ def dense_solve(system: BlockSystem) -> tuple[CoefficientVector, float]:
         if info == 0:
             accepted = _refine(system, band, lu, piv)
             if accepted is not None:
-                return CoefficientVector(entries=accepted[0],
-                                         b_last=system.rhs_scale), accepted[1]
+                return _coefficients(system, accepted[0]), accepted[1]
     try:
         x, resid = _solve_mp(system, _MP_DIGITS)
     except SingularSystem:     # the check failed: double the digits
         x, resid = _solve_mp(system, 2 * _MP_DIGITS)
-    return CoefficientVector(entries=x, b_last=system.rhs_scale), resid
+    return _coefficients(system, x), resid
+
+
+def _coefficients(system: BlockSystem, x: np.ndarray) -> CoefficientVector:
+    """The solution ``x`` of ``system``, extended or mpmath numbers, as
+    doubles."""
+    size = np.abs(x)
+    log_mag = np.full(len(x), -np.inf)
+    log_mag[size != 0] = np.log(size[size != 0]) if x.dtype != object \
+        else [float(mp_tier().log(v)) for v in size[size != 0]]
+    return coefficient_vector(system.spec, log_mag,
+                              lambda inside: x[inside].astype(complex),
+                              system.rhs_scale)
 
 
 def solve_spec(spec: ProblemSpec) -> tuple[CoefficientVector, float]:

@@ -49,7 +49,6 @@ def cmd_solve(args) -> int:
     except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         print(f"error: invalid problem description: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    os.makedirs(args.output_dir, exist_ok=True)
     beta = green.beta_sequence(spec)
     try:
         column = green.green_last_column(spec, beta)
@@ -61,6 +60,7 @@ def cmd_solve(args) -> int:
     report = evaluate.diagnostics(sol, quad_order=args.quad_order)
     report.max_green_magnitude = column.max_abs()
 
+    os.makedirs(args.output_dir, exist_ok=True)
     out = os.path.join
     evaluate.write_radial_csv(sol, out(args.output_dir, "radial.csv"))
     if spec.dimension == 3 and spec.mode == 0:
@@ -129,10 +129,10 @@ def cmd_scan(args) -> int:
     except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         print(f"error: invalid problem description: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    os.makedirs(args.output_dir, exist_ok=True)
     seeds = [(args.seed, 0.0)] + [
         (args.seed + 1 + k, args.jitter) for k in range(args.samples)]
     rows = [_scan_sample(base, *sj) for sj in seeds]
+    os.makedirs(args.output_dir, exist_ok=True)
     lines = ["seed,jitter,omega,sup_norm,max_green_magnitude"]
     for (seed, jit), (omega, sup, mg) in zip(seeds, rows):
         lines.append(f"{seed},{jit:.17g},{omega:.17g},{sup:.17g},{mg:.17g}")
@@ -236,6 +236,14 @@ def cmd_whisper(args) -> int:
     return EXIT_OK
 
 
+def _at_least(low: int):
+    def integer(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}")
+        return int(text)
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="helmrad",
@@ -246,8 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--input", required=True,
                    help="path to, or inline, problem JSON")
     s.add_argument("--output-dir", default=".")
-    s.add_argument("--grid", type=int, default=64)
-    s.add_argument("--quad-order", type=int, default=32)
+    s.add_argument("--grid", type=_at_least(1), default=64)
+    s.add_argument("--quad-order", type=_at_least(8), default=32)
 
     c = sub.add_parser("construct", help="emit a constructed example spec")
     c.add_argument("--kind", choices=["localised", "stable"], required=True)
@@ -284,8 +292,12 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    # looked up at call time, so a replaced module attribute is what runs
-    return globals()[f"cmd_{args.command}"](args)
+    try:
+        # looked up at call time, so a replaced module attribute is what runs
+        return globals()[f"cmd_{args.command}"](args)
+    except (ZeroDivisionError, OverflowError) as exc:   # a refused solve
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_SUITE_FAILED
 
 
 if __name__ == "__main__":

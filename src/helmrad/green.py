@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .assembly import CoefficientVector, rhs_scale
+from .assembly import CoefficientVector, coefficient_vector, rhs_scale
 from .problem import ProblemSpec
 from .specfun import EXTENDED, FundamentalPair, Tier, mp_tier
 
@@ -335,15 +335,18 @@ class GreenColumn:
     """Last column of the Green's operator, odd/even rows separated.
 
     ``odd_entries[ell-1]`` is row 2*ell-1 (the B_ell slot) and
-    ``even_entries[ell-1]`` row 2*ell (the A_{ell+1} slot).  ``odd_log_mag``
-    and ``even_log_mag`` carry the magnitudes in log space for
-    configurations whose entries overflow doubles.
+    ``even_entries[ell-1]`` row 2*ell (the A_{ell+1} slot): display values,
+    clipped at e^700, that decide no coefficient.  The rows themselves are
+    the unit phases ``odd_phase``, ``even_phase`` times e to the logs
+    ``odd_log_mag``, ``even_log_mag``, since they can overflow doubles.
     """
 
     odd_entries: np.ndarray
     even_entries: np.ndarray
     odd_log_mag: np.ndarray
     even_log_mag: np.ndarray
+    odd_phase: np.ndarray
+    even_phase: np.ndarray
 
     @property
     def n(self) -> int:
@@ -367,35 +370,52 @@ def green_last_column(spec: ProblemSpec, beta: BetaSequence | None = None
     denom_phase = _cexp(omega * x[n] / _EXT(spec.speed(n + 1))) \
         * beta.phases[n]
     denom_log = beta.log_moduli[n]
-    odd = np.zeros(n, dtype=complex)
-    even = np.zeros(n, dtype=complex)
+    odd, even, odd_phase, even_phase = np.zeros((4, n), dtype=complex)
     odd_log = np.full(n, -np.inf)
     even_log = np.full(n, -np.inf)
     for ell in range(1, n + 1):
         num_phase = _cexp(omega * x[ell - 1] / _EXT(spec.speed(ell))) \
             * beta.phases[ell - 1]
         odd_log[ell - 1] = float(beta.log_moduli[ell - 1] - denom_log)
-        odd[ell - 1] = complex(num_phase / denom_phase) * math.exp(
-            min(odd_log[ell - 1], 700.0))
+        phase = odd_phase[ell - 1] = complex(num_phase / denom_phase)
+        odd[ell - 1] = phase * math.exp(min(odd_log[ell - 1], 700.0))
         im_log, sign = beta.rot_im_log[ell], beta.rot_im_sign[ell]
         if sign != 0.0:
             even_log[ell - 1] = float(im_log - denom_log)
             # the scalar products behind the even entries are purely
             # imaginary, so conjugation contributes the factor -i here
-            even[ell - 1] = complex(-_IU * _EXT(sign) / denom_phase) \
-                * math.exp(min(even_log[ell - 1], 700.0))
-    return GreenColumn(odd_entries=odd, even_entries=even,
-                       odd_log_mag=odd_log, even_log_mag=even_log)
+            phase = even_phase[ell - 1] = complex(-_IU * _EXT(sign)
+                                                  / denom_phase)
+            even[ell - 1] = phase * math.exp(min(even_log[ell - 1], 700.0))
+    return GreenColumn(odd, even, odd_log, even_log, odd_phase, even_phase)
 
 
 def layer_coefficients(spec: ProblemSpec,
                        column: GreenColumn | None = None) -> CoefficientVector:
-    """Recover (A_j, B_j) by scaling the Green column with the boundary data."""
+    """Recover (A_j, B_j) by scaling the Green column with the boundary data.
+
+    :func:`assembly.coefficient_vector` decides each from its column log
+    magnitude plus log|rhs_scale|, never from the clipped display entries.
+    One in range is the column entry times rhs_scale or, where its log
+    passes +-700, its phase times e^(log held within +-700) times rhs_scale
+    times e^(rest of the log).
+    """
     if column is None:
         column = green_last_column(spec)
     scale = rhs_scale(spec)
-    n = column.n
-    entries = np.zeros(2 * n, dtype=complex)
-    entries[0::2] = column.odd_entries * scale    # B_1..B_n
-    entries[1::2] = column.even_entries * scale   # A_2..A_{n+1}
-    return CoefficientVector(entries=entries, b_last=scale)
+    log_col, entry = (np.ravel(rows, "F") for rows in (
+        (column.odd_log_mag, column.even_log_mag),
+        (column.odd_entries, column.even_entries)))
+
+    def formed(inside):
+        log, value = log_col[inside], entry[inside] * scale
+        out = np.abs(log) > 700.0        # the display entry is clipped
+        if out.any():
+            held = np.clip(log[out], -700.0, 700.0)
+            phase = np.ravel((column.odd_phase, column.even_phase), "F")
+            value[out] = phase[inside][out] * np.exp(held) * scale \
+                * np.exp(log[out] - held)
+        return value
+    return coefficient_vector(
+        spec, log_col + (math.log(abs(scale)) if scale else -np.inf),
+        formed, scale)

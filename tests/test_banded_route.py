@@ -9,13 +9,19 @@ tier.  Also covers the array Wronskian behind the whispering-gallery scan
 and the reused command-line parser.
 """
 
+import math
+from dataclasses import replace
+
 import mpmath as mp
 import numpy as np
 import pytest
 
 from helmrad import assembly, cli
 from helmrad.assembly import SingularSystem, normalize, solve_spec
-from helmrad.problem import ProblemSpec, random_spec
+from helmrad.evaluate import (energy_norm, interface_residuals, solve,
+                              solve_direct, sup_radial)
+from helmrad.problem import (ProblemSpec, construct_localisation_example,
+                             construct_stable_example, random_spec)
 from helmrad.specfun import FundamentalPair, wronskian_w
 from helmrad.stability import single_interface_wronskian
 from interface_oracles import raw_solve_mp, to_dense
@@ -33,6 +39,10 @@ CANCELLING = dict(dimension=3, mode=15, omega=2.5990971183721125,
                   jump_points=[0.0, 1e-08, 0.951770860405345, 1.0],
                   speeds=[2.898948072996783, 5.754224440156181,
                           4.346961346264625])
+
+
+# high-mode specs whose A_2 lies below the double range
+BELOW_RANGE = (6, 9, 12, 18, 20, 21, 23, 24, 26, 32)
 
 
 def _normwise(x, ref):
@@ -122,10 +132,48 @@ class TestRefinedAcceptance:
         with pytest.raises(SingularSystem):
             solve_spec(ProblemSpec.from_dict(FAULT_C))
 
-    def test_coefficient_below_double_range_raises(self, mp_calls):
-        with pytest.raises(OverflowError):
-            solve_spec(ProblemSpec.from_dict(TINY_A2))
+    def test_negligible_coefficient_below_double_range_is_zero(self,
+                                                              mp_calls):
+        """A_2 is about 1e-828, and its term lies hundreds of digits below
+        B_2's in layer 2, so it becomes 0; B_1 and B_2 keep the values of
+        a 150-digit solve."""
+        spec = ProblemSpec.from_dict(TINY_A2)
+        coeffs, _ = solve_spec(spec)
         assert len(mp_calls) == 1
+        system = normalize(spec)
+        x, _ = assembly._solve_mp(system, 150)
+        assert coeffs.a(2) == 0.0 and abs(x[1]) < mp.mpf("1e-800")
+        for got, ref in ((coeffs.b(1), x[0]),
+                         (coeffs.b(2), system.rhs_scale)):
+            assert abs(got - complex(ref)) <= 1e-15 * abs(ref)
+
+
+class TestDoubleRange:
+    """Both routes build their coefficients by one rule: a coefficient
+    below the normal doubles becomes 0 only when its term is negligible in
+    its layer, and any other outside the double range raises
+    OverflowError."""
+
+    def test_flushed_high_mode_answers_have_finite_diagnostics(self):
+        population = high_mode_population()
+        for index in BELOW_RANGE:
+            sol, _ = solve_direct(population[index])
+            assert sol.coeffs.a(2) == 0.0
+            assert np.all(np.isfinite(interface_residuals(sol)))
+            assert math.isfinite(sup_radial(sol))
+            assert math.isfinite(energy_norm(sol))
+
+    @pytest.mark.parametrize("route", [
+        solve, lambda spec: solve_direct(spec)[0]],
+        ids=["recursion", "banded"])
+    @pytest.mark.parametrize("spec", [
+        replace(construct_localisation_example(8, 1.0, 3.0),
+                boundary_coefficient=1.7e308),
+        replace(construct_stable_example(4, 1.0, 3.0),
+                boundary_coefficient=1e-310)], ids=["huge", "subnormal"])
+    def test_coefficients_outside_the_range_raise(self, route, spec):
+        with pytest.raises(OverflowError):
+            route(spec)
 
 
 class TestBandedMpElimination:
@@ -186,10 +234,7 @@ class TestBandedMpElimination:
         escalated = 0
         for spec in high_mode_population():
             del mp_calls[:]
-            try:
-                solve_spec(spec)
-            except OverflowError:      # coefficients below the double range
-                pass
+            solve_spec(spec)
             assert mp_calls in ([], [assembly._MP_DIGITS])
             escalated += bool(mp_calls)
         assert escalated > 0

@@ -2,6 +2,7 @@
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,15 @@ import pytest
 from helmrad import cli, green
 from helmrad.problem import (ProblemSpec, WaveSpeedProfile,
                              construct_localisation_example)
+from populations import high_mode_population
+
+# refused solves: the mpmath recursion past its error limit (high-mode spec
+# 2), and coefficients past the largest double
+REFUSED = [
+    high_mode_population()[2].to_json(),
+    replace(construct_localisation_example(8, 1.0, 3.0),
+            boundary_coefficient=1.7e308).to_json(),
+]
 
 
 def _spec_json(**overrides):
@@ -144,6 +154,34 @@ class TestSolve:
         col = json.loads((out / "green_column.json").read_text())
         assert col["odd"] == [] and col["even"] == []
 
+    @pytest.mark.parametrize("doc", REFUSED + [None],
+                             ids=["recursion", "coefficients", "diagnostic"])
+    def test_refusal_is_one_error_line_and_no_artifact(self, doc, tmp_path,
+                                                       capsys, monkeypatch):
+        if doc is None:
+            # as the closed-form energy bound squaring |B_j| ~ 1e306 raises
+            def overflow(sol):
+                raise OverflowError(34, "Numerical result out of range")
+            monkeypatch.setattr(cli.evaluate, "energy_upper_bound", overflow)
+            doc = _spec_json()
+        rc = cli.main(["solve", "--input", doc,
+                       "--output-dir", str(tmp_path / "out")])
+        assert rc == cli.EXIT_SUITE_FAILED == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("option,value", [
+        ("--grid", "0"), ("--grid", "-1"), ("--quad-order", "4")])
+    def test_parser_rejects_out_of_range_sizes(self, option, value,
+                                               tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve", "--input", _spec_json(),
+                      "--output-dir", str(tmp_path / "out"), option, value])
+        assert exc.value.code == cli.EXIT_VALIDATION == 2
+        assert f"{option}: must be at least" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_no_leftover_temp_files(self, tmp_path):
         out = tmp_path / "clean"
         cli.main(["solve", "--input", _spec_json(),
@@ -183,6 +221,16 @@ class TestScan:
         assert header == "seed,jitter,omega,sup_norm,max_green_magnitude"
         assert len(rows) == 7  # the unjittered base plus 6 samples
         assert rows[0].split(",")[1] == "0"
+
+    def test_refusal_is_one_error_line_and_no_artifact(self, tmp_path,
+                                                       capsys):
+        rc = cli.main(["scan", "--input", REFUSED[0], "--output-dir",
+                       str(tmp_path / "out"), "--seed", "1",
+                       "--samples", "2"])
+        assert rc == cli.EXIT_SUITE_FAILED
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
 
     def test_invalid_base_spec(self, tmp_path):
         rc = cli.main(["scan", "--input", "{}", "--output-dir",

@@ -371,6 +371,19 @@ class TestLayerCoefficients:
                     np.max(np.abs(rec.entries)))
         assert np.max(np.abs(rec.entries - direct.entries)) < 1e-10 * scale
 
+    def test_entries_past_the_display_clip_come_from_the_logs(self):
+        """Column entries here fall to e^-753, where their display values
+        are 0, and g = 1e300 brings every coefficient into the double
+        range: each matches the banded route."""
+        spec = replace(construct_localisation_example(220, 1.0, 1000.0),
+                       boundary_coefficient=1e300)
+        column = green.green_last_column(spec)
+        assert np.min(column.even_log_mag) < math.log(5e-324)
+        rec = green.layer_coefficients(spec, column)
+        direct, _ = assembly.solve_spec(spec)
+        assert np.all(np.abs(rec.entries - direct.entries)
+                      <= 1e-12 * np.abs(direct.entries))
+
     def test_outer_coefficient_magnitude_for_radial_mode(self):
         spec = _spec((1.0, 2.0), (0.4,), 3.0, g=3.0 - 4.0j)
         rec = green.layer_coefficients(spec)
