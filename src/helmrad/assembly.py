@@ -129,15 +129,20 @@ def rhs_scale(spec: ProblemSpec) -> complex:
     kappa = omega / c_N.  There omega w^{1,2} = kappa W(f_1, f_2)(kappa),
     and the Wronskian is known in closed form: W(h_m, j_m)(x) = -i/x^2 for
     d=3 and W(e^{ix}, cos x) = -i for d=1.  So B_N = i kappa f_1(kappa) g
-    for d=3 and i f_1(kappa) g / kappa for d=1, with kappa and f_1
-    evaluated in extended precision.
+    for d=3 and i f_1(kappa) g / kappa for d=1, rounded to a double from
+    :func:`b_last_extended`.
     """
+    return complex(b_last_extended(spec))
+
+
+def b_last_extended(spec: ProblemSpec) -> np.clongdouble:
+    """B_N with kappa and f_1 evaluated in extended precision, before it is
+    rounded to a double: that can flush it to 0 or to a subnormal."""
     ext = np.longdouble
     kappa = ext(spec.omega) / ext(spec.speed(spec.n + 1))
     f1, _ = fundamental_eval(_pair(spec), 1, kappa, ext)
     factor = kappa if spec.dimension == 3 else 1 / kappa
-    return complex(1j * factor * f1
-                   * np.clongdouble(complex(spec.boundary_coefficient)))
+    return 1j * factor * f1 * np.clongdouble(complex(spec.boundary_coefficient))
 
 
 _LOG_TINY, _LOG_MAX, _LOG_EPS = (math.log(v) for v in (
@@ -145,20 +150,20 @@ _LOG_TINY, _LOG_MAX, _LOG_EPS = (math.log(v) for v in (
 
 
 def coefficient_vector(spec: ProblemSpec, log_mag, formed,
-                       b_last: complex) -> CoefficientVector:
+                       b_last: np.clongdouble) -> CoefficientVector:
     """The coefficients as doubles, by the one rule of both routes.
 
     ``log_mag`` is log|c| of each entry before rounding (-inf for 0);
     ``formed(inside)`` gives the entries at the mask ``inside``, all normal
-    doubles, rounded as the route forms them; B_N is ``b_last``.  One
-    below the normal doubles becomes 0 if its term |c| max|f| over its
-    layer is below eps times the layer's largest, max|f| the larger
-    hypot(|f|, |f'|) at the layer's ends r > 0, in extended precision
-    (|h_50| at k 1e-8 passes 1e400).  Any other one outside the double
-    range raises OverflowError.
+    doubles, rounded as the route forms them; B_N is ``b_last``, judged in
+    extended precision before it is rounded.  One below the normal doubles
+    becomes 0 if its term |c| max|f| over its layer is below eps times the
+    layer's largest, max|f| the larger hypot(|f|, |f'|) at the layer's ends
+    r > 0, in extended precision (|h_50| at k 1e-8 passes 1e400).  Any
+    other one outside the double range raises OverflowError.
     """
-    log_mag = np.concatenate((log_mag, [math.log(abs(b_last)) if b_last
-                                        else -np.inf]))
+    log_mag = np.concatenate((log_mag, [float(np.log(abs(b_last)))
+                                        if b_last else -np.inf]))
     inside = (log_mag >= _LOG_TINY) & (log_mag <= _LOG_MAX)
     keep = slice(None)
     if not inside.all():
@@ -181,7 +186,7 @@ def coefficient_vector(spec: ProblemSpec, log_mag, formed,
                                     f"the double range and not negligible")
     entries = np.zeros(len(log_mag) - 1, dtype=complex)
     entries[keep] = formed(keep)
-    return CoefficientVector(entries, b_last if inside[-1] else 0j)
+    return CoefficientVector(entries, complex(b_last) if inside[-1] else 0j)
 
 
 def _wronskian_terms(tier: Tier, fp, dfp, fq, dfq, c_j, c_k):
@@ -197,16 +202,19 @@ def _wronskian_terms(tier: Tier, fp, dfp, fq, dfq, c_j, c_k):
 
 def _blocks(tier: Tier, spec: ProblemSpec) -> tuple[np.ndarray, float]:
     """Wronskian-form diagonal blocks S_hat (n, 2, 2) in ``tier`` and the
-    decimal digits cancelled while forming them."""
-    pair = _pair(spec)
-    omega = tier.real(spec.omega)
+    decimal digits cancelled while forming them.  The pair values come
+    from one evaluation at the 2n arguments z/c_ell and z/c_{ell+1}."""
+    n = spec.n
+    c = np.asarray([tier.real(v) for v in spec.profile.speeds])
+    z = tier.real(spec.omega) * np.asarray(
+        [tier.real(v) for v in spec.profile.jump_points[1:n + 1]])
+    values = tier.pair_eval(_pair(spec), np.concatenate((z / c[:-1],
+                                                         z / c[1:])))
     blocks, norms, block_loss = [], [], 0.0
-    for ell in range(1, spec.n + 1):
-        c_l = tier.real(spec.speed(ell))
-        c_r = tier.real(spec.speed(ell + 1))
-        z = omega * tier.real(spec.profile.jump_points[ell])
-        f1l, df1l, f2l, df2l = tier.pair_eval(pair, z / c_l)
-        f1r, df1r, f2r, df2r = tier.pair_eval(pair, z / c_r)
+    for ell in range(1, n + 1):
+        c_l, c_r = c[ell - 1], c[ell]
+        f1l, df1l, f2l, df2l = (v[ell - 1] for v in values)
+        f1r, df1r, f2r, df2r = (v[n + ell - 1] for v in values)
         w21, l0 = _wronskian_terms(tier, f2r, df2r, f1l, df1l, c_r, c_l)
         if abs(w21) < _DEGENERACY_FLOOR:
             raise DegenerateNormaliser(
@@ -218,7 +226,7 @@ def _blocks(tier: Tier, spec: ProblemSpec) -> tuple[np.ndarray, float]:
         blocks.append([[w22, w12rr], [-w12ll, w11]])
         norms.append(w21)
         block_loss = max(block_loss, l0, l1, l2, l3, l4)
-    S_hat = np.array(blocks, dtype=tier.cdtype).reshape(spec.n, 2, 2)
+    S_hat = np.array(blocks, dtype=tier.cdtype).reshape(n, 2, 2)
     S_hat /= np.array(norms, dtype=tier.cdtype)[:, None, None]
     return S_hat, block_loss
 
@@ -365,10 +373,12 @@ def dense_solve(system: BlockSystem) -> tuple[CoefficientVector, float]:
     the column's clipped entries are display values that decide no
     coefficient.
     Returns the coefficients and the relative residual
-    ||M x - rhs||_inf / ||rhs||_inf; for n = 0, B_1 = rhs_scale.
+    ||M x - rhs||_inf / ||rhs||_inf; for n = 0, B_1 = rhs_scale.  A zero
+    right-hand side, g = 0 or a B_N that rounds to 0, has the zero
+    solution and residual 0; the rule then judges B_N itself.
     """
-    if system.n == 0:
-        return _coefficients(system, np.zeros(0)), 0.0
+    if system.n == 0 or not system.rhs_scale:
+        return _coefficients(system, np.zeros(2 * system.n)), 0.0
     band = system.band()
     ab = np.zeros((4, band.shape[1]), dtype=complex)
     with np.errstate(over="ignore"):
@@ -395,7 +405,7 @@ def _coefficients(system: BlockSystem, x: np.ndarray) -> CoefficientVector:
         else [float(mp_tier().log(v)) for v in size[size != 0]]
     return coefficient_vector(system.spec, log_mag,
                               lambda inside: x[inside].astype(complex),
-                              system.rhs_scale)
+                              b_last_extended(system.spec))
 
 
 def solve_spec(spec: ProblemSpec) -> tuple[CoefficientVector, float]:

@@ -7,6 +7,13 @@ unit circle while the modulus is accumulated in log space — configurations
 with strong localisation reach moduli like 3^(n/2), which overflow doubles
 long before the recursion itself loses accuracy.
 
+Everything about the interfaces that does not depend on beta (reflection
+strengths, Wronskians, layer phases, rotations, the bound's per-interface
+factors) is formed first, as one array expression over all n interfaces
+from one pair evaluation at the 2n arguments z/c; the loop over the
+interfaces then does only the scalar work that depends on the previous
+beta.  The same body runs in both precision tiers.
+
 The recursion runs in extended precision and carries a running first-order
 error bound through each step's Jacobian.  One rule judges a run in either
 precision: the bound in the tier's rounding unit, amplified by the digits
@@ -26,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .assembly import CoefficientVector, coefficient_vector, rhs_scale
+from .assembly import CoefficientVector, b_last_extended, coefficient_vector
 from .problem import ProblemSpec
 from .specfun import EXTENDED, FundamentalPair, Tier, mp_tier
 
@@ -57,34 +64,43 @@ class NearResonantDenominator(Exception):
 
 
 class _Interface(NamedTuple):
-    gt_terms: tuple   # the two products whose difference is gt_plus
-    gt_plus: object
-    g_plus: object
-    q: object         # relative reflection strength g_minus / g_plus
-    w12: object       # w^{1,2} of the right-hand layer at the jump point
+    """Per-interface quantities, each an array over ell = 1..n."""
+
+    gt_plus: np.ndarray
+    g_plus: np.ndarray
+    q: np.ndarray       # relative reflection strength g_minus / g_plus
+    w12: np.ndarray     # w^{1,2} of the right-hand layer at the jump point
+    cancel: np.ndarray  # the larger product inside gamma-plus over |gt_plus|
 
 
-def _interface(tier: Tier, spec: ProblemSpec, omega, x, ell: int
-               ) -> _Interface:
-    """Reflection quantities and w^{1,2} at interface ell in ``tier``.
+def _interfaces(tier: Tier, pair: FundamentalPair, cl, cr, zl, zr
+                ) -> _Interface:
+    """Reflection quantities and w^{1,2} at every interface in ``tier``.
 
-    ``omega`` and the jump points ``x`` are tier numbers.
+    ``cl`` and ``cr`` hold the speeds c_ell and c_{ell+1}, ``zl`` and ``zr``
+    the arguments z_ell/c_ell and z_ell/c_{ell+1}, all arrays of tier
+    numbers over ell = 1..n; the pair is evaluated once, at all 2n
+    arguments.  Raises GammaDegenerate naming the first interface whose
+    gamma-plus vanishes, before anything is divided by it.
     """
-    pair = FundamentalPair(spec.dimension, spec.mode)
-    c_l, c_r = tier.real(spec.speed(ell)), tier.real(spec.speed(ell + 1))
-    z = omega * x[ell]
-    f1l, df1l, _, _ = tier.pair_eval(pair, z / c_l)
-    f1r, df1r, f2r, df2r = tier.pair_eval(pair, z / c_r)
-    t1 = f1r * df1l.conjugate() / c_l
-    t2 = df1r * f1l.conjugate() / c_r
+    n = len(zl)
+    f1, df1, f2, df2 = tier.pair_eval(pair, np.concatenate((zl, zr)))
+    f1l, df1l, f1r, df1r = f1[:n], df1[:n], f1[n:], df1[n:]
+    t1 = f1r * df1l.conjugate() / cl
+    t2 = df1r * f1l.conjugate() / cr
     gt_plus = t1 - t2
-    gt_minus = df1l * f1r / c_l - df1r * f1l / c_r
-    if abs(gt_plus) < 1e-300:
-        raise GammaDegenerate(f"gamma-plus vanished at interface {ell}")
-    g_plus = 1j * tier.cexp(z / c_l - z / c_r) * gt_plus
-    g_minus = 1j * tier.cexp(-z / c_l - z / c_r) * gt_minus
-    return _Interface((t1, t2), gt_plus, g_plus, g_minus / g_plus,
-                      w12=f1r * df2r / c_r - df1r * f2r / c_r)
+    size = np.abs(gt_plus)
+    vanished = size < 1e-300
+    if np.count_nonzero(vanished):
+        raise GammaDegenerate(
+            f"gamma-plus vanished at interface {np.argmax(vanished) + 1}")
+    gt_minus = df1l * f1r / cl - df1r * f1l / cr
+    g_plus = 1j * tier.cexp(zl - zr) * gt_plus
+    g_minus = 1j * tier.cexp(-zl - zr) * gt_minus
+    return _Interface(
+        gt_plus, g_plus, g_minus / g_plus,
+        w12=f1r * df2[n:] / cr - df1r * f2[n:] / cr,
+        cancel=np.maximum(np.abs(t1), np.abs(t2)) / size)
 
 
 @dataclass(frozen=True)
@@ -129,14 +145,14 @@ def _advance(tier: Tier, log_mod, step_value):
 
 
 class _Run(NamedTuple):
-    """One pass of the recursion, as lists of tier numbers; the interfaces
-    and cores size an escalation."""
+    """One pass of the recursion: lists of tier numbers per ell = 0..n, and
+    the interfaces and cores that size an escalation."""
 
     log_mod: list
     phases: list
     im_log: list
     im_sign: list
-    interfaces: list
+    interfaces: _Interface
     cores: list
     bound: object       # running error bound, in rounding units
 
@@ -144,7 +160,16 @@ class _Run(NamedTuple):
 def _recursion(tier: Tier, spec: ProblemSpec, omega, x) -> _Run:
     """Run the recursion in ``tier``; ``omega`` and ``x`` are tier numbers.
 
-    Each step also extracts Im(e^{i z_ell/c_{ell+1}} beta_ell) and carries
+    Everything that does not depend on beta is one array expression over
+    ell = 1..n, formed before the loop: the interface quantities, the
+    layer phases delta and e^{-i delta}, the step factor g+/(2i w^{1,2}),
+    the rotation e^{i z_ell/c_{ell+1}} and the bound's per-interface
+    factors.  The loop keeps what depends on beta_{ell-1}: the step and
+    its core, the Jacobian, the running bound, the advance in log form and
+    the Im extraction.  Both tiers run this one body, on np.longdouble
+    arrays or on object arrays of mpmath numbers.
+
+    Each step extracts Im(e^{i z_ell/c_{ell+1}} beta_ell) and carries
     a running first-order error bound of (log_mod, phases) in units of the
     tier's rounding unit.  A phase error e of beta_{ell-1} moves the step's
     core u + q*conj(u) by i*e*(u - q*conj(u)), so with the step's Jacobian
@@ -157,52 +182,61 @@ def _recursion(tier: Tier, spec: ProblemSpec, omega, x) -> _Run:
     log-modulus error over the steps; a core that cancels to exactly zero
     has lost every digit and makes it infinite.
     """
+    x = np.asarray(x)
+    n = spec.n
+    c = np.asarray([tier.real(v) for v in spec.profile.speeds])
+    cl, cr = c[:-1], c[1:]
+    z = omega * x[1:n + 1]
+    zr = z / cr
+    it = _interfaces(tier, FundamentalPair(spec.dimension, spec.mode), cl,
+                     cr, z / cl, zr)
+    delta = omega * (x[1:n + 1] - x[:n]) / cl
+    per_step = zip(tier.cexp(-delta), it.q, 1 + np.abs(it.q), 1 + it.cancel,
+                   delta, it.g_plus / (2j * it.w12), tier.cexp(zr))
+    none = tier.real(-math.inf)
     log_mod, phases = [tier.real(0)], [tier.real(1) + 0j]
-    im_log, im_sign = [tier.real(-math.inf)], [0.0]
-    interfaces, cores = [], []
+    im_log, im_sign = [none], [0.0]
+    cores = []
     phase_err = log_err = bound = tier.real(0)
-    for ell in range(1, spec.n + 1):
-        it = _interface(tier, spec, omega, x, ell)
-        c_l = tier.real(spec.speed(ell))
-        delta = omega * (x[ell] - x[ell - 1]) / c_l
-        u = tier.cexp(-delta) * phases[-1]
-        qu = it.q * u.conjugate()
+    for turn, q, reflect, gamma, d, factor, rot in per_step:
+        u = turn * phases[-1]
+        qu = q * u.conjugate()
         core = u + qu
-        interfaces.append(it)
         cores.append(core)
         if core == 0:
             bound = tier.real(math.inf)
         else:
             jac = (u - qu) / core
-            local = (1 + abs(it.q)) / abs(core) * (
-                1 + max(map(abs, it.gt_terms)) / abs(it.gt_plus)) \
-                + abs(jac) * delta
+            local = reflect / abs(core) * gamma + abs(jac) * d
             log_err += abs(jac.imag) * phase_err + local
             phase_err = abs(jac.real) * phase_err + local
             bound = max(bound, phase_err + log_err)
-        step = it.g_plus / (2j * it.w12) * core
-        lm, ph = _advance(tier, log_mod[-1], step)
+        lm, ph = _advance(tier, log_mod[-1], factor * core)
         log_mod.append(lm)
         phases.append(ph)
-        im = (tier.cexp(omega * x[ell] / tier.real(spec.speed(ell + 1)))
-              * ph).imag
+        im = (rot * ph).imag
         if im == 0:
-            im_log.append(tier.real(-math.inf))
+            im_log.append(none)
             im_sign.append(0.0)
         else:
             im_log.append(tier.log(abs(im)) + lm)
             im_sign.append(1.0 if im > 0 else -1.0)
-    return _Run(log_mod, phases, im_log, im_sign, interfaces, cores, bound)
+    return _Run(log_mod, phases, im_log, im_sign, it, cores, bound)
 
 
-def _sequence(run: _Run, tier: str, digits: float, real=_EXT, cplx=_CEXT
+def _sequence(run: _Run, tier: str, digits: float, real=None, cplx=None
               ) -> BetaSequence:
-    """``run`` as a record; ``real`` and ``cplx`` convert its numbers."""
+    """``run`` as a record; ``real`` and ``cplx``, given for an mpmath
+    run, convert its numbers to extended precision."""
+    if real is not None:
+        run = run._replace(log_mod=[real(v) for v in run.log_mod],
+                           phases=[cplx(v) for v in run.phases],
+                           im_log=[real(v) for v in run.im_log])
     return BetaSequence(
         n=len(run.log_mod) - 1,
-        log_moduli=np.array([real(v) for v in run.log_mod], dtype=_EXT),
-        phases=np.array([cplx(v) for v in run.phases], dtype=_CEXT),
-        rot_im_log=np.array([real(v) for v in run.im_log], dtype=_EXT),
+        log_moduli=np.array(run.log_mod, dtype=_EXT),
+        phases=np.array(run.phases, dtype=_CEXT),
+        rot_im_log=np.array(run.im_log, dtype=_EXT),
         rot_im_sign=np.array(run.im_sign), tier=tier,
         error_bound_digits=digits)
 
@@ -289,15 +323,15 @@ def _error(tier: Tier, run: _Run, eps):
     return eps * run.bound * tier.real(10) ** loss
 
 
-def _summed_loss(interfaces, cores) -> float:
+def _summed_loss(interfaces: _Interface, cores) -> float:
     """Decimal digits cancelled inside gamma-plus and in the interference
-    steps, summed over the steps; sizes an arbitrary-precision rerun."""
+    steps, summed left to right over the steps; sizes an
+    arbitrary-precision rerun."""
     loss = 0.0
-    for it, core in zip(interfaces, cores):
+    for cancel, q, core in zip(interfaces.cancel, interfaces.q, cores):
         if abs(core) > 0.0:
-            loss += max(0.0, float(np.log10(
-                max(map(abs, it.gt_terms)) / abs(it.gt_plus)))) + max(
-                0.0, float(np.log10((1.0 + abs(it.q)) / abs(core))))
+            loss += max(0.0, float(np.log10(cancel))) + max(
+                0.0, float(np.log10((1.0 + abs(q)) / abs(core))))
     return loss
 
 
@@ -320,7 +354,7 @@ def beta_sequence(spec: ProblemSpec) -> BetaSequence:
     so where ``np.longdouble`` is plain double the rule escalates there.
     """
     run = _recursion(EXTENDED, spec, _EXT(spec.omega),
-                     [_EXT(v) for v in spec.profile.jump_points])
+                     np.array(spec.profile.jump_points, dtype=_EXT))
     bound_digits = float(np.log10(max(run.bound, 1)))
     if _error(EXTENDED, run, _EPS) > _ERROR_LIMIT:
         digits = 1.2 * (_summed_loss(run.interfaces, run.cores)
@@ -395,14 +429,16 @@ def layer_coefficients(spec: ProblemSpec,
     """Recover (A_j, B_j) by scaling the Green column with the boundary data.
 
     :func:`assembly.coefficient_vector` decides each from its column log
-    magnitude plus log|rhs_scale|, never from the clipped display entries.
+    magnitude plus log|B_N|, B_N in extended precision (rounded, it can
+    flush to 0), never from the clipped display entries.
     One in range is the column entry times rhs_scale or, where its log
     passes +-700, its phase times e^(log held within +-700) times rhs_scale
     times e^(rest of the log).
     """
     if column is None:
         column = green_last_column(spec)
-    scale = rhs_scale(spec)
+    b_last = b_last_extended(spec)
+    scale = complex(b_last)
     log_col, entry = (np.ravel(rows, "F") for rows in (
         (column.odd_log_mag, column.even_log_mag),
         (column.odd_entries, column.even_entries)))
@@ -417,5 +453,5 @@ def layer_coefficients(spec: ProblemSpec,
                 * np.exp(log[out] - held)
         return value
     return coefficient_vector(
-        spec, log_col + (math.log(abs(scale)) if scale else -np.inf),
-        formed, scale)
+        spec, log_col + (float(np.log(abs(b_last))) if b_last else -np.inf),
+        formed, b_last)

@@ -8,12 +8,12 @@ function.
 
 The double/extended recurrences and the fundamental-pair evaluators also
 take a 1-D array of arguments.  Their results then gain a trailing point
-axis, and a float argument keeps its scalar path.
+axis, and a float argument keeps its scalar path.  The closed forms of
+orders 0 and 1 take one sin and one cos per argument for j and y together.
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -59,6 +59,13 @@ def _complex_dtype(dtype):
     return np.clongdouble if dtype == np.longdouble else np.complex128
 
 
+def _positive(x, dtype):
+    """``x`` as ``dtype`` numbers, once every entry is checked positive."""
+    if np.count_nonzero(x <= 0.0) if type(x) is _NDARRAY else x <= 0.0:
+        raise ValueError("argument must be positive")
+    return dtype(x)
+
+
 def spherical_jn_seq(m_max: int, x: float, dtype=np.float64) -> np.ndarray:
     """j_0(x)..j_{m_max}(x) for x > 0, shape (m_max + 1,) + x.shape.
 
@@ -69,37 +76,47 @@ def spherical_jn_seq(m_max: int, x: float, dtype=np.float64) -> np.ndarray:
     recursion paths run in extended precision where cancellation would
     otherwise be the accuracy limit.
     """
-    if (x <= 0.0).any() if type(x) is _NDARRAY else x <= 0.0:
-        raise ValueError("argument must be positive")
-    x = dtype(x)
-    j0 = np.sin(x) / x
+    x = _positive(x, dtype)
+    return _jn_seq(m_max, x, np.sin(x), np.cos(x))
+
+
+def _jn_seq(m_max: int, x, s, c) -> np.ndarray:
+    """``spherical_jn_seq`` at checked ``x`` with s = sin x, c = cos x.
+
+    Only the two running orders and the m_max + 1 returned ones are held;
+    a pass that crosses the rescale threshold scales its held orders down.
+    """
+    j0 = s / x
     if m_max == 0:
-        return np.array([j0], dtype=dtype)
-    j1 = np.sin(x) / x**2 - np.cos(x) / x
+        return np.array([j0], dtype=x.dtype)
+    j1 = s / x**2 - c / x
     if m_max == 1:
-        return np.array([j0, j1], dtype=dtype)
+        return np.array([j0, j1], dtype=x.dtype)
     if x.shape:
         return _miller_rows(m_max, x, j0, j1)
 
+    dtype = x.dtype.type
     start = m_max + max(_MILLER_GUARD, math.ceil(1.5 * float(x))) \
         + _MILLER_MARGIN
-    f = np.zeros(start + 2, dtype=dtype)
-    f[start + 1] = 0.0
-    f[start] = 1.0
+    f = np.empty(m_max + 1, dtype=dtype)
+    upper, cur = dtype(0.0), dtype(1.0)
+    shrink = dtype(1.0) / _RESCALE
     for k in range(start, 0, -1):
-        f[k - 1] = (2 * k + 1) / x * f[k] - f[k + 1]
-        if abs(f[k - 1]) > _RESCALE:
-            f[k - 1:] *= dtype(1.0) / _RESCALE
+        if k <= m_max:
+            f[k] = cur
+        lower = (2 * k + 1) / x * cur - upper
+        if abs(lower) > _RESCALE:
+            lower *= shrink
+            cur *= shrink
+            f[k:] *= shrink
+        upper, cur = cur, lower
+    f[0] = cur
     # normalise against whichever closed form is better conditioned
-    if abs(j0) >= abs(j1):
-        scale = j0 / f[0]
-    else:
-        scale = j1 / f[1]
-    return f[: m_max + 1] * scale
+    return f * (j0 / f[0] if abs(j0) >= abs(j1) else j1 / f[1])
 
 
 def _miller_rows(m_max: int, x: np.ndarray, j0, j1) -> np.ndarray:
-    """The downward recurrence of ``spherical_jn_seq`` over an array x.
+    """The downward recurrence of ``_jn_seq`` over an array x.
 
     Only the two running rows and the m_max + 1 returned rows are held; a
     point that passes the rescale threshold has its own rows scaled down.
@@ -125,15 +142,18 @@ def _miller_rows(m_max: int, x: np.ndarray, j0, j1) -> np.ndarray:
 
 def spherical_yn_seq(m_max: int, x: float, dtype=np.float64) -> np.ndarray:
     """y_0(x)..y_{m_max}(x) for x > 0, by upward recurrence (stable)."""
-    if (x <= 0.0).any() if type(x) is _NDARRAY else x <= 0.0:
-        raise ValueError("argument must be positive")
-    x = dtype(x)
+    x = _positive(x, dtype)
+    return _yn_seq(m_max, x, np.sin(x), np.cos(x))
+
+
+def _yn_seq(m_max: int, x, s, c) -> np.ndarray:
+    """``spherical_yn_seq`` at checked ``x`` with s = sin x, c = cos x."""
     # an int length allocates faster than a shape tuple on the float path
     y = np.zeros((m_max + 1,) + x.shape if x.shape else m_max + 1,
-                 dtype=dtype)
-    y[0] = -np.cos(x) / x
+                 dtype=x.dtype)
+    y[0] = -c / x
     if m_max >= 1:
-        y[1] = -np.cos(x) / x**2 - np.sin(x) / x
+        y[1] = -c / x**2 - s / x
     for k in range(1, m_max):
         y[k + 1] = (2 * k + 1) / x * y[k] - y[k - 1]
     return y
@@ -154,14 +174,15 @@ def spherical_hankel_h1(m: int, x: float) -> complex:
     return complex(spherical_bessel_j(m, x), spherical_bessel_y(m, x))
 
 
-def _family_seq(d: int, which: int, m_max: int, x: float,
-                dtype=np.float64) -> np.ndarray:
-    """Orders 0..m_max of the selected spherical family (complex for h)."""
-    re = spherical_jn_seq(m_max, x, dtype)
-    out = np.zeros(re.shape, dtype=_complex_dtype(dtype))
+def _family_seq(which: int, m_max: int, x) -> np.ndarray:
+    """Orders 0..m_max of the selected spherical family (complex for h) at
+    checked ``x``, from one sin and one cos per argument."""
+    s, c = np.sin(x), np.cos(x)
+    re = _jn_seq(m_max, x, s, c)
+    out = np.zeros(re.shape, dtype=_complex_dtype(x.dtype))
     out.real = re
     if which == 1:
-        out.imag = spherical_yn_seq(m_max, x, dtype)
+        out.imag = _yn_seq(m_max, x, s, c)
     return out
 
 
@@ -174,10 +195,8 @@ def fundamental_eval(pair: FundamentalPair, which: int, x: float,
     """
     if which not in (1, 2):
         raise ValueError("which must be 1 or 2")
-    if (x <= 0.0).any() if type(x) is _NDARRAY else x <= 0.0:
-        raise ValueError("argument must be positive")
+    xe = _positive(x, dtype)
     if pair.d == 1:
-        xe = dtype(x)
         iu = _complex_dtype(dtype)(1j)
         if which == 1:
             v = np.exp(iu * xe)
@@ -185,10 +204,10 @@ def fundamental_eval(pair: FundamentalPair, which: int, x: float,
         cdt = _complex_dtype(dtype)
         return cdt(np.cos(xe)), cdt(-np.sin(xe))
     m = pair.m
-    seq = _family_seq(pair.d, which, max(m, 1), x, dtype)
+    seq = _family_seq(which, max(m, 1), xe)
     if m == 0:
         return seq[0], -seq[1]
-    return seq[m], seq[m - 1] - (m + 1) / dtype(x) * seq[m]
+    return seq[m], seq[m - 1] - (m + 1) / xe * seq[m]
 
 
 def fundamental_eval_d2(pair: FundamentalPair, which: int, x: float,
@@ -211,8 +230,8 @@ def fundamental_eval_d2(pair: FundamentalPair, which: int, x: float,
         cdt = _complex_dtype(dtype)
         return cdt(np.cos(xe)), cdt(-np.sin(xe)), cdt(-np.cos(xe))
     m = pair.m
-    xe = dtype(x)
-    seq = _family_seq(pair.d, which, m + 2, x, dtype)
+    xe = _positive(x, dtype)
+    seq = _family_seq(which, m + 2, xe)
     f = seq[m]
     df = -seq[m + 1] + (m / xe) * f
     df_up = -seq[m + 2] + ((m + 1) / xe) * seq[m + 1]
@@ -280,10 +299,14 @@ class Tier(NamedTuple):
     """The arithmetic one computation is carried out in.
 
     ``real`` builds a real number from a double, ``cexp(t)`` is exp(i t),
-    ``log`` and ``log10`` are logarithms of reals, ``pair_eval(pair, x)``
-    gives (f_1, f_1', f_2, f_2') of the fundamental system from one f_1
-    evaluation, and ``cdtype`` is the dtype of an array of the tier's
-    complex numbers.
+    ``log`` and ``log10`` are logarithms of reals, and ``cdtype`` is the
+    dtype of an array of the tier's complex numbers.  ``pair_eval(pair,
+    x)`` takes a 1-D array of arguments, of the tier's reals, and gives
+    (f_1, f_1', f_2, f_2') of the fundamental system at each, as four
+    arrays of the tier's complex numbers, from one f_1 evaluation per
+    point.  ``cexp`` takes a number or an array of them.  The extended
+    tier's arrays are np.longdouble/np.clongdouble; the mpmath tier's are
+    object arrays of mpf/mpc.
     """
 
     real: Callable
@@ -294,12 +317,24 @@ class Tier(NamedTuple):
     cdtype: object
 
 
-def _with_f2(f, df):
-    """(f_1, f_1', f_2, f_2') from f_1: on the positive axis f_2 = Re f_1
-    and f_2' = Re f_1', bit for bit in both tiers (not so in double, where
-    y_m can overflow and make Re f_1' NaN).  f_2 keeps the complex type,
-    so products with it round as those of a ``which=2`` evaluation."""
-    return f, df, type(f)(f.real), type(df)(df.real)
+def _pair_eval_ext(pair: FundamentalPair, x: np.ndarray):
+    """(f_1, f_1', f_2, f_2') at each entry of ``x``, in extended precision.
+
+    On the positive axis f_2 = Re f_1 and f_2' = Re f_1', bit for bit (not
+    so in double, where y_m can overflow and make Re f_1' NaN); f_2 keeps
+    the complex type, so products with it round as those of a ``which=2``
+    evaluation.  Closed forms take the whole array in one call.  Orders m
+    >= 2 go point by point: the batched Miller pass would start every
+    point from the largest argument's start, costing more and moving the
+    values in their last bits.
+    """
+    if pair.d == 1 or pair.m <= 1:
+        f, df = fundamental_eval(pair, 1, x, np.longdouble)
+    else:
+        values = [fundamental_eval(pair, 1, v, np.longdouble) for v in x]
+        f, df = (np.array([v[k] for v in values], dtype=np.clongdouble)
+                 for k in (0, 1))
+    return f, df, f.real.astype(f.dtype), df.real.astype(df.dtype)
 
 
 _IU_EXT = np.clongdouble(1j)
@@ -308,9 +343,7 @@ _IU_EXT = np.clongdouble(1j)
 #: extra bits are all signal
 EXTENDED = Tier(
     real=np.longdouble, cexp=lambda t: np.exp(_IU_EXT * np.longdouble(t)),
-    log=np.log, log10=np.log10,
-    pair_eval=lambda pair, x: _with_f2(
-        *fundamental_eval(pair, 1, x, np.longdouble)),
+    log=np.log, log10=np.log10, pair_eval=_pair_eval_ext,
     cdtype=np.clongdouble)
 
 
@@ -318,11 +351,16 @@ EXTENDED = Tier(
 def mp_tier() -> Tier:
     """mpmath, at the precision of the active context (built on first use)."""
     import mpmath as mp
+
+    def pair_eval(pair, x):
+        out = np.empty((4, len(x)), dtype=object)
+        for i, v in enumerate(x):
+            f, df = fundamental_eval_mp(pair, 1, v)
+            out[:, i] = f, df, mp.mpc(f.real), mp.mpc(df.real)
+        return tuple(out)
     return Tier(
-        real=mp.mpf, cexp=lambda t: mp.exp(1j * t), log=mp.log,
-        log10=mp.log10,
-        pair_eval=lambda pair, x: _with_f2(*fundamental_eval_mp(pair, 1, x)),
-        cdtype=object)
+        real=mp.mpf, cexp=np.frompyfunc(lambda t: mp.exp(1j * t), 1, 1),
+        log=mp.log, log10=mp.log10, pair_eval=pair_eval, cdtype=object)
 
 
 def eval_limit_at_origin(pair: FundamentalPair, which: int) -> complex:

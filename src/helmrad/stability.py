@@ -101,23 +101,21 @@ def certify_beta_bounds(spec: ProblemSpec) -> StabilityReport:
     """
     q_mag = abs(_require_alternating(spec))
     beta = green.beta_sequence(spec)
-    qs = relative_jumps(spec.profile)
-    delta = spec.delta
+    q = relative_jumps(spec.profile)
     log_b = beta.log_moduli
-    step_bad, major_bad = [], []
-    for ell in range(1, spec.n + 1):
-        q = qs[ell - 1]
-        lo = math.log((1.0 - abs(q)) / (1.0 + q)) if abs(q) < 1.0 else -np.inf
-        hi = math.log((1.0 + abs(q)) / (1.0 + q))
-        ratio = log_b[ell] - log_b[ell - 1]
-        if not (lo - _SLACK <= ratio <= hi + _SLACK):
-            step_bad.append(ell)
+    lo = np.full(spec.n, -np.inf)
+    np.log((1.0 - abs(q)) / (1.0 + q), out=lo, where=abs(q) < 1.0)
+    hi = np.log((1.0 + abs(q)) / (1.0 + q))
+    ratio = np.diff(log_b)
+    inside = (lo - _SLACK <= ratio) & (ratio <= hi + _SLACK)
+    step_bad = (np.flatnonzero(~inside) + 1).tolist()
+    major_bad = []
     if q_mag < 1.0:
         growth = C0_MAJORANT * q_mag / (1.0 - q_mag ** 2) ** 2
-        for ell in range(2, spec.n + 1, 2):
-            bound = 0.5 * math.log1p(growth * min(delta[ell - 1], 1.0))
-            if log_b[ell] - log_b[ell - 2] > bound + _SLACK:
-                major_bad.append(ell)
+        even = np.arange(2, spec.n + 1, 2)
+        bound = 0.5 * np.log1p(growth * np.minimum(spec.delta[even - 1], 1.0))
+        major_bad = even[log_b[even] - log_b[even - 2]
+                         > bound + _SLACK].tolist()
     alpha = math.exp(max(np.max(np.abs(log_b)), 0.0) / spec.omega)
     return StabilityReport(
         log_beta_moduli=log_b,

@@ -7,7 +7,10 @@ written here in plain double precision from ``wronskian_w`` and
 densely.  The dense form of a normalised system is assembled from its
 blocks.  The tests compare helmrad's normalised system, its banded solve
 and its beta recursion against them; the determinant identities read the
-companion of beta through a closed-form map.
+companion of beta through a closed-form map.  ``interface`` is the
+reflection data of one interface, formed point by point in a precision
+tier from scalar pair evaluations: the reference for the recursion's
+array pass over all interfaces.
 """
 
 from dataclasses import dataclass
@@ -17,8 +20,9 @@ import numpy as np
 
 from helmrad.assembly import R_HAT, T_HAT, BlockSystem, DegenerateNormaliser
 from helmrad.problem import ProblemSpec
-from helmrad.specfun import (FundamentalPair, fundamental_eval,
-                             fundamental_eval_mp, wronskian_w)
+from helmrad.specfun import (EXTENDED, FundamentalPair, Tier,
+                             fundamental_eval, fundamental_eval_mp,
+                             wronskian_w)
 
 #: normaliser magnitudes below this are treated as exactly singular
 _DEGENERACY_FLOOR = 1e-300
@@ -70,6 +74,32 @@ def assemble_raw(spec: ProblemSpec) -> RawSystem:
     rhs[-2] = C * f2b
     rhs[-1] = C * df2b / spec.speed(N)
     return RawSystem(n=n, S=S, R=R, T=T, rhs=rhs, scale=C)
+
+
+def _scalar_pair(tier: Tier, pair: FundamentalPair, x):
+    """(f_1, f_1', f_2, f_2') at one argument, f_2 = Re f_1 kept complex."""
+    if tier is EXTENDED:
+        f, df = fundamental_eval(pair, 1, x, np.longdouble)
+        return f, df, np.clongdouble(f.real), np.clongdouble(df.real)
+    f, df = fundamental_eval_mp(pair, 1, x)
+    return f, df, mp.mpc(f.real), mp.mpc(df.real)
+
+
+def interface(tier: Tier, spec: ProblemSpec, omega, x, ell: int) -> tuple:
+    """(gamma-tilde-plus, g-plus, q, w^{1,2}) at interface ``ell`` in
+    ``tier``, one scalar at a time; ``omega`` and the jump points ``x``
+    are tier numbers."""
+    pair = _pair(spec)
+    c_l, c_r = tier.real(spec.speed(ell)), tier.real(spec.speed(ell + 1))
+    z = omega * x[ell]
+    f1l, df1l, _, _ = _scalar_pair(tier, pair, z / c_l)
+    f1r, df1r, f2r, df2r = _scalar_pair(tier, pair, z / c_r)
+    gt_plus = f1r * df1l.conjugate() / c_l - df1r * f1l.conjugate() / c_r
+    gt_minus = df1l * f1r / c_l - df1r * f1l / c_r
+    g_plus = 1j * tier.cexp(z / c_l - z / c_r) * gt_plus
+    g_minus = 1j * tier.cexp(-z / c_l - z / c_r) * gt_minus
+    return (gt_plus, g_plus, g_minus / g_plus,
+            f1r * df2r / c_r - df1r * f2r / c_r)
 
 
 def normalizer_blocks(spec: ProblemSpec) -> np.ndarray:

@@ -20,7 +20,8 @@ from helmrad import assembly, cli
 from helmrad.assembly import SingularSystem, normalize, solve_spec
 from helmrad.evaluate import (energy_norm, interface_residuals, solve,
                               solve_direct, sup_radial)
-from helmrad.problem import (ProblemSpec, construct_localisation_example,
+from helmrad.problem import (ProblemSpec, WaveSpeedProfile,
+                             construct_localisation_example,
                              construct_stable_example, random_spec)
 from helmrad.specfun import FundamentalPair, wronskian_w
 from helmrad.stability import single_interface_wronskian
@@ -174,6 +175,30 @@ class TestDoubleRange:
     def test_coefficients_outside_the_range_raise(self, route, spec):
         with pytest.raises(OverflowError):
             route(spec)
+
+
+    @pytest.mark.parametrize("route", [
+        solve, lambda spec: solve_direct(spec)[0]],
+        ids=["recursion", "banded"])
+    def test_boundary_coefficient_rounding_to_zero_raises(self, route):
+        """B_N = i f_1 g / kappa is 1.7e-324 here: a double rounds it to
+        0, which made the recursion return zeros and the banded route
+        divide 0 by 0.  Judged in extended precision, it raises."""
+        spec = ProblemSpec(WaveSpeedProfile((0.0, 0.5, 1.0), (1.0, 1 / 3)),
+                           dimension=1, omega=1.0,
+                           boundary_coefficient=5e-324)
+        assert assembly.rhs_scale(spec) == 0
+        with pytest.raises(OverflowError):
+            route(spec)
+
+    @pytest.mark.parametrize("route", [
+        solve, lambda spec: solve_direct(spec)[0]],
+        ids=["recursion", "banded"])
+    def test_zero_boundary_data_give_zero_coefficients(self, route):
+        spec = replace(construct_stable_example(4, 1.0, 3.0),
+                       boundary_coefficient=0.0)
+        coeffs = route(spec).coeffs
+        assert not coeffs.entries.any() and coeffs.b_last == 0
 
 
 class TestBandedMpElimination:

@@ -14,9 +14,9 @@ from helmrad.problem import (ProblemSpec, WaveSpeedProfile,
                              construct_stable_example, random_alternating,
                              random_spec)
 from helmrad.specfun import (EXTENDED, FundamentalPair, fundamental_eval,
-                             wronskian_w)
+                             mp_tier, wronskian_w)
 import m0_oracle
-from interface_oracles import to_dense
+from interface_oracles import interface, to_dense
 from populations import high_mode_population
 
 
@@ -118,12 +118,12 @@ class TestBetaSequence:
         """q scaled by 1 + 1e-11 moves the steps by 3.6e-12, past the
         oracle's 1e-12; the conftest hook must reject the run, or it checks
         nothing."""
-        interface = green._interface
+        interfaces = green._interfaces
 
         def perturbed(*args):
-            it = interface(*args)
+            it = interfaces(*args)
             return it._replace(q=it.q * (1 + 1e-11))
-        monkeypatch.setattr(green, "_interface", perturbed)
+        monkeypatch.setattr(green, "_interfaces", perturbed)
         with pytest.raises(AssertionError, match="m=0 step paths diverged"):
             green.beta_sequence(SPECS[0])
 
@@ -297,9 +297,12 @@ class TestRerunSelfCheck:
         """A zero-width first layer makes u = 1 exactly, and q = -1 then
         cancels the core to exactly zero: the step folds to -inf and the
         infinite estimate refuses the rerun."""
-        interface = green._interface
-        monkeypatch.setattr(green, "_interface",
-                            lambda *args: interface(*args)._replace(q=-1))
+        interfaces = green._interfaces
+
+        def reflect_all(*args):
+            it = interfaces(*args)
+            return it._replace(q=np.full_like(it.q, -1))
+        monkeypatch.setattr(green, "_interfaces", reflect_all)
 
         def data(spec):
             x = [mp.mpf(v) for v in spec.profile.jump_points]
@@ -414,10 +417,90 @@ class TestGammaData:
     def test_m0_reflection_strength_is_the_speed_contrast(self):
         spec = SPECS[0]
         x = [np.longdouble(v) for v in spec.profile.jump_points]
-        q = complex(green._interface(EXTENDED, spec,
-                                     np.longdouble(spec.omega), x, 1).q)
+        q = complex(green._recursion(EXTENDED, spec, np.longdouble(spec.omega),
+                                     x).interfaces.q[0])
         c1, c2 = spec.profile.speeds
         assert abs(q) == pytest.approx(abs((c2 - c1) / (c2 + c1)),
                                        rel=1e-12)
         g_plus, g_minus = gamma_pm(spec, 1)
         assert q == pytest.approx(g_minus / g_plus, rel=1e-12)
+
+
+#: (d, m) of the interface checks: the closed forms of d=1 and of m <= 1
+#: take one array call, higher orders go point by point
+_PAIRS = [(1, 0), (3, 0), (3, 1), (3, 2), (3, 5), (3, 30)]
+
+
+class TestInterfaceArrays:
+    """The recursion's array pass over all interfaces gives, per interface,
+    exactly what the scalar reference ``interface_oracles.interface``
+    forms one interface at a time."""
+
+    @staticmethod
+    def _spec(d, m):
+        return _spec((1.0, 2.5, 0.7, 1.8, 1.2), (0.2, 0.45, 0.7, 0.9), 13.0,
+                     d=d, m=m)
+
+    @staticmethod
+    def _assert_exact(tier, spec, omega, x):
+        it = green._recursion(tier, spec, omega, x).interfaces
+        for ell in range(1, spec.n + 1):
+            ref = interface(tier, spec, omega, x, ell)
+            mine = (it.gt_plus[ell - 1], it.g_plus[ell - 1], it.q[ell - 1],
+                    it.w12[ell - 1])
+            assert all(a == b for a, b in zip(mine, ref)), ell
+
+    @pytest.mark.parametrize("d,m", _PAIRS)
+    def test_extended(self, d, m):
+        spec = self._spec(d, m)
+        x = np.array(spec.profile.jump_points, dtype=np.longdouble)
+        self._assert_exact(EXTENDED, spec, np.longdouble(spec.omega), x)
+
+    @pytest.mark.parametrize("d,m", _PAIRS)
+    def test_mpmath_at_50_digits(self, d, m):
+        spec = self._spec(d, m)
+        with mp.workdps(50):
+            x = [mp.mpf(v) for v in spec.profile.jump_points]
+            self._assert_exact(mp_tier(), spec, mp.mpf(spec.omega), x)
+
+    def test_vanished_gamma_plus_names_the_first_interface(self,
+                                                           monkeypatch):
+        """A pair evaluation that vanishes at interfaces 2 and 3 raises for
+        interface 2, before any division (a RuntimeWarning would fail the
+        suite)."""
+        spec = self._spec(3, 0)
+        evaluate = EXTENDED.pair_eval
+
+        def vanishing(pair, x):
+            values = evaluate(pair, x)
+            for v in values:
+                v[[1, 2, spec.n + 1, spec.n + 2]] = 0
+            return values
+        monkeypatch.setattr(green, "EXTENDED",
+                            EXTENDED._replace(pair_eval=vanishing))
+        with pytest.raises(green.GammaDegenerate,
+                           match="gamma-plus vanished at interface 2$"):
+            green.beta_sequence(spec)
+
+
+class TestSingleLayer:
+    """n = 0: no interface, so empty arrays through both tiers and both
+    routes, and B_1 = rhs_scale."""
+
+    @pytest.mark.parametrize("d,m", [(1, 0), (3, 0), (3, 3)])
+    def test_both_tiers_and_both_routes(self, d, m):
+        spec = _spec((1.7,), (), 4.0, d=d, m=m, g=0.5 - 2.0j)
+        seq = green.beta_sequence(spec)
+        forced = green._beta_mp(spec, 20.0)
+        for beta in (seq, forced):
+            assert beta.n == 0 and beta.log_moduli.tolist() == [0.0]
+        assert seq.tier == "extended" and forced.tier == "mp@50"
+        with mp.workdps(50):
+            S_hat, loss = assembly._blocks(mp_tier(), spec)
+        assert S_hat.shape == (0, 2, 2) and loss == 0.0
+        rec = green.layer_coefficients(spec)
+        direct, resid = assembly.solve_spec(spec)
+        for coeffs in (rec, direct):
+            assert coeffs.entries.shape == (0,)
+            assert coeffs.b_last == assembly.rhs_scale(spec) != 0
+        assert resid == 0.0

@@ -151,6 +151,39 @@ class TestArrayArguments:
         assert tuple(v.hex() for v in (f.real, f.imag, df.real, df.imag)) \
             == expected
 
+    @pytest.mark.parametrize("m,which,x,expected", [
+        (0, 1, 2.5, ("2.393888576415825976e-01", "3.2045744621877348592e-01",
+                     "-4.1621298927540652495e-01",
+                     "1.1120587915407320323e-01")),
+        (1, 1, 0.75, ("2.3621708154305511468e-01",
+                      "-2.2096318913623493535e+00",
+                      "2.789394625829652498e-01",
+                      "4.9167665518011704276e+00")),
+        (2, 2, 0.75, ("3.6016646141108236356e-02", "0",
+                      "9.215049697862216926e-02", "0")),
+        (7, 1, 7.25, ("9.436528804296924153e-02",
+                      "-2.0775741183042938804e-01",
+                      "4.1340329638940294946e-02",
+                      "1.1059374267716740649e-01")),
+        (30, 2, 31.5, ("4.0621541455652382e-02", "0",
+                       "7.0633434992582277906e-03", "0")),
+    ])
+    def test_extended_scalar_keeps_its_values(self, m, which, x, expected):
+        """Extended values of the scalar path, pinned (x86-64, 80-bit long
+        double, glibc libm) before the closed forms shared one sin/cos and
+        the scalar Miller pass dropped its table.  Compared as values: the
+        padding bytes of the 80-bit format are not reproducible.  The
+        one-element array path gives the same values."""
+        pair = FundamentalPair(3, m)
+        f, df = fundamental_eval(pair, which, np.longdouble(x), np.longdouble)
+        assert isinstance(f, np.clongdouble)
+        want = [np.longdouble(v) for v in expected]
+        assert [f.real, f.imag, df.real, df.imag] == want
+        fa, dfa = fundamental_eval(pair, which,
+                                   np.array([x], dtype=np.longdouble),
+                                   np.longdouble)
+        assert [fa[0].real, fa[0].imag, dfa[0].real, dfa[0].imag] == want
+
     def test_sequences_gain_a_trailing_point_axis(self):
         x = np.array([0.3, 4.0, 25.0])
         j = spherical_jn_seq(12, x)
