@@ -1,4 +1,11 @@
-"""Solution reconstruction, residual diagnostics and energy quantities."""
+"""Solution reconstruction, residual diagnostics and energy quantities.
+
+One field evaluator, ``_field``, takes radii of any layers with their layer
+indices and evaluates the pair once per point (one sin and one cos, f_1
+only where A != 0); it gives values only unless asked for u' too.  The sup
+norm, the grids and the energy use it; ``eval_radial`` and the interface
+residuals sum the same pass's terms as Python numbers.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +14,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,7 +22,7 @@ from . import assembly, green
 from .assembly import CoefficientVector
 from .problem import ProblemSpec
 from .specfun import (FundamentalPair, eval_limit_at_origin, fundamental_eval,
-                      fundamental_eval_d2)
+                      fundamental_eval_d2, fundamental_pair_eval)
 
 #: surface measure factor |Y_{0,0}| = (4 pi)^{-1/2} for d=3
 Y00_3D = 1.0 / math.sqrt(4.0 * math.pi)
@@ -24,6 +31,14 @@ Y00_3D = 1.0 / math.sqrt(4.0 * math.pi)
 _QUAD_ORDER = 32
 _QUAD_TOL = 1e-10
 _QUAD_MAX_ORDER = 4096
+
+#: most points one pass of the field evaluator holds (about 150 bytes each
+#: at its peak); the sup norm and the energy pass whole layers at a time
+_BLOCK = 1 << 13
+
+#: coefficients past 2**_SCALE_FROM are evaluated in units of a power of
+#: two, since the field's squares would otherwise leave the double range
+_SCALE_FROM = 512
 
 
 class UnsupportedMode(Exception):
@@ -53,43 +68,86 @@ def solve_direct(spec: ProblemSpec) -> tuple[RadialSolution, float]:
     return RadialSolution(spec=spec, coeffs=coeffs), resid
 
 
-def _layer_terms(sol: RadialSolution, j: int, r):
-    """Wavenumber k of layer j and, for each ansatz term there, its
-    coefficient with f and f' (in the argument k r) at radius r > 0 (or at
-    each entry of a 1-D array of radii)."""
-    spec = sol.spec
-    k = spec.omega / spec.speed(j)
-    a, b = sol.coeffs.a(j), sol.coeffs.b(j)
+def _layers(sol: RadialSolution):
+    """Wavenumbers k, coefficients A and B (index j = 1..N) and e, the
+    coefficients divided by 2**e: e > 0 only when the largest passes
+    2**_SCALE_FROM, an exact scaling that keeps the field's squares in
+    range and in-range results in their bits."""
+    # (_, _, A_1 = 0, B_1, A_2, B_2, ..., A_N, B_N)
+    coef = np.concatenate((np.zeros(3, dtype=complex), sol.coeffs.entries,
+                           [sol.coeffs.b_last]))
+    e = math.frexp(float(np.max(np.abs(coef))))[1]
+    e = e if e > _SCALE_FROM else 0
+    if e:
+        coef = np.ldexp(coef.real, -e) + np.ldexp(coef.imag, -e) * 1j
+    k = sol.spec.omega / np.array((np.inf, *sol.spec.profile.speeds))
+    return k, coef[0::2], coef[1::2], e
+
+
+def _field(sol: RadialSolution, layer: np.ndarray, r: np.ndarray,
+           slope: bool = False):
+    """(e, u, u') at radii r > 0, r[i] in layer ``layer[i]``: u = A f_1(k r)
+    + B f_2(k r) and, with ``slope``, u' (else None), in units of 2**e.
+
+    One ``fundamental_pair_eval`` per block of at most _BLOCK points.  Each
+    sum adds the A term to 0, then the B term, as a per-layer array
+    evaluation did, and orders m >= 2 start the downward recurrence from
+    each layer's largest argument as it did, so every value keeps its bits.
+    """
+    k, a, b, e = _layers(sol)
+    k, a, b = k[layer], a[layer], b[layer]
     x = k * r
-    terms = [(a, 1), (b, 2)] if a != 0.0 else [(b, 2)]
-    return k, [(c, *fundamental_eval(sol.pair, which, x))
-               for c, which in terms]
+    reach = x           # d = 1 and m <= 1 run no downward recurrence
+    if sol.spec.dimension == 3 and sol.spec.mode >= 2:
+        top = np.zeros(sol.spec.profile.num_layers + 1)
+        np.maximum.at(top, layer, x)
+        reach = top[layer]
+    u, du = np.zeros(len(r), dtype=complex), None
+    if slope:
+        du, ka, kb = np.zeros(len(r), dtype=complex), a * k, b * k
+    for lo in range(0, len(r), _BLOCK):
+        blk = slice(lo, lo + _BLOCK)
+        use = a[blk] != 0.0
+        f2, f1, *df = fundamental_pair_eval(sol.pair, x[blk], use, slope,
+                                            reach[blk])
+        u[blk][use] += a[blk][use] * f1
+        u[blk] += b[blk] * f2
+        if slope:
+            du[blk][use] += ka[blk][use] * df[1]
+            du[blk] += kb[blk] * df[0]
+    return e, u, du
 
 
-def _eval_in_layer(sol: RadialSolution, j: int, r):
-    """Ansatz value/derivative on layer j at radius r > 0 (or at each entry
-    of a 1-D array of radii)."""
-    k, terms = _layer_terms(sol, j, r)
-    val = 0.0 + 0.0j
-    der = 0.0 + 0.0j
-    for c, f, df in terms:
-        val += c * f
-        der += c * k * df
-    return val, der
+def _point_terms(sol: RadialSolution, layer, r) -> tuple:
+    """For each radius r[i] > 0 in layer ``layer[i]``: its wavenumber and
+    its ansatz terms (coefficient in units of 2**e, f, f') as Python
+    numbers, from one ``fundamental_pair_eval`` call that takes each point
+    on the scalar path; sums of their products round as a scalar
+    evaluation's did.  Returns (e, [(k, terms), ...])."""
+    k, a, b, e = _layers(sol)
+    k, a, b = k.tolist(), a.tolist(), b.tolist()
+    use = [a[j] != 0.0 for j in layer]
+    f2, f1, df2, df1 = (v.tolist() for v in fundamental_pair_eval(
+        sol.pair, np.array([k[j] * v for j, v in zip(layer, r)]),
+        np.array(use), True))
+    outgoing = iter(zip(f1, df1))
+    return e, [(k[j], ([(a[j], *next(outgoing))] if use[i] else [])
+                + [(b[j], complex(f2[i]), complex(df2[i]))])
+               for i, j in enumerate(layer)]
 
 
 def _radial_values(sol: RadialSolution, rs: np.ndarray) -> np.ndarray:
     """u at each radius of ``rs`` in [0, 1], as ``eval_radial`` takes it."""
     profile = sol.spec.profile
-    N = profile.num_layers
     layer = np.clip(np.searchsorted(profile.jump_points, rs, side="left"),
-                    1, N)
+                    1, profile.num_layers)
     u = np.empty(len(rs), dtype=complex)
     u[rs == 0.0] = eval_radial(sol, 0.0)[0]
-    for j in range(1, N + 1):
-        sel = (layer == j) & (rs > 0.0)
-        if sel.any():
-            u[sel] = _eval_in_layer(sol, j, rs[sel])[0]
+    pos = rs > 0.0
+    e, v, _ = _field(sol, layer[pos], rs[pos])
+    if e:
+        v.real, v.imag = np.ldexp(v.real, e), np.ldexp(v.imag, e)
+    u[pos] = v
     return u
 
 
@@ -107,7 +165,13 @@ def eval_radial(sol: RadialSolution, r: float):
         else:
             der = 0.0 + 0.0j
         return val, der
-    return _eval_in_layer(sol, spec.profile.layer_of(r), r)
+    e, [(k, terms)] = _point_terms(sol, [spec.profile.layer_of(r)], [r])
+    val = der = 0.0 + 0.0j
+    for c, f, df in terms:
+        val += c * f
+        der += c * k * df
+    return tuple(complex(math.ldexp(v.real, e), math.ldexp(v.imag, e))
+                 for v in (val, der)) if e else (val, der)
 
 
 def interface_residuals(sol: RadialSolution) -> list:
@@ -120,14 +184,21 @@ def interface_residuals(sol: RadialSolution) -> list:
     reads 0.
     """
     spec = sol.spec
+    n = spec.n
+    if n == 0:
+        return []
+    x = spec.profile.jump_points[1:n + 1]
+    # both sides of every interface in one pass: layers 1..n on the left,
+    # 2..n+1 on the right
+    _, terms = _point_terms(sol, [*range(1, n + 1), *range(2, n + 2)],
+                            [*x, *x])
     out = []
-    for j in range(1, spec.n + 1):
-        xj = spec.profile.jump_points[j]
+    for j in range(1, n + 1):
         jump = slope = 0.0 + 0.0j
         size = 0.0
-        for layer, sign in ((j, 1.0), (j + 1, -1.0)):
-            k, terms = _layer_terms(sol, layer, xj)
-            for c, f, df in terms:
+        left, right = terms[j - 1], terms[n + j - 1]
+        for (k, side), sign in ((left, 1.0), (right, -1.0)):
+            for c, f, df in side:
                 jump += sign * c * f
                 slope += sign * c * k * df
                 size += abs(c) * math.hypot(abs(f), abs(df))
@@ -213,36 +284,47 @@ def _gauss_legendre(order: int):
     return rule
 
 
-def _layer_quad(sol: RadialSolution, j: int, order: int) -> float:
-    """Energy-density integral over layer j at a fixed quadrature order."""
+def _energy_sum(sol: RadialSolution, order: int):
+    """(e, the energy-density integral at a fixed quadrature order in units
+    of 2**(2e)): the nodes of whole layers in each ``_field`` pass, each
+    layer's integral its own dot product, summed over the layers in
+    order."""
     spec = sol.spec
-    x0, x1 = spec.profile.jump_points[j - 1], spec.profile.jump_points[j]
+    x = np.asarray(spec.profile.jump_points)
     nodes, weights = _gauss_legendre(order)
-    r = 0.5 * (x1 - x0) * nodes + 0.5 * (x0 + x1)
-    w = 0.5 * (x1 - x0) * weights
     d, lam = spec.dimension, spec.angular_eigenvalue
-    kj = spec.omega / spec.speed(j)
-    val, der = _eval_in_layer(sol, j, r)
-    dens = (np.abs(der) ** 2 + (kj * np.abs(val)) ** 2) * r ** (d - 1)
-    if lam != 0.0:
-        dens += lam * np.abs(val) ** 2 * r ** (d - 3)
-    return float(w @ dens)
+    step = max(1, _BLOCK // order)
+    total = 0
+    for j in range(1, len(x), step):
+        xs = x[j - 1:j + step]
+        half, mid = 0.5 * (xs[1:] - xs[:-1]), 0.5 * (xs[:-1] + xs[1:])
+        r = (half[:, None] * nodes + mid[:, None]).ravel()
+        layer = np.repeat(np.arange(j, j + len(half)), order)
+        e, val, der = _field(sol, layer, r, slope=True)
+        k = spec.omega / np.asarray(spec.profile.speeds)[layer - 1]
+        dens = (np.abs(der) ** 2 + (k * np.abs(val)) ** 2) * r ** (d - 1)
+        if lam != 0.0:
+            dens += lam * np.abs(val) ** 2 * r ** (d - 3)
+        total = sum((float(w @ v) for w, v in zip(
+            half[:, None] * weights, dens.reshape(-1, order))), total)
+    return e, total
 
 
 def energy_norm(sol: RadialSolution, quad_order: int = _QUAD_ORDER) -> float:
     """Gauss-Legendre energy norm, order doubled until 1e-10 agreement."""
     if quad_order < 8:
         raise ValueError("quadrature order must be at least 8")
-    N = sol.spec.profile.num_layers
     prev = None
     order = quad_order
     while order <= _QUAD_MAX_ORDER:
-        total = sum(_layer_quad(sol, j, order) for j in range(1, N + 1))
-        if prev is not None and abs(total - prev) <= _QUAD_TOL * max(prev, 1.0):
-            return math.sqrt(total)
+        e, total = _energy_sum(sol, order)
+        # the test's floor 1.0, in the units of the sums
+        if prev is not None and abs(total - prev) \
+                <= _QUAD_TOL * max(prev, math.ldexp(1.0, -2 * e)):
+            return math.ldexp(math.sqrt(total), e)
         prev = total
         order *= 2
-    return math.sqrt(prev)
+    return math.ldexp(math.sqrt(prev), e)
 
 
 def energy_upper_bound(sol: RadialSolution) -> float:
@@ -258,10 +340,11 @@ def energy_upper_bound(sol: RadialSolution) -> float:
     total = 0.0
     h = spec.profile.widths
     z = spec.z
+    _, a, b, e = _layers(sol)
     for j in range(1, spec.profile.num_layers + 1):
         cj = spec.speed(j)
         scale = (cj / spec.omega) ** 2 * h[j - 1]
-        aj, bj = abs(sol.coeffs.a(j)), abs(sol.coeffs.b(j))
+        aj, bj = abs(complex(a[j])), abs(complex(b[j]))
         kfac = (spec.omega / cj) ** 2
         if aj > 0.0:
             h_sq = scale
@@ -270,7 +353,7 @@ def energy_upper_bound(sol: RadialSolution) -> float:
         j_sq = (2.0 * z[j] / (cj + z[j])) ** 2 * scale
         dj_sq = 16.0 * z[j] ** 4 / (2.0 * cj ** 2 + z[j] ** 2) ** 2 * scale
         total += kfac * bj ** 2 * (j_sq + dj_sq)
-    return math.sqrt(2.0 * total)
+    return math.ldexp(math.sqrt(2.0 * total), e)
 
 
 def energy_lower_bound(sol: RadialSolution) -> float:
@@ -293,15 +376,30 @@ def energy_lower_bound(sol: RadialSolution) -> float:
 
 def sup_radial(sol: RadialSolution, samples_per_layer: int = 512) -> float:
     """sup |u| over a dense radial grid (including r = 0 and all jumps)."""
-    spec = sol.spec
-    best = abs(eval_radial(sol, 0.0)[0])
-    x = spec.profile.jump_points
-    for j in range(1, spec.profile.num_layers + 1):
-        rs = np.linspace(x[j - 1], x[j], samples_per_layer, endpoint=True)
-        rs = rs[rs > 0.0]
-        if rs.size:
-            best = max(best, np.max(np.abs(_eval_in_layer(sol, j, rs)[0])))
-    return best
+    if samples_per_layer < 1:
+        raise ValueError("need at least one sample per layer")
+    tops = [abs(eval_radial(sol, 0.0)[0])]
+    x, S = np.asarray(sol.spec.profile.jump_points), samples_per_layer
+    step = max(1, _BLOCK // S)
+    for j in range(1, len(x), step):
+        # whole layers per pass, row i the layer's np.linspace(xs[i],
+        # xs[i + 1], S) bit for bit: the same products and sums, the last
+        # point the jump point itself
+        xs = x[j - 1:j + step]
+        step_r = (xs[1:] - xs[:-1]) / max(S - 1, 1)
+        rs = np.arange(float(S)) * step_r[:, None] + xs[:-1, None]
+        if S > 1:
+            rs[:, -1] = xs[1:]
+        rs = rs.ravel()
+        layer = np.repeat(np.arange(j, j + len(xs) - 1), S)
+        pos = rs > 0.0
+        e, u, _ = _field(sol, layer[pos], rs[pos])
+        mag = np.zeros(rs.shape)       # r = 0 reads 0: the origin is in tops
+        mag[pos] = np.abs(u)
+        tops += [math.ldexp(top, e) for top in np.maximum.reduceat(
+            mag, np.arange(0, rs.size, S)).tolist()]
+    # folded layer by layer as max does: a layer holding a NaN is passed over
+    return max(tops)
 
 
 def sup_scaled(sol: RadialSolution, samples_per_layer: int = 512) -> float:
@@ -404,11 +502,12 @@ def _atomic_write(path, text: str):
 def write_radial_csv(sol: RadialSolution, path, samples: int = 1024):
     rs = np.linspace(0.0, 1.0, samples)
     u = _radial_values(sol, rs)
+    # Python's abs, whose bits numpy's complex abs does not always match
+    cells = np.column_stack((rs, u.real, u.imag,
+                             [abs(v) for v in u.tolist()])).ravel().tolist()
     # the bytes csv.writer writes: its \r\n terminator, no quoting needed
-    lines = ["r,re_u,im_u,abs_u\r\n"]
-    lines += [f"{r:.17g},{v.real:.17g},{v.imag:.17g},{abs(v):.17g}\r\n"
-              for r, v in zip(rs.tolist(), u.tolist())]
-    _atomic_write(path, "".join(lines))
+    _atomic_write(path, "r,re_u,im_u,abs_u\r\n"
+                  + "%.17g,%.17g,%.17g,%.17g\r\n" * len(rs) % tuple(cells))
 
 
 def write_disc_csv(sol: RadialSolution, path, grid: int = 64):

@@ -46,7 +46,7 @@ NEAR_RESONANCE_FLOOR = 1e-250
 _EXT = np.longdouble
 _CEXT = np.clongdouble
 _IU = _CEXT(1j)
-_cexp = EXTENDED.cexp
+_NEG_IU = -_IU
 
 
 class GammaDegenerate(Exception):
@@ -397,31 +397,30 @@ def green_last_column(spec: ProblemSpec, beta: BetaSequence | None = None
     if beta is None:
         beta = beta_sequence(spec)
     n = beta.n
-    omega = _EXT(spec.omega)
-    x = [_EXT(v) for v in spec.profile.jump_points]
     if beta.log_moduli[n] < math.log(NEAR_RESONANCE_FLOOR):
         raise NearResonantDenominator(float(beta.log_moduli[n]))
-    denom_phase = _cexp(omega * x[n] / _EXT(spec.speed(n + 1))) \
-        * beta.phases[n]
-    denom_log = beta.log_moduli[n]
-    odd, even, odd_phase, even_phase = np.zeros((4, n), dtype=complex)
-    odd_log = np.full(n, -np.inf)
-    even_log = np.full(n, -np.inf)
-    for ell in range(1, n + 1):
-        num_phase = _cexp(omega * x[ell - 1] / _EXT(spec.speed(ell))) \
-            * beta.phases[ell - 1]
-        odd_log[ell - 1] = float(beta.log_moduli[ell - 1] - denom_log)
-        phase = odd_phase[ell - 1] = complex(num_phase / denom_phase)
-        odd[ell - 1] = phase * math.exp(min(odd_log[ell - 1], 700.0))
-        im_log, sign = beta.rot_im_log[ell], beta.rot_im_sign[ell]
-        if sign != 0.0:
-            even_log[ell - 1] = float(im_log - denom_log)
-            # the scalar products behind the even entries are purely
-            # imaginary, so conjugation contributes the factor -i here
-            phase = even_phase[ell - 1] = complex(-_IU * _EXT(sign)
-                                                  / denom_phase)
-            even[ell - 1] = phase * math.exp(min(even_log[ell - 1], 700.0))
-    return GreenColumn(odd, even, odd_log, even_log, odd_phase, even_phase)
+    # omega, x_0..x_n and c_1..c_{n+1} in one array, then the phases of
+    # beta_0..beta_n turned by e^{i omega x_ell / c_{ell+1}}; the last one
+    # is the denominator's
+    data = np.array((spec.omega, *spec.profile.jump_points[:n + 1],
+                     *spec.profile.speeds), dtype=_EXT)
+    turned = np.exp(_IU * (data[0] * data[1:n + 2] / data[n + 2:])) \
+        * beta.phases
+    # the odd rows, then the even ones: the scalar products behind the even
+    # entries are purely imaginary, so conjugation contributes the factor
+    # -i there; a zero sign leaves a zero entry (its log is -inf)
+    sign = beta.rot_im_sign[1:]
+    phase = (np.concatenate((turned[:n], _NEG_IU * sign)) / turned[n]) \
+        .astype(complex)
+    phase[n:][sign == 0.0] = 0.0
+    log = (np.concatenate((beta.log_moduli[:n], beta.rot_im_log[1:]))
+           - beta.log_moduli[n]).astype(float)
+    # display entries by math.exp on the clipped logs: np.exp does not
+    # always reproduce its bits
+    entry = phase * np.array([math.exp(v) for v in
+                              np.minimum(log, 700.0).tolist()])
+    return GreenColumn(entry[:n], entry[n:], log[:n], log[n:], phase[:n],
+                       phase[n:])
 
 
 def layer_coefficients(spec: ProblemSpec,

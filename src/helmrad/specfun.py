@@ -80,11 +80,12 @@ def spherical_jn_seq(m_max: int, x: float, dtype=np.float64) -> np.ndarray:
     return _jn_seq(m_max, x, np.sin(x), np.cos(x))
 
 
-def _jn_seq(m_max: int, x, s, c) -> np.ndarray:
+def _jn_seq(m_max: int, x, s, c, reach=None) -> np.ndarray:
     """``spherical_jn_seq`` at checked ``x`` with s = sin x, c = cos x.
 
     Only the two running orders and the m_max + 1 returned ones are held;
     a pass that crosses the rescale threshold scales its held orders down.
+    ``reach`` is passed on to ``_miller_rows``.
     """
     j0 = s / x
     if m_max == 0:
@@ -93,7 +94,7 @@ def _jn_seq(m_max: int, x, s, c) -> np.ndarray:
     if m_max == 1:
         return np.array([j0, j1], dtype=x.dtype)
     if x.shape:
-        return _miller_rows(m_max, x, j0, j1)
+        return _miller_rows(m_max, x, j0, j1, reach)
 
     dtype = x.dtype.type
     start = m_max + max(_MILLER_GUARD, math.ceil(1.5 * float(x))) \
@@ -115,18 +116,25 @@ def _jn_seq(m_max: int, x, s, c) -> np.ndarray:
     return f * (j0 / f[0] if abs(j0) >= abs(j1) else j1 / f[1])
 
 
-def _miller_rows(m_max: int, x: np.ndarray, j0, j1) -> np.ndarray:
+def _miller_rows(m_max: int, x: np.ndarray, j0, j1, reach=None
+                 ) -> np.ndarray:
     """The downward recurrence of ``_jn_seq`` over an array x.
 
-    Only the two running rows and the m_max + 1 returned rows are held; a
-    point that passes the rescale threshold has its own rows scaled down.
+    Each point starts where the scalar path would start at its entry of
+    ``reach`` (an array like x); without it every point starts from x's
+    largest entry.  A point waits at (0, 1) until its start.  Only the two
+    running rows and the m_max + 1 returned rows are held; a point that
+    passes the rescale threshold has its own rows scaled down.
     """
-    start = m_max + max(_MILLER_GUARD, math.ceil(1.5 * float(x.max()))) \
-        + _MILLER_MARGIN
+    top = x.max() if reach is None else reach
+    starts = m_max + np.maximum(_MILLER_GUARD, np.ceil(
+        1.5 * np.asarray(top, dtype=np.float64))).astype(int) + _MILLER_MARGIN
+    first = int(starts.max(initial=0))
+    last = int(starts.min(initial=first))
     f = np.empty((m_max + 1,) + x.shape, dtype=x.dtype)
     upper, cur = np.zeros_like(x), np.ones_like(x)
     shrink = x.dtype.type(1.0) / _RESCALE
-    for k in range(start, 0, -1):
+    for k in range(first, 0, -1):
         if k <= m_max:
             f[k] = cur
         lower = (2 * k + 1) / x * cur - upper
@@ -136,6 +144,9 @@ def _miller_rows(m_max: int, x: np.ndarray, j0, j1) -> np.ndarray:
             cur[big] *= shrink
             f[k:, big] *= shrink
         upper, cur = cur, lower
+        if k > last:
+            wait = starts < k
+            upper[wait], cur[wait] = 0.0, 1.0
     f[0] = cur
     return f * np.where(np.abs(j0) >= np.abs(j1), j0 / f[0], j1 / f[1])
 
@@ -208,6 +219,63 @@ def fundamental_eval(pair: FundamentalPair, which: int, x: float,
     if m == 0:
         return seq[0], -seq[1]
     return seq[m], seq[m - 1] - (m + 1) / xe * seq[m]
+
+
+def fundamental_pair_eval(pair: FundamentalPair, x: np.ndarray,
+                          outgoing=None, slope: bool = False, reach=None):
+    """f_2 at each entry of the 1-D array ``x`` and f_1 at ``x[outgoing]``
+    (every entry if None), in double, from one sin and one cos per point;
+    with ``slope`` also f_2' and f_1'.  Returns (f_2, f_1) or (f_2, f_1,
+    f_2', f_1').
+
+    f_2 and f_2' are real, the j_m rows alone (cos x and -sin x for d=1),
+    so a y_m that overflows reaches f_1 only.  Each point takes the scalar
+    path, and every value has the bits of ``fundamental_eval`` at that
+    point alone.  A ``reach`` array instead runs one array pass over all
+    points, with the bits of a ``fundamental_eval`` array call: for orders
+    m >= 2, of one whose largest argument is reach[i].
+    """
+    x = _positive(x, np.float64)
+    s, c = np.sin(x), np.cos(x)
+    if outgoing is not None and outgoing.all():
+        outgoing = None
+    xo, so, co = (x, s, c) if outgoing is None else \
+        (x[outgoing], s[outgoing], c[outgoing])
+    if pair.d == 1:
+        f1 = np.empty(xo.shape, dtype=complex)
+        f1.real, f1.imag = co, so
+        return (c, f1, -s, _IU * f1) if slope else (c, f1)
+    m = pair.m
+    top = max(m, 1) if slope else m
+    if reach is None:
+        j, y = _by_point(_jn_seq, top, x, s, c), \
+            _by_point(_yn_seq, top, xo, so, co)
+    else:
+        j, y = _jn_seq(top, x, s, c, reach), _yn_seq(top, xo, so, co)
+    # f_1 only in the orders used: m, with the slope also its neighbour
+    rows = slice(m, m + 1) if not slope else \
+        slice(0, 2) if m == 0 else slice(m - 1, m + 1)
+    f1 = np.empty((rows.stop - rows.start,) + xo.shape, dtype=complex)
+    f1.real = j[rows] if outgoing is None else j[rows, outgoing]
+    f1.imag = y[rows]
+    if not slope:
+        return j[m], f1[0]
+    if m == 0:
+        return j[0], f1[0], -j[1], -f1[1]
+    return (j[m], f1[1], j[m - 1] - (m + 1) / x * j[m],
+            f1[0] - (m + 1) / xo * f1[1])
+
+
+_IU = np.complex128(1j)
+
+
+def _by_point(seq, top: int, x, s, c) -> np.ndarray:
+    """Orders 0..top of ``seq`` (``_jn_seq`` or ``_yn_seq``) at each entry
+    of x, each on the scalar path."""
+    out = np.empty((top + 1,) + x.shape)
+    for i, point in enumerate(zip(x, s, c)):
+        out[:, i] = seq(top, *point)
+    return out
 
 
 def fundamental_eval_d2(pair: FundamentalPair, which: int, x: float,

@@ -1,7 +1,9 @@
 """Command-line interface: exit codes, artifacts, and determinism."""
 
+import hashlib
 import json
 import os
+import platform
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +11,8 @@ import pytest
 
 from helmrad import cli, green
 from helmrad.problem import (ProblemSpec, WaveSpeedProfile,
-                             construct_localisation_example)
+                             construct_localisation_example,
+                             construct_stable_example)
 from populations import high_mode_population
 
 # refused solves: the mpmath recursion past its error limit (high-mode spec
@@ -268,3 +271,64 @@ class TestWhisper:
                        "--x1", "0.5", "--omega-window", "16.2", "16.3",
                        "--samples", "50"])
         assert rc == cli.EXIT_VALIDATION
+
+
+class TestGoldenBytes:
+    """Artifacts of localised and stable n = 8 (c_2 = 3) against SHA-256
+    digests recorded before the field evaluator took every layer in one
+    pass.  The bits come from numpy's and the C library's kernels, so the
+    digests hold on the build they were recorded with: numpy 2.4.6 on
+    x86_64 (with AVX-512)."""
+
+    RECORDED_WITH = ("2.4.6", "x86_64")
+    SOLVE = {
+        "localised": {
+            "diagnostics.json": "dd80a1284506b8b5a4e4781a1d7a44a2"
+                                "42ffcfef54e53dc51058cdf5c82b7742",
+            "disc.csv": "59c30086d3ec636e06312d6b8d605ec2"
+                        "1916b1d9f2046075e31511782d8fd37f",
+            "green_column.json": "61e6cd4c2a646a3d9ea467a8b5e4e2ee"
+                                 "bbf272debbf8accaba0ac14120e373a0",
+            "radial.csv": "a59d156e5b9db6a64e89bf7876c7506f"
+                          "ef6b9d2834d3d895ea863e777d99b398",
+        },
+        "stable": {
+            "diagnostics.json": "43f78f55102b6d0acdaf17bbac33128c"
+                                "9aca90741794a24731f3fd71bdbc6d5b",
+            "disc.csv": "710b95d5562d3eed9c49c26ac05dd662"
+                        "7d3d49ef30d21b5b6260083139f69c50",
+            "green_column.json": "b4527f450b243dcd487101ffb8936f50"
+                                 "12dd7a3b91ab6d937d35147fecb8775e",
+            "radial.csv": "38c0ec0836d8c52b5d58dc8e8275d067"
+                          "f22a30aeb87520b764b702855b2a4c3b",
+        },
+    }
+    SCAN = ("9a2c4649aa0f5028e8e2b495828c208d"
+            "062de3c421b5b2321888030a1595a5d2")
+
+    @pytest.fixture(autouse=True)
+    def _recorded_build(self):
+        build = (np.__version__, platform.machine())
+        if build != self.RECORDED_WITH:
+            pytest.skip(f"digests recorded with numpy {self.RECORDED_WITH[0]}"
+                        f" on {self.RECORDED_WITH[1]}, not {build}")
+
+    @staticmethod
+    def _digest(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("kind", ["localised", "stable"])
+    def test_solve_artifacts(self, kind, tmp_path):
+        build = construct_localisation_example if kind == "localised" \
+            else construct_stable_example
+        assert cli.main(["solve", "--input", build(8, 1.0, 3.0).to_json(),
+                         "--output-dir", str(tmp_path)]) == cli.EXIT_OK
+        assert {name: self._digest(tmp_path / name)
+                for name in self.SOLVE[kind]} == self.SOLVE[kind]
+
+    def test_scan(self, tmp_path):
+        spec = construct_localisation_example(8, 1.0, 3.0)
+        assert cli.main(["scan", "--input", spec.to_json(), "--output-dir",
+                         str(tmp_path), "--seed", "1", "--samples", "40"]
+                        ) == cli.EXIT_OK
+        assert self._digest(tmp_path / "scan.csv") == self.SCAN

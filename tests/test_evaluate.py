@@ -9,6 +9,7 @@ import csv
 import io
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,9 @@ from helmrad.evaluate import (RadialSolution, UnsupportedMode, diagnostics,
                               solve_direct, sup_radial, sup_scaled)
 from helmrad.problem import (ProblemSpec, WaveSpeedProfile,
                              construct_localisation_example)
+from helmrad.specfun import (FundamentalPair, fundamental_eval,
+                             fundamental_pair_eval)
+import field_oracle
 from interface_oracles import raw_solve_mp
 
 
@@ -149,10 +153,10 @@ def _energy_by_uniform_grid(sol, samples=100001):
             if r == 0.0:
                 # the r^(d-1) weight kills the origin except in d=1, where
                 # the regular branch contributes (k |u(0)|)^2
-                val0, _ = eval_radial(sol, 0.0)
+                val0, _ = field_oracle.eval_radial(sol, 0.0)
                 dens[i] = (kj * abs(val0)) ** 2 if d == 1 else 0.0
                 continue
-            val, der = evaluate._eval_in_layer(sol, j, float(r))
+            val, der = field_oracle.eval_in_layer(sol, j, float(r))
             dens[i] = (abs(der) ** 2 + (kj * abs(val)) ** 2) * r ** (d - 1)
             if lam != 0.0:
                 dens[i] += lam * abs(val) ** 2 * r ** (d - 3)
@@ -208,7 +212,8 @@ class TestEnergy:
 
 
 def _energy_pointwise(sol, order=32):
-    """energy_norm's adaptive Gauss-Legendre rule, one eval_radial a node."""
+    """energy_norm's adaptive Gauss-Legendre rule, one oracle evaluation
+    a node."""
     spec = sol.spec
     d, lam = spec.dimension, spec.angular_eigenvalue
     x = spec.profile.jump_points
@@ -221,7 +226,7 @@ def _energy_pointwise(sol, order=32):
             kj = spec.omega / spec.speed(j)
             for t, w in zip(nodes, weights):
                 r = half * t + 0.5 * (x[j - 1] + x[j])
-                val, der = eval_radial(sol, float(r))
+                val, der = field_oracle.eval_radial(sol, float(r))
                 dens = (abs(der) ** 2 + (kj * abs(val)) ** 2) * r ** (d - 1)
                 if lam != 0.0:
                     dens += lam * abs(val) ** 2 * r ** (d - 3)
@@ -233,13 +238,14 @@ def _energy_pointwise(sol, order=32):
 
 
 class TestBatchedFieldQuantities:
-    """The array evaluator against pointwise references from eval_radial."""
+    """The field evaluator against pointwise references from the
+    layer-by-layer oracle."""
 
     @pytest.mark.parametrize("spec", SPECS)
     def test_sup_radial(self, spec):
         sol = solve(spec)
         x = spec.profile.jump_points
-        ref = max(abs(eval_radial(sol, float(r))[0])
+        ref = max(abs(field_oracle.eval_radial(sol, float(r))[0])
                   for j in range(1, len(x))
                   for r in np.linspace(x[j - 1], x[j], 64))
         assert sup_radial(sol, 64) == pytest.approx(ref, rel=1e-13)
@@ -263,7 +269,7 @@ class TestBatchedFieldQuantities:
             for ix, x in enumerate(xs):
                 r = math.hypot(x, y)
                 if r <= 1.0:
-                    ref[iy, ix] = abs(eval_radial(sol, r)[0]) \
+                    ref[iy, ix] = abs(field_oracle.eval_radial(sol, r)[0]) \
                         / math.sqrt(4.0 * math.pi)
         assert np.array_equal(np.isnan(field), np.isnan(ref))
         inside = ~np.isnan(ref)
@@ -281,11 +287,132 @@ class TestBatchedFieldQuantities:
         got = np.array(rows[1:], dtype=float)
         rs = np.linspace(0.0, 1.0, 101)
         assert np.array_equal(got[:, 0], rs)
-        ref = np.array([eval_radial(sol, float(r))[0] for r in rs])
+        ref = np.array([field_oracle.eval_radial(sol, float(r))[0]
+                        for r in rs])
         scale = np.max(np.abs(ref))
         for col, want in zip(got[:, 1:].T, (ref.real, ref.imag,
                                             np.abs(ref))):
             assert np.max(np.abs(col - want)) <= 1e-14 * scale
+
+
+# d=1, and d=3 with m = 0, 1, 2 and 5: the field evaluator takes every layer
+# in one pass, and each value keeps the bits of the layer-by-layer oracle
+# (the m = 5 spec's values move if the layers share one downward-recurrence
+# start)
+ORACLE_SPECS = [
+    SPECS[2], SPECS[0], SPECS[3], SPECS[1],
+    _spec((0.8, 1.7, 1.1), (0.35, 0.7), 9.0, m=1, g=0.5 + 2.0j),
+    _spec((0.5, 3.0, 0.25), (0.4, 0.7), 25.0, m=5),
+    construct_localisation_example(8, 1.0, 3.0),
+]
+
+
+def _bits(values):
+    return np.asarray(values, dtype=complex).tobytes()
+
+
+class TestFieldBitsAgainstOracle:
+    @pytest.mark.parametrize("spec", ORACLE_SPECS)
+    def test_grids(self, spec):
+        sol = solve(spec)
+        for samples in (1, 2, 64, 512):
+            assert sup_radial(sol, samples) \
+                == field_oracle.sup_radial(sol, samples)
+        rs = np.unique(np.concatenate((np.linspace(0.0, 1.0, 1001),
+                                       spec.profile.jump_points)))
+        assert _bits(evaluate._radial_values(sol, rs)) \
+            == _bits(field_oracle.radial_values(sol, rs))
+        assert energy_norm(sol) == field_oracle.energy_norm(sol)
+
+    @pytest.mark.parametrize("spec", ORACLE_SPECS)
+    def test_interfaces(self, spec):
+        sol = solve(spec)
+        assert interface_residuals(sol) \
+            == field_oracle.interface_residuals(sol)
+
+    @pytest.mark.parametrize("spec", ORACLE_SPECS)
+    def test_single_points(self, spec):
+        sol = solve(spec)
+        for r in (0.0, 1e-9, 0.013, 0.5, 0.77, 1.0,
+                  *spec.profile.jump_points[1:-1]):
+            assert _bits(eval_radial(sol, r)) \
+                == _bits(field_oracle.eval_radial(sol, r))
+
+    def test_single_points_take_the_scalar_path(self):
+        """At x = 0x1.5de01976927c2p-2 a float's x**2 (by pow) and an
+        array's (by x*x) differ in the last bit with numpy 2.4 on x86_64,
+        and so do j_1 and u' of an array pass."""
+        sol = solve(_spec((1.0, 2.0), (0.6,), 1.0))
+        r = float.fromhex("0x1.5de01976927c2p-2")
+        assert _bits(eval_radial(sol, r)) \
+            == _bits(field_oracle.eval_radial(sol, r))
+
+    def test_overflowing_y_leaves_the_b_term_finite(self):
+        """d=3, m=30 at x = 1e-9: y_30 overflows, and with it f_1 and the
+        real part of the which=1 slope; f_2 and f_2' come from j alone."""
+        pair = FundamentalPair(3, 30)
+        x = np.array([1e-9, 0.5])
+        with np.errstate(over="ignore", invalid="ignore"):
+            f2, f1, df2, _ = fundamental_pair_eval(pair, x, slope=True)
+            _, h1 = fundamental_eval(pair, 1, 1e-9)
+        assert np.isinf(f1[0].imag) and math.isnan(h1.real)
+        assert np.all(np.isfinite(f2)) and np.all(np.isfinite(df2))
+        for i, v in enumerate(x.tolist()):
+            j, dj = fundamental_eval(pair, 2, v)
+            assert (f2[i], df2[i]) == (j.real, dj.real)
+        sol = RadialSolution(
+            spec=_spec((1.0, 2.0), (0.5,), 1.0, m=30),
+            coeffs=CoefficientVector(entries=np.array([1e250 + 0j, 0j]),
+                                     b_last=0j))
+        val, der = eval_radial(sol, 1e-9)
+        assert math.isfinite(abs(val)) and math.isfinite(abs(der))
+
+
+class TestCoefficientsNearTheDoubleRange:
+    """Coefficients past 2**512 are evaluated in units of a power of two."""
+
+    def test_a_power_of_two_scales_every_quantity_exactly(self):
+        sol = solve(SPECS[3])
+        big = RadialSolution(spec=sol.spec, coeffs=CoefficientVector(
+            entries=np.ldexp(sol.coeffs.entries.real, 600)
+            + 1j * np.ldexp(sol.coeffs.entries.imag, 600),
+            b_last=complex(math.ldexp(sol.coeffs.b_last.real, 600),
+                           math.ldexp(sol.coeffs.b_last.imag, 600))))
+        assert interface_residuals(big) == interface_residuals(sol)
+        for f in (sup_radial, energy_norm, energy_upper_bound):
+            assert f(big) == math.ldexp(f(sol), 600)
+        for r in (0.05, 0.3, 1.0):
+            val, der = eval_radial(sol, r)
+            assert eval_radial(big, r) == (
+                complex(math.ldexp(val.real, 600),
+                        math.ldexp(val.imag, 600)),
+                complex(math.ldexp(der.real, 600),
+                        math.ldexp(der.imag, 600)))
+
+    def test_diagnostics_stay_finite(self):
+        """g = 1e305 on localised n = 8 gives coefficients up to 8.1e306:
+        the residuals, the energy norm and its bounds stay finite and
+        scale with g."""
+        base = construct_localisation_example(8, 1.0, 3.0)
+        sol = solve(replace(base, boundary_coefficient=1e305))
+        ref = solve(base)
+        assert np.max(np.abs(sol.coeffs.entries)) > 8e306
+        rep = diagnostics(sol)
+        assert rep.passes()
+        assert rep.max_interface_residual <= 1e-15
+        for got, want in ((rep.energy_norm, energy_norm(ref)),
+                          (rep.energy_upper_bound, energy_upper_bound(ref)),
+                          (rep.energy_lower_bound, energy_lower_bound(ref)),
+                          (rep.sup_norm, sup_scaled(ref))):
+            assert got == pytest.approx(1e305 * want, rel=1e-12)
+        # twenty times larger, the upper bound itself passes 1.8e308
+        big = RadialSolution(spec=sol.spec, coeffs=CoefficientVector(
+            entries=sol.coeffs.entries * 20.0,
+            b_last=sol.coeffs.b_last * 20.0))
+        assert energy_norm(big) == pytest.approx(20.0 * rep.energy_norm,
+                                                 rel=1e-12)
+        with pytest.raises(OverflowError):
+            energy_upper_bound(big)
 
 
 class TestCsvBytes:
