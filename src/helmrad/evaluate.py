@@ -3,8 +3,9 @@
 One field evaluator, ``_field``, takes radii of any layers with their layer
 indices and evaluates the pair once per point (one sin and one cos, f_1
 only where A != 0); it gives values only unless asked for u' too.  The sup
-norm, the grids and the energy use it; ``eval_radial`` and the interface
-residuals sum the same pass's terms as Python numbers.
+norm, the grids, the energy and ``eval_radial`` use it, so a radius has one
+value whichever of them asks.  The interface residuals take the same pair
+evaluation at every interface in one call.
 """
 
 from __future__ import annotations
@@ -91,49 +92,24 @@ def _field(sol: RadialSolution, layer: np.ndarray, r: np.ndarray,
 
     One ``fundamental_pair_eval`` per block of at most _BLOCK points.  Each
     sum adds the A term to 0, then the B term, as a per-layer array
-    evaluation did, and orders m >= 2 start the downward recurrence from
-    each layer's largest argument as it did, so every value keeps its bits.
+    evaluation did, so every value keeps its bits.
     """
     k, a, b, e = _layers(sol)
     k, a, b = k[layer], a[layer], b[layer]
     x = k * r
-    reach = x           # d = 1 and m <= 1 run no downward recurrence
-    if sol.spec.dimension == 3 and sol.spec.mode >= 2:
-        top = np.zeros(sol.spec.profile.num_layers + 1)
-        np.maximum.at(top, layer, x)
-        reach = top[layer]
     u, du = np.zeros(len(r), dtype=complex), None
     if slope:
         du, ka, kb = np.zeros(len(r), dtype=complex), a * k, b * k
     for lo in range(0, len(r), _BLOCK):
         blk = slice(lo, lo + _BLOCK)
         use = a[blk] != 0.0
-        f2, f1, *df = fundamental_pair_eval(sol.pair, x[blk], use, slope,
-                                            reach[blk])
+        f2, f1, *df = fundamental_pair_eval(sol.pair, x[blk], use, slope)
         u[blk][use] += a[blk][use] * f1
         u[blk] += b[blk] * f2
         if slope:
             du[blk][use] += ka[blk][use] * df[1]
             du[blk] += kb[blk] * df[0]
     return e, u, du
-
-
-def _point_terms(sol: RadialSolution, layer, r) -> tuple:
-    """For each radius r[i] > 0 in layer ``layer[i]``: its wavenumber and
-    its ansatz terms (coefficient in units of 2**e, f, f') as Python
-    numbers, from one ``fundamental_pair_eval`` call that takes each point
-    on the scalar path; sums of their products round as a scalar
-    evaluation's did.  Returns (e, [(k, terms), ...])."""
-    k, a, b, e = _layers(sol)
-    k, a, b = k.tolist(), a.tolist(), b.tolist()
-    use = [a[j] != 0.0 for j in layer]
-    f2, f1, df2, df1 = (v.tolist() for v in fundamental_pair_eval(
-        sol.pair, np.array([k[j] * v for j, v in zip(layer, r)]),
-        np.array(use), True))
-    outgoing = iter(zip(f1, df1))
-    return e, [(k[j], ([(a[j], *next(outgoing))] if use[i] else [])
-                + [(b[j], complex(f2[i]), complex(df2[i]))])
-               for i, j in enumerate(layer)]
 
 
 def _radial_values(sol: RadialSolution, rs: np.ndarray) -> np.ndarray:
@@ -165,13 +141,10 @@ def eval_radial(sol: RadialSolution, r: float):
         else:
             der = 0.0 + 0.0j
         return val, der
-    e, [(k, terms)] = _point_terms(sol, [spec.profile.layer_of(r)], [r])
-    val = der = 0.0 + 0.0j
-    for c, f, df in terms:
-        val += c * f
-        der += c * k * df
+    e, val, der = _field(sol, np.array([spec.profile.layer_of(r)]),
+                         np.array([r]), slope=True)
     return tuple(complex(math.ldexp(v.real, e), math.ldexp(v.imag, e))
-                 for v in (val, der)) if e else (val, der)
+                 for v in (val.item(), der.item()))
 
 
 def interface_residuals(sol: RadialSolution) -> list:
@@ -187,27 +160,32 @@ def interface_residuals(sol: RadialSolution) -> list:
     n = spec.n
     if n == 0:
         return []
-    x = spec.profile.jump_points[1:n + 1]
     # both sides of every interface in one pass: layers 1..n on the left,
-    # 2..n+1 on the right
-    _, terms = _point_terms(sol, [*range(1, n + 1), *range(2, n + 2)],
-                            [*x, *x])
-    out = []
-    for j in range(1, n + 1):
-        jump = slope = 0.0 + 0.0j
-        size = 0.0
-        left, right = terms[j - 1], terms[n + j - 1]
-        for (k, side), sign in ((left, 1.0), (right, -1.0)):
-            for c, f, df in side:
-                jump += sign * c * f
-                slope += sign * c * k * df
-                size += abs(c) * math.hypot(abs(f), abs(df))
-        if size == 0.0:
-            out.append((0.0, 0.0))
-            continue
-        k_top = spec.omega / min(spec.speed(j), spec.speed(j + 1))
-        out.append((abs(jump) / size, abs(slope) / (k_top * size)))
-    return out
+    # 2..n+1 on the right, the coefficients in units of 2**e
+    layer = np.concatenate((np.arange(1, n + 1), np.arange(2, n + 2)))
+    k, a, b, _ = _layers(sol)
+    k, a, b = k[layer], a[layer], b[layer]
+    use = a != 0.0
+    f2, f1, df2, df1 = fundamental_pair_eval(
+        sol.pair, k * np.tile(spec.profile.jump_points[1:n + 1], 2), use,
+        True)
+    # the A term reads 0 where A = 0
+    h, dh = np.zeros(2 * n, dtype=complex), np.zeros(2 * n, dtype=complex)
+    h[use], dh[use] = f1, df1
+    # terms summed from 0: the A term, then the B term, left side first
+    jump = slope = size = 0.0
+    for side, sign in ((slice(0, n), 1.0), (slice(n, None), -1.0)):
+        for c, f, df in ((a, h, dh), (b, f2, df2)):
+            c, f, df = sign * c[side], f[side], df[side]
+            jump = jump + c * f
+            slope = slope + c * k[side] * df
+            size = size + np.abs(c) * np.hypot(np.abs(f), np.abs(df))
+    speeds = np.asarray(spec.profile.speeds)
+    k_top = spec.omega / np.minimum(speeds[:-1], speeds[1:])
+    return [(j / t, s / (kt * t)) if t != 0.0 else (0.0, 0.0)
+            for j, s, t, kt in zip(np.abs(jump).tolist(),
+                                   np.abs(slope).tolist(), size.tolist(),
+                                   k_top.tolist())]
 
 
 def ode_residual(sol: RadialSolution, samples_per_layer: int = 8) -> float:
@@ -246,15 +224,17 @@ def ode_residual(sol: RadialSolution, samples_per_layer: int = 8) -> float:
     if not nodes:
         return 0.0
     r, k, a, b = (np.concatenate(col) for col in zip(*nodes))
-    x = k * r
+    # one evaluation of f_1 at every node; f_2 = Re f_1 in extended
+    # precision, kept complex so its products round as f_1's do
+    f1 = fundamental_eval_d2(sol.pair, 1, k * r, dtype=np.longdouble)
+    f2 = tuple(v.real.astype(cdt) for v in f1)
     val, der, dd = (np.zeros(r.shape, dtype=cdt) for _ in range(3))
     mag = np.zeros(r.shape, dtype=np.longdouble)
-    for coef, which in ((a, 1), (b, 2)):
+    for coef, terms in ((a, f1), (b, f2)):
         use = coef != 0.0
         if not use.any():
             continue
-        f, df, d2f = fundamental_eval_d2(sol.pair, which, x[use],
-                                         dtype=np.longdouble)
+        f, df, d2f = (v[use] for v in terms)
         c, kc = coef[use], k[use]
         val[use] += c * f
         der[use] += c * kc * df

@@ -3,9 +3,9 @@
 Each layer is evaluated on its own, f_1 and f_2 by two separate
 ``fundamental_eval`` calls (which=1, which=2), and u = A f_1 + B f_2 and
 u' = A k f_1' + B k f_2' are summed term by term from 0, the A term
-skipped where A = 0.  A radius given as a float takes the scalar path, an
-array of radii of one layer the array path (one downward-recurrence start
-for the whole layer).  The quantities below are built from it the way
+skipped where A = 0.  Radii are taken as arrays, a single radius as a
+one-element array, so every point takes the array path of the special
+functions.  The quantities below are built from it the way
 ``helmrad.evaluate`` built them before its field evaluator took every
 layer in one pass: the tests compare that evaluator against them, bit for
 bit where the evaluation order is the same.
@@ -48,7 +48,8 @@ def eval_radial(sol: RadialSolution, r: float):
         if spec.dimension == 3 and spec.mode == 1:
             return val, b1 * spec.omega / (3.0 * spec.speed(1))
         return val, 0.0 + 0.0j
-    return eval_in_layer(sol, spec.profile.layer_of(r), r)
+    val, der = eval_in_layer(sol, spec.profile.layer_of(r), np.array([r]))
+    return val.item(), der.item()
 
 
 def radial_values(sol: RadialSolution, rs: np.ndarray) -> np.ndarray:
@@ -78,24 +79,26 @@ def sup_radial(sol: RadialSolution, samples_per_layer: int = 512) -> float:
 
 
 def interface_residuals(sol: RadialSolution) -> list:
-    """(|[u]|, |[u']|) per interface over the summed term sizes."""
+    """(|[u]|, |[u']|) per interface over the summed term sizes, each term
+    and its coefficient a one-element array."""
     spec = sol.spec
     out = []
     for j in range(1, spec.n + 1):
-        xj = spec.profile.jump_points[j]
-        jump = slope = 0.0 + 0.0j
-        size = 0.0
+        xj = np.array([spec.profile.jump_points[j]])
+        jump = slope = size = 0.0
         for layer, sign in ((j, 1.0), (j + 1, -1.0)):
             k, terms = layer_terms(sol, layer, xj)
             for c, f, df in terms:
-                jump += sign * c * f
-                slope += sign * c * k * df
-                size += abs(c) * math.hypot(abs(f), abs(df))
+                c = sign * np.array([c])
+                jump = jump + c * f
+                slope = slope + c * k * df
+                size = size + np.abs(c) * np.hypot(np.abs(f), np.abs(df))
+        jump, slope, size = (float(np.abs(v)[0]) for v in (jump, slope, size))
         if size == 0.0:
             out.append((0.0, 0.0))
             continue
         k_top = spec.omega / min(spec.speed(j), spec.speed(j + 1))
-        out.append((abs(jump) / size, abs(slope) / (k_top * size)))
+        out.append((jump / size, slope / (k_top * size)))
     return out
 
 

@@ -338,14 +338,16 @@ class TestFieldBitsAgainstOracle:
             assert _bits(eval_radial(sol, r)) \
                 == _bits(field_oracle.eval_radial(sol, r))
 
-    def test_single_points_take_the_scalar_path(self):
-        """At x = 0x1.5de01976927c2p-2 a float's x**2 (by pow) and an
-        array's (by x*x) differ in the last bit with numpy 2.4 on x86_64,
-        and so do j_1 and u' of an array pass."""
-        sol = solve(_spec((1.0, 2.0), (0.6,), 1.0))
-        r = float.fromhex("0x1.5de01976927c2p-2")
-        assert _bits(eval_radial(sol, r)) \
-            == _bits(field_oracle.eval_radial(sol, r))
+    @pytest.mark.parametrize("spec", [ORACLE_SPECS[0], ORACLE_SPECS[5],
+                                      ORACLE_SPECS[6]],
+                             ids=["d=1", "m=5", "localised-8"])
+    def test_one_radius_has_one_value(self, spec):
+        """A single radius and the radial.csv grid take the same path."""
+        sol = solve(spec)
+        rs = np.linspace(0.0, 1.0, 1024)
+        grid = evaluate._radial_values(sol, rs)
+        assert _bits([eval_radial(sol, r)[0] for r in rs.tolist()]) \
+            == _bits(grid)
 
     def test_overflowing_y_leaves_the_b_term_finite(self):
         """d=3, m=30 at x = 1e-9: y_30 overflows, and with it f_1 and the

@@ -207,11 +207,47 @@ class TestArrayArguments:
             tracemalloc.stop()
         assert peak < 4e6
 
+    @pytest.mark.parametrize("m", [2, 7, 30])
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    def test_points_do_not_depend_on_their_batch(self, m, dtype):
+        """Each point starts the downward recurrence from its own argument,
+        so a column of a batch has the bits of the call at that point
+        (compared as values: the padding bytes of the 80-bit format are not
+        reproducible)."""
+        x = _BATCH_X.astype(dtype)
+        batch = spherical_jn_seq(m, x, dtype)
+        for i, v in enumerate(x):
+            assert np.array_equal(batch[:, i], spherical_jn_seq(m, v, dtype))
+
     def test_nonpositive_entry_rejected(self):
-        with pytest.raises(ValueError):
-            spherical_jn_seq(3, np.array([0.5, 0.0]))
-        with pytest.raises(ValueError):
-            fundamental_eval(FundamentalPair(3, 0), 1, np.array([-1.0, 2.0]))
+        for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                spherical_jn_seq(3, np.array([0.5, bad]))
+            with pytest.raises(ValueError):
+                spherical_jn_seq(3, bad)
+            with pytest.raises(ValueError):
+                fundamental_eval(FundamentalPair(3, 0), 1,
+                                 np.array([bad, 2.0]))
+            with pytest.raises(ValueError):
+                wronskian_w(FundamentalPair(3, 2), 1, 2, bad, 1.0, 0.5)
+            with pytest.raises(ValueError):
+                wronskian_w(FundamentalPair(3, 2), 1, 2, 1.0, bad, 0.5)
+            with pytest.raises(ValueError):
+                wronskian_w(FundamentalPair(3, 2), 1, 2, 1.0, 1.0,
+                            np.array([0.5, bad]))
+            with pytest.raises(ValueError):
+                fundamental_eval_mp(FundamentalPair(3, 2), 1, bad)
+
+    @pytest.mark.parametrize("pair", [FundamentalPair(1, 0),
+                                      FundamentalPair(3, 0),
+                                      FundamentalPair(3, 4)])
+    @pytest.mark.parametrize("fn", [fundamental_eval, fundamental_eval_d2])
+    def test_every_pair_checks_its_argument(self, fn, pair):
+        for which in (1, 2):
+            with pytest.raises(ValueError):
+                fn(pair, which, -1.0)
+            with pytest.raises(ValueError):
+                fn(pair, which, np.array([1.0, 0.0]), np.longdouble)
 
 
 class TestArbitraryPrecision:
