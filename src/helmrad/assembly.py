@@ -205,9 +205,9 @@ def _blocks(tier: Tier, spec: ProblemSpec) -> tuple[np.ndarray, float]:
     decimal digits cancelled while forming them.  The pair values come
     from one evaluation at the 2n arguments z/c_ell and z/c_{ell+1}."""
     n = spec.n
-    c = np.asarray([tier.real(v) for v in spec.profile.speeds])
-    z = tier.real(spec.omega) * np.asarray(
-        [tier.real(v) for v in spec.profile.jump_points[1:n + 1]])
+    c = tier.real(np.asarray(spec.profile.speeds))
+    z = tier.real(spec.omega) * tier.real(
+        np.asarray(spec.profile.jump_points[1:n + 1]))
     values = tier.pair_eval(_pair(spec), np.concatenate((z / c[:-1],
                                                          z / c[1:])))
     blocks, norms, block_loss = [], [], 0.0

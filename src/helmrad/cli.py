@@ -295,7 +295,8 @@ def main(argv=None) -> int:
     try:
         # looked up at call time, so a replaced module attribute is what runs
         return globals()[f"cmd_{args.command}"](args)
-    except (ZeroDivisionError, OverflowError) as exc:   # a refused solve
+    except (ZeroDivisionError, OverflowError, assembly.SingularSystem) as exc:
+        # a refused solve
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SUITE_FAILED
 

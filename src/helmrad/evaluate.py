@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import json
+import logging
 import math
 import os
 import tempfile
@@ -41,6 +42,12 @@ _BLOCK = 1 << 13
 #: two, since the field's squares would otherwise leave the double range
 _SCALE_FROM = 512
 
+#: interface backward error past which ``solve`` rejects the recursion's
+#: answer and takes the banded route's
+_GATE_LIMIT = 1e-9
+
+_log = logging.getLogger(__name__)
+
 
 class UnsupportedMode(Exception):
     """Operation restricted to d=3, m=0."""
@@ -59,8 +66,68 @@ class RadialSolution:
 
 
 def solve(spec: ProblemSpec) -> RadialSolution:
-    """Solve through the recursion representation (production path)."""
-    return RadialSolution(spec=spec, coeffs=green.layer_coefficients(spec))
+    """Solve by the recursion where it is checked right, else by banded
+    elimination (production path).
+
+    The recursion runs once, in extended precision.  Its answer is taken
+    only when its own error estimate is within ``green.ERROR_LIMIT``
+    (1e-13) and the coefficients' interface backward error, as
+    ``interface_residuals`` defines it, is within 1e-9: that check reuses
+    the f_1, f_1' the recursion evaluated at the interfaces.  Otherwise
+    the answer is ``solve_direct``'s, judged by its own a-posteriori
+    tests, and one debug record on the ``helmrad`` logger gives the
+    reason; the recursion is never rerun in mpmath here.  A refusal of the
+    banded route propagates (``SingularSystem``, or ``OverflowError`` for
+    a coefficient outside the double range), as do the recursion's
+    ``green.NearResonantDenominator`` and ``OverflowError`` on its
+    accepted path.
+    """
+    beta, run, error = green.extended_run(spec)
+    if error <= green.ERROR_LIMIT:
+        coeffs = green.layer_coefficients(
+            spec, green.green_last_column(spec, beta))
+        gate = _interface_gate(spec, run.interfaces.values, coeffs)
+        if gate <= _GATE_LIMIT:
+            return RadialSolution(spec=spec, coeffs=coeffs)
+        reason = (f"interface backward error {gate:.3g} exceeds "
+                  f"{_GATE_LIMIT:g}")
+    else:
+        reason = (f"estimated relative error {float(error):.3g} exceeds "
+                  f"{green.ERROR_LIMIT:g}")
+    _log.debug("solve: banded route, the recursion's %s", reason)
+    return solve_direct(spec)[0]
+
+
+def _interface_gate(spec: ProblemSpec, values: np.ndarray,
+                    coeffs: CoefficientVector) -> float:
+    """The largest interface residual of ``coeffs``, as
+    ``interface_residuals`` defines it, from ``values``: the rows (f_1,
+    f_1', f_2, f_2') at the 2n interface arguments, left sides then right,
+    in the recursion's extended precision.  Each term is formed there, so
+    none leaves the double range before it is weighed; a term that is not
+    finite makes the result NaN.  An interface whose terms all vanish (or
+    all lie below 1e-300) reads 0."""
+    n = spec.n
+    if n == 0:
+        return 0.0
+    # (A_j, B_j), j = 1..n+1 with A_1 = 0: the left side of interface ell
+    # takes layer ell, the right side layer ell + 1
+    rows = np.concatenate(([0.0], coeffs.entries, [coeffs.b_last])) \
+        .reshape(n + 1, 2)
+    coef = np.concatenate((rows[:n], rows[1:])).T
+    # terms[i, j]: A (i = 0) or B (i = 1) times the value (j = 0) or the
+    # slope (j = 1) of its function, at each point
+    terms = (values.reshape(2, 2, -1) * coef[:, None]).astype(complex)
+    mags = np.abs(terms)
+    size = np.hypot(mags[:, 0], mags[:, 1]).reshape(4, n).sum(0)
+    # u and du/d(kr) at each point, then the jumps: the slope's in units
+    # of the larger wavenumber, k/k_top = min(c_l, c_r)/c
+    sums = terms.sum(0)
+    c = np.asarray(spec.profile.speeds)
+    sums[1] /= np.concatenate((c[:-1], c[1:]))
+    jump = sums[:, :n] - sums[:, n:]
+    jump[1] *= np.minimum(c[:-1], c[1:])
+    return float((np.abs(jump).max(0) / np.maximum(size, 1e-300)).max())
 
 
 def solve_direct(spec: ProblemSpec) -> tuple[RadialSolution, float]:

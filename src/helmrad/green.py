@@ -18,11 +18,18 @@ The recursion runs in extended precision and carries a running first-order
 error bound through each step's Jacobian.  One rule judges a run in either
 precision: the bound in the tier's rounding unit, amplified by the digits
 the extraction of the imaginary parts loses, must stay within a relative
-1e-13.  An extended run past it is rerun once in mpmath, at digits sized
-from the summed per-step cancellation; an mpmath run past it raises
-ZeroDivisionError.  Still open: the estimate is first order and misses some
-rounding terms, and the Im-loss weight ignores the size of the field term
-an entry feeds, so a few high modes still come back wrong without an error.
+1e-13 (``ERROR_LIMIT``).  In ``beta_sequence`` an extended run past it is
+rerun once in mpmath, at digits sized from the summed per-step
+cancellation; an mpmath run past it raises ZeroDivisionError.  Still open:
+the estimate is first order and misses some rounding terms, and the
+Im-loss weight ignores the size of the field term an entry feeds, so a few
+high modes still come back wrong without an error from this route
+(``beta_sequence``, ``green_last_column``, ``layer_coefficients``).
+
+The production path, ``evaluate.solve``, makes no rerun: it takes
+``extended_run`` alone, accepts its answer only when the estimate passes
+and the coefficients' interface backward error is within 1e-9, and
+otherwise returns the banded route's answer.
 """
 
 from __future__ import annotations
@@ -71,6 +78,9 @@ class _Interface(NamedTuple):
     q: np.ndarray       # relative reflection strength g_minus / g_plus
     w12: np.ndarray     # w^{1,2} of the right-hand layer at the jump point
     cancel: np.ndarray  # the larger product inside gamma-plus over |gt_plus|
+    # rows (f_1, f_1', f_2, f_2') at the 2n arguments z_ell/c_ell, then
+    # z_ell/c_{ell+1}
+    values: np.ndarray
 
 
 def _interfaces(tier: Tier, pair: FundamentalPair, cl, cr, zl, zr
@@ -84,7 +94,8 @@ def _interfaces(tier: Tier, pair: FundamentalPair, cl, cr, zl, zr
     gamma-plus vanishes, before anything is divided by it.
     """
     n = len(zl)
-    f1, df1, f2, df2 = tier.pair_eval(pair, np.concatenate((zl, zr)))
+    values = tier.pair_eval(pair, np.concatenate((zl, zr)))
+    f1, df1, f2, df2 = values
     f1l, df1l, f1r, df1r = f1[:n], df1[:n], f1[n:], df1[n:]
     t1 = f1r * df1l.conjugate() / cl
     t2 = df1r * f1l.conjugate() / cr
@@ -100,7 +111,7 @@ def _interfaces(tier: Tier, pair: FundamentalPair, cl, cr, zl, zr
     return _Interface(
         gt_plus, g_plus, g_minus / g_plus,
         w12=f1r * df2[n:] / cr - df1r * f2[n:] / cr,
-        cancel=np.maximum(np.abs(t1), np.abs(t2)) / size)
+        cancel=np.maximum(np.abs(t1), np.abs(t2)) / size, values=values)
 
 
 @dataclass(frozen=True)
@@ -134,14 +145,6 @@ class BetaSequence:
     def beta(self) -> np.ndarray:
         """beta_0..beta_n as complex values (may overflow for huge n)."""
         return np.exp(self.log_moduli) * self.phases
-
-
-def _advance(tier: Tier, log_mod, step_value):
-    """Fold a recursion step (applied to a unit phase) into log form."""
-    mag = abs(step_value)
-    if mag == 0:
-        return tier.real(-math.inf), tier.real(1) + 0j
-    return log_mod + tier.log(mag), step_value / mag
 
 
 class _Run(NamedTuple):
@@ -184,7 +187,7 @@ def _recursion(tier: Tier, spec: ProblemSpec, omega, x) -> _Run:
     """
     x = np.asarray(x)
     n = spec.n
-    c = np.asarray([tier.real(v) for v in spec.profile.speeds])
+    c = tier.real(np.asarray(spec.profile.speeds))
     cl, cr = c[:-1], c[1:]
     z = omega * x[1:n + 1]
     zr = z / cr
@@ -193,14 +196,15 @@ def _recursion(tier: Tier, spec: ProblemSpec, omega, x) -> _Run:
     delta = omega * (x[1:n + 1] - x[:n]) / cl
     per_step = zip(tier.cexp(-delta), it.q, 1 + np.abs(it.q), 1 + it.cancel,
                    delta, it.g_plus / (2j * it.w12), tier.cexp(zr))
-    none = tier.real(-math.inf)
-    log_mod, phases = [tier.real(0)], [tier.real(1) + 0j]
+    none, one = tier.real(-math.inf), tier.real(1) + 0j
+    log_mod, phases = [tier.real(0)], [one]
     im_log, im_sign = [none], [0.0]
     cores = []
+    lm, ph = log_mod[0], one
     phase_err = log_err = bound = tier.real(0)
     for turn, q, reflect, gamma, d, factor, rot in per_step:
-        u = turn * phases[-1]
-        qu = q * u.conjugate()
+        u = turn * ph
+        qu = q * np.conjugate(u)
         core = u + qu
         cores.append(core)
         if core == 0:
@@ -210,8 +214,13 @@ def _recursion(tier: Tier, spec: ProblemSpec, omega, x) -> _Run:
             local = reflect / abs(core) * gamma + abs(jac) * d
             log_err += abs(jac.imag) * phase_err + local
             phase_err = abs(jac.real) * phase_err + local
-            bound = max(bound, phase_err + log_err)
-        lm, ph = _advance(tier, log_mod[-1], factor * core)
+            if phase_err + log_err > bound:
+                bound = phase_err + log_err
+        # the step, applied to a unit phase, folded into log form
+        step = factor * core
+        mag = abs(step)
+        lm, ph = (lm + tier.log(mag), step / mag) if mag != 0 else \
+            (none, one)
         log_mod.append(lm)
         phases.append(ph)
         im = (rot * ph).imag
@@ -243,8 +252,9 @@ def _sequence(run: _Run, tier: str, digits: float, real=None, cplx=None
 
 #: relative error estimate past which the extended recursion escalates
 #: to arbitrary precision, and the arbitrary-precision rerun is refused
-_ERROR_LIMIT = 1e-13
+ERROR_LIMIT = 1e-13
 _EPS = np.finfo(_EXT).eps
+_LN10 = math.log(10.0)
 
 
 def _to_longdouble(v) -> np.longdouble:
@@ -261,7 +271,7 @@ def _beta_mp(spec: ProblemSpec, digits: float, data=None) -> BetaSequence:
     """Arbitrary-precision rerun of the recursion at ``_mp_dps(digits)``
     working digits.  It raises ZeroDivisionError instead of returning when
     the run's own error estimate (``_error``, in mpmath's rounding unit)
-    exceeds ``_ERROR_LIMIT``; a step that cancels to exactly zero makes
+    exceeds ``ERROR_LIMIT``; a step that cancels to exactly zero makes
     the estimate infinite.
 
     ``data``, when given, is a callable ``spec -> (omega, jump_points)``
@@ -278,11 +288,11 @@ def _beta_mp(spec: ProblemSpec, digits: float, data=None) -> BetaSequence:
             omega, x = data(spec)
         run = _recursion(mp_tier(), spec, omega, x)
         error = _error(mp_tier(), run, mp.eps)
-        if error > _ERROR_LIMIT:
+        if error > ERROR_LIMIT:
             raise ZeroDivisionError(
                 f"arbitrary-precision rerun at {mp.mp.dps} digits: estimated "
                 f"relative error {mp.nstr(error, 3)} exceeds "
-                f"{_ERROR_LIMIT:g}")
+                f"{ERROR_LIMIT:g}")
         return _sequence(run, f"mp@{mp.mp.dps}",
                          float(mp.log10(max(run.bound, 1))),
                          _to_longdouble, _to_clongdouble)
@@ -299,19 +309,17 @@ def _im_loss(run: _Run, digits: float) -> float:
     Entries after an exact zero step are skipped: its bound is infinite.
     """
     log_mod, im_log = run.log_mod, run.im_log
-    n = len(log_mod) - 1
-    top = float(max(log_mod[:n] + im_log[1:], default=-math.inf))
+    top = float(max(log_mod[:-1] + im_log[1:], default=-math.inf))
     im_loss = 0.0
-    for ell in range(1, n + 1):
-        if not math.isfinite(log_mod[ell]):
+    for lm, il, sign in zip(log_mod[1:], im_log[1:], run.im_sign[1:]):
+        if not math.isfinite(lm):
             continue
-        if run.im_sign[ell] != 0.0:
-            depth = float(log_mod[ell] - im_log[ell]) \
-                - max(0.0, top - float(im_log[ell]))
-            im_loss = max(im_loss, depth / math.log(10.0))
+        if sign != 0.0:
+            loss = (float(lm - il) - max(0.0, top - float(il))) / _LN10
         else:
-            im_loss = max(im_loss, digits - max(
-                0.0, top - float(log_mod[ell])) / math.log(10.0))
+            loss = digits - max(0.0, top - float(lm)) / _LN10
+        if loss > im_loss:
+            im_loss = loss
     return im_loss
 
 
@@ -340,11 +348,27 @@ def _mp_dps(digits: float) -> int:
     return 30 + int(math.ceil(digits))
 
 
+def extended_run(spec: ProblemSpec) -> tuple[BetaSequence, _Run, object]:
+    """The recursion in extended precision alone, with no rerun: its
+    sequence, the run itself and its error estimate ``_error``.
+
+    Where the estimate is within ``ERROR_LIMIT`` the sequence is
+    ``beta_sequence``'s answer.  The run's ``interfaces.values`` hold the
+    pair (f_1, f_1', f_2, f_2') at the 2n interface arguments, from which
+    ``evaluate.solve`` checks the coefficients' interface backward error
+    without a second pair evaluation.
+    """
+    run = _recursion(EXTENDED, spec, _EXT(spec.omega),
+                     _EXT(np.asarray(spec.profile.jump_points)))
+    return (_sequence(run, "extended", float(np.log10(max(run.bound, 1)))),
+            run, _error(EXTENDED, run, _EPS))
+
+
 def beta_sequence(spec: ProblemSpec) -> BetaSequence:
     """Run the recursion in extended precision, rerunning once in mpmath.
 
     The rerun happens when the extended estimate ``_error`` exceeds
-    ``_ERROR_LIMIT``.  Its working precision is ``_mp_dps`` of
+    ``ERROR_LIMIT``.  Its working precision is ``_mp_dps`` of
     1.2 * (summed per-step cancellation digits + Im loss) + 10 digits, and
     it is judged by the same rule.  The estimate is first order, misses
     some rounding terms (see ``BetaSequence.error_bound_digits``) and weighs
@@ -353,15 +377,13 @@ def beta_sequence(spec: ProblemSpec) -> BetaSequence:
     back wrong without an error.  The rounding unit comes from ``np.finfo``,
     so where ``np.longdouble`` is plain double the rule escalates there.
     """
-    run = _recursion(EXTENDED, spec, _EXT(spec.omega),
-                     np.array(spec.profile.jump_points, dtype=_EXT))
-    bound_digits = float(np.log10(max(run.bound, 1)))
-    if _error(EXTENDED, run, _EPS) > _ERROR_LIMIT:
+    beta, run, error = extended_run(spec)
+    if error > ERROR_LIMIT:
         digits = 1.2 * (_summed_loss(run.interfaces, run.cores)
                         + _im_loss(run, -float(np.log10(_EPS)))) + 10.0
         return replace(_beta_mp(spec, digits),
-                       error_bound_digits=bound_digits)
-    return _sequence(run, "extended", bound_digits)
+                       error_bound_digits=beta.error_bound_digits)
+    return beta
 
 
 @dataclass(frozen=True)
@@ -403,7 +425,7 @@ def green_last_column(spec: ProblemSpec, beta: BetaSequence | None = None
     # beta_0..beta_n turned by e^{i omega x_ell / c_{ell+1}}; the last one
     # is the denominator's
     data = np.array((spec.omega, *spec.profile.jump_points[:n + 1],
-                     *spec.profile.speeds), dtype=_EXT)
+                     *spec.profile.speeds)).astype(_EXT)
     turned = np.exp(_IU * (data[0] * data[1:n + 2] / data[n + 2:])) \
         * beta.phases
     # the odd rows, then the even ones: the scalar products behind the even

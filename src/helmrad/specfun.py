@@ -324,17 +324,17 @@ def fundamental_eval_mp(pair: FundamentalPair, which: int, x):
         return part(c, s), part(-s, c)
 
     m = pair.m
-    # the recurrence, upward and so stable for y, gets 10 guard digits; for
-    # x < 1 the closed form j_1 = (j_0 - cos x)/x cancels 2 log10(1/x) digits
+    # the closed forms of orders 0 and 1 get 10 guard digits for the y
+    # recurrence; for x < 1 the closed form j_1 = (j_0 - cos x)/x cancels
+    # 2 log10(1/x) digits
     guard = 10 if m >= 2 else \
         5 + int(mp.ceil(-2 * mp.log10(x))) if x < 1 else 0
     with mp.workdps(mp.mp.dps + guard):
         c, s = mp.cos_sin(x)
         j_lo, y_lo = s / x, -c / x
         j, y = (j_lo - c) / x, (y_lo - s) / x
-        for k in range(1, m):
-            y_lo, y = y, (2 * k + 1) / x * y - y_lo
     if m >= 2:
+        y_lo, y = _yn_fixed(m, x, y_lo, y, mp.mp.prec + 64)
         # j_k(x) = x^k/(2k+1)!! 0F1(; k + 3/2; -x^2/4), z formed exactly
         z = mp.ldexp(mp.fmul(x, -x, exact=True), -2)
         j_lo, j = (x**k / math.prod(range(3, 2 * k + 2, 2))
@@ -346,18 +346,35 @@ def fundamental_eval_mp(pair: FundamentalPair, which: int, x):
     return v, part(j_lo, y_lo) - (m + 1) / x * v
 
 
+def _yn_fixed(m: int, x, y0, y1, bits: int):
+    """(y_{m-1}, y_m) at the mpf ``x`` from y_0 and y_1 by the upward
+    recurrence, run in fixed point with ``bits`` fraction bits: 2**bits / x
+    once as an integer (x = man * 2**exp exactly), then per step one
+    integer multiply, one shift and one subtraction, in place of three
+    mpf operations.  The values grow upward, so a fixed absolute unit
+    loses nothing; the results are rounded to the active precision."""
+    import mpmath as mp
+    shift = bits - x.exp
+    inv = (1 << shift) // x.man if shift >= 0 else 0
+    lo, hi = (int(mp.ldexp(v, bits)) for v in (y0, y1))
+    for k in range(1, m):
+        lo, hi = hi, ((2 * k + 1) * inv * hi >> bits) - lo
+    return mp.ldexp(lo, -bits), mp.ldexp(hi, -bits)
+
+
 class Tier(NamedTuple):
     """The arithmetic one computation is carried out in.
 
-    ``real`` builds a real number from a double, ``cexp(t)`` is exp(i t),
-    ``log`` and ``log10`` are logarithms of reals, and ``cdtype`` is the
-    dtype of an array of the tier's complex numbers.  ``pair_eval(pair,
-    x)`` takes a 1-D array of arguments, of the tier's reals, and gives
-    (f_1, f_1', f_2, f_2') of the fundamental system at each, as four
-    arrays of the tier's complex numbers, from one f_1 evaluation per
-    point.  ``cexp`` takes a number or an array of them.  The extended
-    tier's arrays are np.longdouble/np.clongdouble; the mpmath tier's are
-    object arrays of mpf/mpc.
+    ``real`` builds a real number from a double, or an array of them from
+    an array of doubles, ``cexp(t)`` is exp(i t), ``log`` and ``log10`` are
+    logarithms of reals, and ``cdtype`` is the dtype of an array of the
+    tier's complex numbers.  ``pair_eval(pair, x)`` takes a 1-D array of
+    arguments, of the tier's reals, and gives (f_1, f_1', f_2, f_2') of the
+    fundamental system at each, as the four rows of one array of the tier's
+    complex numbers, from one f_1 evaluation per point.  ``cexp`` takes a
+    tier number or an array of them.  The extended tier's arrays are
+    np.longdouble/np.clongdouble; the mpmath tier's are object arrays of
+    mpf/mpc.
     """
 
     real: Callable
@@ -368,8 +385,9 @@ class Tier(NamedTuple):
     cdtype: object
 
 
-def _pair_eval_ext(pair: FundamentalPair, x: np.ndarray):
-    """(f_1, f_1', f_2, f_2') at each entry of ``x``, in extended precision.
+def _pair_eval_ext(pair: FundamentalPair, x: np.ndarray) -> np.ndarray:
+    """Rows (f_1, f_1', f_2, f_2') at each entry of ``x``, in extended
+    precision.
 
     On the positive axis f_2 = Re f_1 and f_2' = Re f_1', bit for bit (not
     so in double, where y_m can overflow and make Re f_1' NaN); f_2 keeps
@@ -379,13 +397,14 @@ def _pair_eval_ext(pair: FundamentalPair, x: np.ndarray):
     on the high-mode population one batched Miller pass per call measured
     about 3x slower than the scalar loop.
     """
+    out = np.empty((4, len(x)), dtype=np.clongdouble)
     if pair.d == 1 or pair.m <= 1:
-        f, df = fundamental_eval(pair, 1, x, np.longdouble)
+        out[0], out[1] = fundamental_eval(pair, 1, x, np.longdouble)
     else:
-        values = [fundamental_eval(pair, 1, v, np.longdouble) for v in x]
-        f, df = (np.array([v[k] for v in values], dtype=np.clongdouble)
-                 for k in (0, 1))
-    return f, df, f.real.astype(f.dtype), df.real.astype(df.dtype)
+        out[:2] = np.array([fundamental_eval(pair, 1, v, np.longdouble)
+                            for v in x], dtype=np.clongdouble).T
+    out[2], out[3] = out[0].real, out[1].real
+    return out
 
 
 _IU_EXT = np.clongdouble(1j)
@@ -393,7 +412,7 @@ _IU_EXT = np.clongdouble(1j)
 #: numpy's extended precision: the problem data are exact doubles, so the
 #: extra bits are all signal
 EXTENDED = Tier(
-    real=np.longdouble, cexp=lambda t: np.exp(_IU_EXT * np.longdouble(t)),
+    real=np.longdouble, cexp=lambda t: np.exp(_IU_EXT * t),
     log=np.log, log10=np.log10, pair_eval=_pair_eval_ext,
     cdtype=np.clongdouble)
 
@@ -408,9 +427,10 @@ def mp_tier() -> Tier:
         for i, v in enumerate(x):
             f, df = fundamental_eval_mp(pair, 1, v)
             out[:, i] = f, df, mp.mpc(f.real), mp.mpc(df.real)
-        return tuple(out)
+        return out
     return Tier(
-        real=mp.mpf, cexp=np.frompyfunc(lambda t: mp.exp(1j * t), 1, 1),
+        real=np.frompyfunc(mp.mpf, 1, 1),
+        cexp=np.frompyfunc(lambda t: mp.exp(1j * t), 1, 1),
         log=mp.log, log10=mp.log10, pair_eval=pair_eval, cdtype=object)
 
 

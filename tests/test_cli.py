@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from helmrad import cli, green
+from helmrad.assembly import SingularSystem
 from helmrad.problem import (ProblemSpec, WaveSpeedProfile,
                              construct_localisation_example,
                              construct_stable_example)
@@ -255,6 +256,17 @@ class TestVerify:
         assert rc == cli.EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         assert {r["n"] for r in doc["results"]} == {2, 4, 8, 16}
+
+    def test_refused_solve_is_one_error_line(self, capsys, monkeypatch):
+        """A suite solve refused by the banded route reads as a refused
+        solve, not a traceback."""
+        def refused(spec):
+            raise SingularSystem("residual check failed")
+        monkeypatch.setattr(cli.evaluate, "solve", refused)
+        rc = cli.main(["verify", "--suite", "figures"])
+        assert rc == cli.EXIT_SUITE_FAILED == 1
+        err = capsys.readouterr().err
+        assert err == "error: SingularSystem: residual check failed\n"
 
 
 class TestWhisper:

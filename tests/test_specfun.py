@@ -373,6 +373,25 @@ class TestArbitraryPrecisionAccuracy:
                 assert abs(f.real - j) <= 1e-55 * abs(j)
                 assert abs(f.imag - y) <= 1e-55 * abs(y)
 
+    @pytest.mark.parametrize("dps", [30, 75, 400])
+    def test_y_from_the_fixed_point_recurrence(self, dps):
+        """y_m, run upward in fixed point, within one unit of the working
+        precision of sqrt(pi/2x) Y_{m+1/2}(x), measured against
+        hypot(j_m, y_m) so that a zero of y_m does not read as a failure."""
+        import mpmath as mp
+        worst = 0
+        for m in (2, 3, 10, 37, 60):
+            for x in np.geomspace(1e-8, 300.0, 25):
+                with mp.workdps(dps):
+                    y = fundamental_eval_mp(FundamentalPair(3, m), 1, x)[0]
+                with mp.workdps(dps + 20):
+                    x = mp.mpf(x)
+                    pref, nu = mp.sqrt(mp.pi / (2 * x)), m + mp.mpf(1) / 2
+                    ref = pref * mp.bessely(nu, x)
+                    worst = max(worst, abs(y.imag - ref) / mp.hypot(
+                        pref * mp.besselj(nu, x), ref))
+        assert worst <= mp.mpf(10) ** -dps
+
     @pytest.mark.parametrize("x", [1.6e-8, 1e-3, 0.5])
     @pytest.mark.parametrize("m", [0, 1])
     def test_closed_form_j1_keeps_its_digits_near_zero(self, m, x):
