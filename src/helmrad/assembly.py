@@ -10,14 +10,18 @@ nonzero entry at position 2n; each constant block has one nonzero entry,
 so the normalised matrix is tridiagonal.  The diagonal blocks are written
 once, over a precision tier of :mod:`specfun`: :func:`normalize` builds
 them in extended precision, and the mpmath escalation builds the same
-blocks in mpmath.  :func:`dense_solve` says when its refined
-extended-precision solve is accepted and when mpmath runs.
+blocks in mpmath.  Their pair values come from :func:`interface_pair`, the
+one place the pair is evaluated at the interfaces: the recursion and the
+interface residuals take theirs from it too.  :func:`dense_solve` says
+when its refined extended-precision solve is accepted and when mpmath
+runs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import lapack
@@ -189,53 +193,78 @@ def coefficient_vector(spec: ProblemSpec, log_mag, formed,
     return CoefficientVector(entries, complex(b_last) if inside[-1] else 0j)
 
 
-def _wronskian_terms(tier: Tier, fp, dfp, fq, dfq, c_j, c_k):
-    """(w^{p,q}, digits cancelled) from pre-evaluated pair values."""
+class InterfacePair(NamedTuple):
+    """The fundamental pair on both sides of every interface, in one tier."""
+
+    speeds: np.ndarray   # c_1..c_{n+1}, tier reals
+    args: np.ndarray     # z_ell/c_ell for ell = 1..n, then z_ell/c_{ell+1}
+    values: np.ndarray   # rows (f_1, f_1', f_2, f_2') at ``args``
+
+
+def interface_pair(tier: Tier, spec: ProblemSpec, omega=None, x=None
+                   ) -> InterfacePair:
+    """The pair at the 2n interface arguments z_ell/c_ell and
+    z_ell/c_{ell+1}, z_ell = omega x_ell, from one ``tier.pair_eval`` call.
+    ``omega`` and the jump points ``x`` are tier numbers, by default the
+    spec's own."""
+    if omega is None:
+        omega = tier.real(spec.omega)
+        x = tier.real(np.asarray(spec.profile.jump_points))
+    c = tier.real(np.asarray(spec.profile.speeds))
+    z = omega * np.asarray(x)[1:spec.n + 1]
+    args = np.concatenate((z / c[:-1], z / c[1:]))
+    return InterfacePair(c, args, tier.pair_eval(_pair(spec), args))
+
+
+def _wronskian_terms(fp, dfp, fq, dfq, c_j, c_k):
+    """(w^{p,q}, 10 to the digits it cancels: its larger product over |w|,
+    or 0 if either is 0) from pre-evaluated pair values."""
     t1 = fp * dfq / c_k
     t2 = dfp * fq / c_j
     w = t1 - t2
     scale = max(abs(t1), abs(t2))
-    loss = 0.0 if (scale == 0.0 or abs(w) == 0.0) \
-        else max(0.0, float(tier.log10(scale / abs(w))))
-    return w, loss
+    return w, 0 if scale == 0 or w == 0 else scale / abs(w)
 
 
-def _blocks(tier: Tier, spec: ProblemSpec) -> tuple[np.ndarray, float]:
+def _blocks(tier: Tier, spec: ProblemSpec, at: InterfacePair | None = None
+            ) -> tuple[np.ndarray, float]:
     """Wronskian-form diagonal blocks S_hat (n, 2, 2) in ``tier`` and the
-    decimal digits cancelled while forming them.  The pair values come
-    from one evaluation at the 2n arguments z/c_ell and z/c_{ell+1}."""
+    decimal digits cancelled while forming them, from the pair values
+    ``at`` (by default :func:`interface_pair`'s in ``tier``)."""
     n = spec.n
-    c = tier.real(np.asarray(spec.profile.speeds))
-    z = tier.real(spec.omega) * tier.real(
-        np.asarray(spec.profile.jump_points[1:n + 1]))
-    values = tier.pair_eval(_pair(spec), np.concatenate((z / c[:-1],
-                                                         z / c[1:])))
-    blocks, norms, block_loss = [], [], 0.0
+    c, _, values = at or interface_pair(tier, spec)
+    blocks, norms, ratio = [], [], 1
     for ell in range(1, n + 1):
         c_l, c_r = c[ell - 1], c[ell]
         f1l, df1l, f2l, df2l = (v[ell - 1] for v in values)
         f1r, df1r, f2r, df2r = (v[n + ell - 1] for v in values)
-        w21, l0 = _wronskian_terms(tier, f2r, df2r, f1l, df1l, c_r, c_l)
+        w21, r0 = _wronskian_terms(f2r, df2r, f1l, df1l, c_r, c_l)
         if abs(w21) < _DEGENERACY_FLOOR:
             raise DegenerateNormaliser(
                 f"normalising Wronskian vanished at interface {ell}")
-        w22, l1 = _wronskian_terms(tier, f2r, df2r, f2l, df2l, c_r, c_l)
-        w12rr, l2 = _wronskian_terms(tier, f1r, df1r, f2r, df2r, c_r, c_r)
-        w12ll, l3 = _wronskian_terms(tier, f1l, df1l, f2l, df2l, c_l, c_l)
-        w11, l4 = _wronskian_terms(tier, f1l, df1l, f1r, df1r, c_l, c_r)
+        w22, r1 = _wronskian_terms(f2r, df2r, f2l, df2l, c_r, c_l)
+        w12rr, r2 = _wronskian_terms(f1r, df1r, f2r, df2r, c_r, c_r)
+        w12ll, r3 = _wronskian_terms(f1l, df1l, f2l, df2l, c_l, c_l)
+        w11, r4 = _wronskian_terms(f1l, df1l, f1r, df1r, c_l, c_r)
         blocks.append([[w22, w12rr], [-w12ll, w11]])
         norms.append(w21)
-        block_loss = max(block_loss, l0, l1, l2, l3, l4)
+        ratio = max(ratio, r0, r1, r2, r3, r4)
     S_hat = np.array(blocks, dtype=tier.cdtype).reshape(n, 2, 2)
     S_hat /= np.array(norms, dtype=tier.cdtype)[:, None, None]
-    return S_hat, block_loss
+    return S_hat, float(tier.log10(ratio)) if ratio > 1 else 0.0
 
 
 def normalize(spec: ProblemSpec) -> BlockSystem:
     """Normalised system with Wronskian-form diagonal blocks, held in
     extended precision: the solve refines against them, and stiff modes
     can push the condition number past what double entries represent."""
-    S_hat, block_loss = _blocks(EXTENDED, spec)
+    return _normalize(spec)
+
+
+def _normalize(spec: ProblemSpec, at: InterfacePair | None = None
+               ) -> BlockSystem:
+    """:func:`normalize`, from the extended pair values ``at`` when given."""
+    S_hat, block_loss = _blocks(EXTENDED, spec, at)
     return BlockSystem(n=spec.n, S_hat=S_hat, rhs_scale=rhs_scale(spec),
                        spec=spec, block_loss=block_loss)
 

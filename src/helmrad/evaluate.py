@@ -4,8 +4,11 @@ One field evaluator, ``_field``, takes radii of any layers with their layer
 indices and evaluates the pair once per point (one sin and one cos, f_1
 only where A != 0); it gives values only unless asked for u' too.  The sup
 norm, the grids, the energy and ``eval_radial`` use it, so a radius has one
-value whichever of them asks.  The interface residuals take the same pair
-evaluation at every interface in one call.
+value whichever of them asks.  The interface residuals are one backward
+error, ``_backward_errors``, formed in extended precision from the pair
+values the routes themselves use (``assembly.interface_pair``): ``solve``
+gates the recursion's answer on it, and ``interface_residuals`` reports
+it.
 """
 
 from __future__ import annotations
@@ -23,8 +26,9 @@ import numpy as np
 from . import assembly, green
 from .assembly import CoefficientVector
 from .problem import ProblemSpec
-from .specfun import (FundamentalPair, eval_limit_at_origin, fundamental_eval,
-                      fundamental_eval_d2, fundamental_pair_eval)
+from .specfun import (EXTENDED, FundamentalPair, eval_limit_at_origin,
+                      fundamental_eval, fundamental_eval_d2,
+                      fundamental_pair_eval)
 
 #: surface measure factor |Y_{0,0}| = (4 pi)^{-1/2} for d=3
 Y00_3D = 1.0 / math.sqrt(4.0 * math.pi)
@@ -69,24 +73,26 @@ def solve(spec: ProblemSpec) -> RadialSolution:
     """Solve by the recursion where it is checked right, else by banded
     elimination (production path).
 
-    The recursion runs once, in extended precision.  Its answer is taken
-    only when its own error estimate is within ``green.ERROR_LIMIT``
-    (1e-13) and the coefficients' interface backward error, as
-    ``interface_residuals`` defines it, is within 1e-9: that check reuses
-    the f_1, f_1' the recursion evaluated at the interfaces.  Otherwise
-    the answer is ``solve_direct``'s, judged by its own a-posteriori
-    tests, and one debug record on the ``helmrad`` logger gives the
-    reason; the recursion is never rerun in mpmath here.  A refusal of the
-    banded route propagates (``SingularSystem``, or ``OverflowError`` for
-    a coefficient outside the double range), as do the recursion's
+    The recursion runs once, in extended precision, and evaluates the pair
+    at the interfaces once.  Its answer is taken only when its own error
+    estimate is within ``green.ERROR_LIMIT`` (1e-13) and the largest of
+    the coefficients' ``interface_residuals``, formed from those pair
+    values, is within 1e-9.  Otherwise the answer is ``solve_direct``'s,
+    its blocks built from the same pair values and judged by the banded
+    route's own a-posteriori tests, and one debug record on the
+    ``helmrad`` logger gives the reason; the recursion is never rerun in
+    mpmath here.  A refusal of the banded route propagates
+    (``SingularSystem``, or ``OverflowError`` for a coefficient outside
+    the double range), as do the recursion's
     ``green.NearResonantDenominator`` and ``OverflowError`` on its
     accepted path.
     """
     beta, run, error = green.extended_run(spec)
+    at = run.interfaces.pair
     if error <= green.ERROR_LIMIT:
         coeffs = green.layer_coefficients(
             spec, green.green_last_column(spec, beta))
-        gate = _interface_gate(spec, run.interfaces.values, coeffs)
+        gate = _backward_errors(spec, at.values, coeffs).max(initial=0.0)
         if gate <= _GATE_LIMIT:
             return RadialSolution(spec=spec, coeffs=coeffs)
         reason = (f"interface backward error {gate:.3g} exceeds "
@@ -95,39 +101,8 @@ def solve(spec: ProblemSpec) -> RadialSolution:
         reason = (f"estimated relative error {float(error):.3g} exceeds "
                   f"{green.ERROR_LIMIT:g}")
     _log.debug("solve: banded route, the recursion's %s", reason)
-    return solve_direct(spec)[0]
-
-
-def _interface_gate(spec: ProblemSpec, values: np.ndarray,
-                    coeffs: CoefficientVector) -> float:
-    """The largest interface residual of ``coeffs``, as
-    ``interface_residuals`` defines it, from ``values``: the rows (f_1,
-    f_1', f_2, f_2') at the 2n interface arguments, left sides then right,
-    in the recursion's extended precision.  Each term is formed there, so
-    none leaves the double range before it is weighed; a term that is not
-    finite makes the result NaN.  An interface whose terms all vanish (or
-    all lie below 1e-300) reads 0."""
-    n = spec.n
-    if n == 0:
-        return 0.0
-    # (A_j, B_j), j = 1..n+1 with A_1 = 0: the left side of interface ell
-    # takes layer ell, the right side layer ell + 1
-    rows = np.concatenate(([0.0], coeffs.entries, [coeffs.b_last])) \
-        .reshape(n + 1, 2)
-    coef = np.concatenate((rows[:n], rows[1:])).T
-    # terms[i, j]: A (i = 0) or B (i = 1) times the value (j = 0) or the
-    # slope (j = 1) of its function, at each point
-    terms = (values.reshape(2, 2, -1) * coef[:, None]).astype(complex)
-    mags = np.abs(terms)
-    size = np.hypot(mags[:, 0], mags[:, 1]).reshape(4, n).sum(0)
-    # u and du/d(kr) at each point, then the jumps: the slope's in units
-    # of the larger wavenumber, k/k_top = min(c_l, c_r)/c
-    sums = terms.sum(0)
-    c = np.asarray(spec.profile.speeds)
-    sums[1] /= np.concatenate((c[:-1], c[1:]))
-    jump = sums[:, :n] - sums[:, n:]
-    jump[1] *= np.minimum(c[:-1], c[1:])
-    return float((np.abs(jump).max(0) / np.maximum(size, 1e-300)).max())
+    coeffs, _ = assembly.dense_solve(assembly._normalize(spec, at))
+    return RadialSolution(spec=spec, coeffs=coeffs)
 
 
 def solve_direct(spec: ProblemSpec) -> tuple[RadialSolution, float]:
@@ -215,44 +190,45 @@ def eval_radial(sol: RadialSolution, r: float):
 
 
 def interface_residuals(sol: RadialSolution) -> list:
-    """Per-interface backward errors (|[u]|, |[u']|).
+    """Per-interface backward errors (|[u]|, |[u']|), ``_backward_errors``
+    of the pair in extended precision."""
+    values = assembly.interface_pair(EXTENDED, sol.spec).values
+    return [tuple(p) for p in
+            _backward_errors(sol.spec, values, sol.coeffs).T.tolist()]
 
-    Each jump is divided by the summed sizes |coef| * hypot(|f|, |f'|) of
+
+def _backward_errors(spec: ProblemSpec, values: np.ndarray,
+                     coeffs: CoefficientVector) -> np.ndarray:
+    """The interface backward errors of ``coeffs``, value jumps then slope
+    jumps, as a (2, n) array, from ``values``: ``interface_pair``'s rows in
+    extended precision, where no term leaves the range.
+
+    Each jump is divided by the summed sizes |coef| hypot(|f|, |f'|) of
     the ansatz terms on both sides, the slope jump also by the larger of
     the two wavenumbers: near a zero of f the value alone would understate
-    the rounding a term carries.  An interface where every term vanishes
-    reads 0.
+    the rounding a term carries.  A term that is not finite makes its
+    interface NaN; an interface where every term vanishes reads 0.
     """
-    spec = sol.spec
     n = spec.n
-    if n == 0:
-        return []
-    # both sides of every interface in one pass: layers 1..n on the left,
-    # 2..n+1 on the right, the coefficients in units of 2**e
-    layer = np.concatenate((np.arange(1, n + 1), np.arange(2, n + 2)))
-    k, a, b, _ = _layers(sol)
-    k, a, b = k[layer], a[layer], b[layer]
-    use = a != 0.0
-    f2, f1, df2, df1 = fundamental_pair_eval(
-        sol.pair, k * np.tile(spec.profile.jump_points[1:n + 1], 2), use,
-        True)
-    # the A term reads 0 where A = 0
-    h, dh = np.zeros(2 * n, dtype=complex), np.zeros(2 * n, dtype=complex)
-    h[use], dh[use] = f1, df1
-    # terms summed from 0: the A term, then the B term, left side first
-    jump = slope = size = 0.0
-    for side, sign in ((slice(0, n), 1.0), (slice(n, None), -1.0)):
-        for c, f, df in ((a, h, dh), (b, f2, df2)):
-            c, f, df = sign * c[side], f[side], df[side]
-            jump = jump + c * f
-            slope = slope + c * k[side] * df
-            size = size + np.abs(c) * np.hypot(np.abs(f), np.abs(df))
-    speeds = np.asarray(spec.profile.speeds)
-    k_top = spec.omega / np.minimum(speeds[:-1], speeds[1:])
-    return [(j / t, s / (kt * t)) if t != 0.0 else (0.0, 0.0)
-            for j, s, t, kt in zip(np.abs(jump).tolist(),
-                                   np.abs(slope).tolist(), size.tolist(),
-                                   k_top.tolist())]
+    # (A_j, B_j), j = 1..n+1 with A_1 = 0: the left side of interface ell
+    # takes layer ell, the right side layer ell + 1
+    rows = np.concatenate(([0.0], coeffs.entries, [coeffs.b_last])) \
+        .reshape(n + 1, 2)
+    coef = np.concatenate((rows[:n], rows[1:])).T
+    # terms[i, j]: A (i = 0) or B (i = 1) times the value (j = 0) or the
+    # slope (j = 1) of its function, at each point
+    terms = values.reshape(2, 2, -1) * coef[:, None]
+    mags = np.abs(terms)
+    size = np.hypot(mags[:, 0], mags[:, 1]).reshape(4, n).sum(0)
+    # u and du/d(kr) at each point, then the jumps: the slope's in units
+    # of the larger wavenumber, k/k_top = min(c_l, c_r)/c
+    sums = terms.sum(0)
+    c = np.asarray(spec.profile.speeds)
+    sums[1] /= np.concatenate((c[:-1], c[1:]))
+    jump = sums[:, :n] - sums[:, n:]
+    jump[1] *= np.minimum(c[:-1], c[1:])
+    return np.divide(np.abs(jump), size, out=np.zeros_like(jump.real),
+                     where=size != 0).astype(float)
 
 
 def ode_residual(sol: RadialSolution, samples_per_layer: int = 8) -> float:

@@ -10,9 +10,10 @@ long before the recursion itself loses accuracy.
 Everything about the interfaces that does not depend on beta (reflection
 strengths, Wronskians, layer phases, rotations, the bound's per-interface
 factors) is formed first, as one array expression over all n interfaces
-from one pair evaluation at the 2n arguments z/c; the loop over the
-interfaces then does only the scalar work that depends on the previous
-beta.  The same body runs in both precision tiers.
+from one pair evaluation at the 2n arguments z/c
+(``assembly.interface_pair``, which the banded route's blocks also take);
+the loop over the interfaces then does only the scalar work that depends
+on the previous beta.  The same body runs in both precision tiers.
 
 The recursion runs in extended precision and carries a running first-order
 error bound through each step's Jacobian.  One rule judges a run in either
@@ -28,8 +29,9 @@ high modes still come back wrong without an error from this route
 
 The production path, ``evaluate.solve``, makes no rerun: it takes
 ``extended_run`` alone, accepts its answer only when the estimate passes
-and the coefficients' interface backward error is within 1e-9, and
-otherwise returns the banded route's answer.
+and the coefficients' interface backward error, formed from the run's
+pair values, is within 1e-9, and otherwise returns the banded route's
+answer, its blocks built from the same values.
 """
 
 from __future__ import annotations
@@ -40,9 +42,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .assembly import CoefficientVector, b_last_extended, coefficient_vector
+from .assembly import (CoefficientVector, InterfacePair, b_last_extended,
+                       coefficient_vector, interface_pair)
 from .problem import ProblemSpec
-from .specfun import EXTENDED, FundamentalPair, Tier, mp_tier
+from .specfun import EXTENDED, Tier, mp_tier
 
 #: |beta_n| below this is treated as a resonance of the denominator
 NEAR_RESONANCE_FLOOR = 1e-250
@@ -78,24 +81,17 @@ class _Interface(NamedTuple):
     q: np.ndarray       # relative reflection strength g_minus / g_plus
     w12: np.ndarray     # w^{1,2} of the right-hand layer at the jump point
     cancel: np.ndarray  # the larger product inside gamma-plus over |gt_plus|
-    # rows (f_1, f_1', f_2, f_2') at the 2n arguments z_ell/c_ell, then
-    # z_ell/c_{ell+1}
-    values: np.ndarray
+    pair: InterfacePair  # the pair values all of the above come from
 
 
-def _interfaces(tier: Tier, pair: FundamentalPair, cl, cr, zl, zr
-                ) -> _Interface:
-    """Reflection quantities and w^{1,2} at every interface in ``tier``.
-
-    ``cl`` and ``cr`` hold the speeds c_ell and c_{ell+1}, ``zl`` and ``zr``
-    the arguments z_ell/c_ell and z_ell/c_{ell+1}, all arrays of tier
-    numbers over ell = 1..n; the pair is evaluated once, at all 2n
-    arguments.  Raises GammaDegenerate naming the first interface whose
-    gamma-plus vanishes, before anything is divided by it.
+def _interfaces(tier: Tier, at: InterfacePair) -> _Interface:
+    """Reflection quantities and w^{1,2} at every interface in ``tier``,
+    from the pair values ``at``.  Raises GammaDegenerate naming the first
+    interface whose gamma-plus vanishes, before anything is divided by it.
     """
-    n = len(zl)
-    values = tier.pair_eval(pair, np.concatenate((zl, zr)))
-    f1, df1, f2, df2 = values
+    c, args, (f1, df1, f2, df2) = at
+    n = len(c) - 1
+    cl, cr, zl, zr = c[:-1], c[1:], args[:n], args[n:]
     f1l, df1l, f1r, df1r = f1[:n], df1[:n], f1[n:], df1[n:]
     t1 = f1r * df1l.conjugate() / cl
     t2 = df1r * f1l.conjugate() / cr
@@ -111,7 +107,7 @@ def _interfaces(tier: Tier, pair: FundamentalPair, cl, cr, zl, zr
     return _Interface(
         gt_plus, g_plus, g_minus / g_plus,
         w12=f1r * df2[n:] / cr - df1r * f2[n:] / cr,
-        cancel=np.maximum(np.abs(t1), np.abs(t2)) / size, values=values)
+        cancel=np.maximum(np.abs(t1), np.abs(t2)) / size, pair=at)
 
 
 @dataclass(frozen=True)
@@ -187,15 +183,11 @@ def _recursion(tier: Tier, spec: ProblemSpec, omega, x) -> _Run:
     """
     x = np.asarray(x)
     n = spec.n
-    c = tier.real(np.asarray(spec.profile.speeds))
-    cl, cr = c[:-1], c[1:]
-    z = omega * x[1:n + 1]
-    zr = z / cr
-    it = _interfaces(tier, FundamentalPair(spec.dimension, spec.mode), cl,
-                     cr, z / cl, zr)
-    delta = omega * (x[1:n + 1] - x[:n]) / cl
+    it = _interfaces(tier, interface_pair(tier, spec, omega, x))
+    c, args = it.pair.speeds, it.pair.args
+    delta = omega * (x[1:n + 1] - x[:n]) / c[:-1]
     per_step = zip(tier.cexp(-delta), it.q, 1 + np.abs(it.q), 1 + it.cancel,
-                   delta, it.g_plus / (2j * it.w12), tier.cexp(zr))
+                   delta, it.g_plus / (2j * it.w12), tier.cexp(args[n:]))
     none, one = tier.real(-math.inf), tier.real(1) + 0j
     log_mod, phases = [tier.real(0)], [one]
     im_log, im_sign = [none], [0.0]
@@ -353,10 +345,10 @@ def extended_run(spec: ProblemSpec) -> tuple[BetaSequence, _Run, object]:
     sequence, the run itself and its error estimate ``_error``.
 
     Where the estimate is within ``ERROR_LIMIT`` the sequence is
-    ``beta_sequence``'s answer.  The run's ``interfaces.values`` hold the
-    pair (f_1, f_1', f_2, f_2') at the 2n interface arguments, from which
-    ``evaluate.solve`` checks the coefficients' interface backward error
-    without a second pair evaluation.
+    ``beta_sequence``'s answer.  The run's ``interfaces.pair`` holds the
+    pair at the 2n interface arguments, from which ``evaluate.solve``
+    checks the coefficients' interface backward error and, on a fallback,
+    builds the banded route's blocks, without a second pair evaluation.
     """
     run = _recursion(EXTENDED, spec, _EXT(spec.omega),
                      _EXT(np.asarray(spec.profile.jump_points)))

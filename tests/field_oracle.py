@@ -78,30 +78,6 @@ def sup_radial(sol: RadialSolution, samples_per_layer: int = 512) -> float:
     return best
 
 
-def interface_residuals(sol: RadialSolution) -> list:
-    """(|[u]|, |[u']|) per interface over the summed term sizes, each term
-    and its coefficient a one-element array."""
-    spec = sol.spec
-    out = []
-    for j in range(1, spec.n + 1):
-        xj = np.array([spec.profile.jump_points[j]])
-        jump = slope = size = 0.0
-        for layer, sign in ((j, 1.0), (j + 1, -1.0)):
-            k, terms = layer_terms(sol, layer, xj)
-            for c, f, df in terms:
-                c = sign * np.array([c])
-                jump = jump + c * f
-                slope = slope + c * k * df
-                size = size + np.abs(c) * np.hypot(np.abs(f), np.abs(df))
-        jump, slope, size = (float(np.abs(v)[0]) for v in (jump, slope, size))
-        if size == 0.0:
-            out.append((0.0, 0.0))
-            continue
-        k_top = spec.omega / min(spec.speed(j), spec.speed(j + 1))
-        out.append((jump / size, slope / (k_top * size)))
-    return out
-
-
 def energy_norm(sol: RadialSolution, order: int = 32) -> float:
     """Gauss-Legendre energy norm, layer by layer, the order doubled until
     1e-10 agreement."""

@@ -10,7 +10,9 @@ and its beta recursion against them; the determinant identities read the
 companion of beta through a closed-form map.  ``interface`` is the
 reflection data of one interface, formed point by point in a precision
 tier from scalar pair evaluations: the reference for the recursion's
-array pass over all interfaces.
+array pass over all interfaces.  ``exact_interface_residuals`` is the
+interface backward error of given coefficients with every pair value and
+every sum in mpmath: the reference for ``evaluate.interface_residuals``.
 """
 
 from dataclasses import dataclass
@@ -18,7 +20,8 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
-from helmrad.assembly import R_HAT, T_HAT, BlockSystem, DegenerateNormaliser
+from helmrad.assembly import (R_HAT, T_HAT, BlockSystem, CoefficientVector,
+                              DegenerateNormaliser)
 from helmrad.problem import ProblemSpec
 from helmrad.specfun import (EXTENDED, FundamentalPair, Tier,
                              fundamental_eval, fundamental_eval_mp,
@@ -244,3 +247,31 @@ def raw_solve_mp(spec: ProblemSpec, digits: int = 60) -> np.ndarray:
             M[:, j] *= cols[j]
         x = mp.lu_solve(M, rhs)
         return np.array([complex(x[j] * cols[j]) for j in range(N)])
+
+
+def exact_interface_residuals(spec: ProblemSpec, coeffs: CoefficientVector,
+                              digits: int = 40) -> list:
+    """(value, slope) per interface, as ``evaluate.interface_residuals``
+    defines them, every pair value from ``fundamental_eval_mp`` and every
+    sum formed at ``digits`` digits: the jumps over the summed term sizes
+    |coef| hypot(|f|, |f'|), the slope jump in units of the larger
+    wavenumber; (0, 0) where every term vanishes."""
+    pair = _pair(spec)
+    out = []
+    with mp.workdps(digits):
+        omega = mp.mpf(spec.omega)
+        for ell in range(1, spec.n + 1):
+            x = mp.mpf(spec.profile.jump_points[ell])
+            speeds = [mp.mpf(spec.speed(j)) for j in (ell, ell + 1)]
+            value = slope = size = 0
+            for j, c, sign in ((ell, speeds[0], 1), (ell + 1, speeds[1], -1)):
+                f, df = fundamental_eval_mp(pair, 1, omega * x / c)
+                a, b = mp.mpc(coeffs.a(j)), mp.mpc(coeffs.b(j))
+                value += sign * (a * f + b * f.real)
+                slope += sign * (a * df + b * df.real) / c
+                size += abs(a) * mp.hypot(abs(f), abs(df)) \
+                    + abs(b) * mp.hypot(abs(f.real), abs(df.real))
+            out.append((float(abs(value) / size),
+                        float(abs(slope) * min(speeds) / size))
+                       if size else (0.0, 0.0))
+    return out

@@ -164,6 +164,15 @@ class TestDoubleRange:
             assert math.isfinite(sup_radial(sol))
             assert math.isfinite(energy_norm(sol))
 
+    def test_high_mode_answers_pass_the_interface_residuals(self):
+        """Every high-mode banded answer reads at most 1e-9.  Specs 12, 18
+        and 32 read 1.0 while the residuals took the pair in double, where
+        j_m(k_1 1e-8) underflows to 0 beside a B_1 of 1e49 to 1e82."""
+        for spec in high_mode_population():
+            sol, _ = solve_direct(spec)
+            assert max(map(max, interface_residuals(sol)),
+                       default=0.0) <= 1e-9
+
     @pytest.mark.parametrize("route", [
         solve, lambda spec: solve_direct(spec)[0]],
         ids=["recursion", "banded"])
