@@ -79,9 +79,14 @@ class BlockSystem:
 
     n: int
     S_hat: np.ndarray      # (n, 2, 2)
-    rhs_scale: complex     # single nonzero rhs entry, at position 2n
+    b_last: np.clongdouble  # B_N from b_last_extended, before rounding
     spec: ProblemSpec
     block_loss: float = 0.0   # decimal digits cancelled inside the blocks
+
+    @property
+    def rhs_scale(self) -> complex:
+        """The single nonzero rhs entry, at position 2n: B_N as a double."""
+        return complex(self.b_last)
 
     def band(self) -> np.ndarray:
         """The diagonals in LAPACK band layout, in the blocks' dtype: column
@@ -216,41 +221,48 @@ def interface_pair(tier: Tier, spec: ProblemSpec, omega=None, x=None
     return InterfacePair(c, args, tier.pair_eval(_pair(spec), args))
 
 
-def _wronskian_terms(fp, dfp, fq, dfq, c_j, c_k):
-    """(w^{p,q}, 10 to the digits it cancels: its larger product over |w|,
-    or 0 if either is 0) from pre-evaluated pair values."""
-    t1 = fp * dfq / c_k
-    t2 = dfp * fq / c_j
-    w = t1 - t2
-    scale = max(abs(t1), abs(t2))
-    return w, 0 if scale == 0 or w == 0 else scale / abs(w)
+#: the five Wronskians w^{p,q} of a block, one per row: w^{2,1} (the
+#: normaliser), w^{2,2}, w^{1,2} on the right, w^{1,2} on the left and
+#: w^{1,1}.  Columns: the row of f_p among the pair values (f_1 is 0, f_2
+#: is 2, each derivative the row after), the side of the interface it is
+#: taken on (0 left, 1 right), then the same for f_q.
+_P_ROW, _P_SIDE, _Q_ROW, _Q_SIDE = np.array([
+    [2, 1, 0, 0],
+    [2, 1, 2, 0],
+    [0, 1, 2, 1],
+    [0, 0, 2, 0],
+    [0, 0, 0, 1]]).T[:, :, None]
 
 
 def _blocks(tier: Tier, spec: ProblemSpec, at: InterfacePair | None = None
             ) -> tuple[np.ndarray, float]:
     """Wronskian-form diagonal blocks S_hat (n, 2, 2) in ``tier`` and the
     decimal digits cancelled while forming them, from the pair values
-    ``at`` (by default :func:`interface_pair`'s in ``tier``)."""
+    ``at`` (by default :func:`interface_pair`'s in ``tier``).
+
+    The five Wronskians w^{p,q} = f_p f_q' / c_q - f_p' f_q / c_p of every
+    interface are one array expression over a (5, n) grid.  A Wronskian
+    cancels the digits of its larger product over |w| (none where either
+    is 0); the largest over all of them is reported."""
     n = spec.n
     c, _, values = at or interface_pair(tier, spec)
-    blocks, norms, ratio = [], [], 1
-    for ell in range(1, n + 1):
-        c_l, c_r = c[ell - 1], c[ell]
-        f1l, df1l, f2l, df2l = (v[ell - 1] for v in values)
-        f1r, df1r, f2r, df2r = (v[n + ell - 1] for v in values)
-        w21, r0 = _wronskian_terms(f2r, df2r, f1l, df1l, c_r, c_l)
-        if abs(w21) < _DEGENERACY_FLOOR:
-            raise DegenerateNormaliser(
-                f"normalising Wronskian vanished at interface {ell}")
-        w22, r1 = _wronskian_terms(f2r, df2r, f2l, df2l, c_r, c_l)
-        w12rr, r2 = _wronskian_terms(f1r, df1r, f2r, df2r, c_r, c_r)
-        w12ll, r3 = _wronskian_terms(f1l, df1l, f2l, df2l, c_l, c_l)
-        w11, r4 = _wronskian_terms(f1l, df1l, f1r, df1r, c_l, c_r)
-        blocks.append([[w22, w12rr], [-w12ll, w11]])
-        norms.append(w21)
-        ratio = max(ratio, r0, r1, r2, r3, r4)
-    S_hat = np.array(blocks, dtype=tier.cdtype).reshape(n, 2, 2)
-    S_hat /= np.array(norms, dtype=tier.cdtype)[:, None, None]
+    ell = np.arange(n)
+    p, q = _P_SIDE * n + ell, _Q_SIDE * n + ell
+    t1 = values[_P_ROW, p] * values[_Q_ROW + 1, q] / c[_Q_SIDE + ell]
+    t2 = values[_P_ROW + 1, p] * values[_Q_ROW, q] / c[_P_SIDE + ell]
+    w = t1 - t2
+    size = np.abs(w)
+    vanished = size[0] < _DEGENERACY_FLOOR
+    if np.count_nonzero(vanished):
+        raise DegenerateNormaliser(f"normalising Wronskian vanished at "
+                                   f"interface {np.argmax(vanished) + 1}")
+    S_hat = np.empty((n, 2, 2), dtype=tier.cdtype)
+    S_hat[:, 0, 0], S_hat[:, 0, 1], S_hat[:, 1, 1] = w[1], w[2], w[4]
+    S_hat[:, 1, 0] = -w[3]
+    S_hat /= w[0, :, None, None]
+    cancels = size != 0
+    ratio = np.max(np.maximum(np.abs(t1), np.abs(t2))[cancels]
+                   / size[cancels], initial=1)
     return S_hat, float(tier.log10(ratio)) if ratio > 1 else 0.0
 
 
@@ -265,7 +277,7 @@ def _normalize(spec: ProblemSpec, at: InterfacePair | None = None
                ) -> BlockSystem:
     """:func:`normalize`, from the extended pair values ``at`` when given."""
     S_hat, block_loss = _blocks(EXTENDED, spec, at)
-    return BlockSystem(n=spec.n, S_hat=S_hat, rhs_scale=rhs_scale(spec),
+    return BlockSystem(n=spec.n, S_hat=S_hat, b_last=b_last_extended(spec),
                        spec=spec, block_loss=block_loss)
 
 
@@ -434,7 +446,7 @@ def _coefficients(system: BlockSystem, x: np.ndarray) -> CoefficientVector:
         else [float(mp_tier().log(v)) for v in size[size != 0]]
     return coefficient_vector(system.spec, log_mag,
                               lambda inside: x[inside].astype(complex),
-                              b_last_extended(system.spec))
+                              system.b_last)
 
 
 def solve_spec(spec: ProblemSpec) -> tuple[CoefficientVector, float]:

@@ -2,17 +2,18 @@
 
 For d=3 these are the spherical Hankel/Bessel pair (h_m^(1), j_m), for d=1
 the pair (e^{ix}, cos x).  Bessel values are produced by recurrences chosen
-for stability: downward (Miller) recurrence for j_m, upward recurrence for
-y_m.  All arguments are real and positive; everything here is a pure
-function.
+for stability: upward recurrence for y_m, and for j_m above the turning
+point (x > m_max, where it is stable and takes m_max steps); downward
+(Miller) recurrence for j_m at or below it.  All arguments are real and
+positive; everything here is a pure function.
 
 The double/extended recurrences and the fundamental-pair evaluators also
 take a 1-D array of arguments.  Their results then gain a trailing point
 axis, and a float argument keeps its scalar path.  Each point of an array
-starts the downward recurrence where its scalar call would, from its own
-argument, so its value does not depend on the other points of its batch.
-The closed forms of orders 0 and 1 take one sin and one cos per argument
-for j and y together.
+takes the branch, and the downward start, that its scalar call would, from
+its own argument, so its value does not depend on the other points of its
+batch.  The closed forms of orders 0 and 1 take one sin and one cos per
+argument for j and y together.
 """
 
 from __future__ import annotations
@@ -74,12 +75,16 @@ def _positive(x, dtype):
 def spherical_jn_seq(m_max: int, x: float, dtype=np.float64) -> np.ndarray:
     """j_0(x)..j_{m_max}(x) for x > 0, shape (m_max + 1,) + x.shape.
 
-    Orders >= 2 come from downward recurrence started at order ``m_max +
+    An argument above the turning point, x > m_max, takes every order by
+    the forward three-term recurrence from the closed forms of orders 0 and
+    1, stable there (Gautschi, SIAM Rev. 9:24, 1967).  Orders >= 2 at any
+    other argument come from downward recurrence started at order ``m_max +
     max(20, ceil(1.5 x)) + 30``, normalised against the closed-form j_0 (or
-    j_1 near zeros of sin).  Each entry of an array of arguments starts
-    from its own value, as a float call would.  ``dtype`` selects the
-    working precision; the recursion paths run in extended precision where
-    cancellation would otherwise be the accuracy limit.
+    j_1 near zeros of sin).  Each entry of an array of arguments takes the
+    branch and the start of its own value, as a float call would.
+    ``dtype`` selects the working precision; the recursion paths run in
+    extended precision where cancellation would otherwise be the accuracy
+    limit.
     """
     x = _positive(x, dtype)
     return _jn_seq(m_max, x, np.sin(x), np.cos(x))
@@ -98,7 +103,18 @@ def _jn_seq(m_max: int, x, s, c) -> np.ndarray:
     if m_max == 1:
         return np.array([j0, j1], dtype=x.dtype)
     if x.shape:
-        return _miller_rows(m_max, x, j0, j1)
+        high = x > m_max
+        if high.all():
+            return _forward(m_max, x, j0, j1)
+        if not high.any():
+            return _miller_rows(m_max, x, j0, j1)
+        f = np.empty((m_max + 1,) + x.shape, dtype=x.dtype)
+        f[:, high] = _forward(m_max, x[high], j0[high], j1[high])
+        low = ~high
+        f[:, low] = _miller_rows(m_max, x[low], j0[low], j1[low])
+        return f
+    if x > m_max:
+        return _forward(m_max, x, j0, j1)
 
     dtype = x.dtype.type
     start = m_max + max(_MILLER_GUARD, math.ceil(1.5 * float(x))) \
@@ -118,6 +134,20 @@ def _jn_seq(m_max: int, x, s, c) -> np.ndarray:
     f[0] = cur
     # normalise against whichever closed form is better conditioned
     return f * (j0 / f[0] if abs(j0) >= abs(j1) else j1 / f[1])
+
+
+def _forward(m_max: int, x, f0, f1) -> np.ndarray:
+    """Orders 0..m_max by the forward three-term recurrence from orders 0
+    and 1: y_m at every argument, j_m above the turning point."""
+    # an int length allocates faster than a shape tuple on the float path
+    f = np.empty((m_max + 1,) + x.shape if x.shape else m_max + 1,
+                 dtype=x.dtype)
+    f[0] = f0
+    if m_max >= 1:
+        f[1] = f1
+    for k in range(1, m_max):
+        f[k + 1] = (2 * k + 1) / x * f[k] - f[k - 1]
+    return f
 
 
 def _miller_rows(m_max: int, x: np.ndarray, j0, j1) -> np.ndarray:
@@ -161,15 +191,8 @@ def spherical_yn_seq(m_max: int, x: float, dtype=np.float64) -> np.ndarray:
 
 def _yn_seq(m_max: int, x, s, c) -> np.ndarray:
     """``spherical_yn_seq`` at checked ``x`` with s = sin x, c = cos x."""
-    # an int length allocates faster than a shape tuple on the float path
-    y = np.zeros((m_max + 1,) + x.shape if x.shape else m_max + 1,
-                 dtype=x.dtype)
-    y[0] = -c / x
-    if m_max >= 1:
-        y[1] = -c / x**2 - s / x
-    for k in range(1, m_max):
-        y[k + 1] = (2 * k + 1) / x * y[k] - y[k - 1]
-    return y
+    y0 = -c / x
+    return _forward(m_max, x, y0, -c / x**2 - s / x if m_max else y0)
 
 
 def spherical_bessel_j(m: int, x: float) -> float:
@@ -392,17 +415,19 @@ def _pair_eval_ext(pair: FundamentalPair, x: np.ndarray) -> np.ndarray:
     On the positive axis f_2 = Re f_1 and f_2' = Re f_1', bit for bit (not
     so in double, where y_m can overflow and make Re f_1' NaN); f_2 keeps
     the complex type, so products with it round as those of a ``which=2``
-    evaluation.  Closed forms take the whole array in one call.  Orders m
-    >= 2 go point by point: the routes pass only 2n points per spec, and
-    on the high-mode population one batched Miller pass per call measured
-    about 3x slower than the scalar loop.
+    evaluation.  Every point above the turning point, x > m, and every
+    point of a closed form goes in one array call.  A point at or below it
+    with m >= 2 goes alone: the routes pass only 2n points per spec, and a
+    batched Miller pass over a few points costs more than the scalar loop.
     """
     out = np.empty((4, len(x)), dtype=np.clongdouble)
-    if pair.d == 1 or pair.m <= 1:
-        out[0], out[1] = fundamental_eval(pair, 1, x, np.longdouble)
-    else:
-        out[:2] = np.array([fundamental_eval(pair, 1, v, np.longdouble)
-                            for v in x], dtype=np.clongdouble).T
+    low = np.flatnonzero(x <= pair.m) if pair.d == 3 and pair.m >= 2 else ()
+    high = x > pair.m if len(low) else slice(None)
+    if len(low) < len(x):
+        out[0, high], out[1, high] = fundamental_eval(pair, 1, x[high],
+                                                      np.longdouble)
+    for i in low:
+        out[:2, i] = fundamental_eval(pair, 1, x[i], np.longdouble)
     out[2], out[3] = out[0].real, out[1].real
     return out
 

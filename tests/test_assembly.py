@@ -46,6 +46,21 @@ class TestNormalisation:
         assert abs(rhs_hat[0]) <= 1e-10 * abs(rhs_hat[1])
         assert rhs_hat[1] == pytest.approx(system.rhs_scale, rel=1e-10)
 
+    def test_vanishing_normaliser_names_its_interface(self):
+        """The Wronskians are formed over every interface at once; the
+        first one whose normaliser w^{2,1} vanishes is named."""
+        from helmrad import assembly
+        from helmrad.specfun import EXTENDED
+        spec = SPECS[2]
+        c, args, values = assembly.interface_pair(EXTENDED, spec)
+        values = values.copy()
+        for ell in (2, 3):
+            values[2:, spec.n + ell - 1] = 0.0   # f_2, f_2' right of ell
+        with pytest.raises(assembly.DegenerateNormaliser,
+                           match="interface 2$"):
+            assembly._normalize(spec, assembly.InterfacePair(c, args,
+                                                             values))
+
     @pytest.mark.parametrize("spec", SPECS)
     def test_dense_form_matches_matvec(self, spec):
         system = normalize(spec)

@@ -299,12 +299,13 @@ class TestBandStorage:
 
 
 class TestArrayWronskian:
-    # values of the scalar path, pinned bit for bit
+    # values of the scalar path, pinned bit for bit; m = 5 and m = 20
+    # re-pinned when j_m above the turning point took the forward recurrence
     PINNED = [
         ((3, 5, 1, 2, 2.0, 1.0, 7.8326825),
-         "-0x1.9aee4b493190cp-8", "-0x1.296f0bc0dc880p-12"),
+         "-0x1.9aee4b493190dp-8", "-0x1.296f0bc0dc980p-12"),
         ((3, 20, 1, 2, 2.0, 1.0, 24.6681),
-         "-0x1.08de51cc1c81ep-18", "0x1.0d22c56580000p-20"),
+         "-0x1.08de51cc1c81dp-18", "0x1.0d22c56600000p-20"),
         ((1, 0, 2, 1, 1.3, 0.7, 3.25),
          "-0x1.2c783988a86d1p+0", "-0x1.84d99a1f75dcap-2"),
         ((3, 0, 2, 2, 0.9, 1.7, 0.75), "0x1.a007da5072d18p-3", "0x0.0p+0"),

@@ -35,6 +35,35 @@ class TestAgainstScipy:
         assert h.imag == pytest.approx(spherical_bessel_y(3, 2.2))
 
 
+def _exact_mpf(v):
+    """The double or 80-bit ``v`` as an mpmath number, exactly."""
+    import mpmath as mp
+    frac, e = np.frexp(v)
+    return mp.ldexp(int(np.ldexp(frac, 64)), int(e) - 64)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("m", [2, 3, 5, 10, 20, 30, 50])
+def test_jn_above_the_turning_point_against_mpmath(m, dtype):
+    """j_m for m < x <= 2000 within 16 eps of the dtype, relative to
+    hypot(j_m, y_m) so that a zero of j_m does not read as a failure.  A
+    downward recurrence started ceil(1.5 x) orders up gathers its rounding
+    over all of them (40-50 eps at x ~ 1800); the forward recurrence takes
+    m steps."""
+    import mpmath as mp
+    x = np.geomspace(m * (1 + 1e-6), 2000.0, 40).astype(dtype)
+    j = spherical_jn_seq(m, x, dtype)[m]
+    worst = 0
+    with mp.workdps(30):
+        for v, got in zip(x, j):
+            v = _exact_mpf(v)
+            pref, nu = mp.sqrt(mp.pi / (2 * v)), m + mp.mpf(1) / 2
+            ref = pref * mp.besselj(nu, v)
+            worst = max(worst, abs(_exact_mpf(got) - ref)
+                        / mp.hypot(ref, pref * mp.bessely(nu, v)))
+    assert worst <= 16 * float(np.finfo(dtype).eps)
+
+
 @settings(max_examples=80, deadline=None)
 @given(m=st.integers(min_value=1, max_value=30),
        x=st.floats(min_value=0.05, max_value=60.0,
@@ -139,13 +168,14 @@ class TestArrayArguments:
                       "0x1.7972ccad5550cp-4", "0x0.0p+0")),
         (7, 1, 7.25, ("0x1.82852d205ad1ep-4", "-0x1.a97cb7ca81a24p-3",
                       "0x1.52a8f479c371ep-5", "0x1.c4fdf1bf0cffbp-4")),
-        (30, 2, 31.5, ("0x1.4cc58c0215966p-5", "0x0.0p+0",
+        (30, 2, 31.5, ("0x1.4cc58c021596cp-5", "0x0.0p+0",
                        "0x1.cee73d5469130p-8", "0x0.0p+0")),
     ])
     def test_float_argument_keeps_its_scalar_values(self, m, which, x,
                                                     expected):
         """Bit patterns of the scalar path, pinned (x86-64, glibc libm)
-        before the recurrences took arrays."""
+        before the recurrences took arrays; m = 30 re-pinned when j_m
+        above the turning point took the forward recurrence."""
         f, df = fundamental_eval(FundamentalPair(3, m), which, x)
         assert isinstance(f, np.complex128)
         assert tuple(v.hex() for v in (f.real, f.imag, df.real, df.imag)) \
@@ -161,19 +191,20 @@ class TestArrayArguments:
                       "4.9167665518011704276e+00")),
         (2, 2, 0.75, ("3.6016646141108236356e-02", "0",
                       "9.215049697862216926e-02", "0")),
-        (7, 1, 7.25, ("9.436528804296924153e-02",
+        (7, 1, 7.25, ("9.4365288042969241536e-02",
                       "-2.0775741183042938804e-01",
-                      "4.1340329638940294946e-02",
+                      "4.134032963894029494e-02",
                       "1.1059374267716740649e-01")),
-        (30, 2, 31.5, ("4.0621541455652382e-02", "0",
-                       "7.0633434992582277906e-03", "0")),
+        (30, 2, 31.5, ("4.062154145565238198e-02", "0",
+                       "7.0633434992582277974e-03", "0")),
     ])
     def test_extended_scalar_keeps_its_values(self, m, which, x, expected):
         """Extended values of the scalar path, pinned (x86-64, 80-bit long
         double, glibc libm) before the closed forms shared one sin/cos and
-        the scalar Miller pass dropped its table.  Compared as values: the
-        padding bytes of the 80-bit format are not reproducible.  The
-        one-element array path gives the same values."""
+        the scalar Miller pass dropped its table (m = 7 and m = 30 since j_m
+        above the turning point takes the forward recurrence).  Compared
+        as values: the padding bytes of the 80-bit format are not
+        reproducible.  The one-element array path gives the same values."""
         pair = FundamentalPair(3, m)
         f, df = fundamental_eval(pair, which, np.longdouble(x), np.longdouble)
         assert isinstance(f, np.clongdouble)
@@ -196,9 +227,11 @@ class TestArrayArguments:
                                rtol=1e-13, atol=0.0)
 
     def test_batched_recurrence_holds_no_start_by_points_table(self):
-        """A (start + 2) x points table would take ~100 MB here."""
+        """Every point is at or below the turning point, so all take the
+        downward recurrence, from order 53; a (start + 2) x points table
+        would take 7.2 MB here."""
         import tracemalloc
-        x = np.linspace(1.0, 2000.0, 4096)
+        x = np.linspace(0.01, 3.0, 16384)
         tracemalloc.start()
         try:
             spherical_jn_seq(3, x)
@@ -210,14 +243,29 @@ class TestArrayArguments:
     @pytest.mark.parametrize("m", [2, 7, 30])
     @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
     def test_points_do_not_depend_on_their_batch(self, m, dtype):
-        """Each point starts the downward recurrence from its own argument,
-        so a column of a batch has the bits of the call at that point
-        (compared as values: the padding bytes of the 80-bit format are not
-        reproducible)."""
+        """Each point takes the branch (forward above the turning point,
+        downward at or below it) and the downward start of its own
+        argument, so a column of a batch has the bits of the call at that
+        point (compared as values: the padding bytes of the 80-bit format
+        are not reproducible)."""
         x = _BATCH_X.astype(dtype)
         batch = spherical_jn_seq(m, x, dtype)
         for i, v in enumerate(x):
             assert np.array_equal(batch[:, i], spherical_jn_seq(m, v, dtype))
+
+    @pytest.mark.parametrize("d,m", _BATCH_PAIRS)
+    def test_extended_pair_rows_are_the_pointwise_values(self, d, m):
+        """The extended tier's pair evaluation, which sends the points above
+        the turning point in one array call and the others one by one,
+        gives each point's ``fundamental_eval`` values."""
+        from helmrad.specfun import EXTENDED
+        pair = FundamentalPair(d, m)
+        x = _BATCH_X.astype(np.longdouble)
+        rows = EXTENDED.pair_eval(pair, x)
+        for i, v in enumerate(x):
+            f, df = fundamental_eval(pair, 1, v, np.longdouble)
+            assert [rows[0, i], rows[1, i]] == [f, df]
+            assert [rows[2, i], rows[3, i]] == [f.real, df.real]
 
     def test_nonpositive_entry_rejected(self):
         for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
