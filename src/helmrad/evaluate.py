@@ -468,9 +468,10 @@ class DiagnosticsReport:
 
     @property
     def max_interface_residual(self) -> float:
+        """The largest interface residual, NaN if any is NaN."""
         if not self.interface_residuals:
             return 0.0
-        return max(max(pair) for pair in self.interface_residuals)
+        return float(np.max(self.interface_residuals))
 
     def passes(self, tol: float = 1e-9) -> bool:
         return (self.max_interface_residual <= tol

@@ -137,11 +137,6 @@ class BetaSequence:
     #: with the argument.  ``_beta_mp`` alone records the rerun's estimate.
     error_bound_digits: float = 0.0
 
-    @property
-    def beta(self) -> np.ndarray:
-        """beta_0..beta_n as complex values (may overflow for huge n)."""
-        return np.exp(self.log_moduli) * self.phases
-
 
 class _Run(NamedTuple):
     """One pass of the recursion: lists of tier numbers per ell = 0..n, and

@@ -152,10 +152,6 @@ class ProblemSpec:
         """c_j, 1-based."""
         return self.profile.speeds[j - 1]
 
-    def kappa(self, j: int, ell: int) -> float:
-        """Scaled argument kappa_{j,ell} = z_ell / c_j (1-based j, 0-based ell)."""
-        return float(self.z[ell] / self.speed(j))
-
     # -- serialisation -----------------------------------------------------
 
     def to_dict(self) -> dict:

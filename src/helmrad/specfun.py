@@ -14,6 +14,13 @@ takes the branch, and the downward start, that its scalar call would, from
 its own argument, so its value does not depend on the other points of its
 batch.  The closed forms of orders 0 and 1 take one sin and one cos per
 argument for j and y together.
+
+One evaluator, ``_fundamental``, forms the pair from one sin and one cos
+per point: the real rows of f_2 = Re f_1 (j_m, or cos x) and their
+derivatives at every argument, those of Im f_1 (y_m, or sin x) only where
+asked.  The public evaluators, the extended tier's included, are views of
+it; ``fundamental_eval_mp`` shares its d=1 rows, slope identity and
+assembly of f_1.
 """
 
 from __future__ import annotations
@@ -210,15 +217,58 @@ def spherical_hankel_h1(m: int, x: float) -> complex:
     return complex(spherical_bessel_j(m, x), spherical_bessel_y(m, x))
 
 
-def _family_seq(which: int, m_max: int, x) -> np.ndarray:
-    """Orders 0..m_max of the selected spherical family (complex for h) at
-    checked ``x``, from one sin and one cos per argument."""
+def _value_slope(m: int, x, lo, hi):
+    """(f_m, f_m') of one spherical family at x from its orders (f_{m-1},
+    f_m), or (f_0, f_1) for m = 0, by f'_m = f_{m-1} - (m+1)/x f_m and
+    f'_0 = -f_1 (DLMF 10.51)."""
+    return (lo, -hi) if m == 0 else (hi, lo - (m + 1) / x * hi)
+
+
+def _rows(pair: FundamentalPair, deriv: int, x, s, c, imag: bool):
+    """Value and first ``deriv`` derivatives (0, 1 or 2) at checked ``x`` of
+    f_2 = Re f_1 (j_m; cos x for d=1) or, with ``imag``, of Im f_1 (y_m;
+    sin x), as real numbers like x, from s = sin x and c = cos x; the
+    second derivative as ``fundamental_eval_d2`` states."""
+    if pair.d == 1:                     # f'' = -f for cos x and sin x
+        f = (s, c) if imag else (c, -s) if deriv else (c,)
+        return (*f, -f[0]) if deriv == 2 else f[:deriv + 1]
+    m = pair.m
+    f = (_yn_seq if imag else _jn_seq)((m, max(m, 1), m + 2)[deriv], x, s, c)
+    if deriv == 0:
+        return f[m],
+    if deriv == 1:
+        lo = max(m - 1, 0)
+        return _value_slope(m, x, f[lo], f[lo + 1])
+    df = -f[m + 1] + (m / x) * f[m]
+    df_up = -f[m + 2] + ((m + 1) / x) * f[m + 1]
+    return f[m], df, -df_up + (m / x) * df - (m / x**2) * f[m]
+
+
+def _fundamental(pair: FundamentalPair, x, deriv: int, imag: bool = True,
+                 at=None):
+    """(Re rows, Im rows) of f_1 at checked ``x``, from one sin and one cos
+    per point: the ``_rows`` of f_2 = Re f_1 at every entry and, with
+    ``imag``, those of Im f_1 at x[at] (every entry if None); else None."""
     s, c = np.sin(x), np.cos(x)
-    re = _jn_seq(m_max, x, s, c)
-    out = np.zeros(re.shape, dtype=_complex_dtype(x.dtype))
-    out.real = re
-    if which == 1:
-        out.imag = _yn_seq(m_max, x, s, c)
+    re = _rows(pair, deriv, x, s, c, False)
+    if not imag:
+        return re, None
+    if at is not None:
+        x, s, c = x[at], s[at], c[at]
+    return re, _rows(pair, deriv, x, s, c, True)
+
+
+def _assemble(re, im, cdtype):
+    """Rows f_1 = Re + i Im as one array of ``cdtype`` numbers (a tuple of
+    mpc for object); rows past those of ``im`` (all, if None) are f_2 =
+    Re f_1 as complex numbers.  No complex product reaches a real part, so
+    Re f_1 has the bits of f_2."""
+    if cdtype is object:
+        import mpmath as mp
+        return tuple(map(mp.mpc, re, im or (0,) * len(re)))
+    out = np.array(re, dtype=cdtype)
+    if im is not None:
+        out.imag[:len(im)] = im
     return out
 
 
@@ -231,19 +281,8 @@ def fundamental_eval(pair: FundamentalPair, which: int, x: float,
     """
     if which not in (1, 2):
         raise ValueError("which must be 1 or 2")
-    xe = _positive(x, dtype)
-    if pair.d == 1:
-        iu = _complex_dtype(dtype)(1j)
-        if which == 1:
-            v = np.exp(iu * xe)
-            return v, iu * v
-        cdt = _complex_dtype(dtype)
-        return cdt(np.cos(xe)), cdt(-np.sin(xe))
-    m = pair.m
-    seq = _family_seq(which, max(m, 1), xe)
-    if m == 0:
-        return seq[0], -seq[1]
-    return seq[m], seq[m - 1] - (m + 1) / xe * seq[m]
+    return tuple(_assemble(*_fundamental(pair, _positive(x, dtype), 1,
+                                         which == 1), _complex_dtype(dtype)))
 
 
 def fundamental_pair_eval(pair: FundamentalPair, x: np.ndarray,
@@ -254,37 +293,16 @@ def fundamental_pair_eval(pair: FundamentalPair, x: np.ndarray,
     f_2', f_1').
 
     f_2 and f_2' are real, the j_m rows alone (cos x and -sin x for d=1),
-    so a y_m that overflows reaches f_1 only.  Every value has the bits of
-    a ``fundamental_eval`` array call.
+    so a y_m that overflows reaches Im f_1 only.  Every value has the bits
+    of a ``fundamental_eval`` array call.
     """
     x = _positive(x, np.float64)
-    s, c = np.sin(x), np.cos(x)
     if outgoing is not None and outgoing.all():
         outgoing = None
-    xo, so, co = (x, s, c) if outgoing is None else \
-        (x[outgoing], s[outgoing], c[outgoing])
-    if pair.d == 1:
-        f1 = np.empty(xo.shape, dtype=complex)
-        f1.real, f1.imag = co, so
-        return (c, f1, -s, _IU * f1) if slope else (c, f1)
-    m = pair.m
-    top = max(m, 1) if slope else m
-    j, y = _jn_seq(top, x, s, c), _yn_seq(top, xo, so, co)
-    # f_1 only in the orders used: m, with the slope also its neighbour
-    rows = slice(m, m + 1) if not slope else \
-        slice(0, 2) if m == 0 else slice(m - 1, m + 1)
-    f1 = np.empty((rows.stop - rows.start,) + xo.shape, dtype=complex)
-    f1.real = j[rows] if outgoing is None else j[rows, outgoing]
-    f1.imag = y[rows]
-    if not slope:
-        return j[m], f1[0]
-    if m == 0:
-        return j[0], f1[0], -j[1], -f1[1]
-    return (j[m], f1[1], j[m - 1] - (m + 1) / x * j[m],
-            f1[0] - (m + 1) / xo * f1[1])
-
-
-_IU = np.complex128(1j)
+    re, im = _fundamental(pair, x, int(slope), True, outgoing)
+    f1 = _assemble(re if outgoing is None else [r[outgoing] for r in re], im,
+                   np.complex128)
+    return (re[0], f1[0], re[1], f1[1]) if slope else (re[0], f1[0])
 
 
 def fundamental_eval_d2(pair: FundamentalPair, which: int, x: float,
@@ -298,21 +316,8 @@ def fundamental_eval_d2(pair: FundamentalPair, which: int, x: float,
     solution, so callers needing residuals at the 1e-9 level pass an
     extended ``dtype``.
     """
-    xe = _positive(x, dtype)
-    if pair.d == 1:
-        iu = _complex_dtype(dtype)(1j)
-        if which == 1:
-            v = np.exp(iu * xe)
-            return v, iu * v, -v
-        cdt = _complex_dtype(dtype)
-        return cdt(np.cos(xe)), cdt(-np.sin(xe)), cdt(-np.cos(xe))
-    m = pair.m
-    seq = _family_seq(which, m + 2, xe)
-    f = seq[m]
-    df = -seq[m + 1] + (m / xe) * f
-    df_up = -seq[m + 2] + ((m + 1) / xe) * seq[m + 1]
-    d2f = -df_up + (m / xe) * df - (m / xe**2) * f
-    return f, df, d2f
+    return tuple(_assemble(*_fundamental(pair, _positive(x, dtype), 2,
+                                         which == 1), _complex_dtype(dtype)))
 
 
 def wronskian_w(pair: FundamentalPair, p: int, q: int,
@@ -333,18 +338,20 @@ def fundamental_eval_mp(pair: FundamentalPair, which: int, x):
     Used by the precision-escalation tiers when cancellation or
     conditioning exceeds what extended hardware floats can absorb.  y_m
     comes from the upward recurrence on the closed forms of orders 0 and 1,
-    and j_m, j_{m-1} from one hypergeometric series per order.  The real
-    part of f_1 is formed by the same operations for either ``which``, so
+    and j_m, j_{m-1} from one hypergeometric series per order.  The d=1
+    rows, slope identity and assembly are the hardware evaluator's, so
     f_2 = Re f_1 and f_2' = Re f_1' hold bit for bit.
     """
     import mpmath as mp
     x = mp.mpf(x)
     if not 0 < x < mp.inf:
         raise ValueError("argument must be positive and finite")
-    part = mp.mpc if which == 1 else lambda re, im: mp.mpc(re)
+    imag = which == 1
     if pair.d == 1:
         c, s = mp.cos_sin(x)
-        return part(c, s), part(-s, c)
+        return _assemble(_rows(pair, 1, x, s, c, False),
+                         _rows(pair, 1, x, s, c, True) if imag else None,
+                         object)
 
     m = pair.m
     # the closed forms of orders 0 and 1 get 10 guard digits for the y
@@ -357,16 +364,15 @@ def fundamental_eval_mp(pair: FundamentalPair, which: int, x):
         j_lo, y_lo = s / x, -c / x
         j, y = (j_lo - c) / x, (y_lo - s) / x
     if m >= 2:
-        y_lo, y = _yn_fixed(m, x, y_lo, y, mp.mp.prec + 64)
+        if imag:
+            y_lo, y = _yn_fixed(m, x, y_lo, y, mp.mp.prec + 64)
         # j_k(x) = x^k/(2k+1)!! 0F1(; k + 3/2; -x^2/4), z formed exactly
         z = mp.ldexp(mp.fmul(x, -x, exact=True), -2)
         j_lo, j = (x**k / math.prod(range(3, 2 * k + 2, 2))
                    * mp.hyp0f1(mp.mpf(2 * k + 3) / 2, z) for k in (m - 1, m))
-    # part() rounds to the working precision
-    if m == 0:
-        return part(j_lo, y_lo), -part(j, y)
-    v = part(j, y)
-    return v, part(j_lo, y_lo) - (m + 1) / x * v
+    # unary + rounds each order to the working precision
+    return _assemble(_value_slope(m, x, +j_lo, +j),
+                     _value_slope(m, x, +y_lo, +y) if imag else None, object)
 
 
 def _yn_fixed(m: int, x, y0, y1, bits: int):
@@ -412,24 +418,24 @@ def _pair_eval_ext(pair: FundamentalPair, x: np.ndarray) -> np.ndarray:
     """Rows (f_1, f_1', f_2, f_2') at each entry of ``x``, in extended
     precision.
 
-    On the positive axis f_2 = Re f_1 and f_2' = Re f_1', bit for bit (not
-    so in double, where y_m can overflow and make Re f_1' NaN); f_2 keeps
-    the complex type, so products with it round as those of a ``which=2``
-    evaluation.  Every point above the turning point, x > m, and every
-    point of a closed form goes in one array call.  A point at or below it
-    with m >= 2 goes alone: the routes pass only 2n points per spec, and a
-    batched Miller pass over a few points costs more than the scalar loop.
+    f_2 and f_2' are the real rows of f_1 and f_1', kept complex, so
+    products with them round as those of a ``which=2`` evaluation.  Every
+    point above the turning point, x > m, and every point of a closed form
+    goes in one array call.  A point at or below it with m >= 2 goes alone:
+    the routes pass only 2n points per spec, and a batched Miller pass over
+    a few points costs more than the scalar loop.
     """
-    out = np.empty((4, len(x)), dtype=np.clongdouble)
+    x = _positive(x, np.longdouble)
+    re = np.empty((4, len(x)), dtype=x.dtype)
+    im = np.empty((2, len(x)), dtype=x.dtype)
     low = np.flatnonzero(x <= pair.m) if pair.d == 3 and pair.m >= 2 else ()
-    high = x > pair.m if len(low) else slice(None)
+    groups = list(low)
     if len(low) < len(x):
-        out[0, high], out[1, high] = fundamental_eval(pair, 1, x[high],
-                                                      np.longdouble)
-    for i in low:
-        out[:2, i] = fundamental_eval(pair, 1, x[i], np.longdouble)
-    out[2], out[3] = out[0].real, out[1].real
-    return out
+        groups.append(x > pair.m if len(low) else slice(None))
+    for at in groups:
+        re[:2, at], im[:, at] = _fundamental(pair, x[at], 1)
+    re[2:] = re[:2]
+    return _assemble(re, im, np.clongdouble)
 
 
 _IU_EXT = np.clongdouble(1j)

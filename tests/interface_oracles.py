@@ -35,6 +35,11 @@ def _pair(spec: ProblemSpec) -> FundamentalPair:
     return FundamentalPair(spec.dimension, spec.mode)
 
 
+def kappa(spec: ProblemSpec, j: int, ell: int) -> float:
+    """Scaled argument kappa_{j,ell} = z_ell / c_j (1-based j, 0-based ell)."""
+    return float(spec.z[ell] / spec.speed(j))
+
+
 @dataclass(frozen=True)
 class RawSystem:
     """Blocks of the unnormalised interface system."""
@@ -58,22 +63,24 @@ def assemble_raw(spec: ProblemSpec) -> RawSystem:
     T = np.zeros((max(n - 1, 0), 2, 2), dtype=complex)
     for ell in range(1, n + 1):
         c_l, c_r = spec.speed(ell), spec.speed(ell + 1)
-        f2l, df2l = fundamental_eval(pair, 2, spec.kappa(ell, ell))
-        f1r, df1r = fundamental_eval(pair, 1, spec.kappa(ell + 1, ell))
+        f2l, df2l = fundamental_eval(pair, 2, kappa(spec, ell, ell))
+        f1r, df1r = fundamental_eval(pair, 1, kappa(spec, ell + 1, ell))
         S[ell - 1] = [[f2l, -f1r], [df2l / c_l, -df1r / c_r]]
         if ell < n:
-            f1d, df1d = fundamental_eval(pair, 1, spec.kappa(ell + 1, ell + 1))
+            f1d, df1d = fundamental_eval(pair, 1,
+                                         kappa(spec, ell + 1, ell + 1))
             R[ell - 1] = [[0.0, f1d], [0.0, df1d / c_r]]
-            f2r, df2r = fundamental_eval(pair, 2, spec.kappa(ell + 1, ell))
+            f2r, df2r = fundamental_eval(pair, 2, kappa(spec, ell + 1, ell))
             T[ell - 1] = [[-f2r, 0.0], [-df2r / c_r, 0.0]]
     # boundary factor C multiplying the raw right-hand side
     N = n + 1
-    kappa = spec.kappa(N, N)
-    f1b, _ = fundamental_eval(pair, 1, kappa)
+    k_bdy = kappa(spec, N, N)
+    f1b, _ = fundamental_eval(pair, 1, k_bdy)
     w12b = wronskian_w(pair, 1, 2, spec.speed(N), spec.speed(N), spec.z[N])
-    C = f1b * complex(spec.boundary_coefficient) / (kappa * spec.speed(N) * w12b)
+    C = f1b * complex(spec.boundary_coefficient) \
+        / (k_bdy * spec.speed(N) * w12b)
     rhs = np.zeros(2 * n, dtype=complex)
-    f2b, df2b = fundamental_eval(pair, 2, spec.kappa(N, n))
+    f2b, df2b = fundamental_eval(pair, 2, kappa(spec, N, n))
     rhs[-2] = C * f2b
     rhs[-1] = C * df2b / spec.speed(N)
     return RawSystem(n=n, S=S, R=R, T=T, rhs=rhs, scale=C)
@@ -121,8 +128,8 @@ def normalizer_blocks(spec: ProblemSpec) -> np.ndarray:
         if abs(w21) < _DEGENERACY_FLOOR:
             raise DegenerateNormaliser(
                 f"normalising Wronskian vanished at interface {ell}")
-        f2r, df2r = fundamental_eval(pair, 2, spec.kappa(ell + 1, ell))
-        f1l, df1l = fundamental_eval(pair, 1, spec.kappa(ell, ell))
+        f2r, df2r = fundamental_eval(pair, 2, kappa(spec, ell + 1, ell))
+        f1l, df1l = fundamental_eval(pair, 1, kappa(spec, ell, ell))
         # (a, b)^perp = (b, -a) applied to the t- and r-columns
         D[ell - 1, 0] = [-df2r / c_r, f2r]
         D[ell - 1, 1] = [df1l / c_l, -f1l]

@@ -106,7 +106,9 @@ def test_criterion_03_w_sequence_identity(request):
         spec = random_spec(rng, n_max=10)
         n = spec.n
         W = w_sequence(spec)
-        bt = beta_tilde(spec, complex(beta_sequence(spec).beta[n]))
+        seq = beta_sequence(spec)
+        bt = beta_tilde(spec, complex(
+            (np.exp(seq.log_moduli) * seq.phases)[n]))
         first = abs(W[n, 0] - (-1.0) ** n * bt) / abs(bt)
         second_target = -(np.conj(bt) - (-1.0) ** n * bt) / 2.0
         second = abs(W[n, 1] - second_target) / max(abs(W[n, 1]), abs(bt))

@@ -356,14 +356,14 @@ class TestFieldBitsAgainstOracle:
             == _bits(grid)
 
     def test_overflowing_y_leaves_the_b_term_finite(self):
-        """d=3, m=30 at x = 1e-9: y_30 overflows, and with it f_1 and the
-        real part of the which=1 slope; f_2 and f_2' come from j alone."""
+        """d=3, m=30 at x = 1e-9: y_30 overflows, and with it Im f_1; f_2
+        and f_2' come from j alone, and so does Re f_1'."""
         pair = FundamentalPair(3, 30)
         x = np.array([1e-9, 0.5])
         with np.errstate(over="ignore", invalid="ignore"):
             f2, f1, df2, _ = fundamental_pair_eval(pair, x, slope=True)
             _, h1 = fundamental_eval(pair, 1, 1e-9)
-        assert np.isinf(f1[0].imag) and math.isnan(h1.real)
+        assert np.isinf(f1[0].imag) and h1.real == df2[0]
         assert np.all(np.isfinite(f2)) and np.all(np.isfinite(df2))
         for i, v in enumerate(x.tolist()):
             j, dj = fundamental_eval(pair, 2, v)
@@ -483,6 +483,18 @@ class TestNormsAndReports:
             <= doc["energy_upper_bound"]
         assert rep.passes(1e-9)
         assert not rep.passes(0.0)
+
+    @pytest.mark.parametrize("residuals", [
+        [(1e-16, 2e-16), (math.nan, math.nan)],
+        [(math.nan, 1e-16), (1e-16, 2e-16)]])
+    def test_a_nan_interface_residual_fails_wherever_it_sits(self,
+                                                             residuals):
+        rep = evaluate.DiagnosticsReport(
+            interface_residuals=residuals, ode_residual=0.0,
+            dtn_residual=0.0, energy_norm=1.0, energy_upper_bound=None,
+            energy_lower_bound=None, sup_norm=None)
+        assert math.isnan(rep.max_interface_residual)
+        assert not rep.passes()
 
     def test_nonradial_mode_reports_omit_the_bounds(self):
         rep = diagnostics(solve(SPECS[1]))

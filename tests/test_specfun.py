@@ -320,15 +320,17 @@ class TestArbitraryPrecision:
 
 
 IDENTITY_PAIRS = [(1, 0)] + [(3, m) for m in (0, 1, 2, 3, 7, 13, 30, 50)]
-IDENTITY_ARGS = np.geomspace(1e-6, 200.0, 301)
+IDENTITY_ARGS = np.concatenate([[1e-9], np.geomspace(1e-6, 200.0, 301)])
 
 
 class TestRealPartIdentity:
-    """f_2 = Re f_1 and f_2' = Re f_1' bit for bit on the positive axis.
+    """f_2 = Re f_1, f_2' = Re f_1' and f_2'' = Re f_1'' bit for bit on the
+    positive axis, in every precision.
 
     The precision tiers evaluate f_1 alone and take f_2 from its real part.
-    Double-precision callers keep ``which=2``: there y_m overflows at high
-    order and small argument, and Re f_1' is NaN (m = 50, x = 1e-6).
+    In double, y_m overflows at high order and small argument (m = 50 at
+    x = 1e-6, m = 30 at x = 1e-9), and Re f_1' still keeps the bits of
+    f_2'.
     """
 
     @staticmethod
@@ -337,18 +339,19 @@ class TestRealPartIdentity:
         return np.array_equal(a, b) \
             and np.array_equal(np.signbit(a), np.signbit(b))
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble],
+                             ids=["double", "extended"])
     @pytest.mark.parametrize("d,m", IDENTITY_PAIRS)
-    def test_extended(self, d, m):
+    def test_hardware(self, d, m, dtype):
         pair = FundamentalPair(d, m)
-        ext = np.longdouble
-        f1, df1 = fundamental_eval(pair, 1, IDENTITY_ARGS.astype(ext), ext)
-        f2, df2 = fundamental_eval(pair, 2, IDENTITY_ARGS.astype(ext), ext)
-        assert self._same(f1.real, f2.real) and self._same(df1.real, df2.real)
-        for x in IDENTITY_ARGS:
-            f1, df1 = fundamental_eval(pair, 1, ext(x), ext)
-            f2, df2 = fundamental_eval(pair, 2, ext(x), ext)
-            assert self._same(f1.real, f2.real)
-            assert self._same(df1.real, df2.real)
+        x = IDENTITY_ARGS.astype(dtype)
+        with np.errstate(all="ignore"):
+            for fn in (fundamental_eval, fundamental_eval_d2):
+                for arg in [x, *x]:
+                    rows1 = fn(pair, 1, arg, dtype)
+                    rows2 = fn(pair, 2, arg, dtype)
+                    for f1, f2 in zip(rows1, rows2):
+                        assert self._same(f1.real, f2.real)
 
     @pytest.mark.parametrize("d,m", IDENTITY_PAIRS)
     def test_mpmath(self, d, m):
@@ -360,12 +363,6 @@ class TestRealPartIdentity:
                 f2, df2 = fundamental_eval_mp(pair, 2, x)
                 assert f1.real == f2.real and f2.imag == 0
                 assert df1.real == df2.real and df2.imag == 0
-
-    def test_double_keeps_which_2(self):
-        with np.errstate(all="ignore"):
-            _, df1 = fundamental_eval(FundamentalPair(3, 50), 1, 1e-6)
-            _, df2 = fundamental_eval(FundamentalPair(3, 50), 2, 1e-6)
-        assert np.isnan(df1.real) and not np.isnan(df2.real)
 
 
 MP_ORDERS = [0, 1, 2, 3, 5, 13, 30, 50]
