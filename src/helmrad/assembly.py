@@ -12,15 +12,20 @@ once, over a precision tier of :mod:`specfun`: :func:`normalize` builds
 them in extended precision, and the mpmath escalation builds the same
 blocks in mpmath.  Their pair values come from :func:`interface_pair`, the
 one place the pair is evaluated at the interfaces: the recursion and the
-interface residuals take theirs from it too.  :func:`dense_solve` says
-when its refined extended-precision solve is accepted and when mpmath
-runs.
+interface residuals take theirs from it too.  :func:`dense_solve` factors
+the band in double and refines against the extended blocks; when that is
+refused, it tries once more on the band scaled exactly by powers of two,
+each unknown to its term in its layer and each row to its largest entry,
+and only then runs mpmath.  :func:`_refine` says when a refined solve is
+accepted: its corrections stop shrinking by half, and the last is
+negligible against every layer's terms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -36,9 +41,10 @@ T_HAT = np.array([[0.0, 0.0], [-1.0, 0.0]], dtype=complex)
 #: pivot/normaliser magnitudes below this are treated as exactly singular
 _DEGENERACY_FLOOR = 1e-300
 
-# acceptance of the refined solve (see dense_solve)
+# acceptance of the refined solve (see _refine and dense_solve)
 _MAX_SWEEPS = 4
 _STEP_TOL = 1e-17
+_SETTLE_TOL = 1e-15
 _BERR_ULPS = 16
 _LOG10_CANCEL_TOL = -12.0
 # mpmath tier: working digits of the first attempt (the retry doubles
@@ -68,6 +74,22 @@ def _band_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:
     return y
 
 
+def _row_max(band: np.ndarray) -> np.ndarray:
+    """The largest entry magnitude of each row of the band's matrix."""
+    size = np.abs(band)
+    row_max = size[1].copy()
+    row_max[:-1] = np.maximum(row_max[:-1], size[0, 1:])
+    row_max[1:] = np.maximum(row_max[1:], size[2, :-1])
+    return row_max
+
+
+def _scale_rows(band: np.ndarray, s: np.ndarray) -> None:
+    """Multiply row i of the band's matrix by s[i], in place."""
+    band[0, 1:] *= s[:-1]
+    band[1] *= s
+    band[2, :-1] *= s[1:]
+
+
 @dataclass(frozen=True)
 class BlockSystem:
     """Normalised block-tridiagonal system; R/T blocks are R_HAT, T_HAT.
@@ -81,7 +103,24 @@ class BlockSystem:
     S_hat: np.ndarray      # (n, 2, 2)
     b_last: np.clongdouble  # B_N from b_last_extended, before rounding
     spec: ProblemSpec
+    pair: InterfacePair     # the extended pair values the blocks are from
     block_loss: float = 0.0   # decimal digits cancelled inside the blocks
+
+    @cached_property
+    def scales(self) -> np.ndarray:
+        """One power of two 2**e per unknown (B_1, A_2, B_2, ..., A_{n+1})
+        and one for B_N, in extended precision: e is the frexp exponent of
+        max(|f|, |f'|) of the unknown's function (f_1 for an A, f_2 for a
+        B) over its layer's interface ends, so that |x| 2**e is the
+        unknown's term in its layer within a factor 2."""
+        n = self.n
+        size = np.abs(self.pair.values)
+        size = np.maximum(size[0::2], size[1::2])     # f_1 and f_2 rows
+        ends = np.zeros((2, n + 1), dtype=size.dtype)
+        ends[:, :n] = size[:, :n]                     # right ends of 1..n
+        ends[:, 1:] = np.maximum(ends[:, 1:], size[:, n:])   # left, 2..n+1
+        # (A_1, B_1, A_2, ..., A_N, B_N) without A_1 = 0
+        return np.ldexp(np.longdouble(1), np.frexp(ends.T.ravel()[1:])[1])
 
     @property
     def rhs_scale(self) -> complex:
@@ -276,40 +315,93 @@ def normalize(spec: ProblemSpec) -> BlockSystem:
 def _normalize(spec: ProblemSpec, at: InterfacePair | None = None
                ) -> BlockSystem:
     """:func:`normalize`, from the extended pair values ``at`` when given."""
+    at = at or interface_pair(EXTENDED, spec)
     S_hat, block_loss = _blocks(EXTENDED, spec, at)
     return BlockSystem(n=spec.n, S_hat=S_hat, b_last=b_last_extended(spec),
-                       spec=spec, block_loss=block_loss)
+                       spec=spec, pair=at, block_loss=block_loss)
 
 
 def _refine(system: BlockSystem, band: np.ndarray, lu: np.ndarray,
-            piv: np.ndarray):
-    """(solution, relative residual), refined in extended precision with the
-    double factors, or None if it fails the acceptance tests of dense_solve."""
+            piv: np.ndarray, b: np.ndarray, scaled: bool = False):
+    """(x, ||b - M x||_inf / ||b||_inf) for the matrix M in ``band``
+    (extended precision) and M x = b, refined against ``band`` with its
+    double factors (``lu``, ``piv``), or None when refused.  ``band`` is
+    the system's own, or :func:`_equilibrated`'s when ``scaled``.
+
+    The sweeps go on while each correction at least halves the one before,
+    at most _MAX_SWEEPS past the first, and end early once one is at most
+    1e-17 max|x| and :func:`_settled`.  x is accepted when its last
+    correction is settled, at most 1e-15 of the largest term in each
+    layer, and its componentwise backward error max_i |r|_i / (|M||x| +
+    |b|)_i is at most 16 eps of the band's dtype."""
     eps = np.finfo(band.real.dtype).eps
-    # in log space: block_loss may be large or infinite
-    if not math.log10(eps) + system.block_loss <= _LOG10_CANCEL_TOL:
-        return None
-    b = np.zeros(band.shape[1], dtype=band.dtype)
-    b[-1] = system.rhs_scale
     x, r, prev = np.zeros_like(b), b, np.inf
     for sweep in range(_MAX_SWEEPS + 1):
         dx, _ = lapack.zgbtrs(lu, 1, 1, r.astype(complex), piv)
         x = x + dx
         r = b - _band_matvec(band, x)
         size = np.max(np.abs(dx))
-        if not size <= 0.5 * prev:
-            return None
-        if sweep and size <= _STEP_TOL * np.max(np.abs(x)):
+        settled = (sweep and size <= _STEP_TOL * np.max(np.abs(x))
+                   and _settled(system, dx, x, scaled))
+        if settled or not size <= 0.5 * prev:
             break
         prev = size
-    else:
+    if not (settled or _settled(system, dx, x, scaled)):
         return None
     scale = _band_matvec(np.abs(band), np.abs(x)) + np.abs(b)
     berr = np.max(np.divide(np.abs(r), scale, out=np.zeros_like(scale),
                             where=scale > 0))
     if not berr <= _BERR_ULPS * eps:
         return None
-    return x, float(np.max(np.abs(r)) / abs(system.rhs_scale))
+    return x, float(np.max(np.abs(r)) / np.max(np.abs(b)))
+
+
+def _settled(system: BlockSystem, dx: np.ndarray, x: np.ndarray,
+             scaled: bool) -> bool:
+    """Whether the correction ``dx`` to ``x`` is at most 1e-15 of the
+    largest term in each layer: |dx_i| 2**e_i against the largest |x_k|
+    2**e_k of i's layer (:attr:`BlockSystem.scales`; without the powers
+    of two when x is ``scaled``), B_N's term counting in the last layer.
+    A layer whose terms are all 0 is not settled."""
+    # within 1e-15 of each x_i is within 1e-15 of its layer's terms
+    if np.all(np.abs(dx) <= _SETTLE_TOL * np.abs(x)):
+        return True
+    weight = 1 if scaled else system.scales[:-1]
+
+    def layers(terms, end):
+        # A_1 = 0, then (B_1), (A_2, B_2), ..., (A_N, end)
+        return np.concatenate(([0], terms, [end])).reshape(-1, 2).max(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = np.max(layers(np.abs(dx) * weight, 0) / layers(
+            np.abs(x) * weight, abs(system.b_last) * system.scales[-1]))
+    return bool(step <= _SETTLE_TOL)
+
+
+def _equilibrated(system: BlockSystem, band: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """``band`` with each column divided by its unknown's term scale
+    (:attr:`BlockSystem.scales`), then each row multiplied by 2**-e, e the
+    frexp exponent of its largest entry, and those row factors: exact, in
+    extended precision, and every row's largest entry in [1/2, 1), so the
+    cast to double does not overflow.  The solution of the scaled system
+    is the unknowns' terms: x = y / scales, and the rhs takes the row
+    factors."""
+    scaled = band / system.scales[:-1]
+    rows = np.ldexp(np.longdouble(1), -np.frexp(_row_max(scaled))[1])
+    _scale_rows(scaled, rows)
+    return scaled, rows
+
+
+def _factor(band: np.ndarray) -> tuple | None:
+    """zgbtrf's factors (lu, piv) of ``band`` cast to double, or None when
+    the cast overflows or a pivot is zero."""
+    ab = np.zeros((4, band.shape[1]), dtype=complex)
+    with np.errstate(over="ignore"):
+        ab[1:] = band
+    if not np.all(np.isfinite(ab)):
+        return None
+    lu, piv, info = lapack.zgbtrf(ab, 1, 1)
+    return (lu, piv) if info == 0 else None
 
 
 def _tridiag_lu(band: np.ndarray) -> tuple:
@@ -369,18 +461,12 @@ def _solve_mp(system: BlockSystem, digits: int) -> tuple[np.ndarray, float]:
         S_hat, block_loss = _blocks(mp_tier(), system.spec)
         band = replace(system, S_hat=S_hat).band()
         # scale each row by a power of two: its entries span hundreds of
-        # orders of magnitude at high modes, and pivoting compares them
-        size = np.abs(band)
-        row_max = size[1].copy()
-        row_max[:-1] = np.maximum(row_max[:-1], size[0, 1:])
-        row_max[1:] = np.maximum(row_max[1:], size[2, :-1])
+        # orders of magnitude at high modes, and pivoting compares them;
         # no row vanishes: each row but the first and the last holds an
         # entry +-1, and those two hold w^{1,2} of one layer, a Wronskian
         # with no zeros
-        s = np.array([mp.ldexp(1, -mp.frexp(v)[1]) for v in row_max])
-        band[0, 1:] *= s[:-1]
-        band[1] *= s
-        band[2, :-1] *= s[1:]
+        s = np.array([mp.ldexp(1, -mp.frexp(v)[1]) for v in _row_max(band)])
+        _scale_rows(band, s)
         b = np.zeros(band.shape[1], dtype=object)
         b[-1] = s[-1] * mp.mpc(system.rhs_scale)
         lu = _tridiag_lu(band)
@@ -400,36 +486,47 @@ def _solve_mp(system: BlockSystem, digits: int) -> tuple[np.ndarray, float]:
 def dense_solve(system: BlockSystem) -> tuple[CoefficientVector, float]:
     """Solve the normalised system by banded elimination.
 
-    The matrix is factored once in double precision (zgbtrf) and the
-    solution refined against the extended blocks.  The refined solution is
-    accepted when each correction is at most half the previous one and the
-    last at most 1e-17 max|x| within 4 sweeps, its componentwise backward
-    error max_i |r|_i / (|M||x| + |b|)_i is at most 16 eps of the blocks'
-    dtype, and eps * 10**block_loss <= 1e-12.  Otherwise (or when the
-    blocks overflow double) :func:`_solve_mp` rebuilds the same blocks in
-    mpmath at 75 digits and solves them there; if its answer fails its
-    refinement check, once more at 150 digits, then SingularSystem.
+    The matrix is factored in double precision (zgbtrf) and the solution
+    refined against the extended blocks, accepted or refused by
+    :func:`_refine`.  When the blocks overflow double on the cast, a pivot
+    is zero or the refinement is refused, one more attempt does the same
+    with the band scaled exactly by powers of two (:func:`_equilibrated`):
+    at high modes its entries and unknowns span hundreds of decades, which
+    a double factorisation does not survive unscaled.  Neither attempt
+    runs when the blocks' cancellation leaves too few digits, eps *
+    10**block_loss > 1e-12 for the eps of the blocks' dtype.  Otherwise
+    :func:`_solve_mp` rebuilds the same blocks in mpmath at 75 digits and
+    solves them there; if its answer fails its refinement check, once more
+    at 150 digits, then SingularSystem.
     Either answer becomes doubles by :func:`coefficient_vector`, the rule
     of the recursion route too, which reads its column's log magnitudes:
     the column's clipped entries are display values that decide no
     coefficient.
     Returns the coefficients and the relative residual
-    ||M x - rhs||_inf / ||rhs||_inf; for n = 0, B_1 = rhs_scale.  A zero
+    ||M x - rhs||_inf / ||rhs||_inf, the rows scaled as the attempt that
+    solved the system scaled them; for n = 0, B_1 = rhs_scale.  A zero
     right-hand side, g = 0 or a B_N that rounds to 0, has the zero
     solution and residual 0; the rule then judges B_N itself.
     """
     if system.n == 0 or not system.rhs_scale:
         return _coefficients(system, np.zeros(2 * system.n)), 0.0
     band = system.band()
-    ab = np.zeros((4, band.shape[1]), dtype=complex)
-    with np.errstate(over="ignore"):
-        ab[1:] = band
-    if np.all(np.isfinite(ab)):
-        lu, piv, info = lapack.zgbtrf(ab, 1, 1)
-        if info == 0:
-            accepted = _refine(system, band, lu, piv)
-            if accepted is not None:
-                return _coefficients(system, accepted[0]), accepted[1]
+    b = np.zeros(band.shape[1], dtype=band.dtype)
+    b[-1] = system.rhs_scale
+    eps = np.finfo(band.real.dtype).eps
+    # in log space: block_loss may be large or infinite
+    if math.log10(eps) + system.block_loss <= _LOG10_CANCEL_TOL:
+        factors = _factor(band)
+        solved = factors and _refine(system, band, *factors, b)
+        if not solved:
+            scaled, rows = _equilibrated(system, band)
+            factors = _factor(scaled)
+            solved = factors and _refine(system, scaled, *factors, rows * b,
+                                         scaled=True)
+            if solved:
+                solved = solved[0] / system.scales[:-1], solved[1]
+        if solved:
+            return _coefficients(system, solved[0]), solved[1]
     try:
         x, resid = _solve_mp(system, _MP_DIGITS)
     except SingularSystem:     # the check failed: double the digits

@@ -272,6 +272,13 @@ def _assemble(re, im, cdtype):
     return out
 
 
+def _outgoing(which: int) -> bool:
+    """Whether ``which`` names f_1 (1) rather than f_2 (2)."""
+    if which not in (1, 2):
+        raise ValueError("which must be 1 or 2")
+    return which == 1
+
+
 def fundamental_eval(pair: FundamentalPair, which: int, x: float,
                      dtype=np.float64):
     """Value and derivative of f_{m,d,which} at x > 0 (or at each entry).
@@ -279,10 +286,9 @@ def fundamental_eval(pair: FundamentalPair, which: int, x: float,
     Derivatives use f'_m = f_{m-1} - (m+1)/x f_m (and f'_0 = -f_1), never
     finite differences.
     """
-    if which not in (1, 2):
-        raise ValueError("which must be 1 or 2")
     return tuple(_assemble(*_fundamental(pair, _positive(x, dtype), 1,
-                                         which == 1), _complex_dtype(dtype)))
+                                         _outgoing(which)),
+                           _complex_dtype(dtype)))
 
 
 def fundamental_pair_eval(pair: FundamentalPair, x: np.ndarray,
@@ -317,7 +323,8 @@ def fundamental_eval_d2(pair: FundamentalPair, which: int, x: float,
     extended ``dtype``.
     """
     return tuple(_assemble(*_fundamental(pair, _positive(x, dtype), 2,
-                                         which == 1), _complex_dtype(dtype)))
+                                         _outgoing(which)),
+                           _complex_dtype(dtype)))
 
 
 def wronskian_w(pair: FundamentalPair, p: int, q: int,
@@ -343,10 +350,10 @@ def fundamental_eval_mp(pair: FundamentalPair, which: int, x):
     f_2 = Re f_1 and f_2' = Re f_1' hold bit for bit.
     """
     import mpmath as mp
+    imag = _outgoing(which)
     x = mp.mpf(x)
     if not 0 < x < mp.inf:
         raise ValueError("argument must be positive and finite")
-    imag = which == 1
     if pair.d == 1:
         c, s = mp.cos_sin(x)
         return _assemble(_rows(pair, 1, x, s, c, False),

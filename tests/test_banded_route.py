@@ -1,8 +1,10 @@
 """The banded route's a-posteriori acceptance and its mpmath escalation.
 
 The refined extended-precision solve is accepted on its own convergence
-and componentwise backward error; the banded elimination in mpmath runs
-only when that test fails, and returns only answers its residual confirms.
+and componentwise backward error; when it is refused, the same solve runs
+once more on the band scaled by powers of two, and the banded elimination
+in mpmath runs only when that is refused too, and returns only answers its
+residual confirms.
 Every answer is compared with the raw system solved densely in mpmath
 (``interface_oracles.raw_solve_mp``), which shares no code with either
 tier.  Also covers the array Wronskian behind the whispering-gallery scan
@@ -42,8 +44,38 @@ CANCELLING = dict(dimension=3, mode=15, omega=2.5990971183721125,
                           4.346961346264625])
 
 
+# oracle seed 13 spec 66 of the benchmark: its unscaled refinement stalls
+# at about 1e-17 of max|x|, with steps 6.3e-15, 1.1e-17, 1.1e-17
+STALLED = dict(dimension=3, mode=4, omega=48.41608516306553,
+               boundary_coefficient=[1.0, 0.0],
+               jump_points=[0.0, 0.11233406125180749, 0.25232618322371875,
+                            0.2726263065348181, 0.2863823042521315,
+                            0.29518240545200153, 0.2954527871748956,
+                            0.30634102853241424, 0.33237411449199694,
+                            0.3536656182057979, 0.38718394101996073,
+                            0.4481896858000965, 0.5589429802367342,
+                            0.5971847570825096, 0.6043647092687955,
+                            0.6098133506437502, 0.6816864602221705,
+                            0.6870176383080916, 0.9005333612530856,
+                            0.9370511734742666, 0.9377203161153662, 1.0],
+               speeds=[1.3205658367061481, 2.5804349746651787,
+                       3.0661590366772487, 1.4179152833815545,
+                       1.3142043452677132, 3.2389139892761007,
+                       3.6934944592247403, 2.195756281908795,
+                       2.2322824442498415, 0.9547655088549435,
+                       2.0665119918756263, 0.5513973482796529,
+                       1.37026249994263, 2.845562043449852,
+                       3.2608590126649317, 2.448800506277417,
+                       1.6616694874474889, 1.724908517175316,
+                       3.100515182768474, 3.617606856455557,
+                       1.5260059451808385])
+
 # high-mode specs whose A_2 lies below the double range
 BELOW_RANGE = (6, 9, 12, 18, 20, 21, 23, 24, 26, 32)
+# high-mode specs the unscaled refinement refuses and the scaled attempt
+# solves, and those whose blocks lose 16 digits or more and go to mpmath
+SCALED = (4, 7, 8, 13, 15, 25, 27)
+BLOCK_LOSS = (6, 9, 12, 16, 18, 20, 21, 22, 23, 24, 26, 32)
 
 
 def _normwise(x, ref):
@@ -53,6 +85,12 @@ def _normwise(x, ref):
 def _forced_mp(spec, digits=assembly._MP_DIGITS):
     x, _ = assembly._solve_mp(normalize(spec), digits)
     return x
+
+
+def _rhs(system):
+    b = np.zeros(2 * system.n, dtype=system.S_hat.dtype)
+    b[-1] = system.rhs_scale
+    return b
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +106,13 @@ def formerly_escalated():
                 * 10.0 ** system.block_loss > 1e-12:
             specs.append(spec)
     return [(spec, raw_solve_mp(spec)) for spec in specs]
+
+
+@pytest.fixture
+def no_mp(monkeypatch):
+    def refuse(system, digits):
+        raise AssertionError("escalated to arbitrary precision")
+    monkeypatch.setattr(assembly, "_solve_mp", refuse)
 
 
 @pytest.fixture
@@ -100,9 +145,17 @@ class TestRefinedAcceptance:
             assert _normwise(coeffs.entries, ref) <= 1e-13
 
     def test_wrong_refined_solve_escalates(self, mp_calls):
+        """Refined with the unscaled double factors, the corrections of
+        fault (c) read 1.0, 2.9e15, 1.6e4 of max|x|, and the answer is
+        refused; the scaled attempt then solves it right, without
+        mpmath."""
         spec = ProblemSpec.from_dict(FAULT_C)
+        system = normalize(spec)
+        band = system.band()
+        assert assembly._refine(system, band, *assembly._factor(band),
+                                _rhs(system)) is None
         coeffs, _ = solve_spec(spec)
-        assert mp_calls == [assembly._MP_DIGITS]
+        assert mp_calls == []
         assert _normwise(coeffs.entries, raw_solve_mp(spec)) <= 1e-13
 
     def test_badly_scaled_high_mode_system_solves(self):
@@ -111,7 +164,7 @@ class TestRefinedAcceptance:
         assert _normwise(coeffs.entries, raw_solve_mp(spec)) <= 1e-13
 
     def test_failed_residual_check_doubles_the_precision(self, monkeypatch):
-        spec = ProblemSpec.from_dict(FAULT_C)
+        spec = ProblemSpec.from_dict(CANCELLING)
         calls = []
         solve_mp = assembly._solve_mp
 
@@ -131,7 +184,7 @@ class TestRefinedAcceptance:
             raise SingularSystem("residual check failed")
         monkeypatch.setattr(assembly, "_solve_mp", fail)
         with pytest.raises(SingularSystem):
-            solve_spec(ProblemSpec.from_dict(FAULT_C))
+            solve_spec(ProblemSpec.from_dict(CANCELLING))
 
     def test_negligible_coefficient_below_double_range_is_zero(self,
                                                               mp_calls):
@@ -147,6 +200,111 @@ class TestRefinedAcceptance:
         for got, ref in ((coeffs.b(1), x[0]),
                          (coeffs.b(2), system.rhs_scale)):
             assert abs(got - complex(ref)) <= 1e-15 * abs(ref)
+
+
+class TestScaledAttempt:
+    """A refused extended solve is tried once more on the band scaled by
+    powers of two, before mpmath; the refinement stops when its step stops
+    halving and accepts a last step within 1e-15 of every layer's terms."""
+
+    @pytest.mark.parametrize("index", SCALED)
+    def test_refused_high_mode_specs_stay_in_extended(self, index, no_mp):
+        spec = high_mode_population()[index]
+        coeffs, resid = solve_spec(spec)
+        assert resid < 1e-15
+        assert _normwise(coeffs.entries, raw_solve_mp(spec)) <= 1e-13
+
+    @pytest.mark.parametrize("index", BLOCK_LOSS)
+    def test_block_loss_specs_escalate_once(self, index, mp_calls):
+        spec = high_mode_population()[index]
+        coeffs, _ = solve_spec(spec)
+        assert mp_calls == [assembly._MP_DIGITS]
+        assert _normwise(coeffs.entries, raw_solve_mp(spec)) <= 1e-13
+
+    @pytest.mark.parametrize("build", [construct_localisation_example,
+                                       construct_stable_example],
+                             ids=["localised", "stable"])
+    def test_families_escalate_where_they_did(self, build, monkeypatch):
+        """n = 5 to 64 go to mpmath, as before the scaled attempt: there
+        the blocks cancel 14 to 19 digits, except stable n = 16, where
+        both extended attempts are refused."""
+        class Escalated(Exception):
+            pass
+
+        def escalate(system, digits):
+            raise Escalated
+        monkeypatch.setattr(assembly, "_solve_mp", escalate)
+        escalated = []
+        for n in range(1, 65):
+            try:
+                solve_spec(build(n, 1.0, 3.0))
+            except Escalated:
+                escalated.append(n)
+        assert escalated == list(range(5, 65))
+
+    def test_stalled_refinement_is_accepted(self, no_mp):
+        """The halving rule sent this spec to mpmath: its third step is
+        not half its second.  The steps stall below 1e-15 of every
+        layer's terms, so the unscaled refinement keeps its answer, and
+        the answer is right."""
+        spec = ProblemSpec.from_dict(STALLED)
+        system = normalize(spec)
+        band = system.band()
+        x, resid = assembly._refine(system, band, *assembly._factor(band),
+                                    _rhs(system))
+        assert resid < 1e-15
+        ref = raw_solve_mp(spec)
+        assert _normwise(x.astype(complex), ref) <= 1e-13
+        assert _normwise(solve_spec(spec)[0].entries, ref) <= 1e-13
+
+    def test_step_rule_alone_refuses_a_diverging_refinement(self,
+                                                           monkeypatch):
+        """With the backward-error test out of the way, fault (c)'s
+        unscaled refinement, whose second correction is 2.9e15 max|x|,
+        is still refused: its steps stop halving far from settled."""
+        monkeypatch.setattr(assembly, "_BERR_ULPS", math.inf)
+        system = normalize(ProblemSpec.from_dict(FAULT_C))
+        band = system.band()
+        assert assembly._refine(system, band, *assembly._factor(band),
+                                _rhs(system)) is None
+
+    @pytest.mark.parametrize("scaled", [False, True],
+                             ids=["unscaled", "scaled"])
+    def test_perturbed_factors_are_refused_or_corrected(self, scaled):
+        """Refined against the true band with the factors of a band whose
+        one S_hat entry is off by 1e-8, every answer is either refused or
+        the unperturbed one; both happen on the high-mode population."""
+        outcomes = set()
+        for spec in high_mode_population():
+            system = normalize(spec)
+            if not spec.n or system.block_loss >= 12 - math.log10(
+                    np.finfo(system.S_hat.real.dtype).eps):
+                continue
+            band, b = system.band(), _rhs(system)
+            if scaled:
+                band, rows = assembly._equilibrated(system, band)
+                b = rows * b
+            factors = assembly._factor(band)
+            unperturbed = factors and assembly._refine(system, band,
+                                                       *factors, b, scaled)
+            if not unperturbed:
+                continue
+            for entry in np.ndindex(system.S_hat.shape):
+                S_hat = system.S_hat.copy()
+                S_hat[entry] *= 1 + 1e-8
+                wrong = replace(system, S_hat=S_hat).band()
+                if scaled:
+                    wrong /= system.scales[:-1]
+                    assembly._scale_rows(wrong, rows)
+                factors = assembly._factor(wrong)
+                if factors is None:
+                    continue
+                got = assembly._refine(system, band, *factors, b, scaled)
+                if got is not None:
+                    assert np.max(np.abs(got[0] - unperturbed[0])
+                                  / np.abs(unperturbed[0])) <= 1e-13
+                outcomes.add(got is None)
+        assert outcomes == {False, True}
 
 
 class TestDoubleRange:

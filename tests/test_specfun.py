@@ -285,6 +285,8 @@ class TestArrayArguments:
                             np.array([0.5, bad]))
             with pytest.raises(ValueError):
                 fundamental_eval_mp(FundamentalPair(3, 2), 1, bad)
+        with pytest.raises(ValueError):
+            fundamental_eval_mp(FundamentalPair(3, 2), 3, 0.5)
 
     @pytest.mark.parametrize("pair", [FundamentalPair(1, 0),
                                       FundamentalPair(3, 0),
@@ -296,6 +298,9 @@ class TestArrayArguments:
                 fn(pair, which, -1.0)
             with pytest.raises(ValueError):
                 fn(pair, which, np.array([1.0, 0.0]), np.longdouble)
+        for which in (0, 3):
+            with pytest.raises(ValueError):
+                fn(pair, which, 1.0)
 
 
 class TestArbitraryPrecision:
