@@ -10,7 +10,11 @@ nonzero entry at position 2n; each constant block has one nonzero entry,
 so the normalised matrix is tridiagonal.  The diagonal blocks are written
 once, over a precision tier of :mod:`specfun`: :func:`normalize` builds
 them in extended precision, and the mpmath escalation builds the same
-blocks in mpmath.  Their pair values come from :func:`interface_pair`, the
+blocks in mpmath.  Their two same-family Wronskians (h with h, j with j)
+are formed from the shifted orders of f' = (kappa/x) f + g, so that the
+kappa/x parts, which cancel up to hundreds of digits at thin high-mode
+layers, drop out exactly (DLMF 10.51.2; Wiscombe, Appl. Opt. 19:1505,
+1980).  Their pair values come from :func:`interface_pair`, the
 one place the pair is evaluated at the interfaces: the recursion and the
 interface residuals take theirs from it too.  :func:`dense_solve` factors
 the band in double and refines against the extended blocks; when that is
@@ -83,6 +87,17 @@ def _row_max(band: np.ndarray) -> np.ndarray:
     return row_max
 
 
+def _backward_error(band: np.ndarray, x: np.ndarray, b: np.ndarray,
+                    r: np.ndarray) -> float:
+    """max_i |r|_i / (|M||x| + |b|)_i, r = b - M x for the matrix M in
+    ``band``: the componentwise backward error of x (Oettli and Prager), 0
+    where a row's scale vanishes.  Scaling a row or an unknown, by any
+    factor, leaves it as it is."""
+    scale = _band_matvec(np.abs(band), np.abs(x)) + np.abs(b)
+    return float(np.max(np.divide(np.abs(r), scale, out=np.zeros_like(scale),
+                                  where=scale > 0)))
+
+
 def _scale_rows(band: np.ndarray, s: np.ndarray) -> None:
     """Multiply row i of the band's matrix by s[i], in place."""
     band[0, 1:] *= s[:-1]
@@ -114,7 +129,7 @@ class BlockSystem:
         B) over its layer's interface ends, so that |x| 2**e is the
         unknown's term in its layer within a factor 2."""
         n = self.n
-        size = np.abs(self.pair.values)
+        size = np.abs(self.pair.values[:4])
         size = np.maximum(size[0::2], size[1::2])     # f_1 and f_2 rows
         ends = np.zeros((2, n + 1), dtype=size.dtype)
         ends[:, :n] = size[:, :n]                     # right ends of 1..n
@@ -242,35 +257,37 @@ class InterfacePair(NamedTuple):
 
     speeds: np.ndarray   # c_1..c_{n+1}, tier reals
     args: np.ndarray     # z_ell/c_ell for ell = 1..n, then z_ell/c_{ell+1}
-    values: np.ndarray   # rows (f_1, f_1', f_2, f_2') at ``args``
+    values: np.ndarray   # rows (f_1, f_1', f_2, f_2'[, g_1, g_2]) at args
 
 
-def interface_pair(tier: Tier, spec: ProblemSpec, omega=None, x=None
-                   ) -> InterfacePair:
+def interface_pair(tier: Tier, spec: ProblemSpec, omega=None, x=None,
+                   shift: bool = True) -> InterfacePair:
     """The pair at the 2n interface arguments z_ell/c_ell and
-    z_ell/c_{ell+1}, z_ell = omega x_ell, from one ``tier.pair_eval`` call.
-    ``omega`` and the jump points ``x`` are tier numbers, by default the
-    spec's own."""
+    z_ell/c_{ell+1}, z_ell = omega x_ell, from one ``tier.pair_eval`` call,
+    with the shifted orders unless ``shift`` is False.  ``omega`` and the
+    jump points ``x`` are tier numbers, by default the spec's own."""
     if omega is None:
         omega = tier.real(spec.omega)
         x = tier.real(np.asarray(spec.profile.jump_points))
     c = tier.real(np.asarray(spec.profile.speeds))
     z = omega * np.asarray(x)[1:spec.n + 1]
     args = np.concatenate((z / c[:-1], z / c[1:]))
-    return InterfacePair(c, args, tier.pair_eval(_pair(spec), args))
+    return InterfacePair(c, args, tier.pair_eval(_pair(spec), args, shift))
 
 
 #: the five Wronskians w^{p,q} of a block, one per row: w^{2,1} (the
 #: normaliser), w^{2,2}, w^{1,2} on the right, w^{1,2} on the left and
 #: w^{1,1}.  Columns: the row of f_p among the pair values (f_1 is 0, f_2
-#: is 2, each derivative the row after), the side of the interface it is
-#: taken on (0 left, 1 right), then the same for f_q.
-_P_ROW, _P_SIDE, _Q_ROW, _Q_SIDE = np.array([
-    [2, 1, 0, 0],
-    [2, 1, 2, 0],
-    [0, 1, 2, 1],
-    [0, 0, 2, 0],
-    [0, 0, 0, 1]]).T[:, :, None]
+#: is 2), the row that stands for its slope, the side of the interface it
+#: is taken on (0 left, 1 right), then the same for f_q.  A cross
+#: Wronskian takes the slopes f_p', f_q' (rows 1 and 3); the same-family
+#: ones take the shifted orders g_1, g_2 (rows 4 and 5) in their place.
+_P_ROW, _P_SLOPE, _P_SIDE, _Q_ROW, _Q_SLOPE, _Q_SIDE = np.array([
+    [2, 3, 1, 0, 1, 0],
+    [2, 5, 1, 2, 5, 0],
+    [0, 1, 1, 2, 3, 1],
+    [0, 1, 0, 2, 3, 0],
+    [0, 4, 0, 0, 4, 1]]).T[:, :, None]
 
 
 def _blocks(tier: Tier, spec: ProblemSpec, at: InterfacePair | None = None
@@ -279,19 +296,20 @@ def _blocks(tier: Tier, spec: ProblemSpec, at: InterfacePair | None = None
     decimal digits cancelled while forming them, from the pair values
     ``at`` (by default :func:`interface_pair`'s in ``tier``).
 
-    The five Wronskians w^{p,q} = f_p f_q' / c_q - f_p' f_q / c_p of every
-    interface are one array expression over a (5, n) grid.  A Wronskian
-    cancels the digits of its larger product over |w| (none where either
-    is 0); the largest over all of them is reported."""
+    The three cross Wronskians are w^{p,q} = f_p f_q' / c_q - f_p' f_q /
+    c_p.  The two same-family ones, w^{1,1} (h with h) and w^{2,2} (j with
+    j), are formed as w^{q,q} = f(P) g(Q) / c_Q - g(P) f(Q) / c_P, g the
+    shifted order of f in f' = (kappa/x) f + g (``specfun.Tier``): the two
+    arguments of an interface satisfy P c_P = Q c_Q = z, so the kappa/x
+    parts of the slopes, which grow like m/x and cancel up to hundreds of
+    digits in f f' - f' f at thin high-mode layers, drop out exactly (the
+    log-derivative form of multilayer-sphere codes: Wiscombe, Appl. Opt.
+    19:1505, 1980; Yang, Appl. Opt. 42:1710, 2003).  What cancels is only
+    the contrast 1/c_P^2 - 1/c_Q^2; for d=1, kappa = 0 and g = f'."""
     n = spec.n
     c, _, values = at or interface_pair(tier, spec)
-    ell = np.arange(n)
-    p, q = _P_SIDE * n + ell, _Q_SIDE * n + ell
-    t1 = values[_P_ROW, p] * values[_Q_ROW + 1, q] / c[_Q_SIDE + ell]
-    t2 = values[_P_ROW + 1, p] * values[_Q_ROW, q] / c[_P_SIDE + ell]
-    w = t1 - t2
-    size = np.abs(w)
-    vanished = size[0] < _DEGENERACY_FLOOR
+    w, ratio = _wronskians(c, values)
+    vanished = np.abs(w[0]) < _DEGENERACY_FLOOR
     if np.count_nonzero(vanished):
         raise DegenerateNormaliser(f"normalising Wronskian vanished at "
                                    f"interface {np.argmax(vanished) + 1}")
@@ -299,10 +317,25 @@ def _blocks(tier: Tier, spec: ProblemSpec, at: InterfacePair | None = None
     S_hat[:, 0, 0], S_hat[:, 0, 1], S_hat[:, 1, 1] = w[1], w[2], w[4]
     S_hat[:, 1, 0] = -w[3]
     S_hat /= w[0, :, None, None]
-    cancels = size != 0
-    ratio = np.max(np.maximum(np.abs(t1), np.abs(t2))[cancels]
-                   / size[cancels], initial=1)
     return S_hat, float(tier.log10(ratio)) if ratio > 1 else 0.0
+
+
+def _wronskians(c: np.ndarray, values: np.ndarray) -> tuple:
+    """The five Wronskians of :func:`_blocks` at every interface, a (5, n)
+    array, from the speeds ``c`` and the pair ``values`` of an
+    :class:`InterfacePair`, as one array expression, and the largest ratio
+    of a Wronskian's larger product to |w|, the cancellation it suffered
+    (at least 1; a Wronskian that is 0 is left out)."""
+    n = len(c) - 1
+    ell = np.arange(n)
+    p, q = _P_SIDE * n + ell, _Q_SIDE * n + ell
+    t1 = values[_P_ROW, p] * values[_Q_SLOPE, q] / c[_Q_SIDE + ell]
+    t2 = values[_P_SLOPE, p] * values[_Q_ROW, q] / c[_P_SIDE + ell]
+    w = t1 - t2
+    size = np.abs(w)
+    cancels = size != 0
+    return w, np.max(np.maximum(np.abs(t1), np.abs(t2))[cancels]
+                     / size[cancels], initial=1)
 
 
 def normalize(spec: ProblemSpec) -> BlockSystem:
@@ -323,10 +356,10 @@ def _normalize(spec: ProblemSpec, at: InterfacePair | None = None
 
 def _refine(system: BlockSystem, band: np.ndarray, lu: np.ndarray,
             piv: np.ndarray, b: np.ndarray, scaled: bool = False):
-    """(x, ||b - M x||_inf / ||b||_inf) for the matrix M in ``band``
-    (extended precision) and M x = b, refined against ``band`` with its
-    double factors (``lu``, ``piv``), or None when refused.  ``band`` is
-    the system's own, or :func:`_equilibrated`'s when ``scaled``.
+    """(x, its :func:`_backward_error`) with M x = b for the matrix M in
+    ``band`` (extended precision), refined against ``band`` with its double
+    factors (``lu``, ``piv``), or None when refused.  ``band`` is the
+    system's own, or :func:`_equilibrated`'s when ``scaled``.
 
     The sweeps go on while each correction at least halves the one before,
     at most _MAX_SWEEPS past the first, and end early once one is at most
@@ -336,11 +369,18 @@ def _refine(system: BlockSystem, band: np.ndarray, lu: np.ndarray,
     |b|)_i is at most 16 eps of the band's dtype."""
     eps = np.finfo(band.real.dtype).eps
     x, r, prev = np.zeros_like(b), b, np.inf
+    # each residual goes to double, and its correction comes back, in units
+    # of 2**e, e the exponent of |b|: as they stand, those of a b below the
+    # double range would flush to 0 or to subnormal doubles.  The scaling
+    # is exact, so where both are normal doubles either way they keep
+    # their bits
+    unit = np.ldexp(band.real.dtype.type(1), np.frexp(np.max(np.abs(b)))[1])
     for sweep in range(_MAX_SWEEPS + 1):
-        dx, _ = lapack.zgbtrs(lu, 1, 1, r.astype(complex), piv)
+        dx, _ = lapack.zgbtrs(lu, 1, 1, (r / unit).astype(complex), piv)
+        size = np.max(np.abs(dx)) * unit
+        dx = dx * unit
         x = x + dx
         r = b - _band_matvec(band, x)
-        size = np.max(np.abs(dx))
         settled = (sweep and size <= _STEP_TOL * np.max(np.abs(x))
                    and _settled(system, dx, x, scaled))
         if settled or not size <= 0.5 * prev:
@@ -348,12 +388,8 @@ def _refine(system: BlockSystem, band: np.ndarray, lu: np.ndarray,
         prev = size
     if not (settled or _settled(system, dx, x, scaled)):
         return None
-    scale = _band_matvec(np.abs(band), np.abs(x)) + np.abs(b)
-    berr = np.max(np.divide(np.abs(r), scale, out=np.zeros_like(scale),
-                            where=scale > 0))
-    if not berr <= _BERR_ULPS * eps:
-        return None
-    return x, float(np.max(np.abs(r)) / np.max(np.abs(b)))
+    berr = _backward_error(band, x, b, r)
+    return (x, berr) if berr <= _BERR_ULPS * eps else None
 
 
 def _settled(system: BlockSystem, dx: np.ndarray, x: np.ndarray,
@@ -443,7 +479,7 @@ def _tridiag_solve(lu: tuple, b: list) -> list:
 
 
 def _solve_mp(system: BlockSystem, digits: int) -> tuple[np.ndarray, float]:
-    """Solution and relative residual of ``system``, with its blocks rebuilt
+    """Solution and backward error of ``system``, with its blocks rebuilt
     by :func:`_blocks` in mpmath at ``digits`` working digits and solved by
     row-scaled tridiagonal elimination.  Raises SingularSystem unless, for
     every entry, max(|step|, 10**-digits |x|) * 10**block_loss <= _MP_TOL
@@ -479,8 +515,7 @@ def _solve_mp(system: BlockSystem, digits: int) -> tuple[np.ndarray, float]:
                    for d, v in zip(dx, x)):
             raise SingularSystem(
                 "arbitrary-precision solve failed its residual check")
-        resid = float(max(abs(v) for v in r) / abs(b[-1]))
-        return x + dx, resid
+        return x + dx, _backward_error(band, x, b, r)
 
 
 def dense_solve(system: BlockSystem) -> tuple[CoefficientVector, float]:
@@ -502,11 +537,13 @@ def dense_solve(system: BlockSystem) -> tuple[CoefficientVector, float]:
     of the recursion route too, which reads its column's log magnitudes:
     the column's clipped entries are display values that decide no
     coefficient.
-    Returns the coefficients and the relative residual
-    ||M x - rhs||_inf / ||rhs||_inf, the rows scaled as the attempt that
-    solved the system scaled them; for n = 0, B_1 = rhs_scale.  A zero
-    right-hand side, g = 0 or a B_N that rounds to 0, has the zero
-    solution and residual 0; the rule then judges B_N itself.
+    Returns the coefficients and the componentwise backward error of the
+    answer (:func:`_backward_error`), in the numbers of the attempt that
+    solved the system.  It does not change with the scaling of the rows or
+    of the unknowns, so every attempt, scaled or not, reports the same
+    measure.  For n = 0, B_1 = rhs_scale.  A zero right-hand side, g = 0 or
+    a B_N that rounds to 0, has the zero solution and backward error 0;
+    the rule then judges B_N itself.
     """
     if system.n == 0 or not system.rhs_scale:
         return _coefficients(system, np.zeros(2 * system.n)), 0.0

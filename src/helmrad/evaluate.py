@@ -200,8 +200,9 @@ def interface_residuals(sol: RadialSolution) -> list:
 def _backward_errors(spec: ProblemSpec, values: np.ndarray,
                      coeffs: CoefficientVector) -> np.ndarray:
     """The interface backward errors of ``coeffs``, value jumps then slope
-    jumps, as a (2, n) array, from ``values``: ``interface_pair``'s rows in
-    extended precision, where no term leaves the range.
+    jumps, as a (2, n) array, from the rows (f_1, f_1', f_2, f_2') of
+    ``values``: ``interface_pair``'s in extended precision, where no term
+    leaves the range.
 
     Each jump is divided by the summed sizes |coef| hypot(|f|, |f'|) of
     the ansatz terms on both sides, the slope jump also by the larger of
@@ -217,7 +218,7 @@ def _backward_errors(spec: ProblemSpec, values: np.ndarray,
     coef = np.concatenate((rows[:n], rows[1:])).T
     # terms[i, j]: A (i = 0) or B (i = 1) times the value (j = 0) or the
     # slope (j = 1) of its function, at each point
-    terms = values.reshape(2, 2, -1) * coef[:, None]
+    terms = values[:4].reshape(2, 2, -1) * coef[:, None]
     mags = np.abs(terms)
     size = np.hypot(mags[:, 0], mags[:, 1]).reshape(4, n).sum(0)
     # u and du/d(kr) at each point, then the jumps: the slope's in units

@@ -89,7 +89,8 @@ def _interfaces(tier: Tier, at: InterfacePair) -> _Interface:
     from the pair values ``at``.  Raises GammaDegenerate naming the first
     interface whose gamma-plus vanishes, before anything is divided by it.
     """
-    c, args, (f1, df1, f2, df2) = at
+    c, args, values = at
+    f1, df1, f2, df2 = values[:4]
     n = len(c) - 1
     cl, cr, zl, zr = c[:-1], c[1:], args[:n], args[n:]
     f1l, df1l, f1r, df1r = f1[:n], df1[:n], f1[n:], df1[n:]
@@ -178,7 +179,10 @@ def _recursion(tier: Tier, spec: ProblemSpec, omega, x) -> _Run:
     """
     x = np.asarray(x)
     n = spec.n
-    it = _interfaces(tier, interface_pair(tier, spec, omega, x))
+    # the extended pair is also the banded route's, should ``solve`` fall
+    # back to it, and needs the shifted orders; the mpmath rerun's is not
+    it = _interfaces(tier, interface_pair(tier, spec, omega, x,
+                                          shift=tier is EXTENDED))
     c, args = it.pair.speeds, it.pair.args
     delta = omega * (x[1:n + 1] - x[:n]) / c[:-1]
     per_step = zip(tier.cexp(-delta), it.q, 1 + np.abs(it.q), 1 + it.cancel,

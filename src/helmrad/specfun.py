@@ -45,6 +45,10 @@ _NDARRAY = np.ndarray
 #: rescale threshold while recurring downward, to stay clear of overflow
 _RESCALE = 1e250
 
+#: terms of the series for j_2 below x = 1 past its leading one: the
+#: eleventh is below 5e-22 of the sum there
+_J2_TERMS = 10
+
 
 class SingularAtOrigin(Exception):
     """The outgoing (Hankel-type) branch has no finite limit at r = 0."""
@@ -97,40 +101,45 @@ def spherical_jn_seq(m_max: int, x: float, dtype=np.float64) -> np.ndarray:
     return _jn_seq(m_max, x, np.sin(x), np.cos(x))
 
 
-def _jn_seq(m_max: int, x, s, c) -> np.ndarray:
-    """``spherical_jn_seq`` at checked ``x`` with s = sin x, c = cos x.
+def _jn_seq(m_max: int, x, s, c, up: bool = False) -> np.ndarray:
+    """``spherical_jn_seq`` at checked ``x`` with s = sin x, c = cos x;
+    with ``up`` (m_max >= 1) also order m_max + 1, from the same pass.
 
-    Only the two running orders and the m_max + 1 returned ones are held;
-    a pass that crosses the rescale threshold scales its held orders down.
+    The branch and the downward start are m_max's with or without ``up``,
+    so orders 0..m_max keep their bits.  Only the two running orders and
+    the returned ones are held; a pass that crosses the rescale threshold
+    scales its held orders down.
     """
     j0 = s / x
     if m_max == 0:
         return np.array([j0], dtype=x.dtype)
     j1 = s / x**2 - c / x
     if m_max == 1:
-        return np.array([j0, j1], dtype=x.dtype)
+        return np.array([j0, j1, _j2(x, j0, j1)] if up else [j0, j1],
+                        dtype=x.dtype)
     if x.shape:
         high = x > m_max
         if high.all():
-            return _forward(m_max, x, j0, j1)
+            return _forward(m_max + up, x, j0, j1)
         if not high.any():
-            return _miller_rows(m_max, x, j0, j1)
-        f = np.empty((m_max + 1,) + x.shape, dtype=x.dtype)
-        f[:, high] = _forward(m_max, x[high], j0[high], j1[high])
+            return _miller_rows(m_max, x, j0, j1, up)
+        f = np.empty((m_max + 1 + up,) + x.shape, dtype=x.dtype)
+        f[:, high] = _forward(m_max + up, x[high], j0[high], j1[high])
         low = ~high
-        f[:, low] = _miller_rows(m_max, x[low], j0[low], j1[low])
+        f[:, low] = _miller_rows(m_max, x[low], j0[low], j1[low], up)
         return f
     if x > m_max:
-        return _forward(m_max, x, j0, j1)
+        return _forward(m_max + up, x, j0, j1)
 
     dtype = x.dtype.type
     start = m_max + max(_MILLER_GUARD, math.ceil(1.5 * float(x))) \
         + _MILLER_MARGIN
-    f = np.empty(m_max + 1, dtype=dtype)
+    top = m_max + up
+    f = np.empty(top + 1, dtype=dtype)
     upper, cur = dtype(0.0), dtype(1.0)
     shrink = dtype(1.0) / _RESCALE
     for k in range(start, 0, -1):
-        if k <= m_max:
+        if k <= top:
             f[k] = cur
         lower = (2 * k + 1) / x * cur - upper
         if abs(lower) > _RESCALE:
@@ -157,24 +166,25 @@ def _forward(m_max: int, x, f0, f1) -> np.ndarray:
     return f
 
 
-def _miller_rows(m_max: int, x: np.ndarray, j0, j1) -> np.ndarray:
+def _miller_rows(m_max: int, x: np.ndarray, j0, j1, up: bool = False
+                 ) -> np.ndarray:
     """The downward recurrence of ``_jn_seq`` over an array x.
 
     Each point starts where the scalar path would start at its entry, and
     waits at (0, 1) until then, so its rows have the bits of the scalar
-    path's.  Only the two running rows and the m_max + 1 returned rows are
-    held; a point that passes the rescale threshold has its own rows scaled
-    down.
+    path's.  Only the two running rows and the returned rows are held; a
+    point that passes the rescale threshold has its own rows scaled down.
     """
     starts = m_max + np.maximum(_MILLER_GUARD, np.ceil(
         1.5 * x.astype(np.float64))).astype(int) + _MILLER_MARGIN
     first = int(starts.max(initial=0))
     last = int(starts.min(initial=first))
-    f = np.empty((m_max + 1,) + x.shape, dtype=x.dtype)
+    top = m_max + up
+    f = np.empty((top + 1,) + x.shape, dtype=x.dtype)
     upper, cur = np.zeros_like(x), np.ones_like(x)
     shrink = x.dtype.type(1.0) / _RESCALE
     for k in range(first, 0, -1):
-        if k <= m_max:
+        if k <= top:
             f[k] = cur
         lower = (2 * k + 1) / x * cur - upper
         big = np.abs(lower) > _RESCALE
@@ -188,6 +198,23 @@ def _miller_rows(m_max: int, x: np.ndarray, j0, j1) -> np.ndarray:
             upper[wait], cur[wait] = 0.0, 1.0
     f[0] = cur
     return f * np.where(np.abs(j0) >= np.abs(j1), j0 / f[0], j1 / f[1])
+
+
+def _j2(x, j0, j1):
+    """j_2 beside the closed forms j_0 and j_1: by the forward step 3/x j_1
+    - j_0 from x = 1 on, and below, where the step would magnify the
+    closed forms' own error, by its power series x^2/15 sum_k (-x^2)^k /
+    prod_{i<=k} 2i(2i+5) (DLMF 10.53.1)."""
+    out = np.atleast_1d(3 / x * j1 - j0)
+    small = np.atleast_1d(x < 1)
+    if small.any():
+        u = np.atleast_1d(x)[small] ** 2
+        term = total = np.ones_like(u)
+        for k in range(1, _J2_TERMS + 1):
+            term = term * -u / (2 * k * (2 * k + 5))
+            total = total + term
+        out[small] = u / 15 * total
+    return out if x.shape else out[0]
 
 
 def spherical_yn_seq(m_max: int, x: float, dtype=np.float64) -> np.ndarray:
@@ -224,38 +251,50 @@ def _value_slope(m: int, x, lo, hi):
     return (lo, -hi) if m == 0 else (hi, lo - (m + 1) / x * hi)
 
 
-def _rows(pair: FundamentalPair, deriv: int, x, s, c, imag: bool):
+def _rows(pair: FundamentalPair, deriv: int, x, s, c, imag: bool,
+          shift: bool = False):
     """Value and first ``deriv`` derivatives (0, 1 or 2) at checked ``x`` of
     f_2 = Re f_1 (j_m; cos x for d=1) or, with ``imag``, of Im f_1 (y_m;
     sin x), as real numbers like x, from s = sin x and c = cos x; the
-    second derivative as ``fundamental_eval_d2`` states."""
+    second derivative as ``fundamental_eval_d2`` states.  With ``shift``
+    (deriv 1) the rows of the shifted orders follow: Re g_1, then g_2 (or
+    Im g_1 alone, with ``imag``), g_p as ``pair_eval`` states."""
     if pair.d == 1:                     # f'' = -f for cos x and sin x
         f = (s, c) if imag else (c, -s) if deriv else (c,)
+        if shift:                       # g = f' for both
+            return (*f, c) if imag else (*f, -s, -s)
         return (*f, -f[0]) if deriv == 2 else f[:deriv + 1]
     m = pair.m
-    f = (_yn_seq if imag else _jn_seq)((m, max(m, 1), m + 2)[deriv], x, s, c)
+    top = (m, max(m, 1), m + 2)[deriv]
+    f = _yn_seq(top, x, s, c) if imag else _jn_seq(top, x, s, c,
+                                                  shift and m > 0)
     if deriv == 0:
         return f[m],
     if deriv == 1:
         lo = max(m - 1, 0)
-        return _value_slope(m, x, f[lo], f[lo + 1])
+        rows = _value_slope(m, x, f[lo], f[lo + 1])
+        if not shift:
+            return rows
+        if m == 0:      # h_{-1} = e^{ix}/x, and -j_1 is the slope
+            return (*rows, s / x) if imag else (*rows, c / x, rows[1])
+        return (*rows, f[lo]) if imag else (*rows, f[lo], -f[m + 1])
     df = -f[m + 1] + (m / x) * f[m]
     df_up = -f[m + 2] + ((m + 1) / x) * f[m + 1]
     return f[m], df, -df_up + (m / x) * df - (m / x**2) * f[m]
 
 
 def _fundamental(pair: FundamentalPair, x, deriv: int, imag: bool = True,
-                 at=None):
+                 at=None, shift: bool = False):
     """(Re rows, Im rows) of f_1 at checked ``x``, from one sin and one cos
     per point: the ``_rows`` of f_2 = Re f_1 at every entry and, with
     ``imag``, those of Im f_1 at x[at] (every entry if None); else None."""
     s, c = np.sin(x), np.cos(x)
-    re = _rows(pair, deriv, x, s, c, False)
+    re = _rows(pair, deriv, x, s, c, False, shift)
     if not imag:
         return re, None
     if at is not None:
         x, s, c = x[at], s[at], c[at]
-    return re, _rows(pair, deriv, x, s, c, True)
+    return re, _rows(pair, deriv, x, s, c, True, shift)
 
 
 def _assemble(re, im, cdtype):
@@ -349,16 +388,21 @@ def fundamental_eval_mp(pair: FundamentalPair, which: int, x):
     rows, slope identity and assembly are the hardware evaluator's, so
     f_2 = Re f_1 and f_2' = Re f_1' hold bit for bit.
     """
+    return _assemble(*_rows_mp(pair, x, _outgoing(which)), object)
+
+
+def _rows_mp(pair: FundamentalPair, x, imag: bool, shift: bool = False):
+    """(Re rows, Im rows) of f_1 at ``x`` in the active mpmath context, as
+    ``_fundamental`` gives them at deriv 1 (Im rows None without
+    ``imag``); with ``shift``, j_{m+1} from one more series."""
     import mpmath as mp
-    imag = _outgoing(which)
     x = mp.mpf(x)
     if not 0 < x < mp.inf:
         raise ValueError("argument must be positive and finite")
     if pair.d == 1:
         c, s = mp.cos_sin(x)
-        return _assemble(_rows(pair, 1, x, s, c, False),
-                         _rows(pair, 1, x, s, c, True) if imag else None,
-                         object)
+        return (_rows(pair, 1, x, s, c, False, shift),
+                _rows(pair, 1, x, s, c, True, shift) if imag else None)
 
     m = pair.m
     # the closed forms of orders 0 and 1 get 10 guard digits for the y
@@ -370,16 +414,25 @@ def fundamental_eval_mp(pair: FundamentalPair, which: int, x):
         c, s = mp.cos_sin(x)
         j_lo, y_lo = s / x, -c / x
         j, y = (j_lo - c) / x, (y_lo - s) / x
+
+    def series(k):
+        # j_k(x) = x^k/(2k+1)!! 0F1(; k + 3/2; -x^2/4), z formed exactly
+        z = mp.ldexp(mp.fmul(x, -x, exact=True), -2)
+        return x**k / math.prod(range(3, 2 * k + 2, 2)) \
+            * mp.hyp0f1(mp.mpf(2 * k + 3) / 2, z)
     if m >= 2:
         if imag:
             y_lo, y = _yn_fixed(m, x, y_lo, y, mp.mp.prec + 64)
-        # j_k(x) = x^k/(2k+1)!! 0F1(; k + 3/2; -x^2/4), z formed exactly
-        z = mp.ldexp(mp.fmul(x, -x, exact=True), -2)
-        j_lo, j = (x**k / math.prod(range(3, 2 * k + 2, 2))
-                   * mp.hyp0f1(mp.mpf(2 * k + 3) / 2, z) for k in (m - 1, m))
+        j_lo, j = series(m - 1), series(m)
     # unary + rounds each order to the working precision
-    return _assemble(_value_slope(m, x, +j_lo, +j),
-                     _value_slope(m, x, +y_lo, +y) if imag else None, object)
+    re = _value_slope(m, x, +j_lo, +j)
+    im = _value_slope(m, x, +y_lo, +y) if imag else None
+    if shift:
+        # h_{-1} = e^{ix}/x = -y_0 + i j_0 at m = 0, where -j_1 = j_0'
+        re += (-y_lo, re[1]) if m == 0 else (+j_lo, -series(m + 1))
+        if imag:
+            im += (+(j_lo if m == 0 else y_lo),)
+    return re, im
 
 
 def _yn_fixed(m: int, x, y0, y1, bits: int):
@@ -404,10 +457,17 @@ class Tier(NamedTuple):
     ``real`` builds a real number from a double, or an array of them from
     an array of doubles, ``cexp(t)`` is exp(i t), ``log`` and ``log10`` are
     logarithms of reals, and ``cdtype`` is the dtype of an array of the
-    tier's complex numbers.  ``pair_eval(pair, x)`` takes a 1-D array of
-    arguments, of the tier's reals, and gives (f_1, f_1', f_2, f_2') of the
-    fundamental system at each, as the four rows of one array of the tier's
-    complex numbers, from one f_1 evaluation per point.  ``cexp`` takes a
+    tier's complex numbers.  ``pair_eval(pair, x, shift=True)`` takes a 1-D
+    array of arguments, of the tier's reals, and gives (f_1, f_1', f_2,
+    f_2', g_1, g_2) of the fundamental system at each, as the six rows of
+    one array of the tier's complex numbers (the first four alone without
+    ``shift``), from one f_1 evaluation per point.  g_p is
+    the shifted order of f_p in f_p' = (kappa_p/x) f_p + g_p, for d=3
+    kappa_1 = -(m+1), g_1 = h_{m-1} (e^{ix}/x at m = 0) and kappa_2 = m,
+    g_2 = -j_{m+1} (DLMF 10.51.2), for d=1 kappa = 0 and g_p = f_p'.  The
+    kappa terms of two same-family products at arguments a, b with a c_a =
+    b c_b cancel exactly, so a Wronskian formed from f and g does not
+    cancel them in rounding.  ``cexp`` takes a
     tier number or an array of them.  The extended tier's arrays are
     np.longdouble/np.clongdouble; the mpmath tier's are object arrays of
     mpf/mpc.
@@ -421,9 +481,10 @@ class Tier(NamedTuple):
     cdtype: object
 
 
-def _pair_eval_ext(pair: FundamentalPair, x: np.ndarray) -> np.ndarray:
-    """Rows (f_1, f_1', f_2, f_2') at each entry of ``x``, in extended
-    precision.
+def _pair_eval_ext(pair: FundamentalPair, x: np.ndarray,
+                   shift: bool = True) -> np.ndarray:
+    """Rows (f_1, f_1', f_2, f_2', g_1, g_2) at each entry of ``x``, in
+    extended precision; the first four alone without ``shift``.
 
     f_2 and f_2' are the real rows of f_1 and f_1', kept complex, so
     products with them round as those of a ``which=2`` evaluation.  Every
@@ -433,16 +494,23 @@ def _pair_eval_ext(pair: FundamentalPair, x: np.ndarray) -> np.ndarray:
     a few points costs more than the scalar loop.
     """
     x = _positive(x, np.longdouble)
-    re = np.empty((4, len(x)), dtype=x.dtype)
-    im = np.empty((2, len(x)), dtype=x.dtype)
+    # the real rows (f_2, f_2'[, Re g_1, g_2]) and the imaginary ones of
+    # (f_1, f_1'[, g_1])
+    re = np.empty((4 if shift else 2, len(x)), dtype=x.dtype)
+    im = np.empty((3 if shift else 2, len(x)), dtype=x.dtype)
     low = np.flatnonzero(x <= pair.m) if pair.d == 3 and pair.m >= 2 else ()
     groups = list(low)
     if len(low) < len(x):
         groups.append(x > pair.m if len(low) else slice(None))
     for at in groups:
-        re[:2, at], im[:, at] = _fundamental(pair, x[at], 1)
-    re[2:] = re[:2]
-    return _assemble(re, im, np.clongdouble)
+        re[:, at], im[:, at] = _fundamental(pair, x[at], 1, shift=shift)
+    out = np.zeros((6 if shift else 4, len(x)), dtype=np.clongdouble)
+    out.real[:4] = re[[0, 1, 0, 1]]
+    out.imag[:2] = im[:2]
+    if shift:
+        out.real[4:] = re[2:]
+        out.imag[4] = im[2]
+    return out
 
 
 _IU_EXT = np.clongdouble(1j)
@@ -460,11 +528,15 @@ def mp_tier() -> Tier:
     """mpmath, at the precision of the active context (built on first use)."""
     import mpmath as mp
 
-    def pair_eval(pair, x):
-        out = np.empty((4, len(x)), dtype=object)
+    def pair_eval(pair, x, shift=True):
+        out = np.empty((6 if shift else 4, len(x)), dtype=object)
         for i, v in enumerate(x):
-            f, df = fundamental_eval_mp(pair, 1, v)
-            out[:, i] = f, df, mp.mpc(f.real), mp.mpc(df.real)
+            (f, df, *g), (f_im, df_im, *g_im) = _rows_mp(pair, v, True,
+                                                         shift)
+            out[:4, i] = (mp.mpc(f, f_im), mp.mpc(df, df_im), mp.mpc(f),
+                          mp.mpc(df))
+            if shift:
+                out[4:, i] = mp.mpc(g[0], g_im[0]), mp.mpc(g[1])
         return out
     return Tier(
         real=np.frompyfunc(mp.mpf, 1, 1),

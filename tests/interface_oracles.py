@@ -209,8 +209,17 @@ def raw_solve_mp(spec: ProblemSpec, digits: int = 60) -> np.ndarray:
     The continuity rows and the boundary right-hand side are built in
     mpmath at ``digits`` digits from separate f_1 and f_2 evaluations,
     each row and then each column is scaled to unit maximum, and the
-    system is solved by mpmath's dense LU.
+    system is solved by mpmath's dense LU.  When that LU finds the matrix
+    numerically singular at ``digits`` (ZeroDivisionError), the solve runs
+    once more at twice the digits, so no caller picks them by hand.
     """
+    try:
+        return _raw_solve_mp(spec, digits)
+    except ZeroDivisionError:
+        return _raw_solve_mp(spec, 2 * digits)
+
+
+def _raw_solve_mp(spec: ProblemSpec, digits: int) -> np.ndarray:
     pair = _pair(spec)
     n = spec.n
     N = 2 * n

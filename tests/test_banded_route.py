@@ -36,12 +36,14 @@ TINY_A2 = dict(dimension=3, mode=50, omega=5.352878199020918,
                boundary_coefficient=[1.0, 0.0],
                jump_points=[0.0, 1e-08, 1.0],
                speeds=[9.385380815093153, 0.17982042923902544])
-# the blocks of this system lose 19 digits to cancellation in mpmath
-CANCELLING = dict(dimension=3, mode=15, omega=2.5990971183721125,
-                  boundary_coefficient=[1.0, 0.0],
-                  jump_points=[0.0, 1e-08, 0.951770860405345, 1.0],
-                  speeds=[2.898948072996783, 5.754224440156181,
-                          4.346961346264625])
+# a nearly transparent interface: the speeds differ by one unit in the
+# last place, so w^{2,2} cancels 15.4 digits whichever form it is written
+# in (the shifted form cancels the contrast 1/c_P^2 - 1/c_Q^2), while the
+# system itself is well conditioned
+TRANSPARENT = dict(dimension=3, mode=2, omega=3.0,
+                   boundary_coefficient=[1.0, 0.0],
+                   jump_points=[0.0, 1e-3, 1.0],
+                   speeds=[1.0, 1.0000000000000002])
 
 
 # oracle seed 13 spec 66 of the benchmark: its unscaled refinement stalls
@@ -73,9 +75,21 @@ STALLED = dict(dimension=3, mode=4, omega=48.41608516306553,
 # high-mode specs whose A_2 lies below the double range
 BELOW_RANGE = (6, 9, 12, 18, 20, 21, 23, 24, 26, 32)
 # high-mode specs the unscaled refinement refuses and the scaled attempt
-# solves, and those whose blocks lose 16 digits or more and go to mpmath
+# solves; those whose blocks lost 16 digits or more, and went to mpmath,
+# while w^{2,2} and w^{1,1} were formed from the slopes; and the one of
+# them that still goes to mpmath, its extended attempts refused on their
+# componentwise backward error
 SCALED = (4, 7, 8, 13, 15, 25, 27)
 BLOCK_LOSS = (6, 9, 12, 16, 18, 20, 21, 22, 23, 24, 26, 32)
+REFUSED = (24,)
+
+# the specs of the oracle population at seed 20260823 whose normwise
+# condition number, times the blocks' cancellation, exceeded 1e-12 while
+# w^{2,2} and w^{1,1} were formed from the slopes; 126 and 166 no longer
+# pass that bound
+FORMERLY_ESCALATED = (7, 13, 18, 23, 27, 33, 34, 36, 45, 46, 48, 67, 71, 80,
+                      82, 83, 89, 105, 123, 126, 147, 150, 153, 155, 160,
+                      166, 177, 184, 188, 193, 196)
 
 
 def _normwise(x, ref):
@@ -98,14 +112,8 @@ def formerly_escalated():
     """The oracle-200 specs whose normwise condition number sent them to
     mpmath, with their raw-system references."""
     rng = np.random.default_rng(20260823)
-    specs = []
-    for spec in (random_spec(rng) for _ in range(200)):
-        system = normalize(spec)
-        eps = float(np.finfo(system.S_hat.real.dtype).eps)
-        if np.linalg.cond(to_dense(system)) * eps \
-                * 10.0 ** system.block_loss > 1e-12:
-            specs.append(spec)
-    return [(spec, raw_solve_mp(spec)) for spec in specs]
+    specs = [random_spec(rng) for _ in range(200)]
+    return [(specs[i], raw_solve_mp(specs[i])) for i in FORMERLY_ESCALATED]
 
 
 @pytest.fixture
@@ -164,7 +172,7 @@ class TestRefinedAcceptance:
         assert _normwise(coeffs.entries, raw_solve_mp(spec)) <= 1e-13
 
     def test_failed_residual_check_doubles_the_precision(self, monkeypatch):
-        spec = ProblemSpec.from_dict(CANCELLING)
+        spec = construct_stable_example(8, 1.0, 3.0)
         calls = []
         solve_mp = assembly._solve_mp
 
@@ -184,16 +192,16 @@ class TestRefinedAcceptance:
             raise SingularSystem("residual check failed")
         monkeypatch.setattr(assembly, "_solve_mp", fail)
         with pytest.raises(SingularSystem):
-            solve_spec(ProblemSpec.from_dict(CANCELLING))
+            solve_spec(construct_stable_example(8, 1.0, 3.0))
 
     def test_negligible_coefficient_below_double_range_is_zero(self,
                                                               mp_calls):
         """A_2 is about 1e-828, and its term lies hundreds of digits below
         B_2's in layer 2, so it becomes 0; B_1 and B_2 keep the values of
-        a 150-digit solve."""
+        a 150-digit solve, found in extended precision."""
         spec = ProblemSpec.from_dict(TINY_A2)
         coeffs, _ = solve_spec(spec)
-        assert len(mp_calls) == 1
+        assert mp_calls == []
         system = normalize(spec)
         x, _ = assembly._solve_mp(system, 150)
         assert coeffs.a(2) == 0.0 and abs(x[1]) < mp.mpf("1e-800")
@@ -214,8 +222,20 @@ class TestScaledAttempt:
         assert resid < 1e-15
         assert _normwise(coeffs.entries, raw_solve_mp(spec)) <= 1e-13
 
-    @pytest.mark.parametrize("index", BLOCK_LOSS)
-    def test_block_loss_specs_escalate_once(self, index, mp_calls):
+    @pytest.mark.parametrize("index", sorted(set(BLOCK_LOSS) - set(REFUSED)))
+    def test_formerly_cancelling_specs_stay_in_extended(self, index, no_mp):
+        """Formed from the shifted orders, these blocks cancel at most half
+        a digit, where their slopes cancelled 16 to 545; the residual of
+        spec 9's scaled attempt, about 1e-390, no longer flushes to 0 in
+        the cast to double."""
+        spec = high_mode_population()[index]
+        assert normalize(spec).block_loss <= 0.5
+        coeffs, resid = solve_spec(spec)
+        assert resid < 1e-15
+        assert _normwise(coeffs.entries, raw_solve_mp(spec)) <= 1e-13
+
+    @pytest.mark.parametrize("index", REFUSED)
+    def test_refused_spec_escalates_once(self, index, mp_calls):
         spec = high_mode_population()[index]
         coeffs, _ = solve_spec(spec)
         assert mp_calls == [assembly._MP_DIGITS]
@@ -305,6 +325,60 @@ class TestScaledAttempt:
                                   / np.abs(unperturbed[0])) <= 1e-13
                 outcomes.add(got is None)
         assert outcomes == {False, True}
+
+
+class TestHighModeAnswers:
+    """Every high-mode banded answer, whichever attempt gives it."""
+
+    def test_every_answer_agrees_with_the_raw_system(self, mp_calls):
+        """Only spec 24 still goes to mpmath."""
+        escalated = []
+        for index, spec in enumerate(high_mode_population()):
+            del mp_calls[:]
+            sol, resid = solve_direct(spec)
+            escalated += [index] * len(mp_calls)
+            assert resid < 1e-15
+            if spec.n:
+                assert _normwise(sol.coeffs.entries,
+                                 raw_solve_mp(spec)) <= 1e-13
+        assert escalated == list(REFUSED)
+
+    def test_one_residual_for_every_attempt(self):
+        """The residual reported is the componentwise backward error,
+        which no scaling of rows or unknowns changes, so the scaled
+        attempt's system and the system's own read alike.  As a relative
+        residual with the rows alone scaled by powers of two, the right
+        answers of specs 15 and 27 read 6.4e12 and 3e60: their unknowns
+        span hundreds of decades."""
+        population = high_mode_population()
+        for index in (15, 25, 27) + REFUSED:
+            spec = population[index]
+            _, berr = solve_spec(spec)
+            assert berr <= 16 * np.finfo(np.longdouble).eps
+            system = normalize(spec)
+            band, b = system.band(), _rhs(system)
+            scaled, rows = assembly._equilibrated(system, band)
+            x = raw_solve_mp(spec).astype(np.clongdouble)
+            y = x * system.scales[:-1]
+            assert assembly._backward_error(
+                band, x, b, b - assembly._band_matvec(band, x)) \
+                == pytest.approx(assembly._backward_error(
+                    scaled, y, rows * b,
+                    rows * b - assembly._band_matvec(scaled, y)), rel=1e-9)
+
+    def test_a_tiny_right_hand_side_is_not_flushed(self):
+        """The correction is solved in double with the residual in units
+        of a power of two: a right-hand side 2**-1200 times another gives
+        2**-1200 times its answer, bit for bit; cast as it stands, it would
+        flush to 0."""
+        spec = high_mode_population()[0]
+        system = normalize(spec)
+        band, b = system.band(), _rhs(system)
+        factors = assembly._factor(band)
+        tiny = np.ldexp(np.longdouble(1), -1200)
+        x, _ = assembly._refine(system, band, *factors, b)
+        solved = assembly._refine(system, band, *factors, b * tiny)
+        assert solved and np.array_equal(solved[0], x * tiny)
 
 
 class TestDoubleRange:
@@ -412,12 +486,14 @@ class TestBandedMpElimination:
             _forced_mp(ProblemSpec.from_dict(FAULT_D), 10)
 
     def test_tiny_step_vouches_for_no_more_than_the_roundoff(self):
-        """At 25 digits the refinement step here is about 1e-66, far below
-        the roundoff, while 19 digits cancel in the blocks and leave the
-        answer's smallest entry off by 9e-8.  The step test floors the step
-        at 10**-digits, so this answer is refused."""
+        """At 20 digits the refinement step here is 0, while 15.4 digits
+        cancel in the blocks and leave the answer's entries off by up to
+        1.3e-6.  The step test floors the step at 10**-digits, so this
+        answer is refused; at the working 75 digits it is accepted."""
+        spec = ProblemSpec.from_dict(TRANSPARENT)
         with pytest.raises(SingularSystem):
-            _forced_mp(ProblemSpec.from_dict(CANCELLING), 25)
+            _forced_mp(spec, 20)
+        assert _normwise(_forced_mp(spec), raw_solve_mp(spec)) <= 1e-13
 
     def test_high_mode_escalations_pass_at_the_working_digits(self,
                                                               mp_calls):
@@ -432,13 +508,16 @@ class TestBandedMpElimination:
         assert escalated > 0
 
     def test_block_cancellation_tightens_the_step_test(self):
-        """19 of the blocks' 35 digits cancel here.  The refinement step,
-        about 1e-36, passes 1e-20 alone but not once scaled by the
-        cancellation; at the working 75 digits the answer is accepted."""
-        spec = ProblemSpec.from_dict(CANCELLING)
+        """30 of the blocks' digits cancel here, at m = 0, where w^{2,2}
+        has no kappa term to shed.  At 75 digits the refinement step,
+        about 3e-28, passes 1e-20 alone but not once scaled by the
+        cancellation, so the answer is refused (to first order: it is in
+        fact within 5e-28 of the truth); at 150 digits it is accepted."""
+        spec = construct_stable_example(8, 1.0, 3.0)
         with pytest.raises(SingularSystem):
-            _forced_mp(spec, 35)
-        assert _normwise(_forced_mp(spec), raw_solve_mp(spec)) <= 1e-13
+            _forced_mp(spec, assembly._MP_DIGITS)
+        assert _normwise(_forced_mp(spec, 2 * assembly._MP_DIGITS),
+                         raw_solve_mp(spec)) <= 1e-13
 
 
 class TestBandStorage:

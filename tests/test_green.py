@@ -472,8 +472,8 @@ class TestInterfaceArrays:
         spec = self._spec(3, 0)
         evaluate = EXTENDED.pair_eval
 
-        def vanishing(pair, x):
-            values = evaluate(pair, x)
+        def vanishing(pair, x, shift=True):
+            values = evaluate(pair, x, shift)
             for v in values:
                 v[[1, 2, spec.n + 1, spec.n + 2]] = 0
             return values

@@ -457,6 +457,85 @@ class TestArbitraryPrecisionAccuracy:
             assert abs(j - j1) <= mp.mpf(10) ** -298 * j1
 
 
+SHIFT_ORDERS = [1, 2, 3, 10, 30, 60]
+SHIFT_ARGS = np.concatenate([np.geomspace(1e-10, 300.0, 61),
+                             [0.999, 1.0, 1.001, 2.5, 3.5]])
+
+
+def _shifted_reference(m, x):
+    """h_{m-1}(x), -j_{m+1}(x) and hypot(j_{m+1}, y_{m+1})(x) in the active
+    mpmath context, from sqrt(pi/2x) (J, Y)_{k+1/2}(x)."""
+    import mpmath as mp
+    pref = mp.sqrt(mp.pi / (2 * x))
+    lo, up = ((pref * mp.besselj(k + mp.mpf(1) / 2, x),
+               pref * mp.bessely(k + mp.mpf(1) / 2, x)) for k in (m - 1, m + 1))
+    return mp.mpc(*lo), -up[0], mp.hypot(*up)
+
+
+class TestShiftedOrders:
+    """Rows g_1 = h_{m-1} and g_2 = -j_{m+1} of both tiers' pair
+    evaluation, the shifted orders of f' = (kappa/x) f + g."""
+
+    @pytest.mark.parametrize("m", SHIFT_ORDERS)
+    def test_extended_against_mpmath(self, m):
+        """Within 32 eps of extended precision at x from 1e-10 to 300
+        (worst measured 12 eps, m = 60 at x = 5e-8), g_2 measured against
+        hypot(j_{m+1}, y_{m+1}) so that a zero of j_{m+1} does not read as
+        a failure.  Orders 0 .. m keep the start and the
+        branch of m's pass, so j_{m+1} is the Miller pass's own or one
+        forward step past j_m; at m = 1 it is 3/x j_1 - j_0 from x = 1 and
+        its series below."""
+        import mpmath as mp
+        from helmrad.specfun import EXTENDED
+        x = SHIFT_ARGS.astype(np.longdouble)
+        rows = EXTENDED.pair_eval(FundamentalPair(3, m), x)
+        worst = 0
+        with mp.workdps(40):
+            for v, g1, g2 in zip(x, rows[4], rows[5]):
+                ref1, ref2, env = _shifted_reference(m, _exact_mpf(v))
+                got1 = mp.mpc(_exact_mpf(g1.real), _exact_mpf(g1.imag))
+                assert g2.imag == 0
+                worst = max(worst, abs(got1 - ref1) / abs(ref1),
+                            abs(_exact_mpf(g2.real) - ref2) / env)
+        assert worst <= 32 * float(np.finfo(np.longdouble).eps)
+
+    @pytest.mark.parametrize("m", [1, 2, 30])
+    def test_mpmath_tier_against_mpmath(self, m):
+        import mpmath as mp
+        from helmrad.specfun import mp_tier
+        with mp.workdps(30):
+            x = [mp.mpf(v) for v in SHIFT_ARGS[::4]]
+            rows = mp_tier().pair_eval(FundamentalPair(3, m), x)
+        with mp.workdps(60):
+            for v, g1, g2 in zip(x, rows[4], rows[5]):
+                ref1, ref2, env = _shifted_reference(m, v)
+                assert abs(g1 - ref1) <= 1e-28 * abs(ref1)
+                assert g2.imag == 0 and abs(g2 - ref2) <= 1e-28 * env
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_no_kappa_term_leaves_the_slope(self, d):
+        """kappa = 0 for d=1, and for j_0 (g_2 = -j_1 = j_0'): those rows
+        are the slopes, bit for bit; h_{-1} = e^{ix}/x."""
+        import mpmath as mp
+        from helmrad.specfun import EXTENDED, mp_tier
+        x = SHIFT_ARGS.astype(np.longdouble)
+        rows = EXTENDED.pair_eval(FundamentalPair(d, 0), x)
+        assert np.array_equal(rows[5], rows[3])
+        with mp.workdps(30):
+            mp_rows = mp_tier().pair_eval(FundamentalPair(d, 0),
+                                          [mp.mpf(v) for v in SHIFT_ARGS])
+        assert list(mp_rows[5]) == list(mp_rows[3])
+        if d == 1:
+            assert np.array_equal(rows[4], rows[1])
+            assert list(mp_rows[4]) == list(mp_rows[1])
+            return
+        with mp.workdps(40):
+            for v, g1 in zip(x, rows[4]):
+                v = _exact_mpf(v)
+                got = mp.mpc(_exact_mpf(g1.real), _exact_mpf(g1.imag))
+                assert abs(got - mp.expj(v) / v) <= 2e-19 * abs(1 / v)
+
+
 class TestArbitraryPrecisionCost:
     """One series per order for j; y by recurrence, with no bessely."""
 
