@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: solve, construct, scan, verify, whisper.  All file output is
-written atomically (temp file + rename) with 17-significant-digit floats so
-identical runs produce byte-identical artifacts.
+written atomically (temp file + rename) so identical runs produce
+byte-identical artifacts: the CSV files with "%.17g" floats, the JSON files
+through ``json.dumps`` (Python's shortest round-trip repr).
 """
 
 from __future__ import annotations

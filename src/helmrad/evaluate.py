@@ -433,6 +433,19 @@ def sup_scaled(sol: RadialSolution, samples_per_layer: int = 512) -> float:
     return sup_radial(sol, samples_per_layer) * Y00_3D
 
 
+@functools.lru_cache(maxsize=4)
+def _lattice(grid: int):
+    """The grid x grid lattice over [-1, 1]^2 (read-only): its axis, its
+    distinct radii in ascending order and the index of each point's radius
+    among them, row by row."""
+    axis = np.linspace(-1.0, 1.0, grid)
+    radii, where = np.unique(np.hypot(*np.meshgrid(axis, axis)).ravel(),
+                             return_inverse=True)
+    for a in (axis, radii, where):
+        a.setflags(write=False)
+    return axis, radii, where
+
+
 def disc_slice(sol: RadialSolution, grid: int):
     """|u * Y| on a grid x grid lattice over the equatorial disc.
 
@@ -442,15 +455,14 @@ def disc_slice(sol: RadialSolution, grid: int):
     spec = sol.spec
     if spec.dimension != 3 or spec.mode != 0:
         raise UnsupportedMode("disc rendering needs d=3, m=0")
-    axis = np.linspace(-1.0, 1.0, grid)
+    axis, radii, where = _lattice(grid)
     # the mode is radially symmetric: evaluate each distinct radius once
-    radii, where = np.unique(np.hypot(*np.meshgrid(axis, axis)).ravel(),
-                             return_inverse=True)
     inside = radii <= 1.0
     values = np.full(radii.shape, np.nan)
     values[inside] = np.abs(_radial_values(sol, radii[inside])) * Y00_3D
     field = values[where].reshape(grid, grid)
     sup = float(np.nanmax(field)) if np.any(np.isfinite(field)) else 0.0
+    axis = axis.copy()
     return axis, axis, field, sup
 
 
@@ -510,13 +522,25 @@ def diagnostics(sol: RadialSolution, quad_order: int = _QUAD_ORDER
     )
 
 
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
+#: the mode ``open()`` gives a new file; mkstemp's own is 0600
+_FILE_MODE = 0o666 & ~_umask()
+
+
 def _atomic_write(path, text: str):
-    """Write ``text`` verbatim to ``path`` through a temp file and a rename."""
+    """Write ``text`` verbatim to ``path`` through a temp file and a rename;
+    the file gets the mode ``open()`` would give it."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-helmrad-")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
+        os.chmod(tmp, _FILE_MODE)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -524,27 +548,45 @@ def _atomic_write(path, text: str):
         raise
 
 
-def write_radial_csv(sol: RadialSolution, path, samples: int = 1024):
+# The text of the CSV artifacts that depends only on their size argument is
+# built once per process; a call formats only the field's cells.  Every
+# cell is what csv.writer writes for "%.17g" of the value: no quoting is
+# needed, and its line terminator is \r\n.
+
+@functools.lru_cache(maxsize=4)
+def _radial_template(samples: int):
+    """The radii of ``radial.csv`` (read-only) and its text with every r
+    cell written and a %.17g hole for each of re_u, im_u and abs_u."""
     rs = np.linspace(0.0, 1.0, samples)
+    rs.setflags(write=False)
+    rows = "%.17g,%%.17g,%%.17g,%%.17g\r\n" * samples % tuple(rs.tolist())
+    return rs, "r,re_u,im_u,abs_u\r\n" + rows
+
+
+@functools.lru_cache(maxsize=4)
+def _disc_template(grid: int) -> str:
+    """The text of ``disc.csv`` on ``_lattice(grid)``, every x and y cell
+    written and a %s hole for each abs_u cell, row by row."""
+    axis = [f"{v:.17g}" for v in _lattice(grid)[0].tolist()]
+    return "x,y,abs_u\r\n" + "".join([f"{x},{y},%s\r\n"
+                                       for y in axis for x in axis])
+
+
+def write_radial_csv(sol: RadialSolution, path, samples: int = 1024):
+    rs, template = _radial_template(samples)
     u = _radial_values(sol, rs)
     # Python's abs, whose bits numpy's complex abs does not always match
-    cells = np.column_stack((rs, u.real, u.imag,
+    cells = np.column_stack((u.real, u.imag,
                              [abs(v) for v in u.tolist()])).ravel().tolist()
-    # the bytes csv.writer writes: its \r\n terminator, no quoting needed
-    _atomic_write(path, "r,re_u,im_u,abs_u\r\n"
-                  + "%.17g,%.17g,%.17g,%.17g\r\n" * len(rs) % tuple(cells))
+    _atomic_write(path, template % tuple(cells))
 
 
 def write_disc_csv(sol: RadialSolution, path, grid: int = 64):
-    xs, ys, field, _ = disc_slice(sol, grid)
-    # each distinct bit pattern is formatted once: the axes hold grid values
-    # and the radially symmetric field about grid^2 / 8 (NaN outside)
-    xf, yf = ([f"{v:.17g}" for v in axis.tolist()] for axis in (xs, ys))
+    _, _, field, _ = disc_slice(sol, grid)
+    # each distinct bit pattern is formatted once: the radially symmetric
+    # field holds about grid^2 / 8 of them (NaN outside)
     bits, where = np.unique(np.ascontiguousarray(field, dtype=np.float64)
                             .view(np.uint64), return_inverse=True)
     cells = np.array([f"{v:.17g}" for v in bits.view(np.float64).tolist()],
-                     dtype=object)[where.ravel()].reshape(field.shape)
-    lines = ["x,y,abs_u\r\n"]
-    for y, row in zip(yf, cells.tolist()):
-        lines += [f"{x},{y},{v}\r\n" for x, v in zip(xf, row)]
-    _atomic_write(path, "".join(lines))
+                     dtype=object)[where.ravel()]
+    _atomic_write(path, _disc_template(grid) % tuple(cells.tolist()))

@@ -192,6 +192,22 @@ class TestSolve:
                   "--output-dir", str(out), "--grid", "8"])
         assert not [p for p in os.listdir(out) if p.startswith(".tmp-")]
 
+    def test_artifacts_get_the_mode_open_gives(self, tmp_path):
+        # the temp file behind each rename is made with mode 0600
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--input", _spec_json(), "--output-dir",
+                         str(out), "--grid", "8"]) == cli.EXIT_OK
+        assert cli.main(["scan", "--input", _spec_json(), "--output-dir",
+                         str(out), "--seed", "1", "--samples", "1"]
+                        ) == cli.EXIT_OK
+        with open(out / "sibling", "w"):
+            pass
+        mode = (out / "sibling").stat().st_mode
+        names = {"radial.csv", "disc.csv", "green_column.json",
+                 "diagnostics.json", "scan.csv"}
+        assert {p.name: p.stat().st_mode for p in out.iterdir()
+                if p.name in names} == dict.fromkeys(names, mode)
+
 
 class TestConstruct:
     @pytest.mark.parametrize("kind", ["localised", "stable"])

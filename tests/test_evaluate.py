@@ -468,6 +468,73 @@ class TestCsvBytes:
         assert (tmp_path / "radial.csv").read_bytes() == expected
 
 
+class TestArtifactCaches:
+    """The text and lattice the CSV writers keep per size argument: the
+    bytes stay csv.writer's whichever size came before, and no caller can
+    write to what is kept."""
+
+    @pytest.fixture(scope="class")
+    def sol(self):
+        return solve(construct_localisation_example(3, 1.0, 3.0))
+
+    def test_radial_csv_across_sample_counts(self, sol, tmp_path):
+        path = tmp_path / "radial.csv"
+        for samples in (101, 1024, 101):
+            evaluate.write_radial_csv(sol, path, samples=samples)
+            rs = np.linspace(0.0, 1.0, samples)
+            u = evaluate._radial_values(sol, rs)
+            assert path.read_bytes() == TestCsvBytes._csv_writer_text(
+                [["r", "re_u", "im_u", "abs_u"]]
+                + [[float(r), v.real, v.imag, abs(v)]
+                   for r, v in zip(rs, u.tolist())])
+
+    def test_disc_csv_across_grids(self, sol, tmp_path):
+        path = tmp_path / "disc.csv"
+        for grid in (5, 64, 5):
+            evaluate.write_disc_csv(sol, path, grid=grid)
+            xs, ys, field, _ = evaluate.disc_slice(sol, grid)
+            assert path.read_bytes() == TestCsvBytes._csv_writer_text(
+                [["x", "y", "abs_u"]]
+                + [[float(x), float(y), float(field[iy, ix])]
+                   for iy, y in enumerate(ys) for ix, x in enumerate(xs)])
+
+    def test_disc_slice_across_grids(self, sol):
+        # the field as disc_slice computed it before the lattice was kept
+        for grid in (5, 64, 5):
+            axis = np.linspace(-1.0, 1.0, grid)
+            radii, where = np.unique(
+                np.hypot(*np.meshgrid(axis, axis)).ravel(),
+                return_inverse=True)
+            inside = radii <= 1.0
+            values = np.full(radii.shape, np.nan)
+            values[inside] = np.abs(evaluate._radial_values(
+                sol, radii[inside])) * evaluate.Y00_3D
+            xs, ys, field, _ = evaluate.disc_slice(sol, grid)
+            np.testing.assert_array_equal(xs, axis)
+            np.testing.assert_array_equal(ys, axis)
+            np.testing.assert_array_equal(field,
+                                          values[where].reshape(grid, grid))
+
+    def test_kept_arrays_are_read_only(self):
+        rs, _ = evaluate._radial_template(101)
+        for a in (rs, *evaluate._lattice(5)):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+    def test_disc_slice_returns_writable_arrays_of_its_own(self, sol):
+        xs, ys, field, _ = evaluate.disc_slice(sol, 5)
+        kept = evaluate._lattice(5)
+        for a in (xs, ys, field):
+            assert a.flags.writeable
+            assert not any(np.shares_memory(a, k) for k in kept)
+        xs[:] = 7.0
+        field[:] = 7.0
+        again, _, field_again, _ = evaluate.disc_slice(sol, 5)
+        np.testing.assert_array_equal(again, np.linspace(-1.0, 1.0, 5))
+        assert not np.any(field_again == 7.0)
+
+
 class TestNormsAndReports:
     def test_sup_scaled_is_the_surface_factor_times_radial_sup(self):
         sol = solve(SPECS[0])
