@@ -14,9 +14,10 @@ blocks in mpmath.  Their two same-family Wronskians (h with h, j with j)
 are formed from the shifted orders of f' = (kappa/x) f + g, so that the
 kappa/x parts, which cancel up to hundreds of digits at thin high-mode
 layers, drop out exactly (DLMF 10.51.2; Wiscombe, Appl. Opt. 19:1505,
-1980).  Their pair values come from :func:`interface_pair`, the
-one place the pair is evaluated at the interfaces: the recursion and the
-interface residuals take theirs from it too.  :func:`dense_solve` factors
+1980).  Their pair values come from :func:`interface_pair`, the one
+evaluation of a solve, at 2n + 1 points: the interfaces, whose columns
+the recursion and the interface residuals read too, and kappa = omega/c_N,
+whose column gives B_N.  :func:`dense_solve` factors
 the band in double and refines against the extended blocks; when that is
 refused, it tries once more on the band scaled exactly by powers of two,
 each unknown to its term in its layer and each row to its largest entry,
@@ -36,7 +37,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .problem import ProblemSpec
-from .specfun import EXTENDED, FundamentalPair, Tier, fundamental_eval, mp_tier
+from .specfun import EXTENDED, FundamentalPair, Tier, mp_tier
 
 #: exact sub/super-diagonal blocks of the normalised system
 R_HAT = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -64,10 +65,6 @@ class DegenerateNormaliser(Exception):
 
 class SingularSystem(Exception):
     """A vanishing pivot, or an mpmath answer failing its residual check."""
-
-
-def _pair(spec: ProblemSpec) -> FundamentalPair:
-    return FundamentalPair(spec.dimension, spec.mode)
 
 
 def _band_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -133,7 +130,7 @@ class BlockSystem:
         size = np.maximum(size[0::2], size[1::2])     # f_1 and f_2 rows
         ends = np.zeros((2, n + 1), dtype=size.dtype)
         ends[:, :n] = size[:, :n]                     # right ends of 1..n
-        ends[:, 1:] = np.maximum(ends[:, 1:], size[:, n:])   # left, 2..n+1
+        ends[:, 1:] = np.maximum(ends[:, 1:], size[:, n:2 * n])  # left 2..n+1
         # (A_1, B_1, A_2, ..., A_N, B_N) without A_1 = 0
         return np.ldexp(np.longdouble(1), np.frexp(ends.T.ravel()[1:])[1])
 
@@ -193,17 +190,15 @@ def rhs_scale(spec: ProblemSpec) -> complex:
     and the Wronskian is known in closed form: W(h_m, j_m)(x) = -i/x^2 for
     d=3 and W(e^{ix}, cos x) = -i for d=1.  So B_N = i kappa f_1(kappa) g
     for d=3 and i f_1(kappa) g / kappa for d=1, rounded to a double from
-    :func:`b_last_extended`.
+    :func:`b_last_extended` of the spec's :func:`interface_pair`.
     """
-    return complex(b_last_extended(spec))
+    return complex(b_last_extended(spec, interface_pair(EXTENDED, spec)))
 
 
-def b_last_extended(spec: ProblemSpec) -> np.clongdouble:
-    """B_N with kappa and f_1 evaluated in extended precision, before it is
-    rounded to a double: that can flush it to 0 or to a subnormal."""
-    ext = np.longdouble
-    kappa = ext(spec.omega) / ext(spec.speed(spec.n + 1))
-    f1, _ = fundamental_eval(_pair(spec), 1, kappa, ext)
+def b_last_extended(spec: ProblemSpec, at: InterfacePair) -> np.clongdouble:
+    """B_N before it is rounded to a double (that can flush it to 0 or to a
+    subnormal), from the kappa column, the last, of a solve's pair ``at``."""
+    kappa, f1 = at.args[-1], at.values[0, -1]
     factor = kappa if spec.dimension == 3 else 1 / kappa
     return 1j * factor * f1 * np.clongdouble(complex(spec.boundary_coefficient))
 
@@ -212,8 +207,8 @@ _LOG_TINY, _LOG_MAX, _LOG_EPS = (math.log(v) for v in (
     np.finfo(float).tiny, np.finfo(float).max, np.finfo(float).eps))
 
 
-def coefficient_vector(spec: ProblemSpec, log_mag, formed,
-                       b_last: np.clongdouble) -> CoefficientVector:
+def coefficient_vector(spec: ProblemSpec, log_mag, formed, b_last,
+                       at: InterfacePair) -> CoefficientVector:
     """The coefficients as doubles, by the one rule of both routes.
 
     ``log_mag`` is log|c| of each entry before rounding (-inf for 0);
@@ -222,28 +217,27 @@ def coefficient_vector(spec: ProblemSpec, log_mag, formed,
     extended precision before it is rounded.  One below the normal doubles
     becomes 0 if its term |c| max|f| over its layer is below eps times the
     layer's largest, max|f| the larger hypot(|f|, |f'|) at the layer's ends
-    r > 0, in extended precision (|h_50| at k 1e-8 passes 1e400).  Any
-    other one outside the double range raises OverflowError.
+    r > 0, read from their columns of the extended pair ``at`` (|h_50| at k
+    1e-8 passes 1e400).  Any other one outside the double range raises
+    OverflowError.
     """
     log_mag = np.concatenate((log_mag, [float(np.log(abs(b_last)))
                                         if b_last else -np.inf]))
     inside = (log_mag >= _LOG_TINY) & (log_mag <= _LOG_MAX)
     keep = slice(None)
     if not inside.all():
-        keep = inside[:-1]
-        for i in np.flatnonzero(~inside & (log_mag != -np.inf)):
+        keep, n = inside[:-1], spec.n
+        for i in np.flatnonzero(~inside & (log_mag != -np.inf)).tolist():
             j = (i + 1) // 2 + 1               # B_1 alone, then A_j, B_j
-            at = slice(max(2 * j - 3, 0), 2 * j - 1)
-            ext = np.longdouble
-            r = np.array([v for v in spec.profile.jump_points[j - 1:j + 1]
-                          if v > 0], dtype=ext)
-            f, df = fundamental_eval(_pair(spec), 1, ext(spec.omega)
-                                     / ext(spec.speed(j)) * r, ext)
+            own = slice(max(2 * j - 3, 0), 2 * j - 1)
+            # its ends: left of interface j (or kappa), right of j - 1 (if any)
+            ends = at.values[:4, [j - 1 if j <= n else 2 * n]
+                             + [n + j - 2] * (j > 1)]
             # log max|f_1| and log max|f_2|, f_2 = Re f_1
-            env = [np.log(np.max(np.hypot(abs(g), abs(dg))))
-                   for g, dg in ((f, df), (f.real, df.real))]
-            terms = log_mag[at] + (env[1:] if j == 1 else env)
-            if not np.all(inside[at] | (log_mag[at] < _LOG_TINY)
+            env = np.log(np.max(np.hypot(abs(ends[0::2]), abs(ends[1::2])),
+                                axis=1))
+            terms = log_mag[own] + (env[1:] if j == 1 else env)
+            if not np.all(inside[own] | (log_mag[own] < _LOG_TINY)
                           & (terms < np.max(terms) + _LOG_EPS)):
                 raise OverflowError(f"a coefficient of layer {j} is outside "
                                     f"the double range and not negligible")
@@ -253,26 +247,31 @@ def coefficient_vector(spec: ProblemSpec, log_mag, formed,
 
 
 class InterfacePair(NamedTuple):
-    """The fundamental pair on both sides of every interface, in one tier."""
+    """The pair on both sides of every interface (columns 0..2n-1: blocks,
+    scales, recursion, backward error, envelope), in extended precision
+    also at kappa (column 2n: B_N, envelope): a solve's one evaluation."""
 
     speeds: np.ndarray   # c_1..c_{n+1}, tier reals
-    args: np.ndarray     # z_ell/c_ell for ell = 1..n, then z_ell/c_{ell+1}
+    args: np.ndarray     # z_ell/c_ell for ell = 1..n, z_ell/c_{ell+1}[, kappa]
     values: np.ndarray   # rows (f_1, f_1', f_2, f_2'[, g_1, g_2]) at args
 
 
 def interface_pair(tier: Tier, spec: ProblemSpec, omega=None, x=None,
-                   shift: bool = True) -> InterfacePair:
+                   shift: bool = False) -> InterfacePair:
     """The pair at the 2n interface arguments z_ell/c_ell and
-    z_ell/c_{ell+1}, z_ell = omega x_ell, from one ``tier.pair_eval`` call,
-    with the shifted orders unless ``shift`` is False.  ``omega`` and the
-    jump points ``x`` are tier numbers, by default the spec's own."""
+    z_ell/c_{ell+1}, z_ell = omega x_ell, then in EXTENDED alone at kappa =
+    omega/c_{n+1}, from one ``tier.pair_eval`` call, with the shifted
+    orders if ``shift``.  ``omega`` and the jump points ``x`` are tier
+    numbers, by default the spec's own."""
     if omega is None:
         omega = tier.real(spec.omega)
         x = tier.real(np.asarray(spec.profile.jump_points))
     c = tier.real(np.asarray(spec.profile.speeds))
     z = omega * np.asarray(x)[1:spec.n + 1]
-    args = np.concatenate((z / c[:-1], z / c[1:]))
-    return InterfacePair(c, args, tier.pair_eval(_pair(spec), args, shift))
+    outer = (omega / c[-1],) if tier is EXTENDED else ()
+    args = np.concatenate((z / c[:-1], z / c[1:], outer))
+    return InterfacePair(c, args, tier.pair_eval(
+        FundamentalPair(spec.dimension, spec.mode), args, shift))
 
 
 #: the five Wronskians w^{p,q} of a block, one per row: w^{2,1} (the
@@ -307,7 +306,7 @@ def _blocks(tier: Tier, spec: ProblemSpec, at: InterfacePair | None = None
     19:1505, 1980; Yang, Appl. Opt. 42:1710, 2003).  What cancels is only
     the contrast 1/c_P^2 - 1/c_Q^2; for d=1, kappa = 0 and g = f'."""
     n = spec.n
-    c, _, values = at or interface_pair(tier, spec)
+    c, _, values = at or interface_pair(tier, spec, shift=True)
     w, ratio = _wronskians(c, values)
     vanished = np.abs(w[0]) < _DEGENERACY_FLOOR
     if np.count_nonzero(vanished):
@@ -348,10 +347,10 @@ def normalize(spec: ProblemSpec) -> BlockSystem:
 def _normalize(spec: ProblemSpec, at: InterfacePair | None = None
                ) -> BlockSystem:
     """:func:`normalize`, from the extended pair values ``at`` when given."""
-    at = at or interface_pair(EXTENDED, spec)
+    at = at or interface_pair(EXTENDED, spec, shift=True)
     S_hat, block_loss = _blocks(EXTENDED, spec, at)
-    return BlockSystem(n=spec.n, S_hat=S_hat, b_last=b_last_extended(spec),
-                       spec=spec, pair=at, block_loss=block_loss)
+    return BlockSystem(spec.n, S_hat, b_last_extended(spec, at), spec, at,
+                       block_loss)
 
 
 def _refine(system: BlockSystem, band: np.ndarray, lu: np.ndarray,
@@ -580,7 +579,7 @@ def _coefficients(system: BlockSystem, x: np.ndarray) -> CoefficientVector:
         else [float(mp_tier().log(v)) for v in size[size != 0]]
     return coefficient_vector(system.spec, log_mag,
                               lambda inside: x[inside].astype(complex),
-                              system.b_last)
+                              system.b_last, system.pair)
 
 
 def solve_spec(spec: ProblemSpec) -> tuple[CoefficientVector, float]:

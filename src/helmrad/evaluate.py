@@ -74,25 +74,24 @@ def solve(spec: ProblemSpec) -> RadialSolution:
     elimination (production path).
 
     The recursion runs once, in extended precision, and evaluates the pair
-    at the interfaces once.  Its answer is taken only when its own error
-    estimate is within ``green.ERROR_LIMIT`` (1e-13) and the largest of
-    the coefficients' ``interface_residuals``, formed from those pair
-    values, is within 1e-9.  Otherwise the answer is ``solve_direct``'s,
-    its blocks built from the same pair values and judged by the banded
-    route's own a-posteriori tests, and one debug record on the
-    ``helmrad`` logger gives the reason; the recursion is never rerun in
-    mpmath here.  A refusal of the banded route propagates
+    once, at the interfaces and at kappa (B_N).  Its answer is taken only
+    when its own error estimate is within ``green.ERROR_LIMIT`` (1e-13)
+    and the largest of the coefficients' ``interface_residuals``, formed
+    from those pair values, is within 1e-9.  Otherwise the answer is
+    ``solve_direct``'s, its blocks and B_N from the same pair values,
+    judged by the banded route's own a-posteriori tests, and one debug
+    record on the ``helmrad`` logger gives the reason; the recursion is
+    never rerun in mpmath here.  A refusal of the banded route propagates
     (``SingularSystem``, or ``OverflowError`` for a coefficient outside
     the double range), as do the recursion's
     ``green.NearResonantDenominator`` and ``OverflowError`` on its
     accepted path.
     """
-    beta, run, error = green.extended_run(spec)
-    at = run.interfaces.pair
+    beta, _, error = green.extended_run(spec, shift=True)
     if error <= green.ERROR_LIMIT:
         coeffs = green.layer_coefficients(
             spec, green.green_last_column(spec, beta))
-        gate = _backward_errors(spec, at.values, coeffs).max(initial=0.0)
+        gate = _backward_errors(spec, beta.pair.values, coeffs).max(initial=0)
         if gate <= _GATE_LIMIT:
             return RadialSolution(spec=spec, coeffs=coeffs)
         reason = (f"interface backward error {gate:.3g} exceeds "
@@ -101,7 +100,7 @@ def solve(spec: ProblemSpec) -> RadialSolution:
         reason = (f"estimated relative error {float(error):.3g} exceeds "
                   f"{green.ERROR_LIMIT:g}")
     _log.debug("solve: banded route, the recursion's %s", reason)
-    coeffs, _ = assembly.dense_solve(assembly._normalize(spec, at))
+    coeffs, _ = assembly.dense_solve(assembly._normalize(spec, beta.pair))
     return RadialSolution(spec=spec, coeffs=coeffs)
 
 
@@ -218,7 +217,7 @@ def _backward_errors(spec: ProblemSpec, values: np.ndarray,
     coef = np.concatenate((rows[:n], rows[1:])).T
     # terms[i, j]: A (i = 0) or B (i = 1) times the value (j = 0) or the
     # slope (j = 1) of its function, at each point
-    terms = values[:4].reshape(2, 2, -1) * coef[:, None]
+    terms = values[:4, :2 * n].reshape(2, 2, -1) * coef[:, None]
     mags = np.abs(terms)
     size = np.hypot(mags[:, 0], mags[:, 1]).reshape(4, n).sum(0)
     # u and du/d(kr) at each point, then the jumps: the slope's in units

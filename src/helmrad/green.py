@@ -10,10 +10,9 @@ long before the recursion itself loses accuracy.
 Everything about the interfaces that does not depend on beta (reflection
 strengths, Wronskians, layer phases, rotations, the bound's per-interface
 factors) is formed first, as one array expression over all n interfaces
-from one pair evaluation at the 2n arguments z/c
-(``assembly.interface_pair``, which the banded route's blocks also take);
-the loop over the interfaces then does only the scalar work that depends
-on the previous beta.  The same body runs in both precision tiers.
+from one pair evaluation (``assembly.interface_pair``); the loop over the
+interfaces then does only the scalar work that depends on the previous
+beta.  The same body runs in both precision tiers.
 
 The recursion runs in extended precision and carries a running first-order
 error bound through each step's Jacobian.  One rule judges a run in either
@@ -29,9 +28,11 @@ high modes still come back wrong without an error from this route
 
 The production path, ``evaluate.solve``, makes no rerun: it takes
 ``extended_run`` alone, accepts its answer only when the estimate passes
-and the coefficients' interface backward error, formed from the run's
-pair values, is within 1e-9, and otherwise returns the banded route's
-answer, its blocks built from the same values.
+and the coefficients' interface backward error is within 1e-9, and
+otherwise returns the banded route's answer.  Both read its one pair
+evaluation, at the 2n arguments z/c and kappa = omega/c_N: the recursion,
+the backward error and the blocks the interface columns, B_N the kappa
+column and the double-range envelope those at the layer ends.
 """
 
 from __future__ import annotations
@@ -90,9 +91,9 @@ def _interfaces(tier: Tier, at: InterfacePair) -> _Interface:
     interface whose gamma-plus vanishes, before anything is divided by it.
     """
     c, args, values = at
-    f1, df1, f2, df2 = values[:4]
     n = len(c) - 1
-    cl, cr, zl, zr = c[:-1], c[1:], args[:n], args[n:]
+    f1, df1, f2, df2 = values[:4, :2 * n]
+    cl, cr, zl, zr = c[:-1], c[1:], args[:n], args[n:2 * n]
     f1l, df1l, f1r, df1r = f1[:n], df1[:n], f1[n:], df1[n:]
     t1 = f1r * df1l.conjugate() / cl
     t2 = df1r * f1l.conjugate() / cr
@@ -137,6 +138,7 @@ class BetaSequence:
     #: exp(i(z/c_l - z/c_r)) or of the pair evaluations at z/c, both growing
     #: with the argument.  ``_beta_mp`` alone records the rerun's estimate.
     error_bound_digits: float = 0.0
+    pair: InterfacePair | None = None   # the extended run's; see the module
 
 
 class _Run(NamedTuple):
@@ -152,7 +154,7 @@ class _Run(NamedTuple):
     bound: object       # running error bound, in rounding units
 
 
-def _recursion(tier: Tier, spec: ProblemSpec, omega, x) -> _Run:
+def _recursion(tier: Tier, spec: ProblemSpec, omega, x, shift=False) -> _Run:
     """Run the recursion in ``tier``; ``omega`` and ``x`` are tier numbers.
 
     Everything that does not depend on beta is one array expression over
@@ -162,7 +164,8 @@ def _recursion(tier: Tier, spec: ProblemSpec, omega, x) -> _Run:
     factors.  The loop keeps what depends on beta_{ell-1}: the step and
     its core, the Jacobian, the running bound, the advance in log form and
     the Im extraction.  Both tiers run this one body, on np.longdouble
-    arrays or on object arrays of mpmath numbers.
+    arrays or on object arrays of mpmath numbers; with ``shift`` the pair
+    has the shifted orders.
 
     Each step extracts Im(e^{i z_ell/c_{ell+1}} beta_ell) and carries
     a running first-order error bound of (log_mod, phases) in units of the
@@ -179,14 +182,11 @@ def _recursion(tier: Tier, spec: ProblemSpec, omega, x) -> _Run:
     """
     x = np.asarray(x)
     n = spec.n
-    # the extended pair is also the banded route's, should ``solve`` fall
-    # back to it, and needs the shifted orders; the mpmath rerun's is not
-    it = _interfaces(tier, interface_pair(tier, spec, omega, x,
-                                          shift=tier is EXTENDED))
+    it = _interfaces(tier, interface_pair(tier, spec, omega, x, shift))
     c, args = it.pair.speeds, it.pair.args
     delta = omega * (x[1:n + 1] - x[:n]) / c[:-1]
     per_step = zip(tier.cexp(-delta), it.q, 1 + np.abs(it.q), 1 + it.cancel,
-                   delta, it.g_plus / (2j * it.w12), tier.cexp(args[n:]))
+                   delta, it.g_plus / (2j * it.w12), tier.cexp(args[n:2 * n]))
     none, one = tier.real(-math.inf), tier.real(1) + 0j
     log_mod, phases = [tier.real(0)], [one]
     im_log, im_sign = [none], [0.0]
@@ -227,7 +227,7 @@ def _recursion(tier: Tier, spec: ProblemSpec, omega, x) -> _Run:
 def _sequence(run: _Run, tier: str, digits: float, real=None, cplx=None
               ) -> BetaSequence:
     """``run`` as a record; ``real`` and ``cplx``, given for an mpmath
-    run, convert its numbers to extended precision."""
+    run, convert its numbers to extended precision and drop its pair."""
     if real is not None:
         run = run._replace(log_mod=[real(v) for v in run.log_mod],
                            phases=[cplx(v) for v in run.phases],
@@ -238,7 +238,7 @@ def _sequence(run: _Run, tier: str, digits: float, real=None, cplx=None
         phases=np.array(run.phases, dtype=_CEXT),
         rot_im_log=np.array(run.im_log, dtype=_EXT),
         rot_im_sign=np.array(run.im_sign), tier=tier,
-        error_bound_digits=digits)
+        error_bound_digits=digits, pair=None if real else run.interfaces.pair)
 
 
 #: relative error estimate past which the extended recursion escalates
@@ -339,18 +339,18 @@ def _mp_dps(digits: float) -> int:
     return 30 + int(math.ceil(digits))
 
 
-def extended_run(spec: ProblemSpec) -> tuple[BetaSequence, _Run, object]:
+def extended_run(spec: ProblemSpec, shift=False
+                 ) -> tuple[BetaSequence, _Run, object]:
     """The recursion in extended precision alone, with no rerun: its
     sequence, the run itself and its error estimate ``_error``.
 
     Where the estimate is within ``ERROR_LIMIT`` the sequence is
-    ``beta_sequence``'s answer.  The run's ``interfaces.pair`` holds the
-    pair at the 2n interface arguments, from which ``evaluate.solve``
-    checks the coefficients' interface backward error and, on a fallback,
-    builds the banded route's blocks, without a second pair evaluation.
+    ``beta_sequence``'s answer.  Its ``pair`` (the 2n interface arguments
+    and kappa) gives ``evaluate.solve`` B_N, the interface backward error
+    and a fallback's banded blocks, their shifted orders with ``shift``.
     """
     run = _recursion(EXTENDED, spec, _EXT(spec.omega),
-                     _EXT(np.asarray(spec.profile.jump_points)))
+                     _EXT(np.asarray(spec.profile.jump_points)), shift)
     return (_sequence(run, "extended", float(np.log10(max(run.bound, 1)))),
             run, _error(EXTENDED, run, _EPS))
 
@@ -372,7 +372,7 @@ def beta_sequence(spec: ProblemSpec) -> BetaSequence:
     if error > ERROR_LIMIT:
         digits = 1.2 * (_summed_loss(run.interfaces, run.cores)
                         + _im_loss(run, -float(np.log10(_EPS)))) + 10.0
-        return replace(_beta_mp(spec, digits),
+        return replace(_beta_mp(spec, digits), pair=beta.pair,
                        error_bound_digits=beta.error_bound_digits)
     return beta
 
@@ -394,6 +394,7 @@ class GreenColumn:
     even_log_mag: np.ndarray
     odd_phase: np.ndarray
     even_phase: np.ndarray
+    pair: InterfacePair | None = None   # the sequence's (BetaSequence.pair)
 
     @property
     def n(self) -> int:
@@ -433,7 +434,7 @@ def green_last_column(spec: ProblemSpec, beta: BetaSequence | None = None
     entry = phase * np.array([math.exp(v) for v in
                               np.minimum(log, 700.0).tolist()])
     return GreenColumn(entry[:n], entry[n:], log[:n], log[n:], phase[:n],
-                       phase[n:])
+                       phase[n:], beta.pair)
 
 
 def layer_coefficients(spec: ProblemSpec,
@@ -445,11 +446,12 @@ def layer_coefficients(spec: ProblemSpec,
     flush to 0), never from the clipped display entries.
     One in range is the column entry times rhs_scale or, where its log
     passes +-700, its phase times e^(log held within +-700) times rhs_scale
-    times e^(rest of the log).
+    times e^(rest of the log); B_N and the envelope read the column's pair.
     """
     if column is None:
         column = green_last_column(spec)
-    b_last = b_last_extended(spec)
+    at = column.pair or interface_pair(EXTENDED, spec)
+    b_last = b_last_extended(spec, at)
     scale = complex(b_last)
     log_col, entry = (np.ravel(rows, "F") for rows in (
         (column.odd_log_mag, column.even_log_mag),
@@ -466,4 +468,4 @@ def layer_coefficients(spec: ProblemSpec,
         return value
     return coefficient_vector(
         spec, log_col + (float(np.log(abs(b_last))) if b_last else -np.inf),
-        formed, b_last)
+        formed, b_last, at)

@@ -490,7 +490,7 @@ def _pair_eval_ext(pair: FundamentalPair, x: np.ndarray,
     products with them round as those of a ``which=2`` evaluation.  Every
     point above the turning point, x > m, and every point of a closed form
     goes in one array call.  A point at or below it with m >= 2 goes alone:
-    the routes pass only 2n points per spec, and a batched Miller pass over
+    the routes pass only 2n + 1 points a spec, and a batched Miller pass over
     a few points costs more than the scalar loop.
     """
     x = _positive(x, np.longdouble)

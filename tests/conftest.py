@@ -20,8 +20,8 @@ def m0_oracle_on_every_extended_run():
     against the jump-ratio step (``m0_oracle``), to 1e-12."""
     recursion = green._recursion
 
-    def checked(tier, spec, omega, x):
-        run = recursion(tier, spec, omega, x)
+    def checked(tier, spec, omega, x, shift=False):
+        run = recursion(tier, spec, omega, x, shift)
         if tier is EXTENDED and spec.dimension == 3 and spec.mode == 0:
             m0_oracle.check(spec, omega, x, run)
         return run

@@ -13,6 +13,12 @@ tier from scalar pair evaluations: the reference for the recursion's
 array pass over all interfaces.  ``exact_interface_residuals`` is the
 interface backward error of given coefficients with every pair value and
 every sum in mpmath: the reference for ``evaluate.interface_residuals``.
+``former_b_last``, ``former_envelope`` and ``former_coefficient_vector``
+are B_N, the layer envelope and the double-range rule as helmrad formed
+them from pair evaluations of their own, before they read the columns of
+the solve's one pair evaluation: the references for
+``assembly.b_last_extended`` and the envelope of
+``assembly.coefficient_vector``.
 """
 
 from dataclasses import dataclass
@@ -20,7 +26,8 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
-from helmrad.assembly import (R_HAT, T_HAT, BlockSystem, CoefficientVector,
+from helmrad.assembly import (_LOG_EPS, _LOG_MAX, _LOG_TINY, R_HAT, T_HAT,
+                              BlockSystem, CoefficientVector,
                               DegenerateNormaliser)
 from helmrad.problem import ProblemSpec
 from helmrad.specfun import (EXTENDED, FundamentalPair, Tier,
@@ -84,6 +91,52 @@ def assemble_raw(spec: ProblemSpec) -> RawSystem:
     rhs[-2] = C * f2b
     rhs[-1] = C * df2b / spec.speed(N)
     return RawSystem(n=n, S=S, R=R, T=T, rhs=rhs, scale=C)
+
+
+def former_b_last(spec: ProblemSpec) -> np.clongdouble:
+    """B_N in extended precision from its own scalar evaluation of f_1 at
+    kappa = omega/c_N."""
+    ext = np.longdouble
+    kappa = ext(spec.omega) / ext(spec.speed(spec.n + 1))
+    f1, _ = fundamental_eval(_pair(spec), 1, kappa, ext)
+    factor = kappa if spec.dimension == 3 else 1 / kappa
+    return 1j * factor * f1 * np.clongdouble(complex(spec.boundary_coefficient))
+
+
+def former_envelope(spec: ProblemSpec, j: int) -> list:
+    """[log max hypot(|f_1|, |f_1'|), the same for f_2] over the ends r > 0
+    of layer ``j``, from one extended evaluation of f_1 at (omega/c_j) r."""
+    ext = np.longdouble
+    r = np.array([v for v in spec.profile.jump_points[j - 1:j + 1] if v > 0],
+                 dtype=ext)
+    f, df = fundamental_eval(_pair(spec), 1, ext(spec.omega)
+                             / ext(spec.speed(j)) * r, ext)
+    return [np.log(np.max(np.hypot(abs(g), abs(dg))))
+            for g, dg in ((f, df), (f.real, df.real))]
+
+
+def former_coefficient_vector(spec: ProblemSpec, log_mag, formed,
+                              b_last) -> CoefficientVector:
+    """``assembly.coefficient_vector`` with each out-of-range coefficient's
+    layer envelope from ``former_envelope``."""
+    log_mag = np.concatenate((log_mag, [float(np.log(abs(b_last)))
+                                        if b_last else -np.inf]))
+    inside = (log_mag >= _LOG_TINY) & (log_mag <= _LOG_MAX)
+    keep = slice(None)
+    if not inside.all():
+        keep = inside[:-1]
+        for i in np.flatnonzero(~inside & (log_mag != -np.inf)):
+            j = (i + 1) // 2 + 1
+            at = slice(max(2 * j - 3, 0), 2 * j - 1)
+            env = former_envelope(spec, j)
+            terms = log_mag[at] + (env[1:] if j == 1 else env)
+            if not np.all(inside[at] | (log_mag[at] < _LOG_TINY)
+                          & (terms < np.max(terms) + _LOG_EPS)):
+                raise OverflowError(f"a coefficient of layer {j} is outside "
+                                    f"the double range and not negligible")
+    entries = np.zeros(len(log_mag) - 1, dtype=complex)
+    entries[keep] = formed(keep)
+    return CoefficientVector(entries, complex(b_last) if inside[-1] else 0j)
 
 
 def _scalar_pair(tier: Tier, pair: FundamentalPair, x):

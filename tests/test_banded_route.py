@@ -18,7 +18,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from helmrad import assembly, cli
+from helmrad import assembly, cli, green
 from helmrad.assembly import SingularSystem, normalize, solve_spec
 from helmrad.evaluate import (energy_norm, interface_residuals, solve,
                               solve_direct, sup_radial)
@@ -27,7 +27,8 @@ from helmrad.problem import (ProblemSpec, WaveSpeedProfile,
                              construct_stable_example, random_spec)
 from helmrad.specfun import FundamentalPair, wronskian_w
 from helmrad.stability import single_interface_wronskian
-from interface_oracles import raw_solve_mp, to_dense
+from interface_oracles import (former_b_last, former_coefficient_vector,
+                               former_envelope, raw_solve_mp, to_dense)
 from populations import FAULT_C, FAULT_D, high_mode_population
 
 # high-mode specs, literals as stored with the benchmark's population
@@ -440,6 +441,92 @@ class TestDoubleRange:
                        boundary_coefficient=0.0)
         coeffs = route(spec).coeffs
         assert not coeffs.entries.any() and coeffs.b_last == 0
+
+
+def _outcome(rule, *args):
+    """What the double-range rule made of ``args``: the entries and B_N as
+    bytes, or the type of its exception."""
+    try:
+        coeffs = rule(*args)
+    except OverflowError as exc:
+        return type(exc)
+    return coeffs.entries.tobytes(), np.complex128(coeffs.b_last).tobytes()
+
+
+class TestOuterColumn:
+    """B_N and the double-range envelope read the solve's one pair
+    evaluation, its column at kappa = omega/c_N and those at a layer's
+    ends, where they used to evaluate the pair themselves
+    (``interface_oracles.former_b_last`` and
+    ``former_coefficient_vector``).  Nothing changes: B_N keeps its bits,
+    and the rule its keep, flush and raise decisions and its entries,
+    although the envelope's arguments now round as (omega x)/c rather than
+    (omega/c) x."""
+
+    @pytest.fixture(scope="class")
+    def population(self):
+        rng = np.random.default_rng(20260823)
+        return high_mode_population() + [random_spec(rng)
+                                         for _ in range(200)]
+
+    def test_b_last_bit_for_bit(self, population):
+        for spec in population:
+            for at in (green.extended_run(spec)[0].pair,
+                       normalize(spec).pair):
+                got = assembly.b_last_extended(spec, at)
+                want = former_b_last(spec)
+                for a, b in ((got.real, want.real), (got.imag, want.imag)):
+                    assert a == b and np.signbit(a) == np.signbit(b)
+
+    def test_envelope_decides_as_before(self, population, monkeypatch):
+        """On both routes' calls, and on the banded route's with each
+        layer j > 1 set up to straddle the rule: B_j a normal double just
+        above the range's floor (B_N through ``b_last``) and A_j below it,
+        its term a factor e below, then above, the negligible threshold by
+        ``former_envelope``.  A wrong column or a wrong envelope moves the
+        term by more than that; both flushes and raises occur."""
+        rule, calls = assembly.coefficient_vector, []
+
+        def spy(banded):
+            def both(spec, log_mag, formed, b_last, at):
+                calls.append((banded, spec, log_mag, formed, b_last, at))
+                want = _outcome(former_coefficient_vector, spec, log_mag,
+                                formed, b_last)
+                assert _outcome(rule, spec, log_mag, formed, b_last,
+                                at) == want
+                return rule(spec, log_mag, formed, b_last, at)
+            return both
+        for module in (assembly, green):
+            monkeypatch.setattr(module, "coefficient_vector",
+                                spy(module is assembly))
+        for spec in population:
+            for route in (solve, solve_direct):
+                try:
+                    route(spec)
+                except (OverflowError, SingularSystem):
+                    pass
+        outside = sum(not np.all((log >= assembly._LOG_TINY)
+                                 & (log <= assembly._LOG_MAX))
+                      for _, _, log, *_ in calls)
+        assert outside >= len(BELOW_RANGE)
+        decisions = set()
+        floor = assembly._LOG_TINY + 1.0
+        for banded, spec, log_mag, formed, b_last, at in calls:
+            for j in range(2, spec.n + 2) if banded else ():
+                env = former_envelope(spec, j)
+                for delta in (-1.0, 1.0):
+                    pushed, b = log_mag.copy(), b_last
+                    if j <= spec.n:
+                        pushed[2 * j - 2] = floor
+                    else:
+                        b = b_last / abs(b_last) * np.exp(np.longdouble(floor))
+                    pushed[2 * j - 3] = floor + float(env[1] - env[0]) \
+                        + assembly._LOG_EPS + delta
+                    want = _outcome(former_coefficient_vector, spec, pushed,
+                                    formed, b)
+                    assert _outcome(rule, spec, pushed, formed, b, at) == want
+                    decisions.add(want is OverflowError)
+        assert decisions == {False, True}
 
 
 class TestBandedMpElimination:

@@ -17,13 +17,14 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from helmrad import assembly, evaluate, green
+from helmrad import assembly, evaluate, green, specfun
 from helmrad.assembly import CoefficientVector, SingularSystem
 from helmrad.evaluate import interface_residuals, solve, solve_direct
 from helmrad.problem import (ProblemSpec, WaveSpeedProfile,
                              construct_localisation_example, random_spec)
-from helmrad.specfun import FundamentalPair, fundamental_eval_mp
+from helmrad.specfun import EXTENDED, FundamentalPair, fundamental_eval_mp
 from interface_oracles import exact_interface_residuals, raw_solve_mp
+from populations import high_mode_population
 
 # accepted by the recursion's own rerun at 66 digits, with A_2 wrong by
 # 4.9e-3 relative (draw 35 of the wide sweep over the validated domain)
@@ -271,3 +272,74 @@ class TestFallbackLog:
     def test_no_handler_is_installed(self):
         for name in ("helmrad", "helmrad.evaluate"):
             assert logging.getLogger(name).handlers == []
+
+
+class TestOneEvaluationPerSolve:
+    """A solve evaluates the pair once: one extended ``pair_eval`` at the
+    2n interface arguments and kappa, from which the recursion, the gate,
+    B_N, the double-range envelope and a fallback's blocks all read.  No
+    other call reaches the evaluator ``specfun._fundamental`` or the
+    mpmath rows ``specfun._rows_mp``."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"points": [], "other": 0}
+        inside = []
+        pair_eval = EXTENDED.pair_eval
+
+        def counted(pair, x, shift=True):
+            counts["points"].append(len(x))
+            inside.append(x)
+            try:
+                return pair_eval(pair, x, shift)
+            finally:
+                inside.pop()
+
+        def outside(evaluator):
+            def spy(*args, **kwargs):
+                counts["other"] += not inside
+                return evaluator(*args, **kwargs)
+            return spy
+        for name in ("_fundamental", "_rows_mp"):
+            monkeypatch.setattr(specfun, name,
+                                outside(getattr(specfun, name)))
+        tier = EXTENDED._replace(pair_eval=counted)
+        for module in (assembly, green, evaluate):
+            monkeypatch.setattr(module, "EXTENDED", tier)
+        return counts
+
+    @staticmethod
+    def _oracle_spec():
+        return random_spec(np.random.default_rng(20260823))
+
+    @pytest.mark.parametrize("route", [
+        solve, lambda spec: solve_direct(spec)[0]],
+        ids=["recursion", "banded"])
+    @pytest.mark.parametrize("index", [None, 9], ids=["oracle", "flushed"])
+    def test_each_route(self, calls, route, index):
+        """An oracle spec the recursion answers, and high-mode spec 9
+        (m = 50, a 1e-8 first layer), whose A_2 is flushed to 0 by the
+        double-range rule after ``solve`` falls back."""
+        spec = self._oracle_spec() if index is None \
+            else high_mode_population()[index]
+        coeffs = route(spec).coeffs
+        assert calls == {"points": [2 * spec.n + 1], "other": 0}
+        assert (coeffs.a(2) == 0) == (index is not None)
+
+    def test_fallback_on_the_estimate(self, calls):
+        """High-mode spec 0: the estimate fails, the banded route solves
+        in extended precision."""
+        spec = high_mode_population()[0]
+        assert green.extended_run(spec)[2] > green.ERROR_LIMIT
+        calls["points"].clear()
+        solve(spec)
+        assert calls == {"points": [2 * spec.n + 1], "other": 0}
+
+    def test_fallback_on_the_gate(self, calls, monkeypatch):
+        """The gate refuses an answer whose coefficients are already
+        formed: the banded route reuses their pair and B_N."""
+        monkeypatch.setattr(evaluate, "_backward_errors",
+                            lambda *a: np.ones((2, 1)))
+        spec = construct_localisation_example(4, 1.0, 3.0)
+        solve(spec)
+        assert calls == {"points": [2 * spec.n + 1], "other": 0}
