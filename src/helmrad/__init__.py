@@ -4,8 +4,8 @@ from .problem import (ProblemSpec, WaveSpeedProfile,
                       construct_localisation_example,
                       construct_stable_example, relative_jumps, validate)
 from .assembly import (BlockSystem, CoefficientVector, dense_solve,
-                       normalize, rhs_scale, solve_spec)
-from .green import (BetaSequence, GreenColumn, beta_sequence,
+                       normalize, solve_spec)
+from .green import (BetaSequence, GreenColumn, banded_column, beta_sequence,
                     green_last_column, layer_coefficients)
 from .evaluate import (DiagnosticsReport, RadialSolution, diagnostics,
                        disc_slice, energy_lower_bound, energy_norm,
@@ -22,8 +22,8 @@ __all__ = [
     "ProblemSpec", "WaveSpeedProfile", "construct_localisation_example",
     "construct_stable_example", "relative_jumps", "validate",
     "BlockSystem", "CoefficientVector", "dense_solve", "normalize",
-    "rhs_scale", "solve_spec",
-    "BetaSequence", "GreenColumn", "beta_sequence",
+    "solve_spec",
+    "BetaSequence", "GreenColumn", "banded_column", "beta_sequence",
     "green_last_column", "layer_coefficients",
     "DiagnosticsReport", "RadialSolution", "diagnostics", "disc_slice",
     "energy_lower_bound", "energy_norm", "energy_upper_bound", "eval_radial",

@@ -181,23 +181,17 @@ class CoefficientVector:
         return complex(self.entries[2 * (j - 1)])
 
 
-def rhs_scale(spec: ProblemSpec) -> complex:
-    """The single nonzero entry of the normalised right-hand side.
-
-    Coincides with the boundary coefficient B_N fixed by the radiation
-    condition, f_1(kappa) g / (omega w^{1,2}) at the outer boundary, where
-    kappa = omega / c_N.  There omega w^{1,2} = kappa W(f_1, f_2)(kappa),
-    and the Wronskian is known in closed form: W(h_m, j_m)(x) = -i/x^2 for
-    d=3 and W(e^{ix}, cos x) = -i for d=1.  So B_N = i kappa f_1(kappa) g
-    for d=3 and i f_1(kappa) g / kappa for d=1, rounded to a double from
-    :func:`b_last_extended` of the spec's :func:`interface_pair`.
-    """
-    return complex(b_last_extended(spec, interface_pair(EXTENDED, spec)))
-
-
 def b_last_extended(spec: ProblemSpec, at: InterfacePair) -> np.clongdouble:
     """B_N before it is rounded to a double (that can flush it to 0 or to a
-    subnormal), from the kappa column, the last, of a solve's pair ``at``."""
+    subnormal), from the kappa column, the last, of a solve's pair ``at``;
+    rounded, it is the normalised right-hand side (``rhs_scale``).
+
+    The radiation condition fixes B_N = f_1(kappa) g / (omega w^{1,2}) at
+    the outer boundary, kappa = omega / c_N.  There omega w^{1,2} = kappa
+    W(f_1, f_2)(kappa), and the Wronskian is known in closed form:
+    W(h_m, j_m)(x) = -i/x^2 for d=3 and W(e^{ix}, cos x) = -i for d=1.  So
+    B_N = i kappa f_1(kappa) g for d=3 and i f_1(kappa) g / kappa for d=1.
+    """
     kappa, f1 = at.args[-1], at.values[0, -1]
     factor = kappa if spec.dimension == 3 else 1 / kappa
     return 1j * factor * f1 * np.clongdouble(complex(spec.boundary_coefficient))
@@ -337,16 +331,12 @@ def _wronskians(c: np.ndarray, values: np.ndarray) -> tuple:
                      / size[cancels], initial=1)
 
 
-def normalize(spec: ProblemSpec) -> BlockSystem:
+def normalize(spec: ProblemSpec, at: InterfacePair | None = None
+              ) -> BlockSystem:
     """Normalised system with Wronskian-form diagonal blocks, held in
     extended precision: the solve refines against them, and stiff modes
-    can push the condition number past what double entries represent."""
-    return _normalize(spec)
-
-
-def _normalize(spec: ProblemSpec, at: InterfacePair | None = None
-               ) -> BlockSystem:
-    """:func:`normalize`, from the extended pair values ``at`` when given."""
+    can push the condition number past what double entries represent;
+    from the extended pair values ``at`` (shifted orders) when given."""
     at = at or interface_pair(EXTENDED, spec, shift=True)
     S_hat, block_loss = _blocks(EXTENDED, spec, at)
     return BlockSystem(spec.n, S_hat, b_last_extended(spec, at), spec, at,
@@ -517,7 +507,8 @@ def _solve_mp(system: BlockSystem, digits: int) -> tuple[np.ndarray, float]:
         return x + dx, _backward_error(band, x, b, r)
 
 
-def dense_solve(system: BlockSystem) -> tuple[CoefficientVector, float]:
+def dense_solve(system: BlockSystem
+                ) -> tuple[CoefficientVector, float, np.ndarray]:
     """Solve the normalised system by banded elimination.
 
     The matrix is factored in double precision (zgbtrf) and the solution
@@ -536,16 +527,35 @@ def dense_solve(system: BlockSystem) -> tuple[CoefficientVector, float]:
     of the recursion route too, which reads its column's log magnitudes:
     the column's clipped entries are display values that decide no
     coefficient.
-    Returns the coefficients and the componentwise backward error of the
+    Returns the coefficients, the componentwise backward error of the
     answer (:func:`_backward_error`), in the numbers of the attempt that
-    solved the system.  It does not change with the scaling of the rows or
-    of the unknowns, so every attempt, scaled or not, reports the same
-    measure.  For n = 0, B_1 = rhs_scale.  A zero right-hand side, g = 0 or
-    a B_N that rounds to 0, has the zero solution and backward error 0;
-    the rule then judges B_N itself.
+    solved the system, and the last column of the Green's operator: the
+    answer over the right-hand side, before rounding, in those numbers too
+    (extended, or mpmath in an object array).  The backward error does not
+    change with the scaling of the rows or of the unknowns, so every
+    attempt, scaled or not, reports the same measure.  For n = 0, B_1 =
+    rhs_scale.  A zero right-hand side, g = 0 or a B_N that rounds to 0,
+    has the zero solution and backward error 0; the rule then judges B_N
+    itself, and for g = 0 the column is the answer to a unit one.
     """
-    if system.n == 0 or not system.rhs_scale:
-        return _coefficients(system, np.zeros(2 * system.n)), 0.0
+    x, resid, rhs = np.zeros(2 * system.n), 0.0, system.rhs_scale
+    if system.n and rhs:
+        x, resid = _solution(system)
+    size = np.abs(x)
+    log_mag = np.full(len(x), -np.inf)
+    log_mag[size != 0] = np.log(size[size != 0]) if x.dtype != object \
+        else [float(mp_tier().log(v)) for v in size[size != 0]]
+    coeffs = coefficient_vector(system.spec, log_mag,
+                                lambda inside: x[inside].astype(complex),
+                                system.b_last, system.pair)
+    if system.n and not rhs:
+        x = _solution(replace(system, b_last=np.clongdouble(1)))[0]
+    return coeffs, resid, x / (rhs or 1)
+
+
+def _solution(system: BlockSystem) -> tuple[np.ndarray, float]:
+    """:func:`dense_solve`'s answer to a nonzero right-hand side and its
+    backward error, before rounding."""
     band = system.band()
     b = np.zeros(band.shape[1], dtype=band.dtype)
     b[-1] = system.rhs_scale
@@ -562,26 +572,13 @@ def dense_solve(system: BlockSystem) -> tuple[CoefficientVector, float]:
             if solved:
                 solved = solved[0] / system.scales[:-1], solved[1]
         if solved:
-            return _coefficients(system, solved[0]), solved[1]
+            return solved
     try:
-        x, resid = _solve_mp(system, _MP_DIGITS)
+        return _solve_mp(system, _MP_DIGITS)
     except SingularSystem:     # the check failed: double the digits
-        x, resid = _solve_mp(system, 2 * _MP_DIGITS)
-    return _coefficients(system, x), resid
-
-
-def _coefficients(system: BlockSystem, x: np.ndarray) -> CoefficientVector:
-    """The solution ``x`` of ``system``, extended or mpmath numbers, as
-    doubles."""
-    size = np.abs(x)
-    log_mag = np.full(len(x), -np.inf)
-    log_mag[size != 0] = np.log(size[size != 0]) if x.dtype != object \
-        else [float(mp_tier().log(v)) for v in size[size != 0]]
-    return coefficient_vector(system.spec, log_mag,
-                              lambda inside: x[inside].astype(complex),
-                              system.b_last, system.pair)
+        return _solve_mp(system, 2 * _MP_DIGITS)
 
 
 def solve_spec(spec: ProblemSpec) -> tuple[CoefficientVector, float]:
     """Assemble, normalise and solve in one step."""
-    return dense_solve(normalize(spec))
+    return dense_solve(normalize(spec))[:2]

@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Subcommands: solve, construct, scan, verify, whisper.  All file output is
-written atomically (temp file + rename) so identical runs produce
+Subcommands: solve, construct, scan, verify, whisper.  solve and scan take
+every answer, and its Green column, from ``evaluate.solve``.  All file
+output is written atomically (temp file + rename) so identical runs produce
 byte-identical artifacts: the CSV files with "%.17g" floats, the JSON files
 through ``json.dumps`` (Python's shortest round-trip repr).
 """
@@ -44,22 +45,24 @@ def _json_dumps(doc) -> str:
     return json.dumps(doc, indent=2, default=default) + "\n"
 
 
+def _finite(values) -> list:
+    """``values`` as a list of floats, None for each one not finite."""
+    return [v if math.isfinite(v) else None for v in map(float, values)]
+
+
 def cmd_solve(args) -> int:
     try:
         spec = _load_spec(args.input)
     except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         print(f"error: invalid problem description: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    beta = green.beta_sequence(spec)
     try:
-        column = green.green_last_column(spec, beta)
+        sol = evaluate.solve(spec)
     except green.NearResonantDenominator as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NEAR_RESONANT
-    sol = evaluate.RadialSolution(
-        spec=spec, coeffs=green.layer_coefficients(spec, column))
     report = evaluate.diagnostics(sol, quad_order=args.quad_order)
-    report.max_green_magnitude = column.max_abs()
+    column = sol.column
 
     os.makedirs(args.output_dir, exist_ok=True)
     out = os.path.join
@@ -70,16 +73,15 @@ def cmd_solve(args) -> int:
     green_doc = {
         "odd": [[v.real, v.imag] for v in column.odd_entries],
         "even": [[v.real, v.imag] for v in column.even_entries],
-        "odd_log_magnitude": list(column.odd_log_mag),
-        "even_log_magnitude": [v if math.isfinite(v) else None
-                               for v in column.even_log_mag],
+        # a zero entry's log is -inf, not a JSON number
+        "odd_log_magnitude": _finite(column.odd_log_mag),
+        "even_log_magnitude": _finite(column.even_log_mag),
     }
     evaluate._atomic_write(out(args.output_dir, "green_column.json"),
                            _json_dumps(green_doc))
-    bound = beta.error_bound_digits
     diag_doc = dict(report.to_dict(), recursion={
-        "tier": beta.tier,
-        "error_bound_digits": bound if math.isfinite(bound) else None})
+        "tier": column.tier,
+        "error_bound_digits": _finite([column.error_bound_digits])[0]})
     evaluate._atomic_write(out(args.output_dir, "diagnostics.json"),
                            _json_dumps(diag_doc))
     if not report.passes():
@@ -115,13 +117,11 @@ def _scan_sample(base: ProblemSpec, rng_seed: int, jitter: float):
         profile=type(base.profile)(tuple(x), base.profile.speeds),
         dimension=base.dimension, mode=base.mode, omega=omega,
         boundary_coefficient=base.boundary_coefficient)
-    column = green.green_last_column(spec)
-    sol = evaluate.RadialSolution(
-        spec=spec, coeffs=green.layer_coefficients(spec, column))
+    sol = evaluate.solve(spec)
     sup = evaluate.sup_scaled(sol) if (spec.dimension == 3
                                        and spec.mode == 0) \
         else evaluate.sup_radial(sol)
-    return omega, sup, column.max_abs()
+    return omega, sup, sol.column.max_abs()
 
 
 def cmd_scan(args) -> int:

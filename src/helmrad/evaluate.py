@@ -59,10 +59,12 @@ class UnsupportedMode(Exception):
 
 @dataclass(frozen=True)
 class RadialSolution:
-    """A solved problem: the spec plus its layer coefficients."""
+    """A solved problem: the spec, its layer coefficients and, from
+    ``solve``, the Green column of the route that answered."""
 
     spec: ProblemSpec
     coeffs: CoefficientVector
+    column: green.GreenColumn | None = None
 
     @property
     def pair(self) -> FundamentalPair:
@@ -71,7 +73,8 @@ class RadialSolution:
 
 def solve(spec: ProblemSpec) -> RadialSolution:
     """Solve by the recursion where it is checked right, else by banded
-    elimination (production path).
+    elimination: the one solve of the library, ``helmrad solve`` and
+    ``helmrad scan``.
 
     The recursion runs once, in extended precision, and evaluates the pair
     once, at the interfaces and at kappa (B_N).  Its answer is taken only
@@ -81,27 +84,30 @@ def solve(spec: ProblemSpec) -> RadialSolution:
     ``solve_direct``'s, its blocks and B_N from the same pair values,
     judged by the banded route's own a-posteriori tests, and one debug
     record on the ``helmrad`` logger gives the reason; the recursion is
-    never rerun in mpmath here.  A refusal of the banded route propagates
-    (``SingularSystem``, or ``OverflowError`` for a coefficient outside
-    the double range), as do the recursion's
+    never rerun in mpmath here.  The answering route's Green column, read
+    with that pair, comes with the answer.  A refusal of the banded route
+    propagates (``SingularSystem``, or ``OverflowError`` for a coefficient
+    outside the double range), as do the recursion's
     ``green.NearResonantDenominator`` and ``OverflowError`` on its
     accepted path.
     """
     beta, _, error = green.extended_run(spec, shift=True)
     if error <= green.ERROR_LIMIT:
-        coeffs = green.layer_coefficients(
-            spec, green.green_last_column(spec, beta))
+        column = green.green_last_column(spec, beta)
+        coeffs = green.layer_coefficients(spec, column)
         gate = _backward_errors(spec, beta.pair.values, coeffs).max(initial=0)
         if gate <= _GATE_LIMIT:
-            return RadialSolution(spec=spec, coeffs=coeffs)
+            return RadialSolution(spec, coeffs, column)
         reason = (f"interface backward error {gate:.3g} exceeds "
                   f"{_GATE_LIMIT:g}")
     else:
         reason = (f"estimated relative error {float(error):.3g} exceeds "
                   f"{green.ERROR_LIMIT:g}")
     _log.debug("solve: banded route, the recursion's %s", reason)
-    coeffs, _ = assembly.dense_solve(assembly._normalize(spec, beta.pair))
-    return RadialSolution(spec=spec, coeffs=coeffs)
+    coeffs, _, column = assembly.dense_solve(
+        assembly.normalize(spec, beta.pair))
+    return RadialSolution(spec, coeffs, green.banded_column(
+        column, beta.pair, beta.error_bound_digits))
 
 
 def solve_direct(spec: ProblemSpec) -> tuple[RadialSolution, float]:
@@ -190,10 +196,12 @@ def eval_radial(sol: RadialSolution, r: float):
 
 def interface_residuals(sol: RadialSolution) -> list:
     """Per-interface backward errors (|[u]|, |[u']|), ``_backward_errors``
-    of the pair in extended precision."""
-    values = assembly.interface_pair(EXTENDED, sol.spec).values
+    of the solve's pair (its column's) in extended precision, or of one
+    evaluated here for a solution built by hand."""
+    at = getattr(sol.column, "pair", None) \
+        or assembly.interface_pair(EXTENDED, sol.spec)
     return [tuple(p) for p in
-            _backward_errors(sol.spec, values, sol.coeffs).T.tolist()]
+            _backward_errors(sol.spec, at.values, sol.coeffs).T.tolist()]
 
 
 def _backward_errors(spec: ProblemSpec, values: np.ndarray,
@@ -518,6 +526,7 @@ def diagnostics(sol: RadialSolution, quad_order: int = _QUAD_ORDER
         energy_upper_bound=energy_upper_bound(sol) if radial_mode else None,
         energy_lower_bound=energy_lower_bound(sol) if radial_mode else None,
         sup_norm=sup_scaled(sol) if radial_mode else None,
+        max_green_magnitude=sol.column.max_abs() if sol.column else None,
     )
 
 

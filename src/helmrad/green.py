@@ -24,12 +24,15 @@ cancellation; an mpmath run past it raises ZeroDivisionError.  Still open:
 the estimate is first order and misses some rounding terms, and the
 Im-loss weight ignores the size of the field term an entry feeds, so a few
 high modes still come back wrong without an error from this route
-(``beta_sequence``, ``green_last_column``, ``layer_coefficients``).
+(``beta_sequence``, ``green_last_column``, ``layer_coefficients``), which
+serves only ``helmrad verify --suite oracle``, criterion 1 and the
+stability certificates.
 
-The production path, ``evaluate.solve``, makes no rerun: it takes
-``extended_run`` alone, accepts its answer only when the estimate passes
-and the coefficients' interface backward error is within 1e-9, and
-otherwise returns the banded route's answer.  Both read its one pair
+``evaluate.solve``, the one solve behind the library, ``helmrad solve`` and
+``helmrad scan``, makes no rerun: it takes ``extended_run`` alone, accepts
+its answer only when the estimate passes and the coefficients' interface
+backward error is within 1e-9, and otherwise returns the banded route's
+answer with its column (``banded_column``).  Both read its one pair
 evaluation, at the 2n arguments z/c and kappa = omega/c_N: the recursion,
 the backward error and the blocks the interface columns, B_N the kappa
 column and the double-range envelope those at the layer ends.
@@ -386,6 +389,10 @@ class GreenColumn:
     clipped at e^700, that decide no coefficient.  The rows themselves are
     the unit phases ``odd_phase``, ``even_phase`` times e to the logs
     ``odd_log_mag``, ``even_log_mag``, since they can overflow doubles.
+    ``tier`` names the route that formed it, the recursion's ("extended",
+    "mp@<digits>") or "banded", and ``error_bound_digits`` is the extended
+    recursion's estimate (``BetaSequence.error_bound_digits``), also where
+    it was refused.
     """
 
     odd_entries: np.ndarray
@@ -394,15 +401,26 @@ class GreenColumn:
     even_log_mag: np.ndarray
     odd_phase: np.ndarray
     even_phase: np.ndarray
-    pair: InterfacePair | None = None   # the sequence's (BetaSequence.pair)
-
-    @property
-    def n(self) -> int:
-        return len(self.odd_entries)
+    pair: InterfacePair | None = None   # the extended pair it is read with
+    tier: str = "extended"
+    error_bound_digits: float = 0.0
 
     def max_abs(self) -> float:
         return float(np.exp(max(np.max(self.odd_log_mag, initial=-np.inf),
                                 np.max(self.even_log_mag, initial=-np.inf))))
+
+
+def _column(log: np.ndarray, phase: np.ndarray, pair: InterfacePair | None,
+            tier: str, digits: float) -> GreenColumn:
+    """The column with the logs ``log`` and unit phases ``phase`` of its
+    odd rows then its even ones, and its display entries."""
+    n = len(log) // 2
+    # display entries by math.exp on the clipped logs: np.exp does not
+    # always reproduce its bits
+    entry = phase * np.array([math.exp(v) for v in
+                              np.minimum(log, 700.0).tolist()])
+    return GreenColumn(entry[:n], entry[n:], log[:n], log[n:], phase[:n],
+                       phase[n:], pair, tier, digits)
 
 
 def green_last_column(spec: ProblemSpec, beta: BetaSequence | None = None
@@ -429,12 +447,22 @@ def green_last_column(spec: ProblemSpec, beta: BetaSequence | None = None
     phase[n:][sign == 0.0] = 0.0
     log = (np.concatenate((beta.log_moduli[:n], beta.rot_im_log[1:]))
            - beta.log_moduli[n]).astype(float)
-    # display entries by math.exp on the clipped logs: np.exp does not
-    # always reproduce its bits
-    entry = phase * np.array([math.exp(v) for v in
-                              np.minimum(log, 700.0).tolist()])
-    return GreenColumn(entry[:n], entry[n:], log[:n], log[n:], phase[:n],
-                       phase[n:], beta.pair)
+    return _column(log, phase, beta.pair, beta.tier, beta.error_bound_digits)
+
+
+def banded_column(column: np.ndarray, pair: InterfacePair, digits: float
+                  ) -> GreenColumn:
+    """The Green column of a banded solve from ``dense_solve``'s
+    ``column``, read with the solve's extended ``pair``: tier "banded",
+    with ``digits`` the refused extended recursion's estimate."""
+    y = np.concatenate((column[0::2], column[1::2]))   # odd rows, then even
+    size = np.abs(y)
+    log, phase = np.full(len(y), -np.inf), np.zeros(len(y), dtype=complex)
+    nonzero = size != 0
+    log[nonzero] = np.log(size[nonzero]) if y.dtype != object \
+        else [float(mp_tier().log(v)) for v in size[nonzero]]
+    phase[nonzero] = (y[nonzero] / size[nonzero]).astype(complex)
+    return _column(log, phase, pair, "banded", digits)
 
 
 def layer_coefficients(spec: ProblemSpec,

@@ -296,11 +296,7 @@ def _raw_solve_mp(spec: ProblemSpec, digits: int) -> np.ndarray:
             if ell < n:
                 M[i, i + 2], M[i + 1, i + 2] = -f2r, -df2r / c_r
         cN = mp.mpf(spec.speed(n + 1))
-        kappa = omega / cN
-        f1b, df1b = fundamental_eval_mp(pair, 1, kappa)
-        f2b, df2b = fundamental_eval_mp(pair, 2, kappa)
-        C = f1b * mp.mpc(complex(spec.boundary_coefficient)) \
-            / (kappa * (f1b * df2b - df1b * f2b))
+        C = outer_coefficient_mp(spec, digits)
         f2o, df2o = fundamental_eval_mp(pair, 2, omega * xs[n] / cN)
         rhs = mp.matrix(N, 1)
         rhs[N - 2] = C * f2o
@@ -316,6 +312,18 @@ def _raw_solve_mp(spec: ProblemSpec, digits: int) -> np.ndarray:
             M[:, j] *= cols[j]
         x = mp.lu_solve(M, rhs)
         return np.array([complex(x[j] * cols[j]) for j in range(N)])
+
+
+def outer_coefficient_mp(spec: ProblemSpec, digits: int = 60):
+    """B_N = f_1(kappa) g / (kappa W(f_1, f_2)(kappa)), kappa = omega/c_N,
+    from separate f_1 and f_2 evaluations in mpmath at ``digits`` digits."""
+    pair = _pair(spec)
+    with mp.workdps(digits):
+        kappa = mp.mpf(spec.omega) / mp.mpf(spec.speed(spec.n + 1))
+        f1, df1 = fundamental_eval_mp(pair, 1, kappa)
+        f2, df2 = fundamental_eval_mp(pair, 2, kappa)
+        return f1 * mp.mpc(complex(spec.boundary_coefficient)) \
+            / (kappa * (f1 * df2 - df1 * f2))
 
 
 def exact_interface_residuals(spec: ProblemSpec, coeffs: CoefficientVector,

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helmrad.assembly import (R_HAT, T_HAT, CoefficientVector, _band_matvec,
-                              _wronskians, dense_solve, normalize, rhs_scale,
+                              _wronskians, dense_solve, normalize,
                               solve_spec)
 from helmrad.problem import ProblemSpec, WaveSpeedProfile
 from helmrad.specfun import EXTENDED, FundamentalPair, mp_tier
@@ -62,8 +62,8 @@ class TestNormalisation:
             values[2:, spec.n + ell - 1] = 0.0   # f_2, f_2' right of ell
         with pytest.raises(assembly.DegenerateNormaliser,
                            match="interface 2$"):
-            assembly._normalize(spec, assembly.InterfacePair(c, args,
-                                                             values))
+            assembly.normalize(spec, assembly.InterfacePair(c, args,
+                                                            values))
 
     @pytest.mark.parametrize("spec", SPECS)
     def test_dense_form_matches_matvec(self, spec):
@@ -181,7 +181,7 @@ class TestSolve:
     def test_rhs_scale_matches_boundary_coefficient_magnitude(self):
         # d=3, m=0: the outgoing boundary value has unit scaled modulus
         spec = SPECS[0]
-        assert abs(rhs_scale(spec)) == pytest.approx(
+        assert abs(normalize(spec).rhs_scale) == pytest.approx(
             abs(complex(spec.boundary_coefficient)), rel=1e-12)
 
     @pytest.mark.parametrize("spec", high_mode_population()
@@ -209,7 +209,7 @@ class TestSolve:
                 df2 = m / kappa * f2 - h(m + 1, True)
             ref = f1 * mp.mpc(complex(spec.boundary_coefficient)) \
                 / (kappa * (f1 * df2 - df1 * f2))
-            err = abs(mp.mpc(rhs_scale(spec)) - ref) / abs(ref)
+            err = abs(mp.mpc(normalize(spec).rhs_scale) - ref) / abs(ref)
         assert err <= 5e-16
 
     def test_boundary_coefficient_scales_solution_linearly(self):

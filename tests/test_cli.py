@@ -2,27 +2,38 @@
 
 import hashlib
 import json
+import math
 import os
 import platform
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from helmrad import cli, green
+from helmrad import assembly, cli, evaluate, green, specfun
 from helmrad.assembly import SingularSystem
 from helmrad.problem import (ProblemSpec, WaveSpeedProfile,
                              construct_localisation_example,
                              construct_stable_example)
-from populations import high_mode_population
+from interface_oracles import outer_coefficient_mp, raw_solve_mp
+from populations import FAULT_C, S35, high_mode_population
 
-# refused solves: the mpmath recursion past its error limit (high-mode spec
-# 2), and coefficients past the largest double
+# refused solves, coefficients past the largest double: on the banded route
+# (fault (c), whose recursion is refused by its estimate, at g = 1e300)
+# and on the recursion's accepted path (localised n = 8 at g = 1.7e308)
 REFUSED = [
-    high_mode_population()[2].to_json(),
+    json.dumps(dict(FAULT_C, boundary_coefficient=[1e300, 0.0])),
     replace(construct_localisation_example(8, 1.0, 3.0),
             boundary_coefficient=1.7e308).to_json(),
 ]
+
+
+def _strict_json(text):
+    """The JSON document ``text``, refusing NaN and +-Infinity."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
 
 
 def _spec_json(**overrides):
@@ -119,12 +130,12 @@ class TestSolve:
     @pytest.mark.parametrize("doc,tier", [
         (_spec_json(), "extended"),
         # oracle spec 123: the running error bound exceeds 1e-13, so the
-        # recursion reruns in mpmath
+        # banded route answers
         (_spec_json(mode=2, omega=1.176961883771309,
                     jump_points=[0.0, 0.28568229931158484,
                                  0.8554825316138414, 1.0],
                     speeds=[3.211782823521993, 1.414705653870246,
-                            1.37354058243666]), "mp@51"),
+                            1.37354058243666]), "banded"),
     ])
     def test_diagnostics_record_the_recursion_tier(self, doc, tier,
                                                    tmp_path):
@@ -132,12 +143,92 @@ class TestSolve:
         cli.main(["solve", "--input", doc, "--output-dir", str(out),
                   "--grid", "8"])
         diag = json.loads((out / "diagnostics.json").read_text())
-        beta = green.beta_sequence(ProblemSpec.from_json(doc))
+        beta, _, _ = green.extended_run(ProblemSpec.from_json(doc))
         assert diag["recursion"] == {
             "tier": tier, "error_bound_digits": beta.error_bound_digits}
         limit = -13.0 - float(np.log10(np.finfo(np.longdouble).eps))
         assert (diag["recursion"]["error_bound_digits"] > limit) \
             == (tier != "extended")
+
+    @pytest.mark.parametrize("doc", [
+        json.dumps(S35), high_mode_population()[1].to_json(),
+        high_mode_population()[2].to_json(),
+        high_mode_population()[24].to_json()],
+        ids=["S35", "high_mode_1", "high_mode_2", "high_mode_24"])
+    def test_answers_what_the_recursion_gets_wrong(self, doc, tmp_path):
+        """The recursion's mpmath rerun accepted wrong answers on S35 and
+        high-mode spec 1 and refused specs 2 and 24; through
+        ``evaluate.solve`` each passes (24 by the banded route's mpmath
+        tier), and its odd Green entries are B_ell / B_N of the raw system
+        solved in mpmath, to 1e-9 in the log."""
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--input", doc, "--output-dir", str(out),
+                         "--grid", "8"]) == cli.EXIT_OK
+        col = _strict_json((out / "green_column.json").read_text())
+        diag = _strict_json((out / "diagnostics.json").read_text())
+        assert diag["recursion"]["tier"] == "banded"
+        spec = ProblemSpec.from_json(doc)
+        with mp.workdps(60):
+            log_b_last = mp.log(abs(outer_coefficient_mp(spec)))
+            want = [float(mp.log(abs(mp.mpc(b))) - log_b_last)
+                    for b in raw_solve_mp(spec)[0::2]]
+        assert len(col["odd_log_magnitude"]) == spec.n
+        for got, ref in zip(col["odd_log_magnitude"], want):
+            assert abs(got - ref) <= 1e-9
+
+    @pytest.mark.parametrize("doc", [
+        construct_localisation_example(8, 1.0, 3.0).to_json(),
+        json.dumps(FAULT_C)], ids=["recursion", "banded"])
+    def test_one_extended_pair_evaluation(self, doc, tmp_path,
+                                          monkeypatch):
+        """The diagnostics read the solve's pair, at its 2n + 1 points."""
+        calls = []
+
+        def spy(pair, x, shift=True):
+            calls.append(len(x))
+            return specfun._pair_eval_ext(pair, x, shift)
+        tier = specfun.EXTENDED._replace(pair_eval=spy)
+        for module in (specfun, assembly, green, evaluate):
+            monkeypatch.setattr(module, "EXTENDED", tier)
+        assert cli.main(["solve", "--input", doc, "--output-dir",
+                         str(tmp_path), "--grid", "8"]) == cli.EXIT_OK
+        assert calls == [2 * ProblemSpec.from_json(doc).n + 1]
+
+    def test_zero_boundary_data_on_the_banded_route(self, tmp_path):
+        """Fault (c) at g = 0, whose coefficients are 0: the Green column,
+        which does not depend on g, is the one of g = 1."""
+        columns = []
+        for g in (0.0, 1.0):
+            out = tmp_path / f"g{g}"
+            assert cli.main(["solve", "--input", json.dumps(dict(
+                FAULT_C, boundary_coefficient=[g, 0.0])), "--output-dir",
+                str(out), "--grid", "8"]) == cli.EXIT_OK
+            columns.append(_strict_json(
+                (out / "green_column.json").read_text()))
+            diag = _strict_json((out / "diagnostics.json").read_text())
+            assert diag["recursion"]["tier"] == "banded"
+        zero, one = columns
+        for key in ("odd_log_magnitude", "even_log_magnitude"):
+            assert all(math.isfinite(v) for v in zero[key])
+            assert np.allclose(zero[key], one[key], rtol=0, atol=1e-12)
+
+    def test_non_finite_magnitudes_are_written_as_null(self, tmp_path,
+                                                       monkeypatch):
+        """A zero entry's log magnitude is -inf, in either list."""
+        solve = evaluate.solve
+
+        def zero_entries(spec):
+            sol = solve(spec)
+            col = sol.column
+            return replace(sol, column=replace(
+                col, odd_log_mag=np.array([-np.inf, *col.odd_log_mag[1:]]),
+                even_log_mag=np.array([-np.inf, *col.even_log_mag[1:]])))
+        monkeypatch.setattr(cli.evaluate, "solve", zero_entries)
+        cli.main(["solve", "--input", _spec_json(), "--output-dir",
+                  str(tmp_path), "--grid", "8"])
+        col = _strict_json((tmp_path / "green_column.json").read_text())
+        assert col["odd_log_magnitude"] == [None]
+        assert col["even_log_magnitude"] == [None]
 
     def test_localised_n32_passes_the_residual_gate(self, tmp_path):
         """Its field grows by 3^16 across the layers: interface jumps
@@ -159,7 +250,7 @@ class TestSolve:
         assert col["odd"] == [] and col["even"] == []
 
     @pytest.mark.parametrize("doc", REFUSED + [None],
-                             ids=["recursion", "coefficients", "diagnostic"])
+                             ids=["banded", "coefficients", "diagnostic"])
     def test_refusal_is_one_error_line_and_no_artifact(self, doc, tmp_path,
                                                        capsys, monkeypatch):
         if doc is None:
@@ -241,6 +332,22 @@ class TestScan:
         assert header == "seed,jitter,omega,sup_norm,max_green_magnitude"
         assert len(rows) == 7  # the unjittered base plus 6 samples
         assert rows[0].split(",")[1] == "0"
+
+    def test_banded_base_is_finite_and_deterministic(self, tmp_path):
+        """Fault (c), whose recursion is refused by its estimate: every
+        sample is answered by the banded route."""
+        outs = []
+        for name in ("s1", "s2"):
+            out = tmp_path / name
+            assert cli.main(["scan", "--input", json.dumps(FAULT_C),
+                             "--output-dir", str(out), "--seed", "3",
+                             "--samples", "2"]) == cli.EXIT_OK
+            outs.append((out / "scan.csv").read_bytes())
+        assert outs[0] == outs[1]
+        _, *rows = outs[0].decode().strip().splitlines()
+        assert len(rows) == 3
+        for row in rows:
+            assert all(math.isfinite(float(v)) for v in row.split(","))
 
     def test_refusal_is_one_error_line_and_no_artifact(self, tmp_path,
                                                        capsys):

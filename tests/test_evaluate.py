@@ -16,7 +16,7 @@ import pytest
 import scipy.integrate
 
 from helmrad import evaluate
-from helmrad.assembly import CoefficientVector, rhs_scale
+from helmrad.assembly import CoefficientVector, normalize
 from helmrad.evaluate import (RadialSolution, UnsupportedMode, diagnostics,
                               dtn_residual, energy_lower_bound, energy_norm,
                               energy_upper_bound, eval_radial,
@@ -104,7 +104,7 @@ class TestResiduals:
         relative 1e-8 in one coefficient still shows."""
         spec = construct_localisation_example(32, 1.0, 3.0)
         exact = CoefficientVector(entries=raw_solve_mp(spec),
-                                  b_last=rhs_scale(spec))
+                                  b_last=normalize(spec).rhs_scale)
         sol = RadialSolution(spec=spec, coeffs=exact)
         assert np.max(np.asarray(interface_residuals(sol))) <= 1e-14
         entries = exact.entries.copy()
@@ -130,7 +130,7 @@ class TestSingleLayer:
     def test_both_routes_give_the_closed_form(self):
         sol = solve(self.SPEC)
         direct, resid = solve_direct(self.SPEC)
-        b1 = rhs_scale(self.SPEC)
+        b1 = normalize(self.SPEC).rhs_scale
         for s in (sol, direct):
             assert len(s.coeffs.entries) == 0
             assert s.coeffs.b(1) == b1

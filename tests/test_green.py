@@ -336,6 +336,23 @@ class TestGreenColumn:
         assert np.max(np.abs(col.even_entries - ref_even)) < 1e-10 * scale
 
     @pytest.mark.parametrize("spec", SPECS)
+    def test_banded_column_is_the_recursion_column(self, spec):
+        """The banded solution over B_N, in the recursion's row order:
+        log magnitudes and phases agree to 1e-12, and B_N = 0 (g = 0)
+        gives the column of a unit right-hand side."""
+        col = green.green_last_column(spec)
+        for g in (spec.boundary_coefficient, 0.0):
+            system = assembly.normalize(replace(spec, boundary_coefficient=g))
+            banded = green.banded_column(assembly.dense_solve(system)[2],
+                                         system.pair, 1.5)
+            assert (banded.tier, banded.error_bound_digits) == ("banded", 1.5)
+            for name in ("odd_log_mag", "even_log_mag", "odd_phase",
+                         "even_phase", "odd_entries", "even_entries"):
+                got, want = getattr(banded, name), getattr(col, name)
+                scale = np.maximum(1.0, np.abs(want))
+                assert np.all(np.abs(got - want) <= 1e-12 * scale), name
+
+    @pytest.mark.parametrize("spec", SPECS)
     def test_log_magnitudes_are_consistent(self, spec):
         col = green.green_last_column(spec)
         for entry, lg in zip(col.odd_entries, col.odd_log_mag):
@@ -409,8 +426,8 @@ class TestLayerCoefficients:
         radial = [s for s in specs if s.dimension == 3 and s.mode == 0]
         for spec in radial:
             for g in (1.0, 2.0 - 1.0j, 1e-3j):
-                b_last = assembly.rhs_scale(
-                    replace(spec, boundary_coefficient=g))
+                b_last = assembly.normalize(
+                    replace(spec, boundary_coefficient=g)).rhs_scale
                 assert abs(abs(b_last) - abs(g)) <= 1e-12 * max(1.0, abs(g))
 
 
@@ -503,5 +520,5 @@ class TestSingleLayer:
         direct, resid = assembly.solve_spec(spec)
         for coeffs in (rec, direct):
             assert coeffs.entries.shape == (0,)
-            assert coeffs.b_last == assembly.rhs_scale(spec) != 0
+            assert coeffs.b_last == assembly.normalize(spec).rhs_scale != 0
         assert resid == 0.0

@@ -23,15 +23,10 @@ from helmrad.evaluate import interface_residuals, solve, solve_direct
 from helmrad.problem import (ProblemSpec, WaveSpeedProfile,
                              construct_localisation_example, random_spec)
 from helmrad.specfun import EXTENDED, FundamentalPair, fundamental_eval_mp
-from interface_oracles import exact_interface_residuals, raw_solve_mp
-from populations import high_mode_population
+from interface_oracles import (exact_interface_residuals,
+                               outer_coefficient_mp, raw_solve_mp)
+from populations import S35, high_mode_population
 
-# accepted by the recursion's own rerun at 66 digits, with A_2 wrong by
-# 4.9e-3 relative (draw 35 of the wide sweep over the validated domain)
-S35 = {"dimension": 3, "mode": 9, "omega": 0.10966058234766524,
-       "jump_points": [0.0, 0.9998689203491512, 1.0],
-       "speeds": [9.167185700130128, 0.05721307044791071],
-       "boundary_coefficient": [1.0, 0.0]}
 # high-mode specs 1 and 20: the recursion's reruns accept answers wrong by
 # 3.0e17 and 1.9e128
 HIGH_MODE_1 = {"dimension": 3, "mode": 20, "omega": 3.0,
@@ -57,14 +52,8 @@ REFERENCE_DIGITS = 40
 def _reference(spec: ProblemSpec, digits: int) -> list:
     """[(A_j, B_j)] for j = 1..N from the raw system at ``digits``, B_N
     from the same right-hand side factor."""
-    x = list(raw_solve_mp(spec, digits))
-    pair = FundamentalPair(spec.dimension, spec.mode)
-    with mp.workdps(digits):
-        kappa = mp.mpf(spec.omega) / mp.mpf(spec.speed(spec.n + 1))
-        f1, df1 = fundamental_eval_mp(pair, 1, kappa)
-        f2, df2 = fundamental_eval_mp(pair, 2, kappa)
-        x.append(f1 * mp.mpc(complex(spec.boundary_coefficient))
-                 / (kappa * (f1 * df2 - df1 * f2)))
+    x = list(raw_solve_mp(spec, digits)) + [outer_coefficient_mp(spec,
+                                                                  digits)]
     return [(mp.mpc(0) if j == 1 else x[2 * j - 3], x[2 * j - 2])
             for j in range(1, spec.n + 2)]
 
