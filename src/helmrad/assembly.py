@@ -17,13 +17,16 @@ layers, drop out exactly (DLMF 10.51.2; Wiscombe, Appl. Opt. 19:1505,
 1980).  Their pair values come from :func:`interface_pair`, the one
 evaluation of a solve, at 2n + 1 points: the interfaces, whose columns
 the recursion and the interface residuals read too, and kappa = omega/c_N,
-whose column gives B_N.  :func:`dense_solve` factors
-the band in double and refines against the extended blocks; when that is
-refused, it tries once more on the band scaled exactly by powers of two,
-each unknown to its term in its layer and each row to its largest entry,
-and only then runs mpmath.  :func:`_refine` says when a refined solve is
-accepted: its corrections stop shrinking by half, and the last is
-negligible against every layer's terms.
+whose column gives B_N, the right-hand side, in each attempt's numbers.
+:func:`dense_solve` factors the band in double and refines against the
+extended blocks; when that is refused, it tries once more on the band
+scaled exactly by powers of two, each unknown to its term in its layer and
+each row to its largest entry, and only then solves the same scaled band
+in mpmath, once, at 75 digits.  One rule, :func:`_refine`, accepts or
+refuses an answer of either tier: the blocks kept enough digits, the
+corrections stop shrinking by half, the last is negligible against every
+layer's terms, and the componentwise backward error is a few eps of the
+tier (Higham 2002, ch. 12; Arioli, Demmel and Duff 1989).
 """
 
 from __future__ import annotations
@@ -46,17 +49,14 @@ T_HAT = np.array([[0.0, 0.0], [-1.0, 0.0]], dtype=complex)
 #: pivot/normaliser magnitudes below this are treated as exactly singular
 _DEGENERACY_FLOOR = 1e-300
 
-# acceptance of the refined solve (see _refine and dense_solve)
+# acceptance of the refined solve in both tiers (see _refine)
 _MAX_SWEEPS = 4
 _STEP_TOL = 1e-17
 _SETTLE_TOL = 1e-15
 _BERR_ULPS = 16
 _LOG10_CANCEL_TOL = -12.0
-# mpmath tier: working digits of the first attempt (the retry doubles
-# them), and the largest relative refinement step before the blocks'
-# cancellation is accounted for
+# working digits of the mpmath tier
 _MP_DIGITS = 75
-_MP_TOL = 1e-20
 
 
 class DegenerateNormaliser(Exception):
@@ -64,7 +64,7 @@ class DegenerateNormaliser(Exception):
 
 
 class SingularSystem(Exception):
-    """A vanishing pivot, or an mpmath answer failing its residual check."""
+    """A vanishing pivot, or an mpmath answer that :func:`_refine` refuses."""
 
 
 def _band_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -75,31 +75,24 @@ def _band_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _row_max(band: np.ndarray) -> np.ndarray:
-    """The largest entry magnitude of each row of the band's matrix."""
-    size = np.abs(band)
+def _row_max(size: np.ndarray) -> np.ndarray:
+    """The largest of each row's entries of ``size``, entry sizes of a
+    matrix in the band layout."""
     row_max = size[1].copy()
     row_max[:-1] = np.maximum(row_max[:-1], size[0, 1:])
     row_max[1:] = np.maximum(row_max[1:], size[2, :-1])
     return row_max
 
 
-def _backward_error(band: np.ndarray, x: np.ndarray, b: np.ndarray,
+def _backward_error(band: np.ndarray, size: np.ndarray, b: np.ndarray,
                     r: np.ndarray) -> float:
     """max_i |r|_i / (|M||x| + |b|)_i, r = b - M x for the matrix M in
-    ``band``: the componentwise backward error of x (Oettli and Prager), 0
-    where a row's scale vanishes.  Scaling a row or an unknown, by any
-    factor, leaves it as it is."""
-    scale = _band_matvec(np.abs(band), np.abs(x)) + np.abs(b)
+    ``band`` and |x| = ``size``: the componentwise backward error of x
+    (Oettli and Prager), 0 where a row's scale vanishes.  Scaling a row or
+    an unknown, by any factor, leaves it as it is."""
+    scale = _band_matvec(np.abs(band), size) + np.abs(b)
     return float(np.max(np.divide(np.abs(r), scale, out=np.zeros_like(scale),
                                   where=scale > 0)))
-
-
-def _scale_rows(band: np.ndarray, s: np.ndarray) -> None:
-    """Multiply row i of the band's matrix by s[i], in place."""
-    band[0, 1:] *= s[:-1]
-    band[1] *= s
-    band[2, :-1] *= s[1:]
 
 
 @dataclass(frozen=True)
@@ -113,7 +106,7 @@ class BlockSystem:
 
     n: int
     S_hat: np.ndarray      # (n, 2, 2)
-    b_last: np.clongdouble  # B_N from b_last_extended, before rounding
+    b_last: np.clongdouble  # B_N from b_last_extended (mpc in _solve_mp)
     spec: ProblemSpec
     pair: InterfacePair     # the extended pair values the blocks are from
     block_loss: float = 0.0   # decimal digits cancelled inside the blocks
@@ -134,22 +127,18 @@ class BlockSystem:
         # (A_1, B_1, A_2, ..., A_N, B_N) without A_1 = 0
         return np.ldexp(np.longdouble(1), np.frexp(ends.T.ravel()[1:])[1])
 
-    @property
-    def rhs_scale(self) -> complex:
-        """The single nonzero rhs entry, at position 2n: B_N as a double."""
-        return complex(self.b_last)
-
     def band(self) -> np.ndarray:
         """The diagonals in LAPACK band layout, in the blocks' dtype: column
-        j holds M[j-1, j], M[j, j] and M[j+1, j]."""
+        j holds M[j-1, j], M[j, j] and M[j+1, j].  The entries of R_HAT and
+        T_HAT go in as reals, which mpmath multiplies 3 times faster."""
         S = self.S_hat
         band = np.zeros((3, 2 * self.n), dtype=S.dtype)
         band[0, 1::2] = S[:, 0, 1]
-        band[0, 2::2] = T_HAT[1, 0]
+        band[0, 2::2] = T_HAT[1, 0].real
         band[1, 0::2] = S[:, 0, 0]
         band[1, 1::2] = S[:, 1, 1]
         band[2, 0::2] = S[:, 1, 0]
-        band[2, 1:-1:2] = R_HAT[0, 1]
+        band[2, 1:-1:2] = R_HAT[0, 1].real
         return band
 
 
@@ -182,9 +171,9 @@ class CoefficientVector:
 
 
 def b_last_extended(spec: ProblemSpec, at: InterfacePair) -> np.clongdouble:
-    """B_N before it is rounded to a double (that can flush it to 0 or to a
-    subnormal), from the kappa column, the last, of a solve's pair ``at``;
-    rounded, it is the normalised right-hand side (``rhs_scale``).
+    """B_N, the normalised right-hand side, in extended precision, from the
+    kappa column, the last, of a solve's pair ``at``: a double can flush it
+    to 0 or to a subnormal, or round it to inf past 1.8e308.
 
     The radiation condition fixes B_N = f_1(kappa) g / (omega w^{1,2}) at
     the outer boundary, kappa = omega / c_N.  There omega w^{1,2} = kappa
@@ -343,53 +332,56 @@ def normalize(spec: ProblemSpec, at: InterfacePair | None = None
                        block_loss)
 
 
-def _refine(system: BlockSystem, band: np.ndarray, lu: np.ndarray,
-            piv: np.ndarray, b: np.ndarray, scaled: bool = False):
+def _refine(system: BlockSystem, band: np.ndarray, solve, b: np.ndarray,
+            eps, scaled: bool = False):
     """(x, its :func:`_backward_error`) with M x = b for the matrix M in
-    ``band`` (extended precision), refined against ``band`` with its double
-    factors (``lu``, ``piv``), or None when refused.  ``band`` is the
-    system's own, or :func:`_equilibrated`'s when ``scaled``.
+    ``band``, refined against ``band`` with ``solve(r)``, the correction
+    of residual r by the attempt's factors, or None when refused or when
+    ``solve`` is None.  ``band`` is the system's own, or
+    :func:`_equilibrated`'s when ``scaled``, and x is then returned
+    unscaled; ``eps`` is the rounding unit of its numbers, in either tier.
 
-    The sweeps go on while each correction at least halves the one before,
-    at most _MAX_SWEEPS past the first, and end early once one is at most
-    1e-17 max|x| and :func:`_settled`.  x is accepted when its last
-    correction is settled, at most 1e-15 of the largest term in each
-    layer, and its componentwise backward error max_i |r|_i / (|M||x| +
-    |b|)_i is at most 16 eps of the band's dtype."""
-    eps = np.finfo(band.real.dtype).eps
+    Nothing is accepted when the blocks' cancellation leaves too few
+    digits, eps * 10**block_loss > 1e-12.  The sweeps go on while each
+    correction at least halves the one before, at most _MAX_SWEEPS past the
+    first, and end early once one is at most 1e-17 max|x| and
+    :func:`_settled`.  x is accepted when its last correction is settled,
+    at most 1e-15 of the largest term in each layer, and its componentwise
+    backward error max_i |r|_i / (|M||x| + |b|)_i is at most 16 eps."""
+    # in log space: block_loss may be large or infinite
+    if solve is None or math.log10(eps) + system.block_loss \
+            > _LOG10_CANCEL_TOL:
+        return None
     x, r, prev = np.zeros_like(b), b, np.inf
-    # each residual goes to double, and its correction comes back, in units
-    # of 2**e, e the exponent of |b|: as they stand, those of a b below the
-    # double range would flush to 0 or to subnormal doubles.  The scaling
-    # is exact, so where both are normal doubles either way they keep
-    # their bits
-    unit = np.ldexp(band.real.dtype.type(1), np.frexp(np.max(np.abs(b)))[1])
     for sweep in range(_MAX_SWEEPS + 1):
-        dx, _ = lapack.zgbtrs(lu, 1, 1, (r / unit).astype(complex), piv)
-        size = np.max(np.abs(dx)) * unit
-        dx = dx * unit
+        dx = solve(r)
+        step = np.abs(dx)
         x = x + dx
         r = b - _band_matvec(band, x)
-        settled = (sweep and size <= _STEP_TOL * np.max(np.abs(x))
-                   and _settled(system, dx, x, scaled))
-        if settled or not size <= 0.5 * prev:
+        size = np.abs(x) if sweep else step     # x is dx at sweep 0
+        settled = (sweep and step.max() <= _STEP_TOL * size.max()
+                   and _settled(system, step, size, scaled))
+        if settled or not step.max() <= 0.5 * prev:
             break
-        prev = size
-    if not (settled or _settled(system, dx, x, scaled)):
+        prev = step.max()
+    if not (settled or _settled(system, step, size, scaled)):
         return None
-    berr = _backward_error(band, x, b, r)
-    return (x, berr) if berr <= _BERR_ULPS * eps else None
+    berr = _backward_error(band, size, b, r)
+    if berr > _BERR_ULPS * eps:
+        return None
+    return (x / system.scales[:-1] if scaled else x), berr
 
 
-def _settled(system: BlockSystem, dx: np.ndarray, x: np.ndarray,
+def _settled(system: BlockSystem, step: np.ndarray, size: np.ndarray,
              scaled: bool) -> bool:
-    """Whether the correction ``dx`` to ``x`` is at most 1e-15 of the
-    largest term in each layer: |dx_i| 2**e_i against the largest |x_k|
-    2**e_k of i's layer (:attr:`BlockSystem.scales`; without the powers
-    of two when x is ``scaled``), B_N's term counting in the last layer.
-    A layer whose terms are all 0 is not settled."""
+    """Whether a correction of magnitudes ``step`` to an x of magnitudes
+    ``size`` is at most 1e-15 of the largest term in each layer: step_i
+    2**e_i against the largest size_k 2**e_k of i's layer
+    (:attr:`BlockSystem.scales`; without the powers of two when x is
+    ``scaled``), B_N's term counting in the last layer.  A layer whose
+    terms are all 0 is not settled."""
     # within 1e-15 of each x_i is within 1e-15 of its layer's terms
-    if np.all(np.abs(dx) <= _SETTLE_TOL * np.abs(x)):
+    if np.all(step <= _SETTLE_TOL * size):
         return True
     weight = 1 if scaled else system.scales[:-1]
 
@@ -397,44 +389,61 @@ def _settled(system: BlockSystem, dx: np.ndarray, x: np.ndarray,
         # A_1 = 0, then (B_1), (A_2, B_2), ..., (A_N, end)
         return np.concatenate(([0], terms, [end])).reshape(-1, 2).max(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        step = np.max(layers(np.abs(dx) * weight, 0) / layers(
-            np.abs(x) * weight, abs(system.b_last) * system.scales[-1]))
-    return bool(step <= _SETTLE_TOL)
+        ratio = np.max(layers(step * weight, 0) / layers(
+            size * weight, abs(system.b_last) * system.scales[-1]))
+    return bool(ratio <= _SETTLE_TOL)
 
 
 def _equilibrated(system: BlockSystem, band: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
     """``band`` with each column divided by its unknown's term scale
     (:attr:`BlockSystem.scales`), then each row multiplied by 2**-e, e the
-    frexp exponent of its largest entry, and those row factors: exact, in
-    extended precision, and every row's largest entry in [1/2, 1), so the
+    frexp exponent of its largest entry (in mpmath ``mag``'s bound on it,
+    at most 2 above), and those row factors: exact, in the band's numbers,
+    and every row's largest entry in [1/2, 1) (in mpmath (1/8, 1]), so the
     cast to double does not overflow.  The solution of the scaled system
     is the unknowns' terms: x = y / scales, and the rhs takes the row
     factors."""
-    scaled = band / system.scales[:-1]
-    rows = np.ldexp(np.longdouble(1), -np.frexp(_row_max(scaled))[1])
-    _scale_rows(scaled, rows)
+    if band.dtype != object:
+        scaled = band / system.scales[:-1]
+        rows = np.ldexp(np.longdouble(1),
+                        -np.frexp(_row_max(np.abs(scaled)))[1])
+    else:       # mpmath: mag's bound on log2|z| is 12 times cheaper than |z|
+        import mpmath as mp
+        scaled = band / np.frompyfunc(mp.mpmathify, 1, 1)(system.scales[:-1])
+        rows = np.array([mp.ldexp(1, -e) for e in _row_max(
+            np.frompyfunc(mp.mag, 1, 1)(scaled))])
+    scaled[0, 1:] *= rows[:-1]          # row i of the matrix times rows[i]
+    scaled[1] *= rows
+    scaled[2, :-1] *= rows[1:]
     return scaled, rows
 
 
-def _factor(band: np.ndarray) -> tuple | None:
-    """zgbtrf's factors (lu, piv) of ``band`` cast to double, or None when
-    the cast overflows or a pivot is zero."""
+def _double_solve(band: np.ndarray, b: np.ndarray):
+    """The correction solve of an extended attempt: zgbtrf's factors of
+    ``band`` cast to double, applied by zgbtrs, or None when the cast
+    overflows or a pivot is zero.  Each residual goes to double, and its
+    correction comes back, in units of 2**e, e the exponent of max|b|: as
+    they stand, those of a b below the double range would flush to 0 or to
+    subnormal doubles.  The scaling is exact, so where both are normal
+    doubles either way they keep their bits."""
     ab = np.zeros((4, band.shape[1]), dtype=complex)
     with np.errstate(over="ignore"):
         ab[1:] = band
     if not np.all(np.isfinite(ab)):
         return None
     lu, piv, info = lapack.zgbtrf(ab, 1, 1)
-    return (lu, piv) if info == 0 else None
+    unit = np.ldexp(band.real.dtype.type(1), np.frexp(np.max(np.abs(b)))[1])
+    return None if info else lambda r: lapack.zgbtrs(
+        lu, 1, 1, (r / unit).astype(complex), piv)[0] * unit
 
 
 def _tridiag_lu(band: np.ndarray) -> tuple:
     """Factor the tridiagonal matrix in ``band`` (the layout of
     :meth:`BlockSystem.band`) by elimination with partial pivoting, as
-    LAPACK's xGTTRF does.  Returns (multipliers, diagonal of U, its first
-    and second superdiagonals, row interchanges); the superdiagonals are
-    padded with zeros to length N."""
+    LAPACK's xGTTRF does.  Returns (multipliers, reciprocals of U's
+    diagonal, its first and second superdiagonals, row interchanges); the
+    superdiagonals are padded with zeros to length N."""
     N = band.shape[1]
     low, diag = list(band[2, :-1]), list(band[1])
     up, up2, swaps = list(band[0, 1:]) + [0], [0] * N, [False] * N
@@ -447,82 +456,69 @@ def _tridiag_lu(band: np.ndarray) -> tuple:
             swaps[k] = True
         if not diag[k]:
             raise SingularSystem(f"zero pivot in column {k}")
-        low[k] = low[k] / diag[k]
+        diag[k] = 1 / diag[k]
+        low[k] = low[k] * diag[k]
         diag[k + 1] -= low[k] * up[k]
         up[k + 1] -= low[k] * up2[k]
     if not diag[-1]:
         raise SingularSystem(f"zero pivot in column {N - 1}")
+    diag[-1] = 1 / diag[-1]
     return low, diag, up, up2, swaps
 
 
-def _tridiag_solve(lu: tuple, b: list) -> list:
-    low, diag, up, up2, swaps = lu
+def _tridiag_solve(lu: tuple, b: list) -> np.ndarray:
+    low, inverse, up, up2, swaps = lu
     y = list(b) + [0, 0]
     for k, m in enumerate(low):
         if swaps[k]:
             y[k], y[k + 1] = y[k + 1], y[k]
         y[k + 1] -= m * y[k]
-    for k in reversed(range(len(diag))):
-        y[k] = (y[k] - up[k] * y[k + 1] - up2[k] * y[k + 2]) / diag[k]
-    return y[:-2]
+    for k in reversed(range(len(inverse))):
+        y[k] = (y[k] - up[k] * y[k + 1] - up2[k] * y[k + 2]) * inverse[k]
+    return np.array(y[:-2])
 
 
 def _solve_mp(system: BlockSystem, digits: int) -> tuple[np.ndarray, float]:
-    """Solution and backward error of ``system``, with its blocks rebuilt
-    by :func:`_blocks` in mpmath at ``digits`` working digits and solved by
-    row-scaled tridiagonal elimination.  Raises SingularSystem unless, for
-    every entry, max(|step|, 10**-digits |x|) * 10**block_loss <= _MP_TOL
-    |x|, where the step is one refinement step against the answer's own
-    residual and block_loss the digits cancelled in the blocks as measured
-    in mpmath.  The step estimates the condition number times the unit
-    roundoff, and the blocks carry 10**block_loss unit roundoffs of error
-    from cancellation, so the scaled step bounds the error of the answer to
-    first order.  A step far below the unit roundoff vouches for no more
-    than the roundoff itself: the blocks' cancellation error still reaches
-    the answer componentwise, hence the floor of 10**-digits."""
+    """:func:`_solution`'s last attempt, in mpmath at ``digits`` working
+    digits: the blocks rebuilt by :func:`_blocks`, the band equilibrated
+    as the scaled extended attempt's (:func:`_equilibrated`), factored by
+    :func:`_tridiag_lu`, then refined and judged by :func:`_refine` in
+    mpmath's eps, block_loss as measured in mpmath.  Raises
+    SingularSystem when it is refused: there is no second attempt."""
     import mpmath as mp
 
     with mp.workdps(digits):
         S_hat, block_loss = _blocks(mp_tier(), system.spec)
-        band = replace(system, S_hat=S_hat).band()
-        # scale each row by a power of two: its entries span hundreds of
-        # orders of magnitude at high modes, and pivoting compares them;
-        # no row vanishes: each row but the first and the last holds an
-        # entry +-1, and those two hold w^{1,2} of one layer, a Wronskian
-        # with no zeros
-        s = np.array([mp.ldexp(1, -mp.frexp(v)[1]) for v in _row_max(band)])
-        _scale_rows(band, s)
-        b = np.zeros(band.shape[1], dtype=object)
-        b[-1] = s[-1] * mp.mpc(system.rhs_scale)
+        system = replace(system, S_hat=S_hat, block_loss=block_loss,
+                         b_last=mp.mpmathify(system.b_last))
+        band, rows = _equilibrated(system, system.band())
         lu = _tridiag_lu(band)
-        x = np.array(_tridiag_solve(lu, b))
-        r = b - _band_matvec(band, x)
-        dx = _tridiag_solve(lu, r)
-        amp = mp.mpf(10) ** block_loss
-        unit = mp.mpf(10) ** -digits
-        if not all(amp * max(abs(d), unit * abs(v)) <= _MP_TOL * abs(v)
-                   for d, v in zip(dx, x)):
-            raise SingularSystem(
-                "arbitrary-precision solve failed its residual check")
-        return x + dx, _backward_error(band, x, b, r)
+        b = np.zeros(band.shape[1], dtype=object)
+        b[-1] = rows[-1] * system.b_last
+        solved = _refine(system, band, lambda r: _tridiag_solve(lu, r), b,
+                         mp.eps, scaled=True)
+    if not solved:
+        raise SingularSystem("arbitrary-precision solve refused")
+    return solved
 
 
 def dense_solve(system: BlockSystem
                 ) -> tuple[CoefficientVector, float, np.ndarray]:
     """Solve the normalised system by banded elimination.
 
-    The matrix is factored in double precision (zgbtrf) and the solution
-    refined against the extended blocks, accepted or refused by
+    The right-hand side is B_N in the numbers of each attempt, extended
+    (``b_last``, which a double would round to inf past 1.8e308) or
+    mpmath.  The matrix is factored in double precision (zgbtrf) and the
+    solution refined against the extended blocks, accepted or refused by
     :func:`_refine`.  When the blocks overflow double on the cast, a pivot
     is zero or the refinement is refused, one more attempt does the same
     with the band scaled exactly by powers of two (:func:`_equilibrated`):
     at high modes its entries and unknowns span hundreds of decades, which
-    a double factorisation does not survive unscaled.  Neither attempt
-    runs when the blocks' cancellation leaves too few digits, eps *
-    10**block_loss > 1e-12 for the eps of the blocks' dtype.  Otherwise
-    :func:`_solve_mp` rebuilds the same blocks in mpmath at 75 digits and
-    solves them there; if its answer fails its refinement check, once more
-    at 150 digits, then SingularSystem.
+    a double factorisation does not survive unscaled.  When that is
+    refused too, :func:`_solve_mp` rebuilds the same blocks in mpmath at
+    75 digits, solves them equilibrated the same way and judges the answer
+    by the same rule, :func:`_refine`, in mpmath's eps; if it is refused,
+    SingularSystem.
     Either answer becomes doubles by :func:`coefficient_vector`, the rule
     of the recursion route too, which reads its column's log magnitudes:
     the column's clipped entries are display values that decide no
@@ -530,15 +526,14 @@ def dense_solve(system: BlockSystem
     Returns the coefficients, the componentwise backward error of the
     answer (:func:`_backward_error`), in the numbers of the attempt that
     solved the system, and the last column of the Green's operator: the
-    answer over the right-hand side, before rounding, in those numbers too
-    (extended, or mpmath in an object array).  The backward error does not
-    change with the scaling of the rows or of the unknowns, so every
-    attempt, scaled or not, reports the same measure.  For n = 0, B_1 =
-    rhs_scale.  A zero right-hand side, g = 0 or a B_N that rounds to 0,
-    has the zero solution and backward error 0; the rule then judges B_N
-    itself, and for g = 0 the column is the answer to a unit one.
+    answer over B_N, before rounding, in those numbers too (extended, or
+    mpmath in an object array).  The backward error does not change with
+    the scaling of the rows or of the unknowns, so every attempt, scaled
+    or not, reports the same measure.  For n = 0, B_1 = B_N.  For g = 0
+    the answer is 0 with backward error 0, the rule judges B_N itself, and
+    the column is the answer to a unit right-hand side.
     """
-    x, resid, rhs = np.zeros(2 * system.n), 0.0, system.rhs_scale
+    x, resid, rhs = np.zeros(2 * system.n), 0.0, system.b_last
     if system.n and rhs:
         x, resid = _solution(system)
     size = np.abs(x)
@@ -547,7 +542,7 @@ def dense_solve(system: BlockSystem
         else [float(mp_tier().log(v)) for v in size[size != 0]]
     coeffs = coefficient_vector(system.spec, log_mag,
                                 lambda inside: x[inside].astype(complex),
-                                system.b_last, system.pair)
+                                rhs, system.pair)
     if system.n and not rhs:
         x = _solution(replace(system, b_last=np.clongdouble(1)))[0]
     return coeffs, resid, x / (rhs or 1)
@@ -558,25 +553,15 @@ def _solution(system: BlockSystem) -> tuple[np.ndarray, float]:
     backward error, before rounding."""
     band = system.band()
     b = np.zeros(band.shape[1], dtype=band.dtype)
-    b[-1] = system.rhs_scale
+    b[-1] = system.b_last
     eps = np.finfo(band.real.dtype).eps
-    # in log space: block_loss may be large or infinite
-    if math.log10(eps) + system.block_loss <= _LOG10_CANCEL_TOL:
-        factors = _factor(band)
-        solved = factors and _refine(system, band, *factors, b)
-        if not solved:
-            scaled, rows = _equilibrated(system, band)
-            factors = _factor(scaled)
-            solved = factors and _refine(system, scaled, *factors, rows * b,
-                                         scaled=True)
-            if solved:
-                solved = solved[0] / system.scales[:-1], solved[1]
-        if solved:
-            return solved
-    try:
-        return _solve_mp(system, _MP_DIGITS)
-    except SingularSystem:     # the check failed: double the digits
-        return _solve_mp(system, 2 * _MP_DIGITS)
+    solved = _refine(system, band, _double_solve(band, b), b, eps)
+    if not solved:
+        scaled, rows = _equilibrated(system, band)
+        b = rows * b
+        solved = _refine(system, scaled, _double_solve(scaled, b), b, eps,
+                         scaled=True)
+    return solved or _solve_mp(system, _MP_DIGITS)
 
 
 def solve_spec(spec: ProblemSpec) -> tuple[CoefficientVector, float]:

@@ -472,9 +472,9 @@ def layer_coefficients(spec: ProblemSpec,
     :func:`assembly.coefficient_vector` decides each from its column log
     magnitude plus log|B_N|, B_N in extended precision (rounded, it can
     flush to 0), never from the clipped display entries.
-    One in range is the column entry times rhs_scale or, where its log
-    passes +-700, its phase times e^(log held within +-700) times rhs_scale
-    times e^(rest of the log); B_N and the envelope read the column's pair.
+    One in range is the column entry times B_N as a double or, where its
+    log passes +-700, its phase times e^(log held within +-700) times that
+    B_N times e^(rest of the log); B_N and the envelope read the column's pair.
     """
     if column is None:
         column = green_last_column(spec)

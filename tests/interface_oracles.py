@@ -219,9 +219,9 @@ def determinant_recursion(spec: ProblemSpec) -> complex:
 
 
 def rhs(system: BlockSystem) -> np.ndarray:
-    """The normalised right-hand side: rhs_scale at position 2n, else 0."""
+    """The normalised right-hand side: B_N, as a double, at 2n, else 0."""
     r = np.zeros(2 * system.n, dtype=complex)
-    r[-1] = system.rhs_scale
+    r[-1] = complex(system.b_last)
     return r
 
 

@@ -48,7 +48,7 @@ class TestNormalisation:
             assert np.allclose(D[ell] @ raw.T[ell], T_HAT, atol=1e-10)
         rhs_hat = D[spec.n - 1] @ raw.rhs[-2:]
         assert abs(rhs_hat[0]) <= 1e-10 * abs(rhs_hat[1])
-        assert rhs_hat[1] == pytest.approx(system.rhs_scale, rel=1e-10)
+        assert rhs_hat[1] == pytest.approx(complex(system.b_last), rel=1e-10)
 
     def test_vanishing_normaliser_names_its_interface(self):
         """The Wronskians are formed over every interface at once; the
@@ -181,7 +181,7 @@ class TestSolve:
     def test_rhs_scale_matches_boundary_coefficient_magnitude(self):
         # d=3, m=0: the outgoing boundary value has unit scaled modulus
         spec = SPECS[0]
-        assert abs(normalize(spec).rhs_scale) == pytest.approx(
+        assert abs(complex(normalize(spec).b_last)) == pytest.approx(
             abs(complex(spec.boundary_coefficient)), rel=1e-12)
 
     @pytest.mark.parametrize("spec", high_mode_population()
@@ -209,7 +209,7 @@ class TestSolve:
                 df2 = m / kappa * f2 - h(m + 1, True)
             ref = f1 * mp.mpc(complex(spec.boundary_coefficient)) \
                 / (kappa * (f1 * df2 - df1 * f2))
-            err = abs(mp.mpc(normalize(spec).rhs_scale) - ref) / abs(ref)
+            err = abs(mp.mpc(complex(normalize(spec).b_last)) - ref) / abs(ref)
         assert err <= 5e-16
 
     def test_boundary_coefficient_scales_solution_linearly(self):

@@ -11,7 +11,9 @@ tier.  Also covers the array Wronskian behind the whispering-gallery scan
 and the reused command-line parser.
 """
 
+import itertools
 import math
+import warnings
 from dataclasses import replace
 
 import mpmath as mp
@@ -25,11 +27,13 @@ from helmrad.evaluate import (energy_norm, interface_residuals, solve,
 from helmrad.problem import (ProblemSpec, WaveSpeedProfile,
                              construct_localisation_example,
                              construct_stable_example, random_spec)
-from helmrad.specfun import FundamentalPair, wronskian_w
+from helmrad.specfun import FundamentalPair, mp_tier, wronskian_w
 from helmrad.stability import single_interface_wronskian
 from interface_oracles import (former_b_last, former_coefficient_vector,
                                former_envelope, raw_solve_mp, to_dense)
 from populations import FAULT_C, FAULT_D, high_mode_population
+
+EPS = np.finfo(np.longdouble).eps
 
 # high-mode specs, literals as stored with the benchmark's population
 # A_2 is about 1e-828, below the smallest double
@@ -45,6 +49,20 @@ TRANSPARENT = dict(dimension=3, mode=2, omega=3.0,
                    boundary_coefficient=[1.0, 0.0],
                    jump_points=[0.0, 1e-3, 1.0],
                    speeds=[1.0, 1.0000000000000002])
+
+
+# two profiles drawn at random (numpy seed 2026, the 41st and 72nd draws of
+# d, m, n, layer widths, speeds and omega) whose B_N, 3.0e354 and 4.4e308,
+# lies past the double range
+HUGE_B_N = [
+    dict(dimension=3, mode=55, omega=0.0003064586447003135,
+         boundary_coefficient=[1.0, 0.0],
+         jump_points=[0.0, 8.32703490603534e-07, 1.0],
+         speeds=[0.07922666256851368, 20.963647870496786]),
+    dict(dimension=3, mode=49, omega=0.0001021394792388549,
+         boundary_coefficient=[1.0, 0.0],
+         jump_points=[0.0, 0.9125559352173449, 0.9891209957504772, 1.0],
+         speeds=[1.3708640341258163, 6.913811059786984, 5.598504155675222])]
 
 
 # oracle seed 13 spec 66 of the benchmark: its unscaled refinement stalls
@@ -104,8 +122,35 @@ def _forced_mp(spec, digits=assembly._MP_DIGITS):
 
 def _rhs(system):
     b = np.zeros(2 * system.n, dtype=system.S_hat.dtype)
-    b[-1] = system.rhs_scale
+    b[-1] = system.b_last
     return b
+
+
+def _refined(system, band, b, factored=None, scaled=False):
+    """An extended attempt: ``band`` refined with the correction solve of
+    the double factors of ``factored`` (by default ``band`` itself)."""
+    solve = assembly._double_solve(band if factored is None else factored, b)
+    return assembly._refine(system, band, solve, b, EPS, scaled)
+
+
+def _row_factors(rows):
+    """Per band entry, the factor that multiplies row i of the matrix by
+    rows[i]."""
+    factors = np.ones((3, len(rows)), dtype=rows.dtype)
+    factors[0, 1:], factors[1], factors[2, :-1] = rows[:-1], rows, rows[1:]
+    return factors
+
+
+def _perturbed_lu(entry, factor):
+    """``assembly._tridiag_lu`` of its band with one ``entry`` multiplied
+    by ``factor``: wrong factors for the mpmath refinement."""
+    lu = assembly._tridiag_lu
+
+    def perturbed(band):
+        wrong = band.copy()
+        wrong[entry] *= factor
+        return lu(wrong)
+    return perturbed
 
 
 @pytest.fixture(scope="module")
@@ -160,9 +205,7 @@ class TestRefinedAcceptance:
         mpmath."""
         spec = ProblemSpec.from_dict(FAULT_C)
         system = normalize(spec)
-        band = system.band()
-        assert assembly._refine(system, band, *assembly._factor(band),
-                                _rhs(system)) is None
+        assert _refined(system, system.band(), _rhs(system)) is None
         coeffs, _ = solve_spec(spec)
         assert mp_calls == []
         assert _normwise(coeffs.entries, raw_solve_mp(spec)) <= 1e-13
@@ -172,28 +215,17 @@ class TestRefinedAcceptance:
         coeffs, _ = solve_spec(spec)
         assert _normwise(coeffs.entries, raw_solve_mp(spec)) <= 1e-13
 
-    def test_failed_residual_check_doubles_the_precision(self, monkeypatch):
-        spec = construct_stable_example(8, 1.0, 3.0)
-        calls = []
-        solve_mp = assembly._solve_mp
-
-        def short_first(spec, digits):
-            calls.append(digits)
-            if len(calls) == 1:
-                raise SingularSystem("residual check failed")
-            return solve_mp(spec, digits)
-        monkeypatch.setattr(assembly, "_solve_mp", short_first)
-        coeffs, _ = solve_spec(spec)
-        assert calls[1] == 2 * calls[0]
-        monkeypatch.undo()
-        assert _normwise(coeffs.entries, raw_solve_mp(spec)) <= 1e-13
-
-    def test_second_failure_raises(self, monkeypatch):
-        def fail(system, digits):
-            raise SingularSystem("residual check failed")
-        monkeypatch.setattr(assembly, "_solve_mp", fail)
+    def test_refused_mp_solve_raises_without_a_retry(self, monkeypatch,
+                                                     mp_calls):
+        """With its mpmath factors off by half in one diagonal entry, the
+        refinement of the stable n = 8 system never settles, its
+        corrections only halving, and that one refusal raises: no second
+        attempt runs at more digits."""
+        monkeypatch.setattr(assembly, "_tridiag_lu",
+                            _perturbed_lu((1, 1), 1.5))
         with pytest.raises(SingularSystem):
             solve_spec(construct_stable_example(8, 1.0, 3.0))
+        assert mp_calls == [assembly._MP_DIGITS]
 
     def test_negligible_coefficient_below_double_range_is_zero(self,
                                                               mp_calls):
@@ -207,7 +239,7 @@ class TestRefinedAcceptance:
         x, _ = assembly._solve_mp(system, 150)
         assert coeffs.a(2) == 0.0 and abs(x[1]) < mp.mpf("1e-800")
         for got, ref in ((coeffs.b(1), x[0]),
-                         (coeffs.b(2), system.rhs_scale)):
+                         (coeffs.b(2), system.b_last)):
             assert abs(got - complex(ref)) <= 1e-15 * abs(ref)
 
 
@@ -270,9 +302,7 @@ class TestScaledAttempt:
         the answer is right."""
         spec = ProblemSpec.from_dict(STALLED)
         system = normalize(spec)
-        band = system.band()
-        x, resid = assembly._refine(system, band, *assembly._factor(band),
-                                    _rhs(system))
+        x, resid = _refined(system, system.band(), _rhs(system))
         assert resid < 1e-15
         ref = raw_solve_mp(spec)
         assert _normwise(x.astype(complex), ref) <= 1e-13
@@ -285,16 +315,16 @@ class TestScaledAttempt:
         is still refused: its steps stop halving far from settled."""
         monkeypatch.setattr(assembly, "_BERR_ULPS", math.inf)
         system = normalize(ProblemSpec.from_dict(FAULT_C))
-        band = system.band()
-        assert assembly._refine(system, band, *assembly._factor(band),
-                                _rhs(system)) is None
+        assert _refined(system, system.band(), _rhs(system)) is None
 
     @pytest.mark.parametrize("scaled", [False, True],
                              ids=["unscaled", "scaled"])
     def test_perturbed_factors_are_refused_or_corrected(self, scaled):
         """Refined against the true band with the factors of a band whose
-        one S_hat entry is off by 1e-8, every answer is either refused or
-        the unperturbed one; both happen on the high-mode population."""
+        one S_hat entry is off by 1e-8 or 1e-4, every answer is either
+        refused or the unperturbed one; both happen on the high-mode
+        population.  (Off by 1e-8 alone, the scaled attempt corrects all
+        316 with B_N in extended precision as its right-hand side.)"""
         outcomes = set()
         for spec in high_mode_population():
             system = normalize(spec)
@@ -305,22 +335,20 @@ class TestScaledAttempt:
             if scaled:
                 band, rows = assembly._equilibrated(system, band)
                 b = rows * b
-            factors = assembly._factor(band)
-            unperturbed = factors and assembly._refine(system, band,
-                                                       *factors, b, scaled)
+            unperturbed = _refined(system, band, b, scaled=scaled)
             if not unperturbed:
                 continue
-            for entry in np.ndindex(system.S_hat.shape):
+            for entry, off in itertools.product(
+                    np.ndindex(system.S_hat.shape), (1e-8, 1e-4)):
                 S_hat = system.S_hat.copy()
-                S_hat[entry] *= 1 + 1e-8
+                S_hat[entry] *= 1 + off
                 wrong = replace(system, S_hat=S_hat).band()
                 if scaled:
-                    wrong /= system.scales[:-1]
-                    assembly._scale_rows(wrong, rows)
-                factors = assembly._factor(wrong)
-                if factors is None:
+                    # the true band's scaling, applied to the wrong one
+                    wrong = wrong / system.scales[:-1] * _row_factors(rows)
+                if assembly._double_solve(wrong, b) is None:
                     continue
-                got = assembly._refine(system, band, *factors, b, scaled)
+                got = _refined(system, band, b, wrong, scaled)
                 if got is not None:
                     assert np.max(np.abs(got[0] - unperturbed[0])
                                   / np.abs(unperturbed[0])) <= 1e-13
@@ -362,9 +390,9 @@ class TestHighModeAnswers:
             x = raw_solve_mp(spec).astype(np.clongdouble)
             y = x * system.scales[:-1]
             assert assembly._backward_error(
-                band, x, b, b - assembly._band_matvec(band, x)) \
+                band, np.abs(x), b, b - assembly._band_matvec(band, x)) \
                 == pytest.approx(assembly._backward_error(
-                    scaled, y, rows * b,
+                    scaled, np.abs(y), rows * b,
                     rows * b - assembly._band_matvec(scaled, y)), rel=1e-9)
 
     def test_a_tiny_right_hand_side_is_not_flushed(self):
@@ -375,10 +403,9 @@ class TestHighModeAnswers:
         spec = high_mode_population()[0]
         system = normalize(spec)
         band, b = system.band(), _rhs(system)
-        factors = assembly._factor(band)
         tiny = np.ldexp(np.longdouble(1), -1200)
-        x, _ = assembly._refine(system, band, *factors, b)
-        solved = assembly._refine(system, band, *factors, b * tiny)
+        x, _ = _refined(system, band, b)
+        solved = _refined(system, band, b * tiny)
         assert solved and np.array_equal(solved[0], x * tiny)
 
 
@@ -422,6 +449,24 @@ class TestDoubleRange:
     @pytest.mark.parametrize("route", [
         solve, lambda spec: solve_direct(spec)[0]],
         ids=["recursion", "banded"])
+    @pytest.mark.parametrize("doc", HUGE_B_N, ids=["draw41", "draw72"])
+    def test_boundary_coefficient_past_the_double_range_raises(
+            self, route, doc, mp_calls):
+        """B_N rounded to a double is inf: as the right-hand side it sent
+        every attempt an infinite residual, with RuntimeWarnings, and
+        mpmath twice, then raised SingularSystem.  B_N in extended
+        precision is solved by the first attempt, and a coefficient of
+        layer 2, outside the double range and not negligible, raises
+        OverflowError, with no warning and no mpmath."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="layer 2"):
+                route(ProblemSpec.from_dict(doc))
+        assert mp_calls == []
+
+    @pytest.mark.parametrize("route", [
+        solve, lambda spec: solve_direct(spec)[0]],
+        ids=["recursion", "banded"])
     def test_boundary_coefficient_rounding_to_zero_raises(self, route):
         """B_N = i f_1 g / kappa is 1.7e-324 here: a double rounds it to
         0, which made the recursion return zeros and the banded route
@@ -429,7 +474,7 @@ class TestDoubleRange:
         spec = ProblemSpec(WaveSpeedProfile((0.0, 0.5, 1.0), (1.0, 1 / 3)),
                            dimension=1, omega=1.0,
                            boundary_coefficient=5e-324)
-        assert normalize(spec).rhs_scale == 0
+        assert complex(normalize(spec).b_last) == 0
         with pytest.raises(OverflowError):
             route(spec)
 
@@ -594,17 +639,45 @@ class TestBandedMpElimination:
             escalated += bool(mp_calls)
         assert escalated > 0
 
-    def test_block_cancellation_tightens_the_step_test(self):
+    def test_block_cancellation_leaves_enough_digits_at_75(self):
         """30 of the blocks' digits cancel here, at m = 0, where w^{2,2}
-        has no kappa term to shed.  At 75 digits the refinement step,
-        about 3e-28, passes 1e-20 alone but not once scaled by the
-        cancellation, so the answer is refused (to first order: it is in
-        fact within 5e-28 of the truth); at 150 digits it is accepted."""
+        has no kappa term to shed, and 45 are left.  A per-entry step test
+        scaled by that cancellation refused this answer at 75 digits, on
+        entries that vanish in truth beside O(1) siblings, and reran it at
+        150; judged like the extended answers, it is accepted at 75, and
+        right."""
         spec = construct_stable_example(8, 1.0, 3.0)
-        with pytest.raises(SingularSystem):
-            _forced_mp(spec, assembly._MP_DIGITS)
-        assert _normwise(_forced_mp(spec, 2 * assembly._MP_DIGITS),
-                         raw_solve_mp(spec)) <= 1e-13
+        with mp.workdps(assembly._MP_DIGITS):
+            assert assembly._blocks(mp_tier(), spec)[1] > 30
+        assert _normwise(_forced_mp(spec), raw_solve_mp(spec)) <= 1e-13
+
+    @pytest.mark.parametrize("n", [5, 8, 16, 64])
+    def test_stable_family_takes_one_mp_solve(self, n, mp_calls):
+        spec = construct_stable_example(n, 1.0, 3.0)
+        sol, _ = solve_direct(spec)
+        assert mp_calls == [assembly._MP_DIGITS]
+        assert _normwise(sol.coeffs.entries, raw_solve_mp(spec)) <= 1e-13
+
+    @pytest.mark.parametrize("factor", [1.5, 1 + 1e-8])
+    def test_wrong_mp_factors_are_refused_or_corrected(self, factor,
+                                                       monkeypatch):
+        """The mpmath tier's answer is judged by the extended tier's rule.
+        Refined against the true band with the factors of one whose
+        diagonal entry (1, 2) is off by half, its corrections shrink by a
+        factor of about 4 a sweep and never settle: refused.  Off by 1e-8,
+        they shrink by about 1e8 and the answer is accepted, and right.
+        At 30 digits: five sweeps of a 1e-8 contraction reach that tier's
+        eps, not the 75-digit one, so there the slightly wrong factors are
+        refused too."""
+        spec = ProblemSpec.from_dict(FAULT_C)
+        monkeypatch.setattr(assembly, "_tridiag_lu",
+                            _perturbed_lu((1, 2), factor))
+        if factor == 1.5:
+            with pytest.raises(SingularSystem):
+                _forced_mp(spec, 30)
+        else:
+            assert _normwise(_forced_mp(spec, 30), raw_solve_mp(spec)) \
+                <= 1e-13
 
 
 class TestBandStorage:

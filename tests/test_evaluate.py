@@ -104,7 +104,7 @@ class TestResiduals:
         relative 1e-8 in one coefficient still shows."""
         spec = construct_localisation_example(32, 1.0, 3.0)
         exact = CoefficientVector(entries=raw_solve_mp(spec),
-                                  b_last=normalize(spec).rhs_scale)
+                                  b_last=complex(normalize(spec).b_last))
         sol = RadialSolution(spec=spec, coeffs=exact)
         assert np.max(np.asarray(interface_residuals(sol))) <= 1e-14
         entries = exact.entries.copy()
@@ -130,7 +130,7 @@ class TestSingleLayer:
     def test_both_routes_give_the_closed_form(self):
         sol = solve(self.SPEC)
         direct, resid = solve_direct(self.SPEC)
-        b1 = normalize(self.SPEC).rhs_scale
+        b1 = complex(normalize(self.SPEC).b_last)
         for s in (sol, direct):
             assert len(s.coeffs.entries) == 0
             assert s.coeffs.b(1) == b1

@@ -412,7 +412,7 @@ class TestLayerCoefficients:
 
     def test_outer_coefficient_has_the_boundary_modulus(self):
         """For d=3, m=0 the scaled outgoing solution has unit modulus on
-        the boundary, so B_N = ``rhs_scale`` has |B_N| = |g|: checked on
+        the boundary, so B_N has |B_N| = |g|: checked on
         the seed-20260823 alternating and oracle draws and the constructed
         families, each at three boundary coefficients."""
         rng = np.random.default_rng(20260823)
@@ -426,8 +426,8 @@ class TestLayerCoefficients:
         radial = [s for s in specs if s.dimension == 3 and s.mode == 0]
         for spec in radial:
             for g in (1.0, 2.0 - 1.0j, 1e-3j):
-                b_last = assembly.normalize(
-                    replace(spec, boundary_coefficient=g)).rhs_scale
+                b_last = complex(assembly.normalize(
+                    replace(spec, boundary_coefficient=g)).b_last)
                 assert abs(abs(b_last) - abs(g)) <= 1e-12 * max(1.0, abs(g))
 
 
@@ -503,7 +503,7 @@ class TestInterfaceArrays:
 
 class TestSingleLayer:
     """n = 0: no interface, so empty arrays through both tiers and both
-    routes, and B_1 = rhs_scale."""
+    routes, and B_1 = B_N."""
 
     @pytest.mark.parametrize("d,m", [(1, 0), (3, 0), (3, 3)])
     def test_both_tiers_and_both_routes(self, d, m):
@@ -520,5 +520,6 @@ class TestSingleLayer:
         direct, resid = assembly.solve_spec(spec)
         for coeffs in (rec, direct):
             assert coeffs.entries.shape == (0,)
-            assert coeffs.b_last == assembly.normalize(spec).rhs_scale != 0
+            assert coeffs.b_last == complex(
+                assembly.normalize(spec).b_last) != 0
         assert resid == 0.0
