@@ -332,26 +332,27 @@ def normalize(spec: ProblemSpec, at: InterfacePair | None = None
                        block_loss)
 
 
+def _digits_left(system: BlockSystem, eps) -> bool:
+    """Whether the blocks' cancellation leaves digits enough at rounding
+    unit ``eps``, eps * 10**block_loss <= 1e-12 (in log space: it may be
+    infinite).  Each tier checks it once, before it factors anything."""
+    return math.log10(eps) + system.block_loss <= _LOG10_CANCEL_TOL
+
+
 def _refine(system: BlockSystem, band: np.ndarray, solve, b: np.ndarray,
             eps, scaled: bool = False):
     """(x, its :func:`_backward_error`) with M x = b for the matrix M in
     ``band``, refined against ``band`` with ``solve(r)``, the correction
-    of residual r by the attempt's factors, or None when refused or when
-    ``solve`` is None.  ``band`` is the system's own, or
-    :func:`_equilibrated`'s when ``scaled``, and x is then returned
-    unscaled; ``eps`` is the rounding unit of its numbers, in either tier.
+    of residual r by the attempt's factors, or None when refused.
+    ``band`` is the system's own, or :func:`_equilibrated`'s when
+    ``scaled``, and x is then returned unscaled; ``eps`` is the rounding
+    unit of its numbers, in either tier, which :func:`_digits_left` passed.
 
-    Nothing is accepted when the blocks' cancellation leaves too few
-    digits, eps * 10**block_loss > 1e-12.  The sweeps go on while each
-    correction at least halves the one before, at most _MAX_SWEEPS past the
-    first, and end early once one is at most 1e-17 max|x| and
-    :func:`_settled`.  x is accepted when its last correction is settled,
-    at most 1e-15 of the largest term in each layer, and its componentwise
-    backward error max_i |r|_i / (|M||x| + |b|)_i is at most 16 eps."""
-    # in log space: block_loss may be large or infinite
-    if solve is None or math.log10(eps) + system.block_loss \
-            > _LOG10_CANCEL_TOL:
-        return None
+    The sweeps go on while each correction at least halves the one before,
+    at most _MAX_SWEEPS past the first, and end early once one is at most
+    1e-17 max|x| and :func:`_settled`.  x is accepted when its last
+    correction is settled, at most 1e-15 of the largest term in each layer,
+    and its backward error max_i |r|_i / (|M||x| + |b|)_i is <= 16 eps."""
     x, r, prev = np.zeros_like(b), b, np.inf
     for sweep in range(_MAX_SWEEPS + 1):
         dx = solve(r)
@@ -480,23 +481,25 @@ def _tridiag_solve(lu: tuple, b: list) -> np.ndarray:
 
 def _solve_mp(system: BlockSystem, digits: int) -> tuple[np.ndarray, float]:
     """:func:`_solution`'s last attempt, in mpmath at ``digits`` working
-    digits: the blocks rebuilt by :func:`_blocks`, the band equilibrated
-    as the scaled extended attempt's (:func:`_equilibrated`), factored by
-    :func:`_tridiag_lu`, then refined and judged by :func:`_refine` in
-    mpmath's eps, block_loss as measured in mpmath.  Raises
+    digits: the blocks rebuilt by :func:`_blocks` and, if they pass
+    :func:`_digits_left`, the band equilibrated as the scaled extended
+    attempt's (:func:`_equilibrated`), factored by :func:`_tridiag_lu`, then
+    refined and judged by :func:`_refine`, all in mpmath's eps.  Raises
     SingularSystem when it is refused: there is no second attempt."""
     import mpmath as mp
 
+    solved = None
     with mp.workdps(digits):
         S_hat, block_loss = _blocks(mp_tier(), system.spec)
         system = replace(system, S_hat=S_hat, block_loss=block_loss,
                          b_last=mp.mpmathify(system.b_last))
-        band, rows = _equilibrated(system, system.band())
-        lu = _tridiag_lu(band)
-        b = np.zeros(band.shape[1], dtype=object)
-        b[-1] = rows[-1] * system.b_last
-        solved = _refine(system, band, lambda r: _tridiag_solve(lu, r), b,
-                         mp.eps, scaled=True)
+        if _digits_left(system, mp.eps):
+            band, rows = _equilibrated(system, system.band())
+            lu = _tridiag_lu(band)
+            b = np.zeros(band.shape[1], dtype=object)
+            b[-1] = rows[-1] * system.b_last
+            solved = _refine(system, band, lambda r: _tridiag_solve(lu, r),
+                             b, mp.eps, scaled=True)
     if not solved:
         raise SingularSystem("arbitrary-precision solve refused")
     return solved
@@ -515,10 +518,10 @@ def dense_solve(system: BlockSystem
     with the band scaled exactly by powers of two (:func:`_equilibrated`):
     at high modes its entries and unknowns span hundreds of decades, which
     a double factorisation does not survive unscaled.  When that is
-    refused too, :func:`_solve_mp` rebuilds the same blocks in mpmath at
-    75 digits, solves them equilibrated the same way and judges the answer
-    by the same rule, :func:`_refine`, in mpmath's eps; if it is refused,
-    SingularSystem.
+    refused too, or :func:`_digits_left` refuses both, :func:`_solve_mp`
+    rebuilds the blocks in mpmath at 75 digits, solves them equilibrated
+    the same way and judges the answer by the same rules in mpmath's eps;
+    if it is refused, SingularSystem.
     Either answer becomes doubles by :func:`coefficient_vector`, the rule
     of the recursion route too, which reads its column's log magnitudes:
     the column's clipped entries are display values that decide no
@@ -555,13 +558,14 @@ def _solution(system: BlockSystem) -> tuple[np.ndarray, float]:
     b = np.zeros(band.shape[1], dtype=band.dtype)
     b[-1] = system.b_last
     eps = np.finfo(band.real.dtype).eps
-    solved = _refine(system, band, _double_solve(band, b), b, eps)
-    if not solved:
-        scaled, rows = _equilibrated(system, band)
-        b = rows * b
-        solved = _refine(system, scaled, _double_solve(scaled, b), b, eps,
-                         scaled=True)
-    return solved or _solve_mp(system, _MP_DIGITS)
+    for scaled in (False, True) if _digits_left(system, eps) else ():
+        if scaled:
+            band, rows = _equilibrated(system, band)
+            b = rows * b
+        solve = _double_solve(band, b)
+        if solve and (solved := _refine(system, band, solve, b, eps, scaled)):
+            return solved
+    return _solve_mp(system, _MP_DIGITS)
 
 
 def solve_spec(spec: ProblemSpec) -> tuple[CoefficientVector, float]:

@@ -342,20 +342,24 @@ def _energy_sum(sol: RadialSolution, order: int):
 
 
 def energy_norm(sol: RadialSolution, quad_order: int = _QUAD_ORDER) -> float:
-    """Gauss-Legendre energy norm, order doubled until 1e-10 agreement."""
+    """Gauss-Legendre energy norm, order doubled until 1e-10 agreement;
+    past ``_QUAD_MAX_ORDER`` the last order's, with a logged warning."""
     if quad_order < 8:
         raise ValueError("quadrature order must be at least 8")
-    prev = None
+    totals = []
     order = quad_order
     while order <= _QUAD_MAX_ORDER:
         e, total = _energy_sum(sol, order)
         # the test's floor 1.0, in the units of the sums
-        if prev is not None and abs(total - prev) \
-                <= _QUAD_TOL * max(prev, math.ldexp(1.0, -2 * e)):
+        if totals and abs(total - totals[-1]) \
+                <= _QUAD_TOL * max(totals[-1], math.ldexp(1.0, -2 * e)):
             return math.ldexp(math.sqrt(total), e)
-        prev = total
+        totals.append(total)
         order *= 2
-    return math.ldexp(math.sqrt(prev), e)
+    _log.warning("energy_norm: no %g agreement by quadrature order %d, "
+                 "last totals %s", _QUAD_TOL, order // 2,
+                 [math.ldexp(t, 2 * e) for t in totals[-2:]])
+    return math.ldexp(math.sqrt(totals[-1]), e)
 
 
 def energy_upper_bound(sol: RadialSolution) -> float:

@@ -15,12 +15,12 @@ interfaces then does only the scalar work that depends on the previous
 beta.  The same body runs in both precision tiers.
 
 The recursion runs in extended precision and carries a running first-order
-error bound through each step's Jacobian.  One rule judges a run in either
-precision: the bound in the tier's rounding unit, amplified by the digits
-the extraction of the imaginary parts loses, must stay within a relative
-1e-13 (``ERROR_LIMIT``).  In ``beta_sequence`` an extended run past it is
-rerun once in mpmath, at digits sized from the summed per-step
-cancellation; an mpmath run past it raises ZeroDivisionError.  Still open:
+error bound through each step's Jacobian.  A run's estimate is the digits
+it lost, log10 of the bound plus those the Im extraction loses, and one
+rule judges a run in either precision: eps * 10**lost, eps the tier's
+rounding unit, must stay within 1e-13 (``ERROR_LIMIT``).  In
+``beta_sequence`` an extended run past it is rerun once in mpmath, sized
+by those digits; an mpmath run past it raises ZeroDivisionError.  Still open:
 the estimate is first order and misses some rounding terms, and the
 Im-loss weight ignores the size of the field term an entry feeds, so a few
 high modes still come back wrong without an error from this route
@@ -29,13 +29,9 @@ serves only ``helmrad verify --suite oracle``, criterion 1 and the
 stability certificates.
 
 ``evaluate.solve``, the one solve behind the library, ``helmrad solve`` and
-``helmrad scan``, makes no rerun: it takes ``extended_run`` alone, accepts
-its answer only when the estimate passes and the coefficients' interface
-backward error is within 1e-9, and otherwise returns the banded route's
-answer with its column (``banded_column``).  Both read its one pair
-evaluation, at the 2n arguments z/c and kappa = omega/c_N: the recursion,
-the backward error and the blocks the interface columns, B_N the kappa
-column and the double-range envelope those at the layer ends.
+``helmrad scan``, makes no rerun: it takes ``extended_run`` alone and
+otherwise the banded route's answer with its column (``banded_column``),
+both read with the run's one pair evaluation (see ``evaluate.solve``).
 """
 
 from __future__ import annotations
@@ -134,26 +130,25 @@ class BetaSequence:
     #: "extended", or "mp@<digits>" for an arbitrary-precision rerun at
     #: that many working decimal digits
     tier: str = "extended"
-    #: decimal digits the extended recursion lost, a first-order estimate
-    #: that decided the tier: its relative error is about
+    #: decimal digits the extended recursion lost (``_estimate``), which
+    #: decided the tier and sized a rerun: its relative error is about
     #: eps * 10**error_bound_digits, eps the rounding unit of np.longdouble.
     #: Not a bound: no term covers the rounding of gamma-plus's phase factor
     #: exp(i(z/c_l - z/c_r)) or of the pair evaluations at z/c, both growing
-    #: with the argument.  ``_beta_mp`` alone records the rerun's estimate.
+    #: with the argument.  ``_beta_mp`` alone records the rerun's own.
     error_bound_digits: float = 0.0
     pair: InterfacePair | None = None   # the extended run's; see the module
 
 
 class _Run(NamedTuple):
     """One pass of the recursion: lists of tier numbers per ell = 0..n, and
-    the interfaces and cores that size an escalation."""
+    the interfaces it read."""
 
     log_mod: list
     phases: list
     im_log: list
     im_sign: list
     interfaces: _Interface
-    cores: list
     bound: object       # running error bound, in rounding units
 
 
@@ -193,14 +188,12 @@ def _recursion(tier: Tier, spec: ProblemSpec, omega, x, shift=False) -> _Run:
     none, one = tier.real(-math.inf), tier.real(1) + 0j
     log_mod, phases = [tier.real(0)], [one]
     im_log, im_sign = [none], [0.0]
-    cores = []
     lm, ph = log_mod[0], one
     phase_err = log_err = bound = tier.real(0)
     for turn, q, reflect, gamma, d, factor, rot in per_step:
         u = turn * ph
         qu = q * np.conjugate(u)
         core = u + qu
-        cores.append(core)
         if core == 0:
             bound = tier.real(math.inf)
         else:
@@ -224,24 +217,26 @@ def _recursion(tier: Tier, spec: ProblemSpec, omega, x, shift=False) -> _Run:
         else:
             im_log.append(tier.log(abs(im)) + lm)
             im_sign.append(1.0 if im > 0 else -1.0)
-    return _Run(log_mod, phases, im_log, im_sign, it, cores, bound)
+    return _Run(log_mod, phases, im_log, im_sign, it, bound)
 
 
-def _sequence(run: _Run, tier: str, digits: float, real=None, cplx=None
+def _sequence(run: _Run, tier: str, digits: float, from_mp: bool = False
               ) -> BetaSequence:
-    """``run`` as a record; ``real`` and ``cplx``, given for an mpmath
-    run, convert its numbers to extended precision and drop its pair."""
-    if real is not None:
-        run = run._replace(log_mod=[real(v) for v in run.log_mod],
-                           phases=[cplx(v) for v in run.phases],
-                           im_log=[real(v) for v in run.im_log])
+    """``run`` as a record; ``from_mp`` converts an mpmath run's numbers
+    to extended precision (``_to_ext``) and drops its pair."""
+    if from_mp:
+        run = run._replace(log_mod=[_to_ext(v) for v in run.log_mod],
+                           phases=[_to_ext(v.real) + _IU * _to_ext(v.imag)
+                                   for v in run.phases],
+                           im_log=[_to_ext(v) for v in run.im_log])
     return BetaSequence(
         n=len(run.log_mod) - 1,
         log_moduli=np.array(run.log_mod, dtype=_EXT),
         phases=np.array(run.phases, dtype=_CEXT),
         rot_im_log=np.array(run.im_log, dtype=_EXT),
         rot_im_sign=np.array(run.im_sign), tier=tier,
-        error_bound_digits=digits, pair=None if real else run.interfaces.pair)
+        error_bound_digits=digits,
+        pair=None if from_mp else run.interfaces.pair)
 
 
 #: relative error estimate past which the extended recursion escalates
@@ -251,22 +246,18 @@ _EPS = np.finfo(_EXT).eps
 _LN10 = math.log(10.0)
 
 
-def _to_longdouble(v) -> np.longdouble:
+def _to_ext(v) -> np.longdouble:
+    """An mpmath real in extended precision, through its 25 digits."""
     import mpmath as mp
     return np.longdouble(mp.nstr(v, 25))
-
-
-def _to_clongdouble(v) -> np.clongdouble:
-    return np.clongdouble(_to_longdouble(v.real)) \
-        + _IU * np.clongdouble(_to_longdouble(v.imag))
 
 
 def _beta_mp(spec: ProblemSpec, digits: float, data=None) -> BetaSequence:
     """Arbitrary-precision rerun of the recursion at ``_mp_dps(digits)``
     working digits.  It raises ZeroDivisionError instead of returning when
-    the run's own error estimate (``_error``, in mpmath's rounding unit)
+    the run's own estimate (``_estimate``, in mpmath's rounding unit)
     exceeds ``ERROR_LIMIT``; a step that cancels to exactly zero makes
-    the estimate infinite.
+    the estimate infinite.  Its ``error_bound_digits`` are its own.
 
     ``data``, when given, is a callable ``spec -> (omega, jump_points)``
     evaluated inside the high-precision context; it lets callers substitute
@@ -281,15 +272,13 @@ def _beta_mp(spec: ProblemSpec, digits: float, data=None) -> BetaSequence:
         else:
             omega, x = data(spec)
         run = _recursion(mp_tier(), spec, omega, x)
-        error = _error(mp_tier(), run, mp.eps)
+        lost, error = _estimate(mp_tier(), run, mp.eps)
         if error > ERROR_LIMIT:
             raise ZeroDivisionError(
                 f"arbitrary-precision rerun at {mp.mp.dps} digits: estimated "
                 f"relative error {mp.nstr(error, 3)} exceeds "
                 f"{ERROR_LIMIT:g}")
-        return _sequence(run, f"mp@{mp.mp.dps}",
-                         float(mp.log10(max(run.bound, 1))),
-                         _to_longdouble, _to_clongdouble)
+        return _sequence(run, f"mp@{mp.mp.dps}", lost, from_mp=True)
 
 
 def _im_loss(run: _Run, digits: float) -> float:
@@ -317,24 +306,14 @@ def _im_loss(run: _Run, digits: float) -> float:
     return im_loss
 
 
-def _error(tier: Tier, run: _Run, eps):
-    """Relative error estimate of the column from ``run``: its bound in the
-    tier's rounding unit ``eps``, times 10 to the Im-extraction loss.  It is
-    a tier number; at hundreds of mpmath digits a float would underflow."""
-    loss = _im_loss(run, -float(tier.log10(eps)))
-    return eps * run.bound * tier.real(10) ** loss
-
-
-def _summed_loss(interfaces: _Interface, cores) -> float:
-    """Decimal digits cancelled inside gamma-plus and in the interference
-    steps, summed left to right over the steps; sizes an
-    arbitrary-precision rerun."""
-    loss = 0.0
-    for cancel, q, core in zip(interfaces.cancel, interfaces.q, cores):
-        if abs(core) > 0.0:
-            loss += max(0.0, float(np.log10(cancel))) + max(
-                0.0, float(np.log10((1.0 + abs(q)) / abs(core))))
-    return loss
+def _estimate(tier: Tier, run: _Run, eps) -> tuple[float, object]:
+    """(lost, error): the decimal digits ``run`` lost, log10 of its bound
+    (at least one rounding unit) plus the Im extraction's, and eps *
+    10**lost, a tier number (at hundreds of mpmath digits a float would
+    underflow); ``eps`` is the tier's rounding unit."""
+    digits = -float(tier.log10(eps))
+    lost = float(tier.log10(max(run.bound, 1))) + _im_loss(run, digits)
+    return lost, eps * tier.real(10) ** lost
 
 
 def _mp_dps(digits: float) -> int:
@@ -345,7 +324,7 @@ def _mp_dps(digits: float) -> int:
 def extended_run(spec: ProblemSpec, shift=False
                  ) -> tuple[BetaSequence, _Run, object]:
     """The recursion in extended precision alone, with no rerun: its
-    sequence, the run itself and its error estimate ``_error``.
+    sequence, the run itself and its error estimate (``_estimate``).
 
     Where the estimate is within ``ERROR_LIMIT`` the sequence is
     ``beta_sequence``'s answer.  Its ``pair`` (the 2n interface arguments
@@ -354,28 +333,29 @@ def extended_run(spec: ProblemSpec, shift=False
     """
     run = _recursion(EXTENDED, spec, _EXT(spec.omega),
                      _EXT(np.asarray(spec.profile.jump_points)), shift)
-    return (_sequence(run, "extended", float(np.log10(max(run.bound, 1)))),
-            run, _error(EXTENDED, run, _EPS))
+    lost, error = _estimate(EXTENDED, run, _EPS)
+    return _sequence(run, "extended", lost), run, error
 
 
 def beta_sequence(spec: ProblemSpec) -> BetaSequence:
     """Run the recursion in extended precision, rerunning once in mpmath.
 
-    The rerun happens when the extended estimate ``_error`` exceeds
-    ``ERROR_LIMIT``.  Its working precision is ``_mp_dps`` of
-    1.2 * (summed per-step cancellation digits + Im loss) + 10 digits, and
-    it is judged by the same rule.  The estimate is first order, misses
-    some rounding terms (see ``BetaSequence.error_bound_digits``) and weighs
-    the Im loss by the entry's place in the column, not by the field term
-    it feeds: specs 1 and 20 of the high-mode test population still come
-    back wrong without an error.  The rounding unit comes from ``np.finfo``,
-    so where ``np.longdouble`` is plain double the rule escalates there.
+    The rerun happens when the extended estimate exceeds ``ERROR_LIMIT``,
+    its ``error_bound_digits`` past -log10 eps - 13, at ``_mp_dps`` of 1.2
+    times those digits + 10 (-log10 eps if infinite); judged by the same
+    rule in mpmath's eps, it passes with 27 digits to spare if it loses
+    what the extended run lost.  The estimate is first order, misses some
+    rounding terms (see ``BetaSequence.error_bound_digits``) and weighs the
+    Im loss by the entry's place in the column, not by the field term it
+    feeds: specs 1 and 20 of the high-mode test population still come back
+    wrong without an error.  The rounding unit comes from ``np.finfo``, so
+    where ``np.longdouble`` is plain double the rule escalates there.
     """
-    beta, run, error = extended_run(spec)
+    beta, _, error = extended_run(spec)
     if error > ERROR_LIMIT:
-        digits = 1.2 * (_summed_loss(run.interfaces, run.cores)
-                        + _im_loss(run, -float(np.log10(_EPS)))) + 10.0
-        return replace(_beta_mp(spec, digits), pair=beta.pair,
+        lost = beta.error_bound_digits
+        lost = lost if math.isfinite(lost) else -float(np.log10(_EPS))
+        return replace(_beta_mp(spec, 1.2 * lost + 10.0), pair=beta.pair,
                        error_bound_digits=beta.error_bound_digits)
     return beta
 

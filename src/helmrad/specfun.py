@@ -381,12 +381,12 @@ def wronskian_w(pair: FundamentalPair, p: int, q: int,
 def fundamental_eval_mp(pair: FundamentalPair, which: int, x):
     """Arbitrary-precision value/derivative in the active mpmath context.
 
-    Used by the precision-escalation tiers when cancellation or
-    conditioning exceeds what extended hardware floats can absorb.  y_m
-    comes from the upward recurrence on the closed forms of orders 0 and 1,
-    and j_m, j_{m-1} from one hypergeometric series per order.  The d=1
-    rows, slope identity and assembly are the hardware evaluator's, so
-    f_2 = Re f_1 and f_2' = Re f_1' hold bit for bit.
+    No route of the package calls it: the mpmath tiers read the same rows,
+    ``_rows_mp``, through ``mp_tier().pair_eval``, and the tests use it as
+    a reference.  y_m comes from the upward recurrence on the closed forms
+    of orders 0 and 1, and j_m, j_{m-1} from one hypergeometric series per
+    order.  The d=1 rows, slope identity and assembly are the hardware
+    evaluator's, so f_2 = Re f_1 and f_2' = Re f_1' hold bit for bit.
     """
     return _assemble(*_rows_mp(pair, x, _outgoing(which)), object)
 

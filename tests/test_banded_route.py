@@ -128,9 +128,12 @@ def _rhs(system):
 
 def _refined(system, band, b, factored=None, scaled=False):
     """An extended attempt: ``band`` refined with the correction solve of
-    the double factors of ``factored`` (by default ``band`` itself)."""
+    the double factors of ``factored`` (by default ``band`` itself), None
+    where the blocks leave too few digits or there are no factors."""
+    if not assembly._digits_left(system, EPS):
+        return None
     solve = assembly._double_solve(band if factored is None else factored, b)
-    return assembly._refine(system, band, solve, b, EPS, scaled)
+    return solve and assembly._refine(system, band, solve, b, EPS, scaled)
 
 
 def _row_factors(rows):
@@ -294,6 +297,23 @@ class TestScaledAttempt:
             except Escalated:
                 escalated.append(n)
         assert escalated == list(range(5, 65))
+
+    def test_too_few_digits_factor_nothing_in_extended(self, monkeypatch,
+                                                       mp_calls):
+        """Localised n = 16: its blocks cancel past what extended precision
+        keeps, so neither extended attempt factors the band, and mpmath
+        answers."""
+        factored = []
+        double_solve = assembly._double_solve
+
+        def spy(band, b):
+            factored.append(band)
+            return double_solve(band, b)
+        monkeypatch.setattr(assembly, "_double_solve", spy)
+        spec = construct_localisation_example(16, 1.0, 3.0)
+        assert not assembly._digits_left(normalize(spec), EPS)
+        solve_spec(spec)
+        assert factored == [] and mp_calls == [assembly._MP_DIGITS]
 
     def test_stalled_refinement_is_accepted(self, no_mp):
         """The halving rule sent this spec to mpmath: its third step is

@@ -136,6 +136,12 @@ class TestSolve:
                                  0.8554825316138414, 1.0],
                     speeds=[3.211782823521993, 1.414705653870246,
                             1.37354058243666]), "banded"),
+        # oracle spec 48: the bound alone reads 2.82 digits, below the
+        # limit; with the Im extraction's 3.45 the estimate is refused
+        (_spec_json(mode=5, omega=34.175057815722944,
+                    jump_points=[0.0, 0.052792302582718734, 1.0],
+                    speeds=[0.6686862522171253, 3.4996970060292973]),
+         "banded"),
     ])
     def test_diagnostics_record_the_recursion_tier(self, doc, tier,
                                                    tmp_path):

@@ -8,6 +8,7 @@ localised examples.
 import csv
 import io
 import json
+import logging
 import math
 from dataclasses import replace
 
@@ -200,6 +201,22 @@ class TestEnergy:
     def test_upper_bound_dominates_the_energy(self, spec):
         sol = solve(spec)
         assert energy_norm(sol) <= energy_upper_bound(sol)
+
+    def test_unconverged_energy_norm_warns(self, monkeypatch, caplog):
+        """Capped at order 16, the 8- and 16-point sums of SPECS[1] differ
+        by 2.6e-6 relative: the 16-point norm is returned as before, with
+        one warning naming the order and both totals."""
+        sol = solve(SPECS[1])
+        monkeypatch.setattr(evaluate, "_QUAD_MAX_ORDER", 16)
+        with caplog.at_level(logging.WARNING, logger="helmrad.evaluate"):
+            got = energy_norm(sol, 8)
+        (e8, t8), (e, t16) = (evaluate._energy_sum(sol, k) for k in (8, 16))
+        assert got == math.ldexp(math.sqrt(t16), e)
+        [record] = caplog.records
+        assert record.levelno == logging.WARNING
+        assert record.getMessage() == (
+            f"energy_norm: no 1e-10 agreement by quadrature order 16, last "
+            f"totals [{math.ldexp(t8, 2 * e8)!r}, {math.ldexp(t16, 2 * e)!r}]")
 
     def test_bounds_require_the_radial_mode(self):
         sol = solve(SPECS[1])

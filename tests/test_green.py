@@ -167,11 +167,25 @@ class Escalated(Exception):
 
 
 def _summed_loss(spec: ProblemSpec) -> float:
-    """Digits cancelled per step, summed: the escalation test that the
-    running error bound replaced."""
-    x = [np.longdouble(v) for v in spec.profile.jump_points]
-    run = green._recursion(EXTENDED, spec, np.longdouble(spec.omega), x)
-    return green._summed_loss(run.interfaces, run.cores)
+    """Digits cancelled inside gamma-plus and in each step's core
+    u + q conj(u), summed over the steps: the escalation test that the
+    running error bound replaced, kept here only to select specs.  The
+    cores are formed again from the run's phases as the recursion forms
+    them, u = e^{-i delta} times the previous phase."""
+    omega = np.longdouble(spec.omega)
+    x = np.array(spec.profile.jump_points, dtype=np.longdouble)
+    run = green._recursion(EXTENDED, spec, omega, x)
+    it, n = run.interfaces, spec.n
+    delta = omega * (x[1:n + 1] - x[:n]) / it.pair.speeds[:-1]
+    loss = 0.0
+    for turn, q, cancel, phase in zip(EXTENDED.cexp(-delta), it.q, it.cancel,
+                                      run.phases):
+        u = turn * phase
+        core = u + q * np.conjugate(u)
+        if abs(core) > 0.0:
+            loss += max(0.0, float(np.log10(cancel))) + max(
+                0.0, float(np.log10((1.0 + abs(q)) / abs(core))))
+    return loss
 
 
 @pytest.fixture(scope="module")
@@ -248,6 +262,34 @@ class TestRunningErrorBound:
                 pass    # the rerun refuses its own answer (fault c)
             assert len(calls) == (spec.n > 0)
 
+    def test_reruns_are_sized_by_the_extended_digits(self, monkeypatch):
+        """Every rerun of the seed-20260823 oracle and the high-mode
+        populations works at 1.2 times the extended run's
+        error_bound_digits + 10, with all of extended precision's digits,
+        -log10 eps, standing in for an infinite estimate (high-mode spec
+        7, whose first core cancels to exactly zero)."""
+        calls = []
+
+        def spy(spec, digits, data=None):
+            calls.append((spec, digits))
+            raise Escalated
+        monkeypatch.setattr(green, "_beta_mp", spy)
+        rng = np.random.default_rng(20260823)
+        for spec in [random_spec(rng) for _ in range(200)] \
+                + high_mode_population():
+            try:
+                green.beta_sequence(spec)
+            except Escalated:
+                pass
+        infinite = 0
+        for spec, digits in calls:
+            lost = green.extended_run(spec)[0].error_bound_digits
+            if math.isinf(lost):
+                infinite += 1
+                lost = -math.log10(np.finfo(np.longdouble).eps)
+            assert digits == pytest.approx(1.2 * lost + 10.0, rel=1e-15)
+        assert len(calls) == 24 + 33 and infinite == 1
+
 
 class TestRerunSelfCheck:
     """The mpmath rerun is judged by the rule the extended run escalates
@@ -318,7 +360,7 @@ class TestRerunSelfCheck:
         spec = high_mode_population()[7]
         x = [np.longdouble(v) for v in spec.profile.jump_points]
         run = green._recursion(EXTENDED, spec, np.longdouble(spec.omega), x)
-        assert run.cores[0] == 0 and run.bound == np.inf
+        assert run.bound == np.inf
         assert np.isneginf(np.array(run.log_mod[1:])).all()
         assert green._im_loss(run, 19.0) == 0.0
 
