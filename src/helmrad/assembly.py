@@ -558,14 +558,16 @@ def _solution(system: BlockSystem) -> tuple[np.ndarray, float]:
     b = np.zeros(band.shape[1], dtype=band.dtype)
     b[-1] = system.b_last
     eps = np.finfo(band.real.dtype).eps
-    for scaled in (False, True) if _digits_left(system, eps) else ():
-        if scaled:
-            band, rows = _equilibrated(system, band)
-            b = rows * b
-        solve = _double_solve(band, b)
-        if solve and (solved := _refine(system, band, solve, b, eps, scaled)):
-            return solved
-    return _solve_mp(system, _MP_DIGITS)
+    if not _digits_left(system, eps):
+        return _solve_mp(system, _MP_DIGITS)
+    solve = _double_solve(band, b)
+    solved = solve and _refine(system, band, solve, b, eps)
+    if not solved:
+        scaled, rows = _equilibrated(system, band)
+        b = rows * b
+        solve = _double_solve(scaled, b)
+        solved = solve and _refine(system, scaled, solve, b, eps, scaled=True)
+    return solved or _solve_mp(system, _MP_DIGITS)
 
 
 def solve_spec(spec: ProblemSpec) -> tuple[CoefficientVector, float]:

@@ -356,9 +356,10 @@ def energy_norm(sol: RadialSolution, quad_order: int = _QUAD_ORDER) -> float:
             return math.ldexp(math.sqrt(total), e)
         totals.append(total)
         order *= 2
+    # as norms: a total in absolute units overflows for scaled coefficients
     _log.warning("energy_norm: no %g agreement by quadrature order %d, "
-                 "last totals %s", _QUAD_TOL, order // 2,
-                 [math.ldexp(t, 2 * e) for t in totals[-2:]])
+                 "last norms %s", _QUAD_TOL, order // 2,
+                 [math.ldexp(math.sqrt(t), e) for t in totals[-2:]])
     return math.ldexp(math.sqrt(totals[-1]), e)
 
 

@@ -205,18 +205,35 @@ class TestEnergy:
     def test_unconverged_energy_norm_warns(self, monkeypatch, caplog):
         """Capped at order 16, the 8- and 16-point sums of SPECS[1] differ
         by 2.6e-6 relative: the 16-point norm is returned as before, with
-        one warning naming the order and both totals."""
+        one warning naming the order and both orders' norms."""
         sol = solve(SPECS[1])
         monkeypatch.setattr(evaluate, "_QUAD_MAX_ORDER", 16)
         with caplog.at_level(logging.WARNING, logger="helmrad.evaluate"):
             got = energy_norm(sol, 8)
-        (e8, t8), (e, t16) = (evaluate._energy_sum(sol, k) for k in (8, 16))
-        assert got == math.ldexp(math.sqrt(t16), e)
+        norms = [math.ldexp(math.sqrt(t), e)
+                 for e, t in (evaluate._energy_sum(sol, k) for k in (8, 16))]
+        assert got == norms[-1]
         [record] = caplog.records
         assert record.levelno == logging.WARNING
         assert record.getMessage() == (
             f"energy_norm: no 1e-10 agreement by quadrature order 16, last "
-            f"totals [{math.ldexp(t8, 2 * e8)!r}, {math.ldexp(t16, 2 * e)!r}]")
+            f"norms {norms!r}")
+
+    def test_unconverged_scaled_energy_norm_warns(self, monkeypatch, caplog):
+        """Sums in units of 2**(2e), e = 600 as for coefficients past
+        2**_SCALE_FROM: the totals in absolute units would overflow, the
+        norms warned of and returned do not."""
+        sums = iter([1.0, 4.0])
+        monkeypatch.setattr(evaluate, "_energy_sum",
+                            lambda sol, order: (600, next(sums)))
+        monkeypatch.setattr(evaluate, "_QUAD_MAX_ORDER", 16)
+        with caplog.at_level(logging.WARNING, logger="helmrad.evaluate"):
+            got = energy_norm(None, 8)
+        assert got == math.ldexp(2.0, 600)
+        [record] = caplog.records
+        assert record.getMessage() == (
+            f"energy_norm: no 1e-10 agreement by quadrature order 16, last "
+            f"norms {[math.ldexp(1.0, 600), math.ldexp(2.0, 600)]!r}")
 
     def test_bounds_require_the_radial_mode(self):
         sol = solve(SPECS[1])
