@@ -4,7 +4,7 @@ from .problem import (ProblemSpec, WaveSpeedProfile,
                       construct_localisation_example,
                       construct_stable_example, relative_jumps, validate)
 from .assembly import (BlockSystem, CoefficientVector, dense_solve,
-                       normalize, solve_spec)
+                       normalize)
 from .green import (BetaSequence, GreenColumn, banded_column, beta_sequence,
                     green_last_column, layer_coefficients)
 from .evaluate import (DiagnosticsReport, RadialSolution, diagnostics,
@@ -22,7 +22,6 @@ __all__ = [
     "ProblemSpec", "WaveSpeedProfile", "construct_localisation_example",
     "construct_stable_example", "relative_jumps", "validate",
     "BlockSystem", "CoefficientVector", "dense_solve", "normalize",
-    "solve_spec",
     "BetaSequence", "GreenColumn", "banded_column", "beta_sequence",
     "green_last_column", "layer_coefficients",
     "DiagnosticsReport", "RadialSolution", "diagnostics", "disc_slice",

@@ -568,8 +568,3 @@ def _solution(system: BlockSystem) -> tuple[np.ndarray, float]:
         solve = _double_solve(scaled, b)
         solved = solve and _refine(system, scaled, solve, b, eps, scaled=True)
     return solved or _solve_mp(system, _MP_DIGITS)
-
-
-def solve_spec(spec: ProblemSpec) -> tuple[CoefficientVector, float]:
-    """Assemble, normalise and solve in one step."""
-    return dense_solve(normalize(spec))[:2]

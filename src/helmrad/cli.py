@@ -51,23 +51,14 @@ def _finite(values) -> list:
 
 
 def cmd_solve(args) -> int:
-    try:
-        spec = _load_spec(args.input)
-    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
-        print(f"error: invalid problem description: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
-        sol = evaluate.solve(spec)
-    except green.NearResonantDenominator as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NEAR_RESONANT
+    sol = evaluate.solve(args.spec)
     report = evaluate.diagnostics(sol, quad_order=args.quad_order)
     column = sol.column
 
     os.makedirs(args.output_dir, exist_ok=True)
     out = os.path.join
     evaluate.write_radial_csv(sol, out(args.output_dir, "radial.csv"))
-    if spec.dimension == 3 and spec.mode == 0:
+    if args.spec.dimension == 3 and args.spec.mode == 0:
         evaluate.write_disc_csv(sol, out(args.output_dir, "disc.csv"),
                                 grid=args.grid)
     green_doc = {
@@ -125,14 +116,9 @@ def _scan_sample(base: ProblemSpec, rng_seed: int, jitter: float):
 
 
 def cmd_scan(args) -> int:
-    try:
-        base = _load_spec(args.input)
-    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
-        print(f"error: invalid problem description: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     seeds = [(args.seed, 0.0)] + [
         (args.seed + 1 + k, args.jitter) for k in range(args.samples)]
-    rows = [_scan_sample(base, *sj) for sj in seeds]
+    rows = [_scan_sample(args.spec, *sj) for sj in seeds]
     os.makedirs(args.output_dir, exist_ok=True)
     lines = ["seed,jitter,omega,sup_norm,max_green_magnitude"]
     for (seed, jit), (omega, sup, mg) in zip(seeds, rows):
@@ -146,7 +132,7 @@ def _suite_oracle(rng) -> list:
     results = []
     for k in range(200):
         spec = random_spec(rng)
-        direct, _ = assembly.solve_spec(spec)
+        direct = evaluate.solve_direct(spec)[0].coeffs
         rec = green.layer_coefficients(spec)
         scale = max(np.max(np.abs(direct.entries)),
                     np.max(np.abs(rec.entries)))
@@ -237,12 +223,18 @@ def cmd_whisper(args) -> int:
     return EXIT_OK
 
 
-def _at_least(low: int):
-    def integer(text: str) -> int:
-        if int(text) < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}")
-        return int(text)
-    return integer
+def _within(low, below=math.inf, kind=int, name="integer"):
+    """An argparse type: a ``kind`` number in [low, below), nan refused;
+    text that is no ``kind`` number reads as an invalid ``name`` value."""
+    def convert(text: str):
+        value = kind(text)
+        if not low <= value < below:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}" if below == math.inf
+                else f"must be finite and in [{low:g}, {below:g})")
+        return value
+    convert.__name__ = name
+    return convert
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -255,8 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--input", required=True,
                    help="path to, or inline, problem JSON")
     s.add_argument("--output-dir", default=".")
-    s.add_argument("--grid", type=_at_least(1), default=64)
-    s.add_argument("--quad-order", type=_at_least(8), default=32)
+    s.add_argument("--grid", type=_within(1), default=64)
+    s.add_argument("--quad-order", type=_within(8), default=32)
 
     c = sub.add_parser("construct", help="emit a constructed example spec")
     c.add_argument("--kind", choices=["localised", "stable"], required=True)
@@ -268,8 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--input", required=True)
     sc.add_argument("--output-dir", default=".")
     sc.add_argument("--seed", type=int, required=True)
-    sc.add_argument("--samples", type=int, default=100)
-    sc.add_argument("--jitter", type=float, default=0.01)
+    sc.add_argument("--samples", type=_within(0, name="int"), default=100)
+    sc.add_argument("--jitter", type=_within(0, 1, float, "float"),
+                    default=0.01)
 
     v = sub.add_parser("verify", help="run a named acceptance suite")
     v.add_argument("--suite", choices=["oracle", "bounds", "figures",
@@ -292,11 +285,25 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  The one place where an invalid problem
+    description, a near resonance or a refused solve becomes an exit code
+    and one ``error:`` line, with no traceback and no artifact."""
     args = _parser().parse_args(argv)
+    if "input" in args:
+        try:
+            args.spec = _load_spec(args.input)
+        except (ValueError, KeyError, TypeError) as exc:
+            print(f"error: invalid problem description: {exc}",
+                  file=sys.stderr)
+            return EXIT_VALIDATION
     try:
         # looked up at call time, so a replaced module attribute is what runs
         return globals()[f"cmd_{args.command}"](args)
-    except (ZeroDivisionError, OverflowError, assembly.SingularSystem) as exc:
+    except green.NearResonantDenominator as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NEAR_RESONANT
+    except (ZeroDivisionError, OverflowError, assembly.SingularSystem,
+            green.GammaDegenerate) as exc:
         # a refused solve
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SUITE_FAILED

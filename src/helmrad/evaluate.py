@@ -87,9 +87,9 @@ def solve(spec: ProblemSpec) -> RadialSolution:
     never rerun in mpmath here.  The answering route's Green column, read
     with that pair, comes with the answer.  A refusal of the banded route
     propagates (``SingularSystem``, or ``OverflowError`` for a coefficient
-    outside the double range), as do the recursion's
-    ``green.NearResonantDenominator`` and ``OverflowError`` on its
-    accepted path.
+    outside the double range), as do ``green.GammaDegenerate`` and the
+    recursion's ``green.NearResonantDenominator`` and ``OverflowError`` on
+    its accepted path.
     """
     beta, _, error = green.extended_run(spec, shift=True)
     if error <= green.ERROR_LIMIT:
@@ -112,7 +112,7 @@ def solve(spec: ProblemSpec) -> RadialSolution:
 
 def solve_direct(spec: ProblemSpec) -> tuple[RadialSolution, float]:
     """Solve through banded elimination; returns the relative residual."""
-    coeffs, resid = assembly.solve_spec(spec)
+    coeffs, resid, _ = assembly.dense_solve(assembly.normalize(spec))
     return RadialSolution(spec=spec, coeffs=coeffs), resid
 
 
@@ -387,7 +387,10 @@ def energy_upper_bound(sol: RadialSolution) -> float:
             dh_sq = (1.0 + (cj / z[j - 1]) ** 2) * scale
             total += kfac * aj ** 2 * (h_sq + dh_sq)
         j_sq = (2.0 * z[j] / (cj + z[j])) ** 2 * scale
-        dj_sq = 16.0 * z[j] ** 4 / (2.0 * cj ** 2 + z[j] ** 2) ** 2 * scale
+        # z_j and c_j in units of 2**e_j, exactly: z_j**4 stays in range
+        e_j = math.frexp(max(z[j], cj))[1]
+        zs, cs = math.ldexp(z[j], -e_j), math.ldexp(cj, -e_j)
+        dj_sq = 16.0 * zs ** 4 / (2.0 * cs ** 2 + zs ** 2) ** 2 * scale
         total += kfac * bj ** 2 * (j_sq + dj_sq)
     return math.ldexp(math.sqrt(2.0 * total), e)
 

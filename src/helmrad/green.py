@@ -42,8 +42,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .assembly import (CoefficientVector, InterfacePair, b_last_extended,
-                       coefficient_vector, interface_pair)
+from .assembly import (_DEGENERACY_FLOOR, CoefficientVector, InterfacePair,
+                       b_last_extended, coefficient_vector, interface_pair)
 from .problem import ProblemSpec
 from .specfun import EXTENDED, Tier, mp_tier
 
@@ -98,7 +98,7 @@ def _interfaces(tier: Tier, at: InterfacePair) -> _Interface:
     t2 = df1r * f1l.conjugate() / cr
     gt_plus = t1 - t2
     size = np.abs(gt_plus)
-    vanished = size < 1e-300
+    vanished = size < _DEGENERACY_FLOOR
     if np.count_nonzero(vanished):
         raise GammaDegenerate(
             f"gamma-plus vanished at interface {np.argmax(vanished) + 1}")

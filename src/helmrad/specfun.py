@@ -19,8 +19,8 @@ One evaluator, ``_fundamental``, forms the pair from one sin and one cos
 per point: the real rows of f_2 = Re f_1 (j_m, or cos x) and their
 derivatives at every argument, those of Im f_1 (y_m, or sin x) only where
 asked.  The public evaluators, the extended tier's included, are views of
-it; ``fundamental_eval_mp`` shares its d=1 rows, slope identity and
-assembly of f_1.
+it.  The one mpmath evaluator, ``_rows_mp`` behind ``mp_tier``, shares its
+d=1 rows and slope identity.
 """
 
 from __future__ import annotations
@@ -298,13 +298,9 @@ def _fundamental(pair: FundamentalPair, x, deriv: int, imag: bool = True,
 
 
 def _assemble(re, im, cdtype):
-    """Rows f_1 = Re + i Im as one array of ``cdtype`` numbers (a tuple of
-    mpc for object); rows past those of ``im`` (all, if None) are f_2 =
-    Re f_1 as complex numbers.  No complex product reaches a real part, so
-    Re f_1 has the bits of f_2."""
-    if cdtype is object:
-        import mpmath as mp
-        return tuple(map(mp.mpc, re, im or (0,) * len(re)))
+    """Rows f_1 = Re + i Im as one array of ``cdtype`` numbers; rows past
+    those of ``im`` (all, if None) are f_2 = Re f_1 as complex numbers.  No
+    complex product reaches a real part, so Re f_1 has the bits of f_2."""
     out = np.array(re, dtype=cdtype)
     if im is not None:
         out.imag[:len(im)] = im
@@ -378,23 +374,13 @@ def wronskian_w(pair: FundamentalPair, p: int, q: int,
     return fp * dfq / c_k - dfp * fq / c_j
 
 
-def fundamental_eval_mp(pair: FundamentalPair, which: int, x):
-    """Arbitrary-precision value/derivative in the active mpmath context.
-
-    No route of the package calls it: the mpmath tiers read the same rows,
-    ``_rows_mp``, through ``mp_tier().pair_eval``, and the tests use it as
-    a reference.  y_m comes from the upward recurrence on the closed forms
-    of orders 0 and 1, and j_m, j_{m-1} from one hypergeometric series per
-    order.  The d=1 rows, slope identity and assembly are the hardware
-    evaluator's, so f_2 = Re f_1 and f_2' = Re f_1' hold bit for bit.
-    """
-    return _assemble(*_rows_mp(pair, x, _outgoing(which)), object)
-
-
-def _rows_mp(pair: FundamentalPair, x, imag: bool, shift: bool = False):
+def _rows_mp(pair: FundamentalPair, x, shift: bool = False):
     """(Re rows, Im rows) of f_1 at ``x`` in the active mpmath context, as
-    ``_fundamental`` gives them at deriv 1 (Im rows None without
-    ``imag``); with ``shift``, j_{m+1} from one more series."""
+    ``_fundamental`` gives them at deriv 1: the package's one mpmath
+    evaluator, behind ``mp_tier().pair_eval``.  y_m comes from the upward
+    recurrence on the closed forms of orders 0 and 1, j_{m-1} and j_m (and
+    with ``shift`` j_{m+1}) from one hypergeometric series each; the d=1
+    rows and the slope identity are those of ``_rows``."""
     import mpmath as mp
     x = mp.mpf(x)
     if not 0 < x < mp.inf:
@@ -402,7 +388,7 @@ def _rows_mp(pair: FundamentalPair, x, imag: bool, shift: bool = False):
     if pair.d == 1:
         c, s = mp.cos_sin(x)
         return (_rows(pair, 1, x, s, c, False, shift),
-                _rows(pair, 1, x, s, c, True, shift) if imag else None)
+                _rows(pair, 1, x, s, c, True, shift))
 
     m = pair.m
     # the closed forms of orders 0 and 1 get 10 guard digits for the y
@@ -421,17 +407,15 @@ def _rows_mp(pair: FundamentalPair, x, imag: bool, shift: bool = False):
         return x**k / math.prod(range(3, 2 * k + 2, 2)) \
             * mp.hyp0f1(mp.mpf(2 * k + 3) / 2, z)
     if m >= 2:
-        if imag:
-            y_lo, y = _yn_fixed(m, x, y_lo, y, mp.mp.prec + 64)
+        y_lo, y = _yn_fixed(m, x, y_lo, y, mp.mp.prec + 64)
         j_lo, j = series(m - 1), series(m)
     # unary + rounds each order to the working precision
     re = _value_slope(m, x, +j_lo, +j)
-    im = _value_slope(m, x, +y_lo, +y) if imag else None
+    im = _value_slope(m, x, +y_lo, +y)
     if shift:
         # h_{-1} = e^{ix}/x = -y_0 + i j_0 at m = 0, where -j_1 = j_0'
         re += (-y_lo, re[1]) if m == 0 else (+j_lo, -series(m + 1))
-        if imag:
-            im += (+(j_lo if m == 0 else y_lo),)
+        im += (+(j_lo if m == 0 else y_lo),)
     return re, im
 
 
@@ -531,8 +515,7 @@ def mp_tier() -> Tier:
     def pair_eval(pair, x, shift=True):
         out = np.empty((6 if shift else 4, len(x)), dtype=object)
         for i, v in enumerate(x):
-            (f, df, *g), (f_im, df_im, *g_im) = _rows_mp(pair, v, True,
-                                                         shift)
+            (f, df, *g), (f_im, df_im, *g_im) = _rows_mp(pair, v, shift)
             out[:4, i] = (mp.mpc(f, f_im), mp.mpc(df, df_im), mp.mpc(f),
                           mp.mpc(df))
             if shift:

@@ -18,7 +18,9 @@ are B_N, the layer envelope and the double-range rule as helmrad formed
 them from pair evaluations of their own, before they read the columns of
 the solve's one pair evaluation: the references for
 ``assembly.b_last_extended`` and the envelope of
-``assembly.coefficient_vector``.
+``assembly.coefficient_vector``.  ``fundamental_eval_mp`` is the pair of
+``fundamental_eval`` in mpmath, read from the rows of the package's one
+mpmath evaluator, ``specfun._rows_mp``.
 """
 
 from dataclasses import dataclass
@@ -30,12 +32,18 @@ from helmrad.assembly import (_LOG_EPS, _LOG_MAX, _LOG_TINY, R_HAT, T_HAT,
                               BlockSystem, CoefficientVector,
                               DegenerateNormaliser)
 from helmrad.problem import ProblemSpec
-from helmrad.specfun import (EXTENDED, FundamentalPair, Tier,
-                             fundamental_eval, fundamental_eval_mp,
-                             wronskian_w)
+from helmrad.specfun import (EXTENDED, FundamentalPair, Tier, _outgoing,
+                             _rows_mp, fundamental_eval, wronskian_w)
 
 #: normaliser magnitudes below this are treated as exactly singular
 _DEGENERACY_FLOOR = 1e-300
+
+
+def fundamental_eval_mp(pair: FundamentalPair, which: int, x) -> tuple:
+    """Value and derivative of f_{m,d,which} at x > 0 as mpc, in the active
+    mpmath context; f_2 is Re f_1, bit for bit."""
+    re, im = _rows_mp(pair, x)
+    return tuple(map(mp.mpc, re, im if _outgoing(which) else (0, 0)))
 
 
 def _pair(spec: ProblemSpec) -> FundamentalPair:

@@ -27,7 +27,7 @@ from helmrad import (
     normalize,
     refined_small_z_check,
     solve,
-    solve_spec,
+    solve_direct,
     sup_scaled,
 )
 from helmrad.evaluate import (RadialSolution, dtn_residual,
@@ -66,7 +66,7 @@ def test_criterion_01_oracle_equivalence(request):
     t0 = time.perf_counter()
     worst = 0.0
     for spec in _oracle_population():
-        direct, _ = solve_spec(spec)
+        direct = solve_direct(spec)[0].coeffs
         rec = layer_coefficients(spec)
         scale = max(np.max(np.abs(direct.entries)),
                     np.max(np.abs(rec.entries)))

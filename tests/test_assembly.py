@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from helmrad.assembly import (R_HAT, T_HAT, CoefficientVector, _band_matvec,
-                              _wronskians, dense_solve, normalize,
-                              solve_spec)
+                              _wronskians, dense_solve, normalize)
+from helmrad.evaluate import solve_direct
 from helmrad.problem import ProblemSpec, WaveSpeedProfile
 from helmrad.specfun import EXTENDED, FundamentalPair, mp_tier
 from interface_oracles import (assemble_raw, determinant_recursion,
@@ -164,15 +164,15 @@ class TestSameFamilyWronskians:
 class TestSolve:
     @pytest.mark.parametrize("spec", SPECS)
     def test_residual_is_tiny(self, spec):
-        coeffs, resid = solve_spec(spec)
+        sol, resid = solve_direct(spec)
         assert resid < 1e-12
         system = normalize(spec)
-        r = to_dense(system) @ coeffs.entries - rhs(system)
+        r = to_dense(system) @ sol.coeffs.entries - rhs(system)
         assert np.max(np.abs(r)) < 1e-12 * np.max(np.abs(rhs(system)))
 
     @pytest.mark.parametrize("spec", SPECS)
     def test_solution_matches_plain_dense_solve(self, spec):
-        coeffs, _ = solve_spec(spec)
+        coeffs = solve_direct(spec)[0].coeffs
         system = normalize(spec)
         ref = np.linalg.solve(to_dense(system), rhs(system))
         scale = max(np.max(np.abs(ref)), np.max(np.abs(coeffs.entries)))
@@ -213,9 +213,9 @@ class TestSolve:
         assert err <= 5e-16
 
     def test_boundary_coefficient_scales_solution_linearly(self):
-        base, _ = solve_spec(SPECS[0])
-        doubled, _ = solve_spec(_spec((1.0, 2.0), (0.4,), 3.0,
-                                      g=2.0 + 0.0j))
+        base = solve_direct(SPECS[0])[0].coeffs
+        doubled = solve_direct(_spec((1.0, 2.0), (0.4,), 3.0,
+                                     g=2.0 + 0.0j))[0].coeffs
         assert np.allclose(doubled.entries, 2.0 * base.entries, rtol=1e-12)
 
 

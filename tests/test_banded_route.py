@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from helmrad import assembly, cli, green
-from helmrad.assembly import SingularSystem, normalize, solve_spec
+from helmrad.assembly import SingularSystem, normalize
 from helmrad.evaluate import (energy_norm, interface_residuals, solve,
                               solve_direct, sup_radial)
 from helmrad.problem import (ProblemSpec, WaveSpeedProfile,
@@ -197,9 +197,9 @@ class TestRefinedAcceptance:
             raise AssertionError("escalated to arbitrary precision")
         monkeypatch.setattr(assembly, "_solve_mp", refuse)
         for spec, ref in formerly_escalated:
-            coeffs, resid = solve_spec(spec)
+            sol, resid = solve_direct(spec)
             assert resid < 1e-15
-            assert _normwise(coeffs.entries, ref) <= 1e-13
+            assert _normwise(sol.coeffs.entries, ref) <= 1e-13
 
     def test_wrong_refined_solve_escalates(self, mp_calls):
         """Refined with the unscaled double factors, the corrections of
@@ -209,13 +209,13 @@ class TestRefinedAcceptance:
         spec = ProblemSpec.from_dict(FAULT_C)
         system = normalize(spec)
         assert _refined(system, system.band(), _rhs(system)) is None
-        coeffs, _ = solve_spec(spec)
+        coeffs = solve_direct(spec)[0].coeffs
         assert mp_calls == []
         assert _normwise(coeffs.entries, raw_solve_mp(spec)) <= 1e-13
 
     def test_badly_scaled_high_mode_system_solves(self):
         spec = ProblemSpec.from_dict(FAULT_D)
-        coeffs, _ = solve_spec(spec)
+        coeffs = solve_direct(spec)[0].coeffs
         assert _normwise(coeffs.entries, raw_solve_mp(spec)) <= 1e-13
 
     def test_refused_mp_solve_raises_without_a_retry(self, monkeypatch,
@@ -227,7 +227,7 @@ class TestRefinedAcceptance:
         monkeypatch.setattr(assembly, "_tridiag_lu",
                             _perturbed_lu((1, 1), 1.5))
         with pytest.raises(SingularSystem):
-            solve_spec(construct_stable_example(8, 1.0, 3.0))
+            solve_direct(construct_stable_example(8, 1.0, 3.0))
         assert mp_calls == [assembly._MP_DIGITS]
 
     def test_negligible_coefficient_below_double_range_is_zero(self,
@@ -236,7 +236,7 @@ class TestRefinedAcceptance:
         B_2's in layer 2, so it becomes 0; B_1 and B_2 keep the values of
         a 150-digit solve, found in extended precision."""
         spec = ProblemSpec.from_dict(TINY_A2)
-        coeffs, _ = solve_spec(spec)
+        coeffs = solve_direct(spec)[0].coeffs
         assert mp_calls == []
         system = normalize(spec)
         x, _ = assembly._solve_mp(system, 150)
@@ -254,9 +254,9 @@ class TestScaledAttempt:
     @pytest.mark.parametrize("index", SCALED)
     def test_refused_high_mode_specs_stay_in_extended(self, index, no_mp):
         spec = high_mode_population()[index]
-        coeffs, resid = solve_spec(spec)
+        sol, resid = solve_direct(spec)
         assert resid < 1e-15
-        assert _normwise(coeffs.entries, raw_solve_mp(spec)) <= 1e-13
+        assert _normwise(sol.coeffs.entries, raw_solve_mp(spec)) <= 1e-13
 
     @pytest.mark.parametrize("index", sorted(set(BLOCK_LOSS) - set(REFUSED)))
     def test_formerly_cancelling_specs_stay_in_extended(self, index, no_mp):
@@ -266,14 +266,14 @@ class TestScaledAttempt:
         the cast to double."""
         spec = high_mode_population()[index]
         assert normalize(spec).block_loss <= 0.5
-        coeffs, resid = solve_spec(spec)
+        sol, resid = solve_direct(spec)
         assert resid < 1e-15
-        assert _normwise(coeffs.entries, raw_solve_mp(spec)) <= 1e-13
+        assert _normwise(sol.coeffs.entries, raw_solve_mp(spec)) <= 1e-13
 
     @pytest.mark.parametrize("index", REFUSED)
     def test_refused_spec_escalates_once(self, index, mp_calls):
         spec = high_mode_population()[index]
-        coeffs, _ = solve_spec(spec)
+        coeffs = solve_direct(spec)[0].coeffs
         assert mp_calls == [assembly._MP_DIGITS]
         assert _normwise(coeffs.entries, raw_solve_mp(spec)) <= 1e-13
 
@@ -293,7 +293,7 @@ class TestScaledAttempt:
         escalated = []
         for n in range(1, 65):
             try:
-                solve_spec(build(n, 1.0, 3.0))
+                solve_direct(build(n, 1.0, 3.0))
             except Escalated:
                 escalated.append(n)
         assert escalated == list(range(5, 65))
@@ -312,7 +312,7 @@ class TestScaledAttempt:
         monkeypatch.setattr(assembly, "_double_solve", spy)
         spec = construct_localisation_example(16, 1.0, 3.0)
         assert not assembly._digits_left(normalize(spec), EPS)
-        solve_spec(spec)
+        solve_direct(spec)
         assert factored == [] and mp_calls == [assembly._MP_DIGITS]
 
     def test_stalled_refinement_is_accepted(self, no_mp):
@@ -326,7 +326,7 @@ class TestScaledAttempt:
         assert resid < 1e-15
         ref = raw_solve_mp(spec)
         assert _normwise(x.astype(complex), ref) <= 1e-13
-        assert _normwise(solve_spec(spec)[0].entries, ref) <= 1e-13
+        assert _normwise(solve_direct(spec)[0].coeffs.entries, ref) <= 1e-13
 
     def test_step_rule_alone_refuses_a_diverging_refinement(self,
                                                            monkeypatch):
@@ -402,7 +402,7 @@ class TestHighModeAnswers:
         population = high_mode_population()
         for index in (15, 25, 27) + REFUSED:
             spec = population[index]
-            _, berr = solve_spec(spec)
+            _, berr = solve_direct(spec)
             assert berr <= 16 * np.finfo(np.longdouble).eps
             system = normalize(spec)
             band, b = system.band(), _rhs(system)
@@ -654,7 +654,7 @@ class TestBandedMpElimination:
         escalated = 0
         for spec in high_mode_population():
             del mp_calls[:]
-            solve_spec(spec)
+            solve_direct(spec)
             assert mp_calls in ([], [assembly._MP_DIGITS])
             escalated += bool(mp_calls)
         assert escalated > 0

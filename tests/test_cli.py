@@ -28,6 +28,13 @@ REFUSED = [
             boundary_coefficient=1.7e308).to_json(),
 ]
 
+# a spec validate accepts whose gamma-plus is below the degeneracy floor
+# at its one interface: refused by the pair evaluation of either route
+DEGENERATE = json.dumps({
+    "dimension": 3, "mode": 0, "omega": 1e151,
+    "boundary_coefficient": [1.0, 0.0],
+    "jump_points": [0.0, 0.5, 1.0], "speeds": [1.0, 2.0]})
+
 
 def _strict_json(text):
     """The JSON document ``text``, refusing NaN and +-Infinity."""
@@ -255,8 +262,9 @@ class TestSolve:
         col = json.loads((out / "green_column.json").read_text())
         assert col["odd"] == [] and col["even"] == []
 
-    @pytest.mark.parametrize("doc", REFUSED + [None],
-                             ids=["banded", "coefficients", "diagnostic"])
+    @pytest.mark.parametrize("doc", REFUSED + [None, DEGENERATE],
+                             ids=["banded", "coefficients", "diagnostic",
+                                  "degenerate"])
     def test_refusal_is_one_error_line_and_no_artifact(self, doc, tmp_path,
                                                        capsys, monkeypatch):
         if doc is None:
@@ -270,6 +278,8 @@ class TestSolve:
         assert rc == cli.EXIT_SUITE_FAILED == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        if doc == DEGENERATE:
+            assert err.startswith("error: GammaDegenerate: ")
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("option,value", [
@@ -355,14 +365,46 @@ class TestScan:
         for row in rows:
             assert all(math.isfinite(float(v)) for v in row.split(","))
 
-    def test_refusal_is_one_error_line_and_no_artifact(self, tmp_path,
-                                                       capsys):
-        rc = cli.main(["scan", "--input", REFUSED[0], "--output-dir",
+    @pytest.mark.parametrize("doc,name", [
+        (REFUSED[0], "OverflowError"), (DEGENERATE, "GammaDegenerate")],
+        ids=["banded", "degenerate"])
+    def test_refusal_is_one_error_line_and_no_artifact(self, doc, name,
+                                                       tmp_path, capsys):
+        rc = cli.main(["scan", "--input", doc, "--output-dir",
                        str(tmp_path / "out"), "--seed", "1",
                        "--samples", "2"])
         assert rc == cli.EXIT_SUITE_FAILED
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith(f"error: {name}: ") and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
+
+    def test_near_resonant_denominator_exits_with_code_3(self, tmp_path,
+                                                         monkeypatch, capsys):
+        def boom(spec, beta=None):
+            raise green.NearResonantDenominator(-700.0)
+        monkeypatch.setattr(cli.green, "green_last_column", boom)
+        rc = cli.main(["scan", "--input", _spec_json(),
+                       "--output-dir", str(tmp_path / "out"), "--seed", "1",
+                       "--samples", "2"])
+        assert rc == cli.EXIT_NEAR_RESONANT == 3
+        assert capsys.readouterr().err.startswith(
+            "error: denominator near resonance: ")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("option,value,message", [
+        ("--jitter", "2", "must be finite and in [0, 1)"),
+        ("--jitter", "nan", "must be finite and in [0, 1)"),
+        ("--jitter", "-0.1", "must be finite and in [0, 1)"),
+        ("--jitter", "abc", "invalid float value: 'abc'"),
+        ("--samples", "-1", "must be at least 0"),
+        ("--samples", "abc", "invalid int value: 'abc'")])
+    def test_parser_rejects_out_of_range_options(self, option, value,
+                                                 message, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["scan", "--input", _spec_json(), "--output-dir",
+                      str(tmp_path / "out"), "--seed", "1", option, value])
+        assert exc.value.code == cli.EXIT_VALIDATION == 2
+        assert f"{option}: {message}" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
     def test_invalid_base_spec(self, tmp_path):

@@ -10,6 +10,7 @@ import io
 import json
 import logging
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -201,6 +202,15 @@ class TestEnergy:
     def test_upper_bound_dominates_the_energy(self, spec):
         sol = solve(spec)
         assert energy_norm(sol) <= energy_upper_bound(sol)
+
+    def test_upper_bound_is_finite_at_huge_frequency(self):
+        """z_j^4 alone overflows from omega = 1e77 on this spec: the bound
+        read inf there and nan from 1e78, with RuntimeWarnings."""
+        sol = solve(_spec((1.0, 2.0), (0.5,), 1e100))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bound = energy_upper_bound(sol)
+        assert math.isfinite(bound) and bound >= energy_norm(sol)
 
     def test_unconverged_energy_norm_warns(self, monkeypatch, caplog):
         """Capped at order 16, the 8- and 16-point sums of SPECS[1] differ

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from helmrad import assembly, green
+from helmrad.evaluate import solve_direct
 from helmrad.problem import (ProblemSpec, WaveSpeedProfile,
                              construct_localisation_example,
                              construct_stable_example, random_alternating,
@@ -336,7 +337,7 @@ class TestRerunSelfCheck:
         mine = green.layer_coefficients(spec).entries
         rerun = green.green_last_column(spec, green._beta_mp(spec, 40))
         for ref in (green.layer_coefficients(spec, rerun).entries,
-                    assembly.solve_spec(spec)[0].entries):
+                    solve_direct(spec)[0].coeffs.entries):
             assert np.all(np.abs(mine - ref) <= 1e-13 * np.abs(ref))
 
     def test_zero_core_in_mpmath_raises_by_the_rule(self, monkeypatch):
@@ -432,7 +433,7 @@ class TestLayerCoefficients:
     @pytest.mark.parametrize("spec", SPECS)
     def test_matches_banded_elimination(self, spec):
         rec = green.layer_coefficients(spec)
-        direct, _ = assembly.solve_spec(spec)
+        direct = solve_direct(spec)[0].coeffs
         scale = max(np.max(np.abs(direct.entries)),
                     np.max(np.abs(rec.entries)))
         assert np.max(np.abs(rec.entries - direct.entries)) < 1e-10 * scale
@@ -446,7 +447,7 @@ class TestLayerCoefficients:
         column = green.green_last_column(spec)
         assert np.min(column.even_log_mag) < math.log(5e-324)
         rec = green.layer_coefficients(spec, column)
-        direct, _ = assembly.solve_spec(spec)
+        direct = solve_direct(spec)[0].coeffs
         assert np.all(np.abs(rec.entries - direct.entries)
                       <= 1e-12 * np.abs(direct.entries))
 
@@ -562,8 +563,8 @@ class TestSingleLayer:
             S_hat, loss = assembly._blocks(mp_tier(), spec)
         assert S_hat.shape == (0, 2, 2) and loss == 0.0
         rec = green.layer_coefficients(spec)
-        direct, resid = assembly.solve_spec(spec)
-        for coeffs in (rec, direct):
+        sol, resid = solve_direct(spec)
+        for coeffs in (rec, sol.coeffs):
             assert coeffs.entries.shape == (0,)
             assert coeffs.b_last == complex(
                 assembly.normalize(spec).b_last) != 0

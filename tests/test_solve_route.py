@@ -22,8 +22,8 @@ from helmrad.assembly import CoefficientVector, SingularSystem
 from helmrad.evaluate import interface_residuals, solve, solve_direct
 from helmrad.problem import (ProblemSpec, WaveSpeedProfile,
                              construct_localisation_example, random_spec)
-from helmrad.specfun import EXTENDED, FundamentalPair, fundamental_eval_mp
-from interface_oracles import (exact_interface_residuals,
+from helmrad.specfun import EXTENDED, FundamentalPair
+from interface_oracles import (exact_interface_residuals, fundamental_eval_mp,
                                outer_coefficient_mp, raw_solve_mp)
 from populations import S35, high_mode_population
 
@@ -227,7 +227,7 @@ class TestGate:
 
     def test_single_layer_reads_zero(self):
         spec = ProblemSpec(WaveSpeedProfile((0.0, 1.0), (1.0,)), omega=2.0)
-        assert _gate(spec, assembly.solve_spec(spec)[0]) == 0.0
+        assert _gate(spec, solve_direct(spec)[0].coeffs) == 0.0
 
 
 class TestFallbackLog:

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from helmrad.specfun import (FundamentalPair, SingularAtOrigin,
                              eval_limit_at_origin, fundamental_eval,
-                             fundamental_eval_d2, fundamental_eval_mp,
-                             spherical_bessel_j, spherical_bessel_y,
-                             spherical_hankel_h1, spherical_jn_seq,
-                             spherical_yn_seq, wronskian_w)
+                             fundamental_eval_d2, spherical_bessel_j,
+                             spherical_bessel_y, spherical_hankel_h1,
+                             spherical_jn_seq, spherical_yn_seq, wronskian_w)
+from interface_oracles import fundamental_eval_mp
 
 
 class TestAgainstScipy:
