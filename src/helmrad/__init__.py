@@ -10,7 +10,8 @@ from .green import (BetaSequence, GreenColumn, banded_column, beta_sequence,
 from .evaluate import (DiagnosticsReport, RadialSolution, diagnostics,
                        disc_slice, energy_lower_bound, energy_norm,
                        energy_upper_bound, eval_radial, interface_residuals,
-                       solve, solve_direct, sup_radial, sup_scaled)
+                       solve, solve_direct, solve_many, sup_radial,
+                       sup_scaled)
 from .stability import (GrowthLaw, RefinedCheck, StabilityReport,
                         WhisperResult, certify_beta_bounds, fit_loglinear,
                         green_growth_law, refined_small_z_check,
@@ -26,8 +27,8 @@ __all__ = [
     "green_last_column", "layer_coefficients",
     "DiagnosticsReport", "RadialSolution", "diagnostics", "disc_slice",
     "energy_lower_bound", "energy_norm", "energy_upper_bound", "eval_radial",
-    "interface_residuals", "solve", "solve_direct", "sup_radial",
-    "sup_scaled",
+    "interface_residuals", "solve", "solve_direct", "solve_many",
+    "sup_radial", "sup_scaled",
     "GrowthLaw", "RefinedCheck", "StabilityReport", "WhisperResult",
     "certify_beta_bounds", "fit_loglinear", "green_growth_law",
     "refined_small_z_check", "small_z_window", "whispering_gallery_scan",

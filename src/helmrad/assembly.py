@@ -232,11 +232,20 @@ def coefficient_vector(spec: ProblemSpec, log_mag, formed, b_last,
 class InterfacePair(NamedTuple):
     """The pair on both sides of every interface (columns 0..2n-1: blocks,
     scales, recursion, backward error, envelope), in extended precision
-    also at kappa (column 2n: B_N, envelope): a solve's one evaluation."""
+    also at kappa (column 2n: B_N, envelope): a solve's one evaluation.
+    A batch's has a trailing sample axis (of length 1 on ``speeds``)."""
 
     speeds: np.ndarray   # c_1..c_{n+1}, tier reals
     args: np.ndarray     # z_ell/c_ell for ell = 1..n, z_ell/c_{ell+1}[, kappa]
     values: np.ndarray   # rows (f_1, f_1', f_2, f_2'[, g_1, g_2]) at args
+
+    def sample(self, k: int) -> InterfacePair:
+        """The pair of sample ``k`` of a batch, in arrays of its own; a pair
+        without a sample axis is returned as it is."""
+        if self.args.ndim == 1:
+            return self
+        return InterfacePair(self.speeds[:, 0], self.args[:, k].copy(),
+                             self.values[..., k].copy())
 
 
 def interface_pair(tier: Tier, spec: ProblemSpec, omega=None, x=None,
@@ -245,16 +254,20 @@ def interface_pair(tier: Tier, spec: ProblemSpec, omega=None, x=None,
     z_ell/c_{ell+1}, z_ell = omega x_ell, then in EXTENDED alone at kappa =
     omega/c_{n+1}, from one ``tier.pair_eval`` call, with the shifted
     orders if ``shift``.  ``omega`` and the jump points ``x`` are tier
-    numbers, by default the spec's own."""
+    numbers, by default the spec's own, or a batch's with a trailing
+    sample axis: every point to the bits of its own call."""
     if omega is None:
         omega = tier.real(spec.omega)
         x = tier.real(np.asarray(spec.profile.jump_points))
-    c = tier.real(np.asarray(spec.profile.speeds))
+    c = tier.real(np.asarray(spec.profile.speeds)).reshape(
+        (-1,) + (1,) * np.ndim(omega))
     z = omega * np.asarray(x)[1:spec.n + 1]
     outer = (omega / c[-1],) if tier is EXTENDED else ()
     args = np.concatenate((z / c[:-1], z / c[1:], outer))
-    return InterfacePair(c, args, tier.pair_eval(
-        FundamentalPair(spec.dimension, spec.mode), args, shift))
+    values = tier.pair_eval(FundamentalPair(spec.dimension, spec.mode),
+                            args.ravel(), shift)
+    return InterfacePair(c, args, values.reshape(values.shape[:1]
+                                                 + args.shape))
 
 
 #: the five Wronskians w^{p,q} of a block, one per row: w^{2,1} (the

@@ -60,11 +60,13 @@ class UnsupportedMode(Exception):
 @dataclass(frozen=True)
 class RadialSolution:
     """A solved problem: the spec, its layer coefficients and, from
-    ``solve``, the Green column of the route that answered."""
+    ``solve``, the Green column of the route that answered and, from the
+    recursion, the gate's (coefficients, backward errors)."""
 
     spec: ProblemSpec
     coeffs: CoefficientVector
     column: green.GreenColumn | None = None
+    gate: tuple[CoefficientVector, np.ndarray] | None = None
 
     @property
     def pair(self) -> FundamentalPair:
@@ -73,8 +75,8 @@ class RadialSolution:
 
 def solve(spec: ProblemSpec) -> RadialSolution:
     """Solve by the recursion where it is checked right, else by banded
-    elimination: the one solve of the library, ``helmrad solve`` and
-    ``helmrad scan``.
+    elimination: the one solve of the library and ``helmrad solve``, and
+    the one-spec case, with no sample axis, of ``solve_many``.
 
     The recursion runs once, in extended precision, and evaluates the pair
     once, at the interfaces and at kappa (B_N).  Its answer is taken only
@@ -85,29 +87,84 @@ def solve(spec: ProblemSpec) -> RadialSolution:
     judged by the banded route's own a-posteriori tests, and one debug
     record on the ``helmrad`` logger gives the reason; the recursion is
     never rerun in mpmath here.  The answering route's Green column, read
-    with that pair, comes with the answer.  A refusal of the banded route
+    with that pair, comes with the answer, and the recursion's keeps the
+    gate's array for ``interface_residuals``.  A refusal of the banded route
     propagates (``SingularSystem``, or ``OverflowError`` for a coefficient
     outside the double range), as do ``green.GammaDegenerate`` and the
     recursion's ``green.NearResonantDenominator`` and ``OverflowError`` on
     its accepted path.
     """
-    beta, _, error = green.extended_run(spec, shift=True)
-    if error <= green.ERROR_LIMIT:
-        column = green.green_last_column(spec, beta)
-        coeffs = green.layer_coefficients(spec, column)
-        gate = _backward_errors(spec, beta.pair.values, coeffs).max(initial=0)
-        if gate <= _GATE_LIMIT:
-            return RadialSolution(spec, coeffs, column)
-        reason = (f"interface backward error {gate:.3g} exceeds "
-                  f"{_GATE_LIMIT:g}")
-    else:
-        reason = (f"estimated relative error {float(error):.3g} exceeds "
-                  f"{green.ERROR_LIMIT:g}")
-    _log.debug("solve: banded route, the recursion's %s", reason)
-    coeffs, _, column = assembly.dense_solve(
-        assembly.normalize(spec, beta.pair))
-    return RadialSolution(spec, coeffs, green.banded_column(
-        column, beta.pair, beta.error_bound_digits))
+    return _solve([spec], np.longdouble(spec.omega),
+                  np.longdouble(np.asarray(spec.profile.jump_points)))[0]
+
+
+def solve_many(specs: list[ProblemSpec]) -> list[RadialSolution]:
+    """``solve`` of each spec, bit for bit, for specs that differ only in
+    omega and the jump points (else ValueError), as ``helmrad scan``'s do:
+    each stage runs once, on arrays with a trailing sample axis, and a
+    sample the estimate or the gate refuses falls back alone to the banded
+    route.  The first refused spec in order raises; a batch that ``green``
+    refuses as a whole is solved one spec at a time to find it."""
+    if len({(s.dimension, s.mode, s.profile.speeds, s.boundary_coefficient)
+            for s in specs}) > 1:
+        raise ValueError("the specs differ in more than omega and x")
+    if not specs:
+        return []
+    try:
+        return _solve(specs, np.longdouble([s.omega for s in specs]), np.array(
+            [s.profile.jump_points for s in specs], np.longdouble).T)
+    except (green.GammaDegenerate, green.NearResonantDenominator):
+        return [solve(s) for s in specs]
+
+
+def _solve(specs: list[ProblemSpec], omega, x) -> list[RadialSolution]:
+    """``solve`` of ``specs`` at the extended ``omega`` and jump points
+    ``x``, one spec's with no sample axis or a batch's with a trailing one;
+    a refusal raises for the first refused spec in order."""
+    base, count = specs[0], len(specs)
+    beta, _, error = green.extended_run(base, True, omega, x)
+    accepted = [k for k, ok in enumerate(
+        (error <= green.ERROR_LIMIT).reshape(-1).tolist()) if ok]
+    column = accepted and green.green_last_column(base, beta)
+    # the coefficients and the gate: every sample's at once, 0 if refused
+    entries = np.zeros((2 * base.n,) + np.shape(omega), complex)
+    b_last = np.zeros(np.shape(omega), complex)
+    columns, coeffs = {}, {}
+    for k in accepted:
+        columns[k] = column.sample(k)
+        try:
+            coeffs[k] = c = green.layer_coefficients(specs[k], columns[k])
+        except OverflowError as exc:    # raised below, in order
+            coeffs[k] = exc
+            continue
+        entries.reshape(2 * base.n, count)[:, k] = c.entries
+        b_last.reshape(count)[k] = c.b_last
+    if accepted:
+        errors = np.atleast_3d(_backward_errors(
+            base, beta.pair.values, CoefficientVector(entries, b_last)))
+    solved = []
+    for k, spec in enumerate(specs):
+        c = coeffs.get(k)
+        if isinstance(c, Exception):
+            raise c
+        if c is None:
+            reason = (f"estimated relative error "
+                      f"{float(error.reshape(-1)[k]):.3g} exceeds "
+                      f"{green.ERROR_LIMIT:g}")
+        elif (gate := errors[..., k].max(initial=0)) <= _GATE_LIMIT:
+            solved.append(RadialSolution(spec, c, columns[k],
+                                         (c, errors[..., k])))
+            continue
+        else:
+            reason = (f"interface backward error {gate:.3g} exceeds "
+                      f"{_GATE_LIMIT:g}")
+        _log.debug("solve: banded route, the recursion's %s", reason)
+        pair = beta.pair.sample(k)
+        answer, _, column = assembly.dense_solve(
+            assembly.normalize(spec, pair))
+        solved.append(RadialSolution(spec, answer, green.banded_column(
+            column, pair, float(beta.error_bound_digits.reshape(-1)[k]))))
+    return solved
 
 
 def solve_direct(spec: ProblemSpec) -> tuple[RadialSolution, float]:
@@ -197,11 +254,14 @@ def eval_radial(sol: RadialSolution, r: float):
 def interface_residuals(sol: RadialSolution) -> list:
     """Per-interface backward errors (|[u]|, |[u']|), ``_backward_errors``
     of the solve's pair (its column's) in extended precision, or of one
-    evaluated here for a solution built by hand."""
-    at = getattr(sol.column, "pair", None) \
-        or assembly.interface_pair(EXTENDED, sol.spec)
-    return [tuple(p) for p in
-            _backward_errors(sol.spec, at.values, sol.coeffs).T.tolist()]
+    evaluated here for a solution built by hand: the gate's own array
+    where ``solve`` formed it from these coefficients."""
+    coeffs, errors = sol.gate or (None, None)
+    if coeffs is not sol.coeffs:
+        at = getattr(sol.column, "pair", None) \
+            or assembly.interface_pair(EXTENDED, sol.spec)
+        errors = _backward_errors(sol.spec, at.values, sol.coeffs)
+    return [tuple(p) for p in errors.T.tolist()]
 
 
 def _backward_errors(spec: ProblemSpec, values: np.ndarray,
@@ -215,27 +275,32 @@ def _backward_errors(spec: ProblemSpec, values: np.ndarray,
     the ansatz terms on both sides, the slope jump also by the larger of
     the two wavenumbers: near a zero of f the value alone would understate
     the rounding a term carries.  A term that is not finite makes its
-    interface NaN; an interface where every term vanishes reads 0.
+    interface NaN; an interface where every term vanishes reads 0.  With
+    a trailing sample axis on ``values``, ``coeffs.entries`` and
+    ``coeffs.b_last`` (a batch of ``solve_many``), the array gets it too.
     """
     n = spec.n
+    b_last = np.asarray(coeffs.b_last)
     # (A_j, B_j), j = 1..n+1 with A_1 = 0: the left side of interface ell
     # takes layer ell, the right side layer ell + 1
-    rows = np.concatenate(([0.0], coeffs.entries, [coeffs.b_last])) \
-        .reshape(n + 1, 2)
-    coef = np.concatenate((rows[:n], rows[1:])).T
+    rows = np.concatenate((np.zeros((1,) + b_last.shape), coeffs.entries,
+                           b_last[None])).reshape((n + 1, 2) + b_last.shape)
+    coef = np.concatenate((rows[:n], rows[1:])).swapaxes(0, 1)
     # terms[i, j]: A (i = 0) or B (i = 1) times the value (j = 0) or the
     # slope (j = 1) of its function, at each point
-    terms = values[:4, :2 * n].reshape(2, 2, -1) * coef[:, None]
+    values = values[:4, :2 * n]
+    terms = values.reshape((2, 2) + values.shape[1:]) * coef[:, None]
     mags = np.abs(terms)
-    size = np.hypot(mags[:, 0], mags[:, 1]).reshape(4, n).sum(0)
+    size = np.hypot(mags[:, 0], mags[:, 1]).reshape(
+        (4, n) + b_last.shape).sum(0)
     # u and du/d(kr) at each point, then the jumps: the slope's in units
     # of the larger wavenumber, k/k_top = min(c_l, c_r)/c
     sums = terms.sum(0)
-    c = np.asarray(spec.profile.speeds)
+    c = np.asarray(spec.profile.speeds).reshape((-1,) + (1,) * b_last.ndim)
     sums[1] /= np.concatenate((c[:-1], c[1:]))
     jump = sums[:, :n] - sums[:, n:]
     jump[1] *= np.minimum(c[:-1], c[1:])
-    return np.divide(np.abs(jump), size, out=np.zeros_like(jump.real),
+    return np.divide(np.abs(jump), size, out=np.zeros(jump.shape, size.dtype),
                      where=size != 0).astype(float)
 
 
@@ -461,23 +526,27 @@ def _lattice(grid: int):
     return axis, radii, where
 
 
+def _disc_values(sol: RadialSolution, grid: int) -> np.ndarray:
+    """|u * Y| at each distinct radius of ``_lattice(grid)``, NaN outside
+    the unit disc: the mode is radially symmetric (d=3, m=0 only)."""
+    if sol.spec.dimension != 3 or sol.spec.mode != 0:
+        raise UnsupportedMode("disc rendering needs d=3, m=0")
+    radii = _lattice(grid)[1]
+    inside = radii <= 1.0
+    values = np.full(radii.shape, np.nan)
+    values[inside] = np.abs(_radial_values(sol, radii[inside])) * Y00_3D
+    return values
+
+
 def disc_slice(sol: RadialSolution, grid: int):
     """|u * Y| on a grid x grid lattice over the equatorial disc.
 
     Returns (x, y, field, sup); lattice points outside the unit disc carry
     NaN.  Restricted to the radial mode (d=3, m=0).
     """
-    spec = sol.spec
-    if spec.dimension != 3 or spec.mode != 0:
-        raise UnsupportedMode("disc rendering needs d=3, m=0")
-    axis, radii, where = _lattice(grid)
-    # the mode is radially symmetric: evaluate each distinct radius once
-    inside = radii <= 1.0
-    values = np.full(radii.shape, np.nan)
-    values[inside] = np.abs(_radial_values(sol, radii[inside])) * Y00_3D
-    field = values[where].reshape(grid, grid)
+    field = _disc_values(sol, grid)[_lattice(grid)[2]].reshape(grid, grid)
     sup = float(np.nanmax(field)) if np.any(np.isfinite(field)) else 0.0
-    axis = axis.copy()
+    axis = _lattice(grid)[0].copy()
     return axis, axis, field, sup
 
 
@@ -598,11 +667,8 @@ def write_radial_csv(sol: RadialSolution, path, samples: int = 1024):
 
 
 def write_disc_csv(sol: RadialSolution, path, grid: int = 64):
-    _, _, field, _ = disc_slice(sol, grid)
-    # each distinct bit pattern is formatted once: the radially symmetric
-    # field holds about grid^2 / 8 of them (NaN outside)
-    bits, where = np.unique(np.ascontiguousarray(field, dtype=np.float64)
-                            .view(np.uint64), return_inverse=True)
-    cells = np.array([f"{v:.17g}" for v in bits.view(np.float64).tolist()],
-                     dtype=object)[where.ravel()]
+    # each distinct radius's value is formatted once (about grid^2 / 8 of
+    # them), then every cell takes its radius's text
+    cells = np.array([f"{v:.17g}" for v in _disc_values(sol, grid).tolist()],
+                     dtype=object)[_lattice(grid)[2]]
     _atomic_write(path, _disc_template(grid) % tuple(cells.tolist()))

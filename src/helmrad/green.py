@@ -11,8 +11,9 @@ Everything about the interfaces that does not depend on beta (reflection
 strengths, Wronskians, layer phases, rotations, the bound's per-interface
 factors) is formed first, as one array expression over all n interfaces
 from one pair evaluation (``assembly.interface_pair``); the loop over the
-interfaces then does only the scalar work that depends on the previous
-beta.  The same body runs in both precision tiers.
+interfaces then does only the work that depends on the previous beta.
+The same body runs in both precision tiers, on one problem's numbers or on
+a batch's with a trailing sample axis (``evaluate.solve_many``).
 
 The recursion runs in extended precision and carries a running first-order
 error bound through each step's Jacobian.  A run's estimate is the digits
@@ -37,7 +38,7 @@ both read with the run's one pair evaluation (see ``evaluate.solve``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -100,8 +101,8 @@ def _interfaces(tier: Tier, at: InterfacePair) -> _Interface:
     size = np.abs(gt_plus)
     vanished = size < _DEGENERACY_FLOOR
     if np.count_nonzero(vanished):
-        raise GammaDegenerate(
-            f"gamma-plus vanished at interface {np.argmax(vanished) + 1}")
+        first = np.argmax(vanished.reshape(n, -1).any(1)) + 1
+        raise GammaDegenerate(f"gamma-plus vanished at interface {first}")
     gt_minus = df1l * f1r / cl - df1r * f1l / cr
     g_plus = 1j * tier.cexp(zl - zr) * gt_plus
     g_minus = 1j * tier.cexp(-zl - zr) * gt_minus
@@ -141,15 +142,15 @@ class BetaSequence:
 
 
 class _Run(NamedTuple):
-    """One pass of the recursion: lists of tier numbers per ell = 0..n, and
-    the interfaces it read."""
+    """One pass of the recursion: arrays of tier numbers over ell = 0..n,
+    and the interfaces it read."""
 
-    log_mod: list
-    phases: list
-    im_log: list
-    im_sign: list
+    log_mod: np.ndarray
+    phases: np.ndarray
+    im_log: np.ndarray
+    im_sign: np.ndarray
     interfaces: _Interface
-    bound: object       # running error bound, in rounding units
+    bound: object       # first-order error bound, in rounding units
 
 
 def _recursion(tier: Tier, spec: ProblemSpec, omega, x, shift=False) -> _Run:
@@ -159,10 +160,11 @@ def _recursion(tier: Tier, spec: ProblemSpec, omega, x, shift=False) -> _Run:
     ell = 1..n, formed before the loop: the interface quantities, the
     layer phases delta and e^{-i delta}, the step factor g+/(2i w^{1,2}),
     the rotation e^{i z_ell/c_{ell+1}} and the bound's per-interface
-    factors.  The loop keeps what depends on beta_{ell-1}: the step and
-    its core, the Jacobian, the running bound, the advance in log form and
-    the Im extraction.  Both tiers run this one body, on np.longdouble
-    arrays or on object arrays of mpmath numbers; with ``shift`` the pair
+    factors.  The loop keeps what depends on beta_{ell-1}, with no branch:
+    the step, the Jacobian, the error terms, the advance in log form and
+    the rotated phase; the bound's maximum and the Im parts' logs follow.
+    Both tiers run this one body, on np.longdouble numbers (a batch's with
+    a trailing sample axis) or on mpmath numbers; with ``shift`` the pair
     has the shifted orders.
 
     Each step extracts Im(e^{i z_ell/c_{ell+1}} beta_ell) and carries
@@ -175,8 +177,9 @@ def _recursion(tier: Tier, spec: ProblemSpec, omega, x, shift=False) -> _Run:
     rounding: the core cancelling against its operands, amplified by the
     cancellation inside gamma-plus, and the rounding of the layer phase
     delta carried through J.  The bound is the largest phase plus
-    log-modulus error over the steps; a core that cancels to exactly zero
-    has lost every digit and makes it infinite.
+    log-modulus error over the steps.  A core that cancels to exactly zero
+    has lost every digit: its NaN makes the bound infinite and the log
+    moduli -inf from there on (beta is 0); mpmath raises ZeroDivisionError.
     """
     x = np.asarray(x)
     n = spec.n
@@ -185,42 +188,40 @@ def _recursion(tier: Tier, spec: ProblemSpec, omega, x, shift=False) -> _Run:
     delta = omega * (x[1:n + 1] - x[:n]) / c[:-1]
     per_step = zip(tier.cexp(-delta), it.q, 1 + np.abs(it.q), 1 + it.cancel,
                    delta, it.g_plus / (2j * it.w12), tier.cexp(args[n:2 * n]))
-    none, one = tier.real(-math.inf), tier.real(1) + 0j
-    log_mod, phases = [tier.real(0)], [one]
-    im_log, im_sign = [none], [0.0]
-    lm, ph = log_mod[0], one
-    phase_err = log_err = bound = tier.real(0)
-    for turn, q, reflect, gamma, d, factor, rot in per_step:
-        u = turn * ph
-        qu = q * np.conjugate(u)
-        core = u + qu
-        if core == 0:
-            bound = tier.real(math.inf)
-        else:
+    lm = phase_err = log_err = omega * 0     # zeros shaped like omega
+    ph = lm + 1 + 0j
+    # ell = 0 has no Im part: a zero stands for it (log -inf, sign 0)
+    log_mod, phases, rotated, errs = [lm], [ph], [lm], [lm]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for turn, q, reflect, gamma, d, factor, rot in per_step:
+            u = turn * ph
+            qu = q * np.conjugate(u)
+            core = u + qu
             jac = (u - qu) / core
             local = reflect / abs(core) * gamma + abs(jac) * d
-            log_err += abs(jac.imag) * phase_err + local
+            log_err = log_err + (abs(jac.imag) * phase_err + local)
             phase_err = abs(jac.real) * phase_err + local
-            if phase_err + log_err > bound:
-                bound = phase_err + log_err
-        # the step, applied to a unit phase, folded into log form
-        step = factor * core
-        mag = abs(step)
-        lm, ph = (lm + tier.log(mag), step / mag) if mag != 0 else \
-            (none, one)
-        log_mod.append(lm)
-        phases.append(ph)
-        im = (rot * ph).imag
-        if im == 0:
-            im_log.append(none)
-            im_sign.append(0.0)
-        else:
-            im_log.append(tier.log(abs(im)) + lm)
-            im_sign.append(1.0 if im > 0 else -1.0)
-    return _Run(log_mod, phases, im_log, im_sign, it, bound)
+            errs.append(phase_err + log_err)
+            # the step, applied to a unit phase, folded into log form
+            step = factor * core
+            mag = abs(step)
+            lm = lm + tier.log(mag)
+            ph = step / mag
+            log_mod.append(lm)
+            phases.append(ph)
+            rotated.append((rot * ph).imag)
+        im, log_mod = np.array(rotated), np.array(log_mod)
+        # a step from a zero core on has NaN phases: beta is 0 there
+        zero = im != im
+        im[zero], log_mod[zero] = 0, -math.inf
+        bound = np.maximum.reduce(errs)
+        return _Run(log_mod, np.array(phases), tier.log(abs(im)) + log_mod,
+                    np.sign(im).astype(float), it,
+                    # NaN, from a zero core, is an infinite bound
+                    np.fmin(bound, tier.real(math.inf)))
 
 
-def _sequence(run: _Run, tier: str, digits: float, from_mp: bool = False
+def _sequence(run: _Run, tier: str, digits, from_mp: bool = False
               ) -> BetaSequence:
     """``run`` as a record; ``from_mp`` converts an mpmath run's numbers
     to extended precision (``_to_ext``) and drops its pair."""
@@ -231,11 +232,10 @@ def _sequence(run: _Run, tier: str, digits: float, from_mp: bool = False
                            im_log=[_to_ext(v) for v in run.im_log])
     return BetaSequence(
         n=len(run.log_mod) - 1,
-        log_moduli=np.array(run.log_mod, dtype=_EXT),
-        phases=np.array(run.phases, dtype=_CEXT),
-        rot_im_log=np.array(run.im_log, dtype=_EXT),
-        rot_im_sign=np.array(run.im_sign), tier=tier,
-        error_bound_digits=digits,
+        log_moduli=np.asarray(run.log_mod, dtype=_EXT),
+        phases=np.asarray(run.phases, dtype=_CEXT),
+        rot_im_log=np.asarray(run.im_log, dtype=_EXT),
+        rot_im_sign=run.im_sign, tier=tier, error_bound_digits=digits,
         pair=None if from_mp else run.interfaces.pair)
 
 
@@ -271,8 +271,11 @@ def _beta_mp(spec: ProblemSpec, digits: float, data=None) -> BetaSequence:
             x = [mp.mpf(v) for v in spec.profile.jump_points]
         else:
             omega, x = data(spec)
-        run = _recursion(mp_tier(), spec, omega, x)
-        lost, error = _estimate(mp_tier(), run, mp.eps)
+        try:
+            run = _recursion(mp_tier(), spec, omega, x)
+            lost, error = _estimate(mp_tier(), run, mp.eps)
+        except ZeroDivisionError:   # a core cancelled to exactly zero
+            error = mp.inf
         if error > ERROR_LIMIT:
             raise ZeroDivisionError(
                 f"arbitrary-precision rerun at {mp.mp.dps} digits: estimated "
@@ -281,8 +284,9 @@ def _beta_mp(spec: ProblemSpec, digits: float, data=None) -> BetaSequence:
         return _sequence(run, f"mp@{mp.mp.dps}", lost, from_mp=True)
 
 
-def _im_loss(run: _Run, digits: float) -> float:
-    """Decimal digits the column entries would lose to the Im extraction.
+def _im_loss(run: _Run, digits: float):
+    """Decimal digits the column entries would lose to the Im extraction,
+    one per sample of a batch.
 
     The imaginary part can cancel far below the unit-modulus rotated phase,
     and the loss is weighted by how close the affected entry sits to the
@@ -291,28 +295,38 @@ def _im_loss(run: _Run, digits: float) -> float:
     zero may mask a tiny true value and loses all ``digits`` of the tier.
     Entries after an exact zero step are skipped: its bound is infinite.
     """
-    log_mod, im_log = run.log_mod, run.im_log
-    top = float(max(log_mod[:-1] + im_log[1:], default=-math.inf))
-    im_loss = 0.0
-    for lm, il, sign in zip(log_mod[1:], im_log[1:], run.im_sign[1:]):
-        if not math.isfinite(lm):
-            continue
-        if sign != 0.0:
-            loss = (float(lm - il) - max(0.0, top - float(il))) / _LN10
-        else:
-            loss = digits - max(0.0, top - float(lm)) / _LN10
-        if loss > im_loss:
-            im_loss = loss
-    return im_loss
+    # in doubles, one sample at a time, lm - il formed in the tier first
+    with np.errstate(invalid="ignore"):
+        rows = np.array((run.log_mod, run.im_log, run.log_mod - run.im_log,
+                         run.im_sign), dtype=float)
+    losses = []
+    for log_mod, im_log, depth, im_sign in rows.reshape(
+            4, len(run.log_mod), -1).transpose(2, 0, 1).tolist():
+        # the column's largest entry
+        top = max(log_mod[:-1] + im_log[1:], default=-math.inf)
+        im_loss = 0.0
+        for lm, il, d, sign in zip(log_mod[1:], im_log[1:], depth[1:],
+                                   im_sign[1:]):
+            if not math.isfinite(lm):
+                continue
+            if sign != 0.0:
+                loss = (d - max(0.0, top - il)) / _LN10
+            else:
+                loss = digits - max(0.0, top - lm) / _LN10
+            if loss > im_loss:
+                im_loss = loss
+        losses.append(im_loss)
+    return np.array(losses).reshape(np.shape(run.bound))[()]
 
 
 def _estimate(tier: Tier, run: _Run, eps) -> tuple[float, object]:
     """(lost, error): the decimal digits ``run`` lost, log10 of its bound
     (at least one rounding unit) plus the Im extraction's, and eps *
     10**lost, a tier number (at hundreds of mpmath digits a float would
-    underflow); ``eps`` is the tier's rounding unit."""
+    underflow); ``eps`` is the tier's rounding unit.  One each per sample."""
     digits = -float(tier.log10(eps))
-    lost = float(tier.log10(max(run.bound, 1))) + _im_loss(run, digits)
+    lost = np.float64(tier.log10(np.maximum(run.bound, 1))) \
+        + _im_loss(run, digits)
     return lost, eps * tier.real(10) ** lost
 
 
@@ -321,7 +335,7 @@ def _mp_dps(digits: float) -> int:
     return 30 + int(math.ceil(digits))
 
 
-def extended_run(spec: ProblemSpec, shift=False
+def extended_run(spec: ProblemSpec, shift=False, omega=None, x=None
                  ) -> tuple[BetaSequence, _Run, object]:
     """The recursion in extended precision alone, with no rerun: its
     sequence, the run itself and its error estimate (``_estimate``).
@@ -330,9 +344,12 @@ def extended_run(spec: ProblemSpec, shift=False
     ``beta_sequence``'s answer.  Its ``pair`` (the 2n interface arguments
     and kappa) gives ``evaluate.solve`` B_N, the interface backward error
     and a fallback's banded blocks, their shifted orders with ``shift``.
+    ``omega`` and ``x``, extended numbers, replace the spec's: with a
+    trailing sample axis the run, its sequence and estimate serve a batch.
     """
-    run = _recursion(EXTENDED, spec, _EXT(spec.omega),
-                     _EXT(np.asarray(spec.profile.jump_points)), shift)
+    if omega is None:
+        omega, x = _EXT(spec.omega), _EXT(np.asarray(spec.profile.jump_points))
+    run = _recursion(EXTENDED, spec, omega, x, shift)
     lost, error = _estimate(EXTENDED, run, _EPS)
     return _sequence(run, "extended", lost), run, error
 
@@ -389,6 +406,14 @@ class GreenColumn:
         return float(np.exp(max(np.max(self.odd_log_mag, initial=-np.inf),
                                 np.max(self.even_log_mag, initial=-np.inf))))
 
+    def sample(self, k: int) -> GreenColumn:
+        """The column of sample ``k`` (see ``InterfacePair.sample``)."""
+        if self.odd_log_mag.ndim == 1:
+            return self
+        rows = (getattr(self, f.name)[:, k].copy() for f in fields(self)[:6])
+        return GreenColumn(*rows, self.pair.sample(k), self.tier,
+                           float(self.error_bound_digits[k]))
+
 
 def _column(log: np.ndarray, phase: np.ndarray, pair: InterfacePair | None,
             tier: str, digits: float) -> GreenColumn:
@@ -397,27 +422,28 @@ def _column(log: np.ndarray, phase: np.ndarray, pair: InterfacePair | None,
     n = len(log) // 2
     # display entries by math.exp on the clipped logs: np.exp does not
     # always reproduce its bits
-    entry = phase * np.array([math.exp(v) for v in
-                              np.minimum(log, 700.0).tolist()])
+    entry = phase * np.array([math.exp(v) for v in np.minimum(
+        log, 700.0).ravel().tolist()]).reshape(log.shape)
     return GreenColumn(entry[:n], entry[n:], log[:n], log[n:], phase[:n],
                        phase[n:], pair, tier, digits)
 
 
 def green_last_column(spec: ProblemSpec, beta: BetaSequence | None = None
                       ) -> GreenColumn:
-    """Evaluate the closed-form last-column entries from the beta sequence."""
-    if beta is None:
-        beta = beta_sequence(spec)
+    """Evaluate the closed-form last-column entries from the beta sequence;
+    with a batched ``beta``'s trailing sample axis, of every sample, all
+    refused if one is near resonance."""
+    beta = beta or beta_sequence(spec)
     n = beta.n
-    if beta.log_moduli[n] < math.log(NEAR_RESONANCE_FLOOR):
-        raise NearResonantDenominator(float(beta.log_moduli[n]))
-    # omega, x_0..x_n and c_1..c_{n+1} in one array, then the phases of
-    # beta_0..beta_n turned by e^{i omega x_ell / c_{ell+1}}; the last one
-    # is the denominator's
-    data = np.array((spec.omega, *spec.profile.jump_points[:n + 1],
-                     *spec.profile.speeds)).astype(_EXT)
-    turned = np.exp(_IU * (data[0] * data[1:n + 2] / data[n + 2:])) \
-        * beta.phases
+    low = beta.log_moduli[n].min()
+    if low < math.log(NEAR_RESONANCE_FLOOR):
+        raise NearResonantDenominator(float(low))
+    # the phases of beta_0..beta_n turned by e^{i omega x_ell / c_{ell+1}}:
+    # 0 at x_0 = 0, then the pair's right-hand arguments; the last one is
+    # the denominator's
+    at = beta.pair or interface_pair(EXTENDED, spec)
+    turned = np.exp(_IU * np.concatenate((np.zeros(
+        (1,) + at.args.shape[1:], _EXT), at.args[n:2 * n]))) * beta.phases
     # the odd rows, then the even ones: the scalar products behind the even
     # entries are purely imaginary, so conjugation contributes the factor
     # -i there; a zero sign leaves a zero entry (its log is -inf)

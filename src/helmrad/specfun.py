@@ -440,8 +440,9 @@ class Tier(NamedTuple):
 
     ``real`` builds a real number from a double, or an array of them from
     an array of doubles, ``cexp(t)`` is exp(i t), ``log`` and ``log10`` are
-    logarithms of reals, and ``cdtype`` is the dtype of an array of the
-    tier's complex numbers.  ``pair_eval(pair, x, shift=True)`` takes a 1-D
+    logarithms of reals (``log`` also of an array of them), and ``cdtype``
+    is the dtype of an array of the tier's complex numbers.
+    ``pair_eval(pair, x, shift=True)`` takes a 1-D
     array of arguments, of the tier's reals, and gives (f_1, f_1', f_2,
     f_2', g_1, g_2) of the fundamental system at each, as the six rows of
     one array of the tier's complex numbers (the first four alone without
@@ -524,7 +525,8 @@ def mp_tier() -> Tier:
     return Tier(
         real=np.frompyfunc(mp.mpf, 1, 1),
         cexp=np.frompyfunc(lambda t: mp.exp(1j * t), 1, 1),
-        log=mp.log, log10=mp.log10, pair_eval=pair_eval, cdtype=object)
+        log=np.frompyfunc(mp.log, 1, 1), log10=mp.log10,
+        pair_eval=pair_eval, cdtype=object)
 
 
 def eval_limit_at_origin(pair: FundamentalPair, which: int) -> complex:

@@ -23,7 +23,8 @@ def divergence(spec, omega, x, run) -> float:
     """Largest per-step difference between ``run`` and the jump-ratio step.
 
     ``omega`` and ``x`` are the extended-precision data the run was made
-    from; ``run`` is what ``green._recursion`` returned for them.
+    from; ``run`` is what ``green._recursion`` returned for them.  With a
+    trailing sample axis (a batch) the worst over every sample.
     """
     worst = 0.0
     for ell in range(1, spec.n + 1):
@@ -35,7 +36,7 @@ def divergence(spec, omega, x, run) -> float:
         dphase = abs(step0 / abs(step0) - run.phases[ell])
         dlog = abs(np.log(abs(step0)) + run.log_mod[ell - 1]
                    - run.log_mod[ell])
-        worst = max(worst, float(dphase), float(dlog))
+        worst = max(worst, float(np.max(dphase)), float(np.max(dlog)))
     return worst
 
 

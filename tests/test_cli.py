@@ -5,7 +5,7 @@ import json
 import math
 import os
 import platform
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import mpmath as mp
 import numpy as np
@@ -15,7 +15,7 @@ from helmrad import assembly, cli, evaluate, green, specfun
 from helmrad.assembly import SingularSystem
 from helmrad.problem import (ProblemSpec, WaveSpeedProfile,
                              construct_localisation_example,
-                             construct_stable_example)
+                             construct_stable_example, random_spec)
 from interface_oracles import outer_coefficient_mp, raw_solve_mp
 from populations import FAULT_C, S35, high_mode_population
 
@@ -411,6 +411,127 @@ class TestScan:
         rc = cli.main(["scan", "--input", "{}", "--output-dir",
                        str(tmp_path), "--seed", "1"])
         assert rc == cli.EXIT_VALIDATION
+
+
+def _oracle_spec(index: int) -> ProblemSpec:
+    rng = np.random.default_rng(20260823)
+    return [random_spec(rng) for _ in range(index + 1)][index]
+
+
+def _bits(*values) -> bytes:
+    return b"".join(np.asarray(v).tobytes() for v in values)
+
+
+class TestBatchedScan:
+    """``helmrad scan`` solves its samples in one batch
+    (``evaluate.solve_many``): every sample's answer, column and scan.csv
+    row are ``evaluate.solve``'s alone, bit for bit.  No multi-layer base of
+    the high-mode population splits between the routes (their extended
+    runs are all refused, at every jitter up to 0.9), so the split scan is
+    oracle spec 48 of seed 20260823, 5 samples on the recursion and 36 on
+    the banded route."""
+
+    SCANS = {
+        "localised8": (lambda: construct_localisation_example(8, 1.0, 3.0),
+                       1, 40, {"extended"}),
+        "fault_c": (lambda: ProblemSpec.from_dict(FAULT_C), 3, 2,
+                    {"banded"}),
+        "oracle48": (lambda: _oracle_spec(48), 1, 40,
+                     {"extended", "banded"}),
+    }
+
+    @pytest.mark.parametrize("name", SCANS)
+    def test_each_sample_is_its_own_solve(self, name, tmp_path):
+        build, seed, samples, tiers = self.SCANS[name]
+        base = build()
+        assert cli.main(["scan", "--input", base.to_json(), "--output-dir",
+                         str(tmp_path), "--seed", str(seed), "--samples",
+                         str(samples)]) == cli.EXIT_OK
+        _, *rows = (tmp_path / "scan.csv").read_text().splitlines()
+        seeds = [(seed, 0.0)] + [(seed + 1 + k, 0.01)
+                                 for k in range(samples)]
+        specs = [cli._scan_spec(base, *sj) for sj in seeds]
+        sup = evaluate.sup_scaled if (base.dimension, base.mode) == (3, 0) \
+            else evaluate.sup_radial
+        names = [f.name for f in fields(green.GreenColumn)[:6]]
+        seen = set()
+        for (s, jit), spec, mine, row in zip(seeds, specs,
+                                             evaluate.solve_many(specs),
+                                             rows, strict=True):
+            ref = evaluate.solve(spec)
+            assert _bits(mine.coeffs.entries, mine.coeffs.b_last) \
+                == _bits(ref.coeffs.entries, ref.coeffs.b_last)
+            # display entries, log magnitudes and phases, odd and even
+            assert _bits(*(getattr(mine.column, a) for a in names)) \
+                == _bits(*(getattr(ref.column, a) for a in names))
+            assert (mine.column.tier, mine.column.error_bound_digits) \
+                == (ref.column.tier, ref.column.error_bound_digits)
+            assert evaluate.interface_residuals(mine) \
+                == evaluate.interface_residuals(ref)
+            assert row == (f"{s},{jit:.17g},{spec.omega:.17g},"
+                           f"{sup(ref):.17g},{ref.column.max_abs():.17g}")
+            seen.add(ref.column.tier)
+        assert seen == tiers
+
+    def test_one_spec_is_solve(self):
+        """A batch of one, with a sample axis of length 1, on the oracle
+        seed-20260823 specs."""
+        rng = np.random.default_rng(20260823)
+        for _ in range(200):
+            spec = random_spec(rng)
+            mine, = evaluate.solve_many([spec])
+            ref = evaluate.solve(spec)
+            assert _bits(mine.coeffs.entries, mine.coeffs.b_last) \
+                == _bits(ref.coeffs.entries, ref.coeffs.b_last)
+            assert mine.column.tier == ref.column.tier
+
+    def test_specs_must_share_all_but_omega_and_x(self):
+        spec = construct_localisation_example(2, 1.0, 3.0)
+        with pytest.raises(ValueError):
+            evaluate.solve_many([spec, replace(spec, mode=1)])
+        assert evaluate.solve_many([]) == []
+
+    REFUSED = {"singular": (cli.EXIT_SUITE_FAILED, "error: SingularSystem: "),
+               "overflow": (cli.EXIT_SUITE_FAILED, "error: OverflowError: "),
+               "resonant": (cli.EXIT_NEAR_RESONANT,
+                            "error: denominator near resonance: ")}
+
+    @pytest.mark.parametrize("first,later", [
+        ("singular", "resonant"), ("resonant", "singular"),
+        ("singular", "overflow"), ("overflow", "singular")])
+    def test_first_refused_sample_decides(self, first, later, tmp_path,
+                                          monkeypatch, capsys):
+        """Samples 3 and 7 of 11 are refused: by a zero pivot of the banded
+        fallback (their coefficients doubled, so that the gate refuses
+        them), near resonance, or for a coefficient past the double range.
+        The one first in seed order decides the exit code and the one
+        error line, and no scan.csv is written, as when each sample was
+        solved alone."""
+        base = construct_localisation_example(8, 1.0, 3.0)
+        refusal = {cli._scan_spec(base, 1 + k, 0.01).omega: why
+                   for k, why in ((3, first), (7, later))}
+        layer = green.layer_coefficients
+
+        def coefficients(spec, column=None):
+            why = refusal.get(spec.omega)
+            if why == "resonant":
+                raise green.NearResonantDenominator(-700.0)
+            if why == "overflow":
+                raise OverflowError("a coefficient is past the double range")
+            c = layer(spec, column)
+            return replace(c, entries=2 * c.entries) if why else c
+
+        def refused(system):
+            raise SingularSystem("zero pivot in column 0")
+        monkeypatch.setattr(green, "layer_coefficients", coefficients)
+        monkeypatch.setattr(assembly, "dense_solve", refused)
+        code, line = self.REFUSED[first]
+        assert cli.main(["scan", "--input", base.to_json(), "--output-dir",
+                         str(tmp_path / "out"), "--seed", "1", "--samples",
+                         "10"]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(line) and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
 
 
 class TestVerify:

@@ -92,12 +92,31 @@ class TestResiduals:
             assert dtn_residual(sol) < 1e-10
 
     def test_ode_residual_flags_wrong_coefficients(self):
+        """Built by hand, or ``solve``'s answer with its coefficients
+        replaced: neither reads the gate's array, formed for the right
+        ones."""
         sol = solve(SPECS[0])
-        bad = RadialSolution(
-            spec=sol.spec,
-            coeffs=type(sol.coeffs)(entries=sol.coeffs.entries * 1.01,
-                                    b_last=sol.coeffs.b_last))
-        assert np.max(np.asarray(interface_residuals(bad))) > 1e-4
+        assert sol.gate is not None
+        wrong = type(sol.coeffs)(entries=sol.coeffs.entries * 1.01,
+                                 b_last=sol.coeffs.b_last)
+        for bad in (RadialSolution(spec=sol.spec, coeffs=wrong),
+                    replace(sol, coeffs=wrong)):
+            assert np.max(np.asarray(interface_residuals(bad))) > 1e-4
+
+    def test_recursion_answer_reads_the_gate(self, monkeypatch):
+        """``solve`` forms the backward errors once, on the recursion
+        route, and the interface residuals are that array bit for bit."""
+        calls = []
+        formed = evaluate._backward_errors
+        monkeypatch.setattr(evaluate, "_backward_errors",
+                            lambda *a: calls.append(a) or formed(*a))
+        spec = construct_localisation_example(8, 1.0, 3.0)
+        sol = solve(spec)
+        mine = interface_residuals(sol)
+        assert sol.column.tier == "extended" and len(calls) == 1
+        assert mine == interface_residuals(
+            RadialSolution(spec, sol.coeffs, sol.column))
+        assert len(calls) == 2
 
     def test_interface_residuals_are_backward_errors(self):
         """Localised n = 32: the field grows by 3^16 across the layers, and
@@ -482,15 +501,13 @@ class TestCsvBytes:
         return buf.getvalue().encode()
 
     def test_disc_csv(self, tmp_path, monkeypatch):
-        axis = np.linspace(-1.0, 1.0, 5)
-        field = np.array([
-            [np.nan, 0.25, 1e-300, 0.25, np.nan],
-            [0.1, -0.0, 123456.789, 0.1, 2.0 / 3.0],
-            [1e-300, 123456.789, 7.0, 123456.789, 1e-300],
-            [0.1, 0.0, 123456.789, 0.1, 2.0 / 3.0],
-            [np.nan, 0.25, 1e-300, 0.25, np.nan]])
-        monkeypatch.setattr(evaluate, "disc_slice",
-                            lambda sol, grid: (axis, axis, field, 7.0))
+        """One value per distinct lattice radius (0, 0.5, 0.707, 1, 1.118
+        and 1.414 at grid 5), every cell written as its radius's."""
+        axis, radii, where = evaluate._lattice(5)
+        values = np.array([7.0, 123456.789, -0.0, 1e-300, 2.0 / 3.0, np.nan])
+        assert len(values) == len(radii)
+        field = values[where].reshape(5, 5)
+        monkeypatch.setattr(evaluate, "_disc_values", lambda sol, grid: values)
         evaluate.write_disc_csv(None, tmp_path / "disc.csv", grid=5)
         expected = self._csv_writer_text(
             [["x", "y", "abs_u"]]
