@@ -265,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     sc = sub.add_parser("scan", help="perturbation sweep around a base spec")
     sc.add_argument("--input", required=True)
     sc.add_argument("--output-dir", default=".")
-    sc.add_argument("--seed", type=int, required=True)
+    sc.add_argument("--seed", type=_within(0, name="int"), required=True)
     sc.add_argument("--samples", type=_within(0, name="int"), default=100)
     sc.add_argument("--jitter", type=_within(0, 1, float, "float"),
                     default=0.01)
@@ -273,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run a named acceptance suite")
     v.add_argument("--suite", choices=["oracle", "bounds", "figures",
                                        "specfun"], required=True)
-    v.add_argument("--seed", type=int, default=20260823)
+    v.add_argument("--seed", type=_within(0, name="int"), default=20260823)
 
     w = sub.add_parser("whisper", help="single-interface resonance scan")
     w.add_argument("--m", type=int, required=True)

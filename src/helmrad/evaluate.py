@@ -8,7 +8,7 @@ value whichever of them asks.  The interface residuals are one backward
 error, ``_backward_errors``, formed in extended precision from the pair
 values the routes themselves use (``assembly.interface_pair``): ``solve``
 gates the recursion's answer on it, and ``interface_residuals`` reports
-it.
+it for any solution.
 """
 
 from __future__ import annotations
@@ -60,13 +60,11 @@ class UnsupportedMode(Exception):
 @dataclass(frozen=True)
 class RadialSolution:
     """A solved problem: the spec, its layer coefficients and, from
-    ``solve``, the Green column of the route that answered and, from the
-    recursion, the gate's (coefficients, backward errors)."""
+    ``solve``, the Green column of the route that answered."""
 
     spec: ProblemSpec
     coeffs: CoefficientVector
     column: green.GreenColumn | None = None
-    gate: tuple[CoefficientVector, np.ndarray] | None = None
 
     @property
     def pair(self) -> FundamentalPair:
@@ -87,8 +85,7 @@ def solve(spec: ProblemSpec) -> RadialSolution:
     judged by the banded route's own a-posteriori tests, and one debug
     record on the ``helmrad`` logger gives the reason; the recursion is
     never rerun in mpmath here.  The answering route's Green column, read
-    with that pair, comes with the answer, and the recursion's keeps the
-    gate's array for ``interface_residuals``.  A refusal of the banded route
+    with that pair, comes with the answer.  A refusal of the banded route
     propagates (``SingularSystem``, or ``OverflowError`` for a coefficient
     outside the double range), as do ``green.GammaDegenerate`` and the
     recursion's ``green.NearResonantDenominator`` and ``OverflowError`` on
@@ -122,7 +119,7 @@ def _solve(specs: list[ProblemSpec], omega, x) -> list[RadialSolution]:
     ``x``, one spec's with no sample axis or a batch's with a trailing one;
     a refusal raises for the first refused spec in order."""
     base, count = specs[0], len(specs)
-    beta, _, error = green.extended_run(base, True, omega, x)
+    beta, error = green.extended_run(base, True, omega, x)
     accepted = [k for k, ok in enumerate(
         (error <= green.ERROR_LIMIT).reshape(-1).tolist()) if ok]
     column = accepted and green.green_last_column(base, beta)
@@ -152,8 +149,7 @@ def _solve(specs: list[ProblemSpec], omega, x) -> list[RadialSolution]:
                       f"{float(error.reshape(-1)[k]):.3g} exceeds "
                       f"{green.ERROR_LIMIT:g}")
         elif (gate := errors[..., k].max(initial=0)) <= _GATE_LIMIT:
-            solved.append(RadialSolution(spec, c, columns[k],
-                                         (c, errors[..., k])))
+            solved.append(RadialSolution(spec, c, columns[k]))
             continue
         else:
             reason = (f"interface backward error {gate:.3g} exceeds "
@@ -253,14 +249,12 @@ def eval_radial(sol: RadialSolution, r: float):
 
 def interface_residuals(sol: RadialSolution) -> list:
     """Per-interface backward errors (|[u]|, |[u']|), ``_backward_errors``
-    of the solve's pair (its column's) in extended precision, or of one
-    evaluated here for a solution built by hand: the gate's own array
-    where ``solve`` formed it from these coefficients."""
-    coeffs, errors = sol.gate or (None, None)
-    if coeffs is not sol.coeffs:
-        at = getattr(sol.column, "pair", None) \
-            or assembly.interface_pair(EXTENDED, sol.spec)
-        errors = _backward_errors(sol.spec, at.values, sol.coeffs)
+    in extended precision of the solve's pair (its column's), or of one
+    evaluated here for a solution built by hand; on the recursion route
+    the same array ``solve`` gated the answer on, formed again."""
+    at = getattr(sol.column, "pair", None) \
+        or assembly.interface_pair(EXTENDED, sol.spec)
+    errors = _backward_errors(sol.spec, at.values, sol.coeffs)
     return [tuple(p) for p in errors.T.tolist()]
 
 

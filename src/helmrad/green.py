@@ -55,8 +55,7 @@ NEAR_RESONANCE_FLOOR = 1e-250
 # near-critical interfaces; the chain therefore runs in extended precision
 # (the problem data are exact doubles, so the extra bits are all signal).
 _EXT = np.longdouble
-_CEXT = np.clongdouble
-_IU = _CEXT(1j)
+_IU = np.clongdouble(1j)
 _NEG_IU = -_IU
 
 
@@ -77,12 +76,10 @@ class NearResonantDenominator(Exception):
 class _Interface(NamedTuple):
     """Per-interface quantities, each an array over ell = 1..n."""
 
-    gt_plus: np.ndarray
     g_plus: np.ndarray
     q: np.ndarray       # relative reflection strength g_minus / g_plus
     w12: np.ndarray     # w^{1,2} of the right-hand layer at the jump point
     cancel: np.ndarray  # the larger product inside gamma-plus over |gt_plus|
-    pair: InterfacePair  # the pair values all of the above come from
 
 
 def _interfaces(tier: Tier, at: InterfacePair) -> _Interface:
@@ -107,14 +104,15 @@ def _interfaces(tier: Tier, at: InterfacePair) -> _Interface:
     g_plus = 1j * tier.cexp(zl - zr) * gt_plus
     g_minus = 1j * tier.cexp(-zl - zr) * gt_minus
     return _Interface(
-        gt_plus, g_plus, g_minus / g_plus,
+        g_plus, g_minus / g_plus,
         w12=f1r * df2[n:] / cr - df1r * f2[n:] / cr,
-        cancel=np.maximum(np.abs(t1), np.abs(t2)) / size, pair=at)
+        cancel=np.maximum(np.abs(t1), np.abs(t2)) / size)
 
 
 @dataclass(frozen=True)
 class BetaSequence:
-    """The scalar recursion beta_0..beta_n in log-modulus + unit-phase form.
+    """The scalar recursion beta_0..beta_n in log-modulus + unit-phase form:
+    the one record of a run (``_recursion``), in its tier's numbers.
 
     ``log_moduli[ell]`` and ``phases[ell]`` describe beta_ell, the
     phase-adjusted sequence entering the Green-column formulas.
@@ -141,20 +139,11 @@ class BetaSequence:
     pair: InterfacePair | None = None   # the extended run's; see the module
 
 
-class _Run(NamedTuple):
-    """One pass of the recursion: arrays of tier numbers over ell = 0..n,
-    and the interfaces it read."""
-
-    log_mod: np.ndarray
-    phases: np.ndarray
-    im_log: np.ndarray
-    im_sign: np.ndarray
-    interfaces: _Interface
-    bound: object       # first-order error bound, in rounding units
-
-
-def _recursion(tier: Tier, spec: ProblemSpec, omega, x, shift=False) -> _Run:
+def _recursion(tier: Tier, spec: ProblemSpec, omega, x, shift=False
+               ) -> tuple[BetaSequence, object]:
     """Run the recursion in ``tier``; ``omega`` and ``x`` are tier numbers.
+    Returns its sequence, in the tier's numbers with the pair it read, and
+    its running error bound, in rounding units.
 
     Everything that does not depend on beta is one array expression over
     ell = 1..n, formed before the loop: the interface quantities, the
@@ -183,8 +172,9 @@ def _recursion(tier: Tier, spec: ProblemSpec, omega, x, shift=False) -> _Run:
     """
     x = np.asarray(x)
     n = spec.n
-    it = _interfaces(tier, interface_pair(tier, spec, omega, x, shift))
-    c, args = it.pair.speeds, it.pair.args
+    pair = interface_pair(tier, spec, omega, x, shift)
+    it = _interfaces(tier, pair)
+    c, args = pair.speeds, pair.args
     delta = omega * (x[1:n + 1] - x[:n]) / c[:-1]
     per_step = zip(tier.cexp(-delta), it.q, 1 + np.abs(it.q), 1 + it.cancel,
                    delta, it.g_plus / (2j * it.w12), tier.cexp(args[n:2 * n]))
@@ -215,28 +205,11 @@ def _recursion(tier: Tier, spec: ProblemSpec, omega, x, shift=False) -> _Run:
         zero = im != im
         im[zero], log_mod[zero] = 0, -math.inf
         bound = np.maximum.reduce(errs)
-        return _Run(log_mod, np.array(phases), tier.log(abs(im)) + log_mod,
-                    np.sign(im).astype(float), it,
-                    # NaN, from a zero core, is an infinite bound
-                    np.fmin(bound, tier.real(math.inf)))
-
-
-def _sequence(run: _Run, tier: str, digits, from_mp: bool = False
-              ) -> BetaSequence:
-    """``run`` as a record; ``from_mp`` converts an mpmath run's numbers
-    to extended precision (``_to_ext``) and drops its pair."""
-    if from_mp:
-        run = run._replace(log_mod=[_to_ext(v) for v in run.log_mod],
-                           phases=[_to_ext(v.real) + _IU * _to_ext(v.imag)
-                                   for v in run.phases],
-                           im_log=[_to_ext(v) for v in run.im_log])
-    return BetaSequence(
-        n=len(run.log_mod) - 1,
-        log_moduli=np.asarray(run.log_mod, dtype=_EXT),
-        phases=np.asarray(run.phases, dtype=_CEXT),
-        rot_im_log=np.asarray(run.im_log, dtype=_EXT),
-        rot_im_sign=run.im_sign, tier=tier, error_bound_digits=digits,
-        pair=None if from_mp else run.interfaces.pair)
+        return (BetaSequence(n, log_mod, np.array(phases),
+                             tier.log(abs(im)) + log_mod,
+                             np.sign(im).astype(float), pair=pair),
+                # NaN, from a zero core, is an infinite bound
+                np.fmin(bound, tier.real(math.inf)))
 
 
 #: relative error estimate past which the extended recursion escalates
@@ -246,18 +219,13 @@ _EPS = np.finfo(_EXT).eps
 _LN10 = math.log(10.0)
 
 
-def _to_ext(v) -> np.longdouble:
-    """An mpmath real in extended precision, through its 25 digits."""
-    import mpmath as mp
-    return np.longdouble(mp.nstr(v, 25))
-
-
 def _beta_mp(spec: ProblemSpec, digits: float, data=None) -> BetaSequence:
     """Arbitrary-precision rerun of the recursion at ``_mp_dps(digits)``
-    working digits.  It raises ZeroDivisionError instead of returning when
-    the run's own estimate (``_estimate``, in mpmath's rounding unit)
-    exceeds ``ERROR_LIMIT``; a step that cancels to exactly zero makes
-    the estimate infinite.  Its ``error_bound_digits`` are its own.
+    working digits, as extended numbers through 25 digits, with no pair.
+    It raises ZeroDivisionError instead of returning when the run's own
+    estimate (``_estimate``, in mpmath's rounding unit) exceeds
+    ``ERROR_LIMIT``; a step that cancels to exactly zero makes the estimate
+    infinite.  Its ``error_bound_digits`` are its own.
 
     ``data``, when given, is a callable ``spec -> (omega, jump_points)``
     evaluated inside the high-precision context; it lets callers substitute
@@ -272,8 +240,8 @@ def _beta_mp(spec: ProblemSpec, digits: float, data=None) -> BetaSequence:
         else:
             omega, x = data(spec)
         try:
-            run = _recursion(mp_tier(), spec, omega, x)
-            lost, error = _estimate(mp_tier(), run, mp.eps)
+            seq, bound = _recursion(mp_tier(), spec, omega, x)
+            lost, error = _estimate(mp_tier(), seq, bound, mp.eps)
         except ZeroDivisionError:   # a core cancelled to exactly zero
             error = mp.inf
         if error > ERROR_LIMIT:
@@ -281,10 +249,17 @@ def _beta_mp(spec: ProblemSpec, digits: float, data=None) -> BetaSequence:
                 f"arbitrary-precision rerun at {mp.mp.dps} digits: estimated "
                 f"relative error {mp.nstr(error, 3)} exceeds "
                 f"{ERROR_LIMIT:g}")
-        return _sequence(run, f"mp@{mp.mp.dps}", lost, from_mp=True)
+
+        def ext(v):     # an mpmath real through its 25 digits
+            return _EXT(mp.nstr(v, 25))
+        return BetaSequence(
+            seq.n, np.array([ext(v) for v in seq.log_moduli]),
+            np.array([ext(v.real) + _IU * ext(v.imag) for v in seq.phases]),
+            np.array([ext(v) for v in seq.rot_im_log]), seq.rot_im_sign,
+            f"mp@{mp.mp.dps}", lost)
 
 
-def _im_loss(run: _Run, digits: float):
+def _im_loss(seq: BetaSequence, digits: float):
     """Decimal digits the column entries would lose to the Im extraction,
     one per sample of a batch.
 
@@ -296,12 +271,12 @@ def _im_loss(run: _Run, digits: float):
     Entries after an exact zero step are skipped: its bound is infinite.
     """
     # in doubles, one sample at a time, lm - il formed in the tier first
+    lm, il = seq.log_moduli, seq.rot_im_log
     with np.errstate(invalid="ignore"):
-        rows = np.array((run.log_mod, run.im_log, run.log_mod - run.im_log,
-                         run.im_sign), dtype=float)
+        rows = np.array((lm, il, lm - il, seq.rot_im_sign), dtype=float)
     losses = []
     for log_mod, im_log, depth, im_sign in rows.reshape(
-            4, len(run.log_mod), -1).transpose(2, 0, 1).tolist():
+            4, len(lm), -1).transpose(2, 0, 1).tolist():
         # the column's largest entry
         top = max(log_mod[:-1] + im_log[1:], default=-math.inf)
         im_loss = 0.0
@@ -316,17 +291,19 @@ def _im_loss(run: _Run, digits: float):
             if loss > im_loss:
                 im_loss = loss
         losses.append(im_loss)
-    return np.array(losses).reshape(np.shape(run.bound))[()]
+    return np.array(losses).reshape(seq.log_moduli.shape[1:])[()]
 
 
-def _estimate(tier: Tier, run: _Run, eps) -> tuple[float, object]:
-    """(lost, error): the decimal digits ``run`` lost, log10 of its bound
-    (at least one rounding unit) plus the Im extraction's, and eps *
-    10**lost, a tier number (at hundreds of mpmath digits a float would
-    underflow); ``eps`` is the tier's rounding unit.  One each per sample."""
+def _estimate(tier: Tier, seq: BetaSequence, bound, eps
+              ) -> tuple[float, object]:
+    """(lost, error): the decimal digits ``seq``'s run lost, log10 of its
+    ``bound`` (at least one rounding unit) plus the Im extraction's, and
+    eps * 10**lost, a tier number (at hundreds of mpmath digits a float
+    would underflow); ``eps`` is the tier's rounding unit.  One each per
+    sample."""
     digits = -float(tier.log10(eps))
-    lost = np.float64(tier.log10(np.maximum(run.bound, 1))) \
-        + _im_loss(run, digits)
+    lost = np.float64(tier.log10(np.maximum(bound, 1))) \
+        + _im_loss(seq, digits)
     return lost, eps * tier.real(10) ** lost
 
 
@@ -336,22 +313,23 @@ def _mp_dps(digits: float) -> int:
 
 
 def extended_run(spec: ProblemSpec, shift=False, omega=None, x=None
-                 ) -> tuple[BetaSequence, _Run, object]:
+                 ) -> tuple[BetaSequence, object]:
     """The recursion in extended precision alone, with no rerun: its
-    sequence, the run itself and its error estimate (``_estimate``).
+    sequence, carrying its digits lost, and its error estimate
+    (``_estimate``).
 
     Where the estimate is within ``ERROR_LIMIT`` the sequence is
     ``beta_sequence``'s answer.  Its ``pair`` (the 2n interface arguments
     and kappa) gives ``evaluate.solve`` B_N, the interface backward error
     and a fallback's banded blocks, their shifted orders with ``shift``.
     ``omega`` and ``x``, extended numbers, replace the spec's: with a
-    trailing sample axis the run, its sequence and estimate serve a batch.
+    trailing sample axis the sequence and its estimate serve a batch.
     """
     if omega is None:
         omega, x = _EXT(spec.omega), _EXT(np.asarray(spec.profile.jump_points))
-    run = _recursion(EXTENDED, spec, omega, x, shift)
-    lost, error = _estimate(EXTENDED, run, _EPS)
-    return _sequence(run, "extended", lost), run, error
+    seq, bound = _recursion(EXTENDED, spec, omega, x, shift)
+    lost, error = _estimate(EXTENDED, seq, bound, _EPS)
+    return replace(seq, error_bound_digits=lost), error
 
 
 def beta_sequence(spec: ProblemSpec) -> BetaSequence:
@@ -368,7 +346,7 @@ def beta_sequence(spec: ProblemSpec) -> BetaSequence:
     wrong without an error.  The rounding unit comes from ``np.finfo``, so
     where ``np.longdouble`` is plain double the rule escalates there.
     """
-    beta, _, error = extended_run(spec)
+    beta, error = extended_run(spec)
     if error > ERROR_LIMIT:
         lost = beta.error_bound_digits
         lost = lost if math.isfinite(lost) else -float(np.log10(_EPS))

@@ -24,8 +24,10 @@ class Violation(NamedTuple):
 
 
 def _real(value, name: str) -> float:
-    """``value`` as a float, if it is a real number and not a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    """``value`` as a float, if it is a real number and not a bool; a float
+    skips the ABC checks."""
+    if type(value) is not float and (
+            isinstance(value, bool) or not isinstance(value, numbers.Real)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     return float(value)
 

@@ -21,10 +21,10 @@ def m0_oracle_on_every_extended_run():
     recursion = green._recursion
 
     def checked(tier, spec, omega, x, shift=False):
-        run = recursion(tier, spec, omega, x, shift)
+        seq, bound = recursion(tier, spec, omega, x, shift)
         if tier is EXTENDED and spec.dimension == 3 and spec.mode == 0:
-            m0_oracle.check(spec, omega, x, run)
-        return run
+            m0_oracle.check(spec, omega, x, seq)
+        return seq, bound
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(green, "_recursion", checked)
         yield

@@ -157,9 +157,8 @@ def _scalar_pair(tier: Tier, pair: FundamentalPair, x):
 
 
 def interface(tier: Tier, spec: ProblemSpec, omega, x, ell: int) -> tuple:
-    """(gamma-tilde-plus, g-plus, q, w^{1,2}) at interface ``ell`` in
-    ``tier``, one scalar at a time; ``omega`` and the jump points ``x``
-    are tier numbers."""
+    """(g-plus, q, w^{1,2}) at interface ``ell`` in ``tier``, one scalar
+    at a time; ``omega`` and the jump points ``x`` are tier numbers."""
     pair = _pair(spec)
     c_l, c_r = tier.real(spec.speed(ell)), tier.real(spec.speed(ell + 1))
     z = omega * x[ell]
@@ -169,7 +168,7 @@ def interface(tier: Tier, spec: ProblemSpec, omega, x, ell: int) -> tuple:
     gt_minus = df1l * f1r / c_l - df1r * f1l / c_r
     g_plus = 1j * tier.cexp(z / c_l - z / c_r) * gt_plus
     g_minus = 1j * tier.cexp(-z / c_l - z / c_r) * gt_minus
-    return (gt_plus, g_plus, g_minus / g_plus,
+    return (g_plus, g_minus / g_plus,
             f1r * df2r / c_r - df1r * f2r / c_r)
 
 

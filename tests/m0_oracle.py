@@ -19,29 +19,29 @@ _EXT = np.longdouble
 _IU = np.clongdouble(1j)
 
 
-def divergence(spec, omega, x, run) -> float:
-    """Largest per-step difference between ``run`` and the jump-ratio step.
+def divergence(spec, omega, x, seq) -> float:
+    """Largest per-step difference between ``seq`` and the jump-ratio step.
 
     ``omega`` and ``x`` are the extended-precision data the run was made
-    from; ``run`` is what ``green._recursion`` returned for them.  With a
-    trailing sample axis (a batch) the worst over every sample.
+    from; ``seq`` is the sequence ``green._recursion`` returned for them.
+    With a trailing sample axis (a batch) the worst over every sample.
     """
     worst = 0.0
     for ell in range(1, spec.n + 1):
         c_l, c_r = _EXT(spec.speed(ell)), _EXT(spec.speed(ell + 1))
         u = np.exp(_IU * -(omega * (x[ell] - x[ell - 1]) / c_l)) \
-            * run.phases[ell - 1]
+            * seq.phases[ell - 1]
         q0 = (c_r - c_l) / (c_r + c_l)
         step0 = (u + q0 * np.conj(u)) / (1 + q0)
-        dphase = abs(step0 / abs(step0) - run.phases[ell])
-        dlog = abs(np.log(abs(step0)) + run.log_mod[ell - 1]
-                   - run.log_mod[ell])
+        dphase = abs(step0 / abs(step0) - seq.phases[ell])
+        dlog = abs(np.log(abs(step0)) + seq.log_moduli[ell - 1]
+                   - seq.log_moduli[ell])
         worst = max(worst, float(np.max(dphase)), float(np.max(dlog)))
     return worst
 
 
-def check(spec, omega, x, run) -> None:
-    """Raise AssertionError when ``run`` leaves the jump-ratio step."""
-    d = divergence(spec, omega, x, run)
+def check(spec, omega, x, seq) -> None:
+    """Raise AssertionError when ``seq`` leaves the jump-ratio step."""
+    d = divergence(spec, omega, x, seq)
     if d > TOLERANCE:
         raise AssertionError(f"m=0 step paths diverged: {d:.3e}")

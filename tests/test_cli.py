@@ -156,7 +156,7 @@ class TestSolve:
         cli.main(["solve", "--input", doc, "--output-dir", str(out),
                   "--grid", "8"])
         diag = json.loads((out / "diagnostics.json").read_text())
-        beta, _, _ = green.extended_run(ProblemSpec.from_json(doc))
+        beta, _ = green.extended_run(ProblemSpec.from_json(doc))
         assert diag["recursion"] == {
             "tier": tier, "error_bound_digits": beta.error_bound_digits}
         limit = -13.0 - float(np.log10(np.finfo(np.longdouble).eps))
@@ -397,7 +397,8 @@ class TestScan:
         ("--jitter", "-0.1", "must be finite and in [0, 1)"),
         ("--jitter", "abc", "invalid float value: 'abc'"),
         ("--samples", "-1", "must be at least 0"),
-        ("--samples", "abc", "invalid int value: 'abc'")])
+        ("--samples", "abc", "invalid int value: 'abc'"),
+        ("--seed", "-1", "must be at least 0")])
     def test_parser_rejects_out_of_range_options(self, option, value,
                                                  message, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -549,6 +550,15 @@ class TestVerify:
         doc = json.loads(capsys.readouterr().out)
         assert {r["n"] for r in doc["results"]} == {2, 4, 8, 16}
 
+    @pytest.mark.parametrize("value,message", [
+        ("-1", "must be at least 0"), ("abc", "invalid int value: 'abc'")])
+    def test_parser_rejects_a_negative_seed(self, value, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--suite", "oracle", "--seed", value])
+        assert exc.value.code == cli.EXIT_VALIDATION == 2
+        out, err = capsys.readouterr()
+        assert f"--seed: {message}" in err and out == ""
+
     def test_refused_solve_is_one_error_line(self, capsys, monkeypatch):
         """A suite solve refused by the banded route reads as a refused
         solve, not a traceback."""
@@ -581,9 +591,11 @@ class TestGoldenBytes:
     """Artifacts of localised and stable n = 8 (c_2 = 3) against SHA-256
     digests recorded before the field evaluator took every layer in one
     pass; those of diagnostics.json since j_m above the turning point took
-    the forward recurrence, which moved its ode_residual.  The bits come
-    from numpy's and the C library's kernels, so the digests hold on the
-    build they were recorded with: numpy 2.4.6 on x86_64 (with AVX-512)."""
+    the forward recurrence, which moved its ode_residual.  ``RECORDS`` pins
+    the recursion's sequences, recorded before ``BetaSequence`` became the
+    run's one record.  The bits come from numpy's and the C library's
+    kernels, so the digests hold on the build they were recorded with:
+    numpy 2.4.6 on x86_64 (with AVX-512)."""
 
     RECORDED_WITH = ("2.4.6", "x86_64")
     SOLVE = {
@@ -610,6 +622,8 @@ class TestGoldenBytes:
     }
     SCAN = ("9a2c4649aa0f5028e8e2b495828c208d"
             "062de3c421b5b2321888030a1595a5d2")
+    RECORDS = ("98ca8158a180c2efe526c070da4ece0b"
+               "738db7263614d18949cde4d4049569a6")
 
     @pytest.fixture(autouse=True)
     def _recorded_build(self):
@@ -637,3 +651,25 @@ class TestGoldenBytes:
                          str(tmp_path), "--seed", "1", "--samples", "40"]
                         ) == cli.EXIT_OK
         assert self._digest(tmp_path / "scan.csv") == self.SCAN
+
+    def test_recursion_records(self):
+        """``beta_sequence`` over the oracle seed-20260823 specs and the
+        high-mode population: tier, digits and every array, mpmath reruns
+        included, and each refusal's message, hashed through ``repr`` of
+        each value (the bytes of an np.longdouble carry padding that equal
+        values need not share)."""
+        rng = np.random.default_rng(20260823)
+        specs = [random_spec(rng) for _ in range(200)] \
+            + high_mode_population()
+        h = hashlib.sha256()
+        for spec in specs:
+            try:
+                seq = green.beta_sequence(spec)
+            except (ZeroDivisionError, green.GammaDegenerate) as exc:
+                h.update(f"{type(exc).__name__}: {exc}".encode())
+                continue
+            h.update(f"{seq.tier} {float(seq.error_bound_digits)!r}".encode())
+            for rows in (seq.log_moduli, seq.phases, seq.rot_im_log,
+                         seq.rot_im_sign):
+                h.update(" ".join(repr(v) for v in rows).encode())
+        assert h.hexdigest() == self.RECORDS

@@ -113,8 +113,8 @@ class TestBetaSequence:
         spec = SPECS[0]
         omega = np.longdouble(spec.omega)
         x = [np.longdouble(v) for v in spec.profile.jump_points]
-        run = green._recursion(EXTENDED, spec, omega, x)
-        assert m0_oracle.divergence(spec, omega, x, run) <= 1e-12
+        seq, _ = green._recursion(EXTENDED, spec, omega, x)
+        assert m0_oracle.divergence(spec, omega, x, seq) <= 1e-12
 
     def test_m0_oracle_rejects_a_perturbed_run(self, monkeypatch):
         """q scaled by 1 + 1e-11 moves the steps by 3.6e-12, past the
@@ -175,12 +175,12 @@ def _summed_loss(spec: ProblemSpec) -> float:
     them, u = e^{-i delta} times the previous phase."""
     omega = np.longdouble(spec.omega)
     x = np.array(spec.profile.jump_points, dtype=np.longdouble)
-    run = green._recursion(EXTENDED, spec, omega, x)
-    it, n = run.interfaces, spec.n
-    delta = omega * (x[1:n + 1] - x[:n]) / it.pair.speeds[:-1]
+    seq, _ = green._recursion(EXTENDED, spec, omega, x)
+    it, n = green._interfaces(EXTENDED, seq.pair), spec.n
+    delta = omega * (x[1:n + 1] - x[:n]) / seq.pair.speeds[:-1]
     loss = 0.0
     for turn, q, cancel, phase in zip(EXTENDED.cexp(-delta), it.q, it.cancel,
-                                      run.phases):
+                                      seq.phases):
         u = turn * phase
         core = u + q * np.conjugate(u)
         if abs(core) > 0.0:
@@ -245,7 +245,9 @@ class TestRunningErrorBound:
         for spec, seq, ref in kept["oracle"] + kept["alternating"]:
             err = max(np.max(np.abs(seq.log_moduli - ref.log_moduli)),
                       np.max(np.abs(seq.phases - ref.phases)))
-            bound = green.extended_run(spec)[1].bound
+            bound = green._recursion(
+                EXTENDED, spec, np.longdouble(spec.omega),
+                np.longdouble(spec.profile.jump_points))[1]
             assert err <= 2 * eps * 10.0 ** float(np.log10(max(bound, 1)))
 
     def test_high_mode_recursions_escalate_once(self, monkeypatch):
@@ -363,10 +365,11 @@ class TestRerunSelfCheck:
         extended precision, which alone makes the bound infinite."""
         spec = high_mode_population()[7]
         x = [np.longdouble(v) for v in spec.profile.jump_points]
-        run = green._recursion(EXTENDED, spec, np.longdouble(spec.omega), x)
-        assert run.bound == np.inf
-        assert np.isneginf(np.array(run.log_mod[1:])).all()
-        assert green._im_loss(run, 19.0) == 0.0
+        seq, bound = green._recursion(EXTENDED, spec,
+                                      np.longdouble(spec.omega), x)
+        assert bound == np.inf
+        assert np.isneginf(seq.log_moduli[1:]).all()
+        assert green._im_loss(seq, 19.0) == 0.0
 
 
 class TestGreenColumn:
@@ -480,9 +483,8 @@ class TestLayerCoefficients:
 class TestGammaData:
     def test_m0_reflection_strength_is_the_speed_contrast(self):
         spec = SPECS[0]
-        x = [np.longdouble(v) for v in spec.profile.jump_points]
-        q = complex(green._recursion(EXTENDED, spec, np.longdouble(spec.omega),
-                                     x).interfaces.q[0])
+        q = complex(green._interfaces(
+            EXTENDED, assembly.interface_pair(EXTENDED, spec)).q[0])
         c1, c2 = spec.profile.speeds
         assert abs(q) == pytest.approx(abs((c2 - c1) / (c2 + c1)),
                                        rel=1e-12)
@@ -498,7 +500,7 @@ _PAIRS = [(1, 0), (3, 0), (3, 1), (3, 2), (3, 5), (3, 30)]
 class TestInterfaceArrays:
     """The recursion's array pass over all interfaces gives, per interface,
     exactly what the scalar reference ``interface_oracles.interface``
-    forms one interface at a time."""
+    forms one interface at a time (gamma-plus enters through g-plus)."""
 
     @staticmethod
     def _spec(d, m):
@@ -507,11 +509,11 @@ class TestInterfaceArrays:
 
     @staticmethod
     def _assert_exact(tier, spec, omega, x):
-        it = green._recursion(tier, spec, omega, x).interfaces
+        it = green._interfaces(tier, assembly.interface_pair(
+            tier, spec, omega, np.asarray(x)))
         for ell in range(1, spec.n + 1):
             ref = interface(tier, spec, omega, x, ell)
-            mine = (it.gt_plus[ell - 1], it.g_plus[ell - 1], it.q[ell - 1],
-                    it.w12[ell - 1])
+            mine = (it.g_plus[ell - 1], it.q[ell - 1], it.w12[ell - 1])
             assert all(a == b for a, b in zip(mine, ref)), ell
 
     @pytest.mark.parametrize("d,m", _PAIRS)

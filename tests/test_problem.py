@@ -2,13 +2,14 @@
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helmrad.problem import (ProblemSpec, WaveSpeedProfile,
+from helmrad.problem import (ProblemSpec, WaveSpeedProfile, _real,
                              construct_localisation_example,
                              construct_stable_example,
                              is_localisation_interference, relative_jumps,
@@ -104,6 +105,18 @@ class TestValidation:
         assert spec.omega == 3.0 and type(spec.omega) is float
         assert spec.profile.speeds == (1.0, 2.0)
         assert spec.profile.jump_points == (0.0, 0.5, 1.0)
+
+    @pytest.mark.parametrize("value", [
+        np.float64(0.25), 1, Fraction(1, 4), type("Sub", (float,), {})(0.25)])
+    def test_real_accepts_every_real(self, value):
+        assert _real(value, "x") == float(value)
+        assert type(_real(value, "x")) is float
+
+    @pytest.mark.parametrize("value", [True, "1", 1j, None])
+    def test_real_refuses_what_is_not_real(self, value):
+        with pytest.raises(ValueError,
+                           match=f"x must be a real number, got {value!r}"):
+            _real(value, "x")
 
     def test_numpy_integers_round_trip_through_json(self):
         spec = ProblemSpec(_profile(1.0, 2.0), dimension=np.int64(3),

@@ -98,8 +98,8 @@ def _exact(spec: ProblemSpec) -> CoefficientVector:
 def _gate(spec: ProblemSpec, coeffs: CoefficientVector) -> float:
     """The largest interface backward error of ``coeffs``, from the pair
     values of the extended recursion, as ``solve`` forms its gate."""
-    _, run, _ = green.extended_run(spec)
-    return evaluate._backward_errors(spec, run.interfaces.pair.values,
+    beta, _ = green.extended_run(spec)
+    return evaluate._backward_errors(spec, beta.pair.values,
                                      coeffs).max(initial=0.0)
 
 
@@ -109,7 +109,7 @@ def _same(a: CoefficientVector, b: CoefficientVector) -> bool:
 
 
 def _accepted(spec: ProblemSpec) -> bool:
-    return green.extended_run(spec)[2] <= green.ERROR_LIMIT
+    return green.extended_run(spec)[1] <= green.ERROR_LIMIT
 
 
 class TestRegression:
@@ -193,7 +193,7 @@ class TestGate:
         rng = np.random.default_rng(20260823)
         checked = 0
         for spec in (random_spec(rng) for _ in range(200)):
-            beta, run, error = green.extended_run(spec)
+            beta, error = green.extended_run(spec)
             if error > green.ERROR_LIMIT:
                 continue
             coeffs = green.layer_coefficients(
@@ -319,7 +319,7 @@ class TestOneEvaluationPerSolve:
         """High-mode spec 0: the estimate fails, the banded route solves
         in extended precision."""
         spec = high_mode_population()[0]
-        assert green.extended_run(spec)[2] > green.ERROR_LIMIT
+        assert green.extended_run(spec)[1] > green.ERROR_LIMIT
         calls["points"].clear()
         solve(spec)
         assert calls == {"points": [2 * spec.n + 1], "other": 0}
