@@ -501,18 +501,18 @@ def _solve_mp(system: BlockSystem, digits: int) -> tuple[np.ndarray, float]:
     SingularSystem when it is refused: there is no second attempt."""
     import mpmath as mp
 
-    solved = None
+    solved, eps = None, mp_tier().eps
     with mp.workdps(digits):
         S_hat, block_loss = _blocks(mp_tier(), system.spec)
         system = replace(system, S_hat=S_hat, block_loss=block_loss,
                          b_last=mp.mpmathify(system.b_last))
-        if _digits_left(system, mp.eps):
+        if _digits_left(system, eps):
             band, rows = _equilibrated(system, system.band())
             lu = _tridiag_lu(band)
             b = np.zeros(band.shape[1], dtype=object)
             b[-1] = rows[-1] * system.b_last
             solved = _refine(system, band, lambda r: _tridiag_solve(lu, r),
-                             b, mp.eps, scaled=True)
+                             b, eps, scaled=True)
     if not solved:
         raise SingularSystem("arbitrary-precision solve refused")
     return solved
@@ -570,7 +570,7 @@ def _solution(system: BlockSystem) -> tuple[np.ndarray, float]:
     band = system.band()
     b = np.zeros(band.shape[1], dtype=band.dtype)
     b[-1] = system.b_last
-    eps = np.finfo(band.real.dtype).eps
+    eps = EXTENDED.eps
     if not _digits_left(system, eps):
         return _solve_mp(system, _MP_DIGITS)
     solve = _double_solve(band, b)

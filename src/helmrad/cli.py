@@ -236,8 +236,9 @@ def _within(low, below=math.inf, kind=int, name="integer"):
         value = kind(text)
         if not low <= value < below:
             raise argparse.ArgumentTypeError(
-                f"must be at least {low}" if below == math.inf
-                else f"must be finite and in [{low:g}, {below:g})")
+                f"must be at least {low}" if below == math.inf else
+                f"must be {'finite and ' * (kind is float)}in "
+                f"[{low:g}, {below:g})")
         return value
     convert.__name__ = name
     return convert
@@ -254,7 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="path to, or inline, problem JSON")
     s.add_argument("--output-dir", default=".")
     s.add_argument("--grid", type=_within(1), default=64)
-    s.add_argument("--quad-order", type=_within(8), default=32)
+    s.add_argument("--quad-order", default=32,
+                   type=_within(8, evaluate._QUAD_MAX_ORDER + 1))
 
     c = sub.add_parser("construct", help="emit a constructed example spec")
     c.add_argument("--kind", choices=["localised", "stable"], required=True)

@@ -401,10 +401,11 @@ def _energy_sum(sol: RadialSolution, order: int):
 
 
 def energy_norm(sol: RadialSolution, quad_order: int = _QUAD_ORDER) -> float:
-    """Gauss-Legendre energy norm, order doubled until 1e-10 agreement;
-    past ``_QUAD_MAX_ORDER`` the last order's, with a logged warning."""
-    if quad_order < 8:
-        raise ValueError("quadrature order must be at least 8")
+    """Gauss-Legendre energy norm, order doubled from ``quad_order``, in
+    [8, ``_QUAD_MAX_ORDER``] (else ValueError), until 1e-10 agreement; past
+    ``_QUAD_MAX_ORDER`` the last order's, with a logged warning."""
+    if not 8 <= quad_order <= _QUAD_MAX_ORDER:
+        raise ValueError(f"quadrature order must be in [8, {_QUAD_MAX_ORDER}]")
     totals = []
     order = quad_order
     while order <= _QUAD_MAX_ORDER:

@@ -16,17 +16,17 @@ The same body runs in both precision tiers, on one problem's numbers or on
 a batch's with a trailing sample axis (``evaluate.solve_many``).
 
 The recursion runs in extended precision and carries a running first-order
-error bound through each step's Jacobian.  A run's estimate is the digits
+error bound through each step's Jacobian.  Each run estimates the digits
 it lost, log10 of the bound plus those the Im extraction loses, and one
 rule judges a run in either precision: eps * 10**lost, eps the tier's
-rounding unit, must stay within 1e-13 (``ERROR_LIMIT``).  In
-``beta_sequence`` an extended run past it is rerun once in mpmath, sized
-by those digits; an mpmath run past it raises ZeroDivisionError.  Still open:
-the estimate is first order and misses some rounding terms, and the
-Im-loss weight ignores the size of the field term an entry feeds, so a few
-high modes still come back wrong without an error from this route
-(``beta_sequence``, ``green_last_column``, ``layer_coefficients``), which
-serves only ``helmrad verify --suite oracle``, criterion 1 and the
+rounding unit (``Tier.eps``), must stay within 1e-13 (``ERROR_LIMIT``).
+In ``beta_sequence`` an extended run past it is rerun once in mpmath,
+sized by those digits; an mpmath run past it raises ZeroDivisionError.
+Still open: the estimate is first order and misses some rounding terms,
+and the Im-loss weight ignores the size of the field term an entry feeds,
+so a few high modes still come back wrong without an error from this
+route (``beta_sequence``, ``green_last_column``, ``layer_coefficients``),
+which serves only ``helmrad verify --suite oracle``, criterion 1 and the
 stability certificates.
 
 ``evaluate.solve``, the one solve behind the library, ``helmrad solve`` and
@@ -129,9 +129,9 @@ class BetaSequence:
     #: "extended", or "mp@<digits>" for an arbitrary-precision rerun at
     #: that many working decimal digits
     tier: str = "extended"
-    #: decimal digits the extended recursion lost (``_estimate``), which
+    #: decimal digits the extended recursion lost (``_recursion``), which
     #: decided the tier and sized a rerun: its relative error is about
-    #: eps * 10**error_bound_digits, eps the rounding unit of np.longdouble.
+    #: eps * 10**error_bound_digits, eps the rounding unit ``EXTENDED.eps``.
     #: Not a bound: no term covers the rounding of gamma-plus's phase factor
     #: exp(i(z/c_l - z/c_r)) or of the pair evaluations at z/c, both growing
     #: with the argument.  ``_beta_mp`` alone records the rerun's own.
@@ -139,11 +139,12 @@ class BetaSequence:
     pair: InterfacePair | None = None   # the extended run's; see the module
 
 
-def _recursion(tier: Tier, spec: ProblemSpec, omega, x, shift=False
-               ) -> tuple[BetaSequence, object]:
-    """Run the recursion in ``tier``; ``omega`` and ``x`` are tier numbers.
-    Returns its sequence, in the tier's numbers with the pair it read, and
-    its running error bound, in rounding units.
+def _recursion(tier: Tier, spec: ProblemSpec, omega=None, x=None,
+               shift=False) -> tuple[BetaSequence, object]:
+    """Run the recursion in ``tier`` on ``omega`` and ``x`` (tier numbers,
+    by default the spec's).  Returns its sequence, in the tier's numbers
+    with the pair it read and its digits lost, and its error estimate
+    eps * 10**lost (``tier.eps``; a tier number, as a float can underflow).
 
     Everything that does not depend on beta is one array expression over
     ell = 1..n, formed before the loop: the interface quantities, the
@@ -151,7 +152,8 @@ def _recursion(tier: Tier, spec: ProblemSpec, omega, x, shift=False
     the rotation e^{i z_ell/c_{ell+1}} and the bound's per-interface
     factors.  The loop keeps what depends on beta_{ell-1}, with no branch:
     the step, the Jacobian, the error terms, the advance in log form and
-    the rotated phase; the bound's maximum and the Im parts' logs follow.
+    the rotated phase; the Im parts' logs follow, and the digits lost:
+    log10 of the bound's maximum (at least 1) plus ``_im_loss``.
     Both tiers run this one body, on np.longdouble numbers (a batch's with
     a trailing sample axis) or on mpmath numbers; with ``shift`` the pair
     has the shifted orders.
@@ -170,6 +172,9 @@ def _recursion(tier: Tier, spec: ProblemSpec, omega, x, shift=False
     has lost every digit: its NaN makes the bound infinite and the log
     moduli -inf from there on (beta is 0); mpmath raises ZeroDivisionError.
     """
+    if omega is None:
+        omega, x = tier.real(spec.omega), tier.real(
+            np.asarray(spec.profile.jump_points))
     x = np.asarray(x)
     n = spec.n
     pair = interface_pair(tier, spec, omega, x, shift)
@@ -204,18 +209,19 @@ def _recursion(tier: Tier, spec: ProblemSpec, omega, x, shift=False
         # a step from a zero core on has NaN phases: beta is 0 there
         zero = im != im
         im[zero], log_mod[zero] = 0, -math.inf
-        bound = np.maximum.reduce(errs)
-        return (BetaSequence(n, log_mod, np.array(phases),
-                             tier.log(abs(im)) + log_mod,
-                             np.sign(im).astype(float), pair=pair),
-                # NaN, from a zero core, is an infinite bound
-                np.fmin(bound, tier.real(math.inf)))
+        im_log, sign = tier.log(abs(im)) + log_mod, np.sign(im).astype(float)
+        # NaN, from a zero core, is an infinite bound
+        bound = np.fmin(np.maximum.reduce(errs), tier.real(math.inf))
+        lost = np.float64(tier.log10(np.maximum(bound, 1))) + _im_loss(
+            log_mod, im_log, sign, -float(tier.log10(tier.eps)))
+    return (BetaSequence(n, log_mod, np.array(phases), im_log, sign,
+                         error_bound_digits=lost, pair=pair),
+            tier.eps * tier.real(10) ** lost)
 
 
 #: relative error estimate past which the extended recursion escalates
 #: to arbitrary precision, and the arbitrary-precision rerun is refused
 ERROR_LIMIT = 1e-13
-_EPS = np.finfo(_EXT).eps
 _LN10 = math.log(10.0)
 
 
@@ -223,7 +229,7 @@ def _beta_mp(spec: ProblemSpec, digits: float, data=None) -> BetaSequence:
     """Arbitrary-precision rerun of the recursion at ``_mp_dps(digits)``
     working digits, as extended numbers through 25 digits, with no pair.
     It raises ZeroDivisionError instead of returning when the run's own
-    estimate (``_estimate``, in mpmath's rounding unit) exceeds
+    estimate (``_recursion``'s, in mpmath's rounding unit) exceeds
     ``ERROR_LIMIT``; a step that cancels to exactly zero makes the estimate
     infinite.  Its ``error_bound_digits`` are its own.
 
@@ -234,14 +240,9 @@ def _beta_mp(spec: ProblemSpec, digits: float, data=None) -> BetaSequence:
     """
     import mpmath as mp
     with mp.workdps(_mp_dps(digits)):
-        if data is None:
-            omega = mp.mpf(spec.omega)
-            x = [mp.mpf(v) for v in spec.profile.jump_points]
-        else:
-            omega, x = data(spec)
         try:
-            seq, bound = _recursion(mp_tier(), spec, omega, x)
-            lost, error = _estimate(mp_tier(), seq, bound, mp.eps)
+            seq, error = _recursion(mp_tier(), spec,
+                                    *(data(spec) if data else ()))
         except ZeroDivisionError:   # a core cancelled to exactly zero
             error = mp.inf
         if error > ERROR_LIMIT:
@@ -256,10 +257,10 @@ def _beta_mp(spec: ProblemSpec, digits: float, data=None) -> BetaSequence:
             seq.n, np.array([ext(v) for v in seq.log_moduli]),
             np.array([ext(v.real) + _IU * ext(v.imag) for v in seq.phases]),
             np.array([ext(v) for v in seq.rot_im_log]), seq.rot_im_sign,
-            f"mp@{mp.mp.dps}", lost)
+            f"mp@{mp.mp.dps}", seq.error_bound_digits)
 
 
-def _im_loss(seq: BetaSequence, digits: float):
+def _im_loss(log_moduli, rot_im_log, rot_im_sign, digits: float):
     """Decimal digits the column entries would lose to the Im extraction,
     one per sample of a batch.
 
@@ -270,13 +271,12 @@ def _im_loss(seq: BetaSequence, digits: float):
     zero may mask a tiny true value and loses all ``digits`` of the tier.
     Entries after an exact zero step are skipped: its bound is infinite.
     """
-    # in doubles, one sample at a time, lm - il formed in the tier first
-    lm, il = seq.log_moduli, seq.rot_im_log
-    with np.errstate(invalid="ignore"):
-        rows = np.array((lm, il, lm - il, seq.rot_im_sign), dtype=float)
+    # in doubles, one sample at a time, the depth formed in the tier first
+    rows = np.array((log_moduli, rot_im_log, log_moduli - rot_im_log,
+                     rot_im_sign), dtype=float)
     losses = []
     for log_mod, im_log, depth, im_sign in rows.reshape(
-            4, len(lm), -1).transpose(2, 0, 1).tolist():
+            4, len(log_moduli), -1).transpose(2, 0, 1).tolist():
         # the column's largest entry
         top = max(log_mod[:-1] + im_log[1:], default=-math.inf)
         im_loss = 0.0
@@ -291,20 +291,7 @@ def _im_loss(seq: BetaSequence, digits: float):
             if loss > im_loss:
                 im_loss = loss
         losses.append(im_loss)
-    return np.array(losses).reshape(seq.log_moduli.shape[1:])[()]
-
-
-def _estimate(tier: Tier, seq: BetaSequence, bound, eps
-              ) -> tuple[float, object]:
-    """(lost, error): the decimal digits ``seq``'s run lost, log10 of its
-    ``bound`` (at least one rounding unit) plus the Im extraction's, and
-    eps * 10**lost, a tier number (at hundreds of mpmath digits a float
-    would underflow); ``eps`` is the tier's rounding unit.  One each per
-    sample."""
-    digits = -float(tier.log10(eps))
-    lost = np.float64(tier.log10(np.maximum(bound, 1))) \
-        + _im_loss(seq, digits)
-    return lost, eps * tier.real(10) ** lost
+    return np.array(losses).reshape(log_moduli.shape[1:])[()]
 
 
 def _mp_dps(digits: float) -> int:
@@ -316,7 +303,7 @@ def extended_run(spec: ProblemSpec, shift=False, omega=None, x=None
                  ) -> tuple[BetaSequence, object]:
     """The recursion in extended precision alone, with no rerun: its
     sequence, carrying its digits lost, and its error estimate
-    (``_estimate``).
+    (``_recursion``).
 
     Where the estimate is within ``ERROR_LIMIT`` the sequence is
     ``beta_sequence``'s answer.  Its ``pair`` (the 2n interface arguments
@@ -325,11 +312,7 @@ def extended_run(spec: ProblemSpec, shift=False, omega=None, x=None
     ``omega`` and ``x``, extended numbers, replace the spec's: with a
     trailing sample axis the sequence and its estimate serve a batch.
     """
-    if omega is None:
-        omega, x = _EXT(spec.omega), _EXT(np.asarray(spec.profile.jump_points))
-    seq, bound = _recursion(EXTENDED, spec, omega, x, shift)
-    lost, error = _estimate(EXTENDED, seq, bound, _EPS)
-    return replace(seq, error_bound_digits=lost), error
+    return _recursion(EXTENDED, spec, omega, x, shift)
 
 
 def beta_sequence(spec: ProblemSpec) -> BetaSequence:
@@ -343,13 +326,13 @@ def beta_sequence(spec: ProblemSpec) -> BetaSequence:
     rounding terms (see ``BetaSequence.error_bound_digits``) and weighs the
     Im loss by the entry's place in the column, not by the field term it
     feeds: specs 1 and 20 of the high-mode test population still come back
-    wrong without an error.  The rounding unit comes from ``np.finfo``, so
-    where ``np.longdouble`` is plain double the rule escalates there.
+    wrong without an error.  The rounding unit is ``EXTENDED.eps``,
+    np.longdouble's, so where that is plain double the rule escalates there.
     """
     beta, error = extended_run(spec)
     if error > ERROR_LIMIT:
         lost = beta.error_bound_digits
-        lost = lost if math.isfinite(lost) else -float(np.log10(_EPS))
+        lost = lost if math.isfinite(lost) else -float(np.log10(EXTENDED.eps))
         return replace(_beta_mp(spec, 1.2 * lost + 10.0), pair=beta.pair,
                        error_bound_digits=beta.error_bound_digits)
     return beta

@@ -206,6 +206,9 @@ def _build_example(n, c1, c2, quarter_turns, d, m, g):
     speeds = _alternating_speeds(n, c1, c2)
     phase = quarter_turns * math.pi / 2.0
     omega = phase * sum(speeds)
+    if not math.isfinite(omega):
+        raise ValueError("omega, the layer phase times the sum of the "
+                         "speeds, is not finite")
     widths = [phase * c / omega for c in speeds]
     x = [0.0]
     for h in widths:

@@ -455,7 +455,7 @@ class Tier(NamedTuple):
     cancel them in rounding.  ``cexp`` takes a
     tier number or an array of them.  The extended tier's arrays are
     np.longdouble/np.clongdouble; the mpmath tier's are object arrays of
-    mpf/mpc.
+    mpf/mpc.  ``eps`` is the rounding unit (``mp.eps`` follows the context).
     """
 
     real: Callable
@@ -464,6 +464,7 @@ class Tier(NamedTuple):
     log10: Callable
     pair_eval: Callable
     cdtype: object
+    eps: object
 
 
 def _pair_eval_ext(pair: FundamentalPair, x: np.ndarray,
@@ -505,7 +506,7 @@ _IU_EXT = np.clongdouble(1j)
 EXTENDED = Tier(
     real=np.longdouble, cexp=lambda t: np.exp(_IU_EXT * t),
     log=np.log, log10=np.log10, pair_eval=_pair_eval_ext,
-    cdtype=np.clongdouble)
+    cdtype=np.clongdouble, eps=np.finfo(np.longdouble).eps)
 
 
 @functools.cache
@@ -526,7 +527,7 @@ def mp_tier() -> Tier:
         real=np.frompyfunc(mp.mpf, 1, 1),
         cexp=np.frompyfunc(lambda t: mp.exp(1j * t), 1, 1),
         log=np.frompyfunc(mp.log, 1, 1), log10=mp.log10,
-        pair_eval=pair_eval, cdtype=object)
+        pair_eval=pair_eval, cdtype=object, eps=mp.eps)
 
 
 def eval_limit_at_origin(pair: FundamentalPair, which: int) -> complex:

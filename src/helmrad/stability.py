@@ -289,14 +289,19 @@ def whispering_gallery_scan(m: int, c1: float, c2: float, x1: float,
     """Minimise the interface Wronskian modulus over a real frequency grid.
 
     Returns the minimising frequency and the explicit one-interface
-    coefficients there.  Raises if the minimum sits on the window edge
-    (the window must bracket the dip).
+    coefficients there.  Raises ValueError for fewer than 3 samples or a
+    window bound that is not positive and finite, and WindowTooCoarse if
+    the minimum sits on the window edge (the window must bracket the dip).
     """
     if not (0.0 < c1 < c2):
         raise ValueError("need 0 < c1 < c2")
     if not 0.0 < x1 < 1.0:
         raise ValueError("interface must be interior")
+    if samples < 3:
+        raise ValueError("need at least 3 samples")
     lo, hi = omega_window
+    if not all(0.0 < w < math.inf for w in (lo, hi)):
+        raise ValueError("omega window bounds must be positive and finite")
     grid = np.linspace(lo, hi, samples)
     mags = np.abs(single_interface_wronskian(m, c1, c2, x1, grid))
     k = int(np.argmin(mags))

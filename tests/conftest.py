@@ -20,11 +20,14 @@ def m0_oracle_on_every_extended_run():
     against the jump-ratio step (``m0_oracle``), to 1e-12."""
     recursion = green._recursion
 
-    def checked(tier, spec, omega, x, shift=False):
-        seq, bound = recursion(tier, spec, omega, x, shift)
+    def checked(tier, spec, omega=None, x=None, shift=False):
+        if tier is EXTENDED and omega is None:   # the spec's own values
+            omega = EXTENDED.real(spec.omega)
+            x = EXTENDED.real(np.asarray(spec.profile.jump_points))
+        seq, error = recursion(tier, spec, omega, x, shift)
         if tier is EXTENDED and spec.dimension == 3 and spec.mode == 0:
             m0_oracle.check(spec, omega, x, seq)
-        return seq, bound
+        return seq, error
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(green, "_recursion", checked)
         yield

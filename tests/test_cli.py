@@ -283,14 +283,17 @@ class TestSolve:
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("option,value", [
-        ("--grid", "0"), ("--grid", "-1"), ("--quad-order", "4")])
+        ("--grid", "0"), ("--grid", "-1"), ("--quad-order", "4"),
+        ("--quad-order", "4097")])
     def test_parser_rejects_out_of_range_sizes(self, option, value,
                                                tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["solve", "--input", _spec_json(),
                       "--output-dir", str(tmp_path / "out"), option, value])
         assert exc.value.code == cli.EXIT_VALIDATION == 2
-        assert f"{option}: must be at least" in capsys.readouterr().err
+        message = {"--grid": "must be at least 1",
+                   "--quad-order": "must be in [8, 4097)"}[option]
+        assert f"{option}: {message}" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
     def test_no_leftover_temp_files(self, tmp_path):
@@ -331,6 +334,14 @@ class TestConstruct:
                        "--c1", "3.0", "--c2", "1.0"])
         assert rc == cli.EXIT_VALIDATION
         assert "error" in capsys.readouterr().err
+
+    def test_overflowing_omega_exits_with_validation_code(self, capsys):
+        rc = cli.main(["construct", "--kind", "localised", "--n", "3",
+                       "--c1", "1", "--c2", "1e308"])
+        assert rc == cli.EXIT_VALIDATION == 2
+        out, err = capsys.readouterr()
+        assert not out and err.startswith("error: omega, ")
+        assert err.count("\n") == 1 and "is not finite" in err
 
 
 class TestScan:
@@ -579,6 +590,19 @@ class TestWhisper:
         assert rc == cli.EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         assert 15.66 < doc["omega_star"] < 15.68
+
+    @pytest.mark.parametrize("samples,window,message", [
+        ("0", ("15.66", "15.68"), "need at least 3 samples"),
+        ("-3", ("15.66", "15.68"), "need at least 3 samples"),
+        ("400", ("1", "inf"), "omega window bounds must be positive and "
+                              "finite")])
+    def test_invalid_scan_exits_with_one_error_line(self, samples, window,
+                                                    message, capsys):
+        rc = cli.main(["whisper", "--m", "5", "--c1", "1.0", "--c2", "2.0",
+                       "--x1", "0.5", "--omega-window", *window,
+                       "--samples", samples])
+        assert rc == cli.EXIT_VALIDATION == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_coarse_window_is_rejected(self, capsys):
         rc = cli.main(["whisper", "--m", "5", "--c1", "1.0", "--c2", "2.0",

@@ -241,6 +241,18 @@ class TestEnergy:
             f"energy_norm: no 1e-10 agreement by quadrature order 16, last "
             f"norms {norms!r}")
 
+    @pytest.mark.parametrize("order", [7, 4097])
+    def test_energy_norm_refuses_orders_outside_its_range(self, order):
+        """An order past _QUAD_MAX_ORDER would sum nothing: refused, as
+        one below 8 is."""
+        with pytest.raises(ValueError, match=r"must be in \[8, 4096\]"):
+            energy_norm(solve(SPECS[1]), order)
+
+    def test_energy_norm_reads_its_cap_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(evaluate, "_QUAD_MAX_ORDER", 16)
+        with pytest.raises(ValueError, match=r"must be in \[8, 16\]"):
+            energy_norm(solve(SPECS[1]), 32)
+
     def test_unconverged_scaled_energy_norm_warns(self, monkeypatch, caplog):
         """Sums in units of 2**(2e), e = 600 as for coefficients past
         2**_SCALE_FROM: the totals in absolute units would overflow, the

@@ -235,20 +235,35 @@ class TestRunningErrorBound:
                 assert np.max(np.abs(mine - theirs)) <= 1e-13
             assert seq.tier == "extended"
 
+    def test_error_is_eps_times_the_digits_lost(self):
+        """An extended run's error estimate is EXTENDED.eps *
+        10**error_bound_digits, for one spec and for a batch of them."""
+        spec = SPECS[2]
+        omega = np.longdouble([spec.omega, 1.3 * spec.omega])
+        x = np.array([spec.profile.jump_points] * 2, np.longdouble).T
+        runs = [green.extended_run(s) for s in SPECS]
+        for seq, error in runs + [green.extended_run(spec, False, omega, x)]:
+            assert np.shape(error) == np.shape(seq.error_bound_digits)
+            assert np.all(error == EXTENDED.eps
+                          * np.longdouble(10) ** seq.error_bound_digits)
+
     def test_bound_covers_the_observed_error(self, kept_in_extended):
         """First order and with unit constants, the running bound is an
         estimate; the observed error stays within twice it.  The bound
         alone, not ``error_bound_digits``: the Im extraction's digits that
-        the estimate adds touch no log modulus or phase compared here."""
+        the estimate adds touch no log modulus or phase compared here, so
+        they are taken back off, read from the same run at -log10 eps."""
         kept, _ = kept_in_extended
         eps = np.finfo(np.longdouble).eps
         for spec, seq, ref in kept["oracle"] + kept["alternating"]:
             err = max(np.max(np.abs(seq.log_moduli - ref.log_moduli)),
                       np.max(np.abs(seq.phases - ref.phases)))
-            bound = green._recursion(
-                EXTENDED, spec, np.longdouble(spec.omega),
-                np.longdouble(spec.profile.jump_points))[1]
-            assert err <= 2 * eps * 10.0 ** float(np.log10(max(bound, 1)))
+            with np.errstate(invalid="ignore"):
+                im_loss = green._im_loss(seq.log_moduli, seq.rot_im_log,
+                                         seq.rot_im_sign,
+                                         -float(np.log10(eps)))
+            bound_digits = seq.error_bound_digits - im_loss
+            assert err <= 2 * eps * 10.0 ** float(bound_digits)
 
     def test_high_mode_recursions_escalate_once(self, monkeypatch):
         calls = []
@@ -362,14 +377,17 @@ class TestRerunSelfCheck:
 
     def test_exact_zero_core_escalates_by_itself(self):
         """High-mode spec 7: the first core cancels to exactly zero in
-        extended precision, which alone makes the bound infinite."""
+        extended precision, which alone makes the bound, and so the error
+        and the digits lost, infinite."""
         spec = high_mode_population()[7]
         x = [np.longdouble(v) for v in spec.profile.jump_points]
-        seq, bound = green._recursion(EXTENDED, spec,
+        seq, error = green._recursion(EXTENDED, spec,
                                       np.longdouble(spec.omega), x)
-        assert bound == np.inf
+        assert error == np.inf and seq.error_bound_digits == np.inf
         assert np.isneginf(seq.log_moduli[1:]).all()
-        assert green._im_loss(seq, 19.0) == 0.0
+        with np.errstate(invalid="ignore"):
+            assert green._im_loss(seq.log_moduli, seq.rot_im_log,
+                                  seq.rot_im_sign, 19.0) == 0.0
 
 
 class TestGreenColumn:

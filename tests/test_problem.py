@@ -204,6 +204,14 @@ class TestConstructedExamples:
         with pytest.raises(ValueError):
             construct_localisation_example(2, 3.0, 1.0)
 
+    @pytest.mark.parametrize("make", [construct_localisation_example,
+                                      construct_stable_example])
+    @pytest.mark.parametrize("c2", [1e308, math.inf])
+    def test_rejects_speeds_whose_omega_overflows(self, make, c2):
+        """(pi/2) sum c_j overflows: every width would round to 0."""
+        with pytest.raises(ValueError, match="omega, .* is not finite"):
+            make(3, 1.0, c2)
+
     def test_interference_needs_alternating_sign_pattern(self):
         # same speeds on both sides => q = 0, not an interference profile
         p = _profile(2.0, 2.0)

@@ -8,7 +8,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helmrad.specfun import (FundamentalPair, SingularAtOrigin,
+from helmrad.specfun import (EXTENDED, FundamentalPair, SingularAtOrigin,
                              eval_limit_at_origin, fundamental_eval,
                              fundamental_eval_d2, spherical_bessel_j,
                              spherical_bessel_y, spherical_hankel_h1,
@@ -322,6 +322,16 @@ class TestArbitraryPrecision:
         with mp.workdps(30):
             v, dv = fundamental_eval_mp(pair, 1, 1.1)
             assert complex(v) == pytest.approx(np.exp(1j * 1.1), rel=1e-14)
+
+    def test_tiers_carry_their_rounding_unit(self):
+        """EXTENDED's is np.longdouble's; mpmath's is mp.eps, which follows
+        the working precision of the active context."""
+        import mpmath as mp
+        from helmrad.specfun import mp_tier
+        assert EXTENDED.eps == np.finfo(np.longdouble).eps
+        for dps in (30, 80):
+            with mp.workdps(dps):
+                assert mp_tier().eps == mp.eps == mp.mpf(2) ** (1 - mp.mp.prec)
 
 
 IDENTITY_PAIRS = [(1, 0)] + [(3, m) for m in (0, 1, 2, 3, 7, 13, 30, 50)]

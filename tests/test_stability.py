@@ -121,6 +121,21 @@ class TestWhisperingGallery:
             whispering_gallery_scan(5, 1.0, 2.0, 0.5, (16.2, 16.3),
                                     samples=50)
 
+    @pytest.mark.parametrize("samples", [0, -3, 2])
+    def test_refuses_fewer_than_three_samples(self, samples):
+        with pytest.raises(ValueError, match="at least 3 samples"):
+            whispering_gallery_scan(5, 1.0, 2.0, 0.5, (15.66, 15.68),
+                                    samples=samples)
+
+    @pytest.mark.parametrize("window", [
+        (1.0, math.inf), (-math.inf, 2.0), (0.0, 2.0), (-1.0, 2.0),
+        (math.nan, 2.0)])
+    def test_refuses_a_window_bound_not_positive_and_finite(self, window):
+        """Before anything is evaluated: numpy's RuntimeWarning on an
+        infinite grid would otherwise come first (an error in this suite)."""
+        with pytest.raises(ValueError, match="positive and finite"):
+            whispering_gallery_scan(2, 1.0, 2.0, 0.5, window)
+
     def test_validates_geometry(self):
         with pytest.raises(ValueError):
             whispering_gallery_scan(5, 2.0, 1.0, 0.5, (15.0, 16.0))
