@@ -237,7 +237,7 @@ class InterfacePair(NamedTuple):
 
     speeds: np.ndarray   # c_1..c_{n+1}, tier reals
     args: np.ndarray     # z_ell/c_ell for ell = 1..n, z_ell/c_{ell+1}[, kappa]
-    values: np.ndarray   # rows (f_1, f_1', f_2, f_2'[, g_1, g_2]) at args
+    values: np.ndarray   # rows (f_1, f_1', f_2, f_2', g_1, g_2) at args
 
     def sample(self, k: int) -> InterfacePair:
         """The pair of sample ``k`` of a batch, in arrays of its own; a pair
@@ -248,14 +248,14 @@ class InterfacePair(NamedTuple):
                              self.values[..., k].copy())
 
 
-def interface_pair(tier: Tier, spec: ProblemSpec, omega=None, x=None,
-                   shift: bool = False) -> InterfacePair:
-    """The pair at the 2n interface arguments z_ell/c_ell and
-    z_ell/c_{ell+1}, z_ell = omega x_ell, then in EXTENDED alone at kappa =
-    omega/c_{n+1}, from one ``tier.pair_eval`` call, with the shifted
-    orders if ``shift``.  ``omega`` and the jump points ``x`` are tier
-    numbers, by default the spec's own, or a batch's with a trailing
-    sample axis: every point to the bits of its own call."""
+def interface_pair(tier: Tier, spec: ProblemSpec, omega=None, x=None
+                   ) -> InterfacePair:
+    """The pair's six rows (``Tier``) at the 2n interface arguments
+    z_ell/c_ell and z_ell/c_{ell+1}, z_ell = omega x_ell, then in EXTENDED
+    alone at kappa = omega/c_{n+1}, from one ``tier.pair_eval`` call.
+    ``omega`` and the jump points ``x`` are tier numbers, by default the
+    spec's own, or a batch's with a trailing sample axis: every point to
+    the bits of its own call."""
     if omega is None:
         omega = tier.real(spec.omega)
         x = tier.real(np.asarray(spec.profile.jump_points))
@@ -265,7 +265,7 @@ def interface_pair(tier: Tier, spec: ProblemSpec, omega=None, x=None,
     outer = (omega / c[-1],) if tier is EXTENDED else ()
     args = np.concatenate((z / c[:-1], z / c[1:], outer))
     values = tier.pair_eval(FundamentalPair(spec.dimension, spec.mode),
-                            args.ravel(), shift)
+                            args.ravel())
     return InterfacePair(c, args, values.reshape(values.shape[:1]
                                                  + args.shape))
 
@@ -302,7 +302,7 @@ def _blocks(tier: Tier, spec: ProblemSpec, at: InterfacePair | None = None
     19:1505, 1980; Yang, Appl. Opt. 42:1710, 2003).  What cancels is only
     the contrast 1/c_P^2 - 1/c_Q^2; for d=1, kappa = 0 and g = f'."""
     n = spec.n
-    c, _, values = at or interface_pair(tier, spec, shift=True)
+    c, _, values = at or interface_pair(tier, spec)
     w, ratio = _wronskians(c, values)
     vanished = np.abs(w[0]) < _DEGENERACY_FLOOR
     if np.count_nonzero(vanished):
@@ -338,8 +338,8 @@ def normalize(spec: ProblemSpec, at: InterfacePair | None = None
     """Normalised system with Wronskian-form diagonal blocks, held in
     extended precision: the solve refines against them, and stiff modes
     can push the condition number past what double entries represent;
-    from the extended pair values ``at`` (shifted orders) when given."""
-    at = at or interface_pair(EXTENDED, spec, shift=True)
+    from the extended pair values ``at`` when given."""
+    at = at or interface_pair(EXTENDED, spec)
     S_hat, block_loss = _blocks(EXTENDED, spec, at)
     return BlockSystem(spec.n, S_hat, b_last_extended(spec, at), spec, at,
                        block_loss)
@@ -402,9 +402,11 @@ def _settled(system: BlockSystem, step: np.ndarray, size: np.ndarray,
     def layers(terms, end):
         # A_1 = 0, then (B_1), (A_2, B_2), ..., (A_N, end)
         return np.concatenate(([0], terms, [end])).reshape(-1, 2).max(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.max(layers(step * weight, 0) / layers(
-            size * weight, abs(system.b_last) * system.scales[-1]))
+    terms = layers(size * weight, abs(system.b_last) * system.scales[-1])
+    if (terms == 0).any():      # before mpmath divides by it
+        return False
+    with np.errstate(invalid="ignore"):
+        ratio = np.max(layers(step * weight, 0) / terms)
     return bool(ratio <= _SETTLE_TOL)
 
 

@@ -119,7 +119,7 @@ def _solve(specs: list[ProblemSpec], omega, x) -> list[RadialSolution]:
     ``x``, one spec's with no sample axis or a batch's with a trailing one;
     a refusal raises for the first refused spec in order."""
     base, count = specs[0], len(specs)
-    beta, error = green.extended_run(base, True, omega, x)
+    beta, error = green.recursion(EXTENDED, base, omega, x)
     accepted = [k for k, ok in enumerate(
         (error <= green.ERROR_LIMIT).reshape(-1).tolist()) if ok]
     column = accepted and green.green_last_column(base, beta)
@@ -389,12 +389,16 @@ def _energy_sum(sol: RadialSolution, order: int):
         xs = x[j - 1:j + step]
         half, mid = 0.5 * (xs[1:] - xs[:-1]), 0.5 * (xs[:-1] + xs[1:])
         r = (half[:, None] * nodes + mid[:, None]).ravel()
-        layer = np.repeat(np.arange(j, j + len(half)), order)
+        # a node that rounds to r = 0 is left out: its density is 0 for
+        # d=3, and for d=1 its weight is a subnormal half-width
+        pos = r > 0.0
+        r, layer = r[pos], np.repeat(np.arange(j, j + len(half)), order)[pos]
         e, val, der = _field(sol, layer, r, slope=True)
         k = spec.omega / np.asarray(spec.profile.speeds)[layer - 1]
-        dens = (np.abs(der) ** 2 + (k * np.abs(val)) ** 2) * r ** (d - 1)
+        dens = np.zeros(pos.shape)
+        dens[pos] = (np.abs(der) ** 2 + (k * np.abs(val)) ** 2) * r ** (d - 1)
         if lam != 0.0:
-            dens += lam * np.abs(val) ** 2 * r ** (d - 3)
+            dens[pos] += lam * np.abs(val) ** 2 * r ** (d - 3)
         total = sum((float(w @ v) for w, v in zip(
             half[:, None] * weights, dens.reshape(-1, order))), total)
     return e, total

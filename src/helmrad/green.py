@@ -30,9 +30,10 @@ which serves only ``helmrad verify --suite oracle``, criterion 1 and the
 stability certificates.
 
 ``evaluate.solve``, the one solve behind the library, ``helmrad solve`` and
-``helmrad scan``, makes no rerun: it takes ``extended_run`` alone and
-otherwise the banded route's answer with its column (``banded_column``),
-both read with the run's one pair evaluation (see ``evaluate.solve``).
+``helmrad scan``, makes no rerun: it takes ``recursion`` in EXTENDED alone
+and otherwise the banded route's answer with its column
+(``banded_column``), both read with the run's one pair evaluation (see
+``evaluate.solve``).
 """
 
 from __future__ import annotations
@@ -112,7 +113,7 @@ def _interfaces(tier: Tier, at: InterfacePair) -> _Interface:
 @dataclass(frozen=True)
 class BetaSequence:
     """The scalar recursion beta_0..beta_n in log-modulus + unit-phase form:
-    the one record of a run (``_recursion``), in its tier's numbers.
+    the one record of a run (``recursion``), in its tier's numbers.
 
     ``log_moduli[ell]`` and ``phases[ell]`` describe beta_ell, the
     phase-adjusted sequence entering the Green-column formulas.
@@ -129,7 +130,7 @@ class BetaSequence:
     #: "extended", or "mp@<digits>" for an arbitrary-precision rerun at
     #: that many working decimal digits
     tier: str = "extended"
-    #: decimal digits the extended recursion lost (``_recursion``), which
+    #: decimal digits the extended recursion lost (``recursion``), which
     #: decided the tier and sized a rerun: its relative error is about
     #: eps * 10**error_bound_digits, eps the rounding unit ``EXTENDED.eps``.
     #: Not a bound: no term covers the rounding of gamma-plus's phase factor
@@ -139,12 +140,19 @@ class BetaSequence:
     pair: InterfacePair | None = None   # the extended run's; see the module
 
 
-def _recursion(tier: Tier, spec: ProblemSpec, omega=None, x=None,
-               shift=False) -> tuple[BetaSequence, object]:
+def recursion(tier: Tier, spec: ProblemSpec, omega=None, x=None
+              ) -> tuple[BetaSequence, object]:
     """Run the recursion in ``tier`` on ``omega`` and ``x`` (tier numbers,
-    by default the spec's).  Returns its sequence, in the tier's numbers
-    with the pair it read and its digits lost, and its error estimate
-    eps * 10**lost (``tier.eps``; a tier number, as a float can underflow).
+    by default the spec's), with no rerun.  Returns its sequence, in the
+    tier's numbers with the pair it read and its digits lost, and its
+    error estimate eps * 10**lost (``tier.eps``; a tier number, as a float
+    can underflow).  ``omega`` and ``x`` with a trailing sample axis make
+    the sequence and its estimate serve a batch.
+
+    In EXTENDED, where the estimate is within ``ERROR_LIMIT``, the sequence
+    is ``beta_sequence``'s answer.  Its ``pair`` (the 2n interface
+    arguments and kappa) gives ``evaluate.solve`` B_N, the interface
+    backward error and a fallback's banded blocks.
 
     Everything that does not depend on beta is one array expression over
     ell = 1..n, formed before the loop: the interface quantities, the
@@ -155,8 +163,7 @@ def _recursion(tier: Tier, spec: ProblemSpec, omega=None, x=None,
     the rotated phase; the Im parts' logs follow, and the digits lost:
     log10 of the bound's maximum (at least 1) plus ``_im_loss``.
     Both tiers run this one body, on np.longdouble numbers (a batch's with
-    a trailing sample axis) or on mpmath numbers; with ``shift`` the pair
-    has the shifted orders.
+    a trailing sample axis) or on mpmath numbers.
 
     Each step extracts Im(e^{i z_ell/c_{ell+1}} beta_ell) and carries
     a running first-order error bound of (log_mod, phases) in units of the
@@ -177,7 +184,7 @@ def _recursion(tier: Tier, spec: ProblemSpec, omega=None, x=None,
             np.asarray(spec.profile.jump_points))
     x = np.asarray(x)
     n = spec.n
-    pair = interface_pair(tier, spec, omega, x, shift)
+    pair = interface_pair(tier, spec, omega, x)
     it = _interfaces(tier, pair)
     c, args = pair.speeds, pair.args
     delta = omega * (x[1:n + 1] - x[:n]) / c[:-1]
@@ -229,7 +236,7 @@ def _beta_mp(spec: ProblemSpec, digits: float, data=None) -> BetaSequence:
     """Arbitrary-precision rerun of the recursion at ``_mp_dps(digits)``
     working digits, as extended numbers through 25 digits, with no pair.
     It raises ZeroDivisionError instead of returning when the run's own
-    estimate (``_recursion``'s, in mpmath's rounding unit) exceeds
+    estimate (``recursion``'s, in mpmath's rounding unit) exceeds
     ``ERROR_LIMIT``; a step that cancels to exactly zero makes the estimate
     infinite.  Its ``error_bound_digits`` are its own.
 
@@ -241,8 +248,8 @@ def _beta_mp(spec: ProblemSpec, digits: float, data=None) -> BetaSequence:
     import mpmath as mp
     with mp.workdps(_mp_dps(digits)):
         try:
-            seq, error = _recursion(mp_tier(), spec,
-                                    *(data(spec) if data else ()))
+            seq, error = recursion(mp_tier(), spec,
+                                   *(data(spec) if data else ()))
         except ZeroDivisionError:   # a core cancelled to exactly zero
             error = mp.inf
         if error > ERROR_LIMIT:
@@ -299,26 +306,11 @@ def _mp_dps(digits: float) -> int:
     return 30 + int(math.ceil(digits))
 
 
-def extended_run(spec: ProblemSpec, shift=False, omega=None, x=None
-                 ) -> tuple[BetaSequence, object]:
-    """The recursion in extended precision alone, with no rerun: its
-    sequence, carrying its digits lost, and its error estimate
-    (``_recursion``).
-
-    Where the estimate is within ``ERROR_LIMIT`` the sequence is
-    ``beta_sequence``'s answer.  Its ``pair`` (the 2n interface arguments
-    and kappa) gives ``evaluate.solve`` B_N, the interface backward error
-    and a fallback's banded blocks, their shifted orders with ``shift``.
-    ``omega`` and ``x``, extended numbers, replace the spec's: with a
-    trailing sample axis the sequence and its estimate serve a batch.
-    """
-    return _recursion(EXTENDED, spec, omega, x, shift)
-
-
 def beta_sequence(spec: ProblemSpec) -> BetaSequence:
     """Run the recursion in extended precision, rerunning once in mpmath.
 
-    The rerun happens when the extended estimate exceeds ``ERROR_LIMIT``,
+    The extended run is ``recursion(EXTENDED, spec)``, with its pair.  The
+    rerun happens when the extended estimate exceeds ``ERROR_LIMIT``,
     its ``error_bound_digits`` past -log10 eps - 13, at ``_mp_dps`` of 1.2
     times those digits + 10 (-log10 eps if infinite); judged by the same
     rule in mpmath's eps, it passes with 27 digits to spare if it loses
@@ -329,7 +321,7 @@ def beta_sequence(spec: ProblemSpec) -> BetaSequence:
     wrong without an error.  The rounding unit is ``EXTENDED.eps``,
     np.longdouble's, so where that is plain double the rule escalates there.
     """
-    beta, error = extended_run(spec)
+    beta, error = recursion(EXTENDED, spec)
     if error > ERROR_LIMIT:
         lost = beta.error_bound_digits
         lost = lost if math.isfinite(lost) else -float(np.log10(EXTENDED.eps))

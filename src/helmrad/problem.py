@@ -12,6 +12,7 @@ import cmath
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -210,6 +211,10 @@ def _build_example(n, c1, c2, quarter_turns, d, m, g):
         raise ValueError("omega, the layer phase times the sum of the "
                          "speeds, is not finite")
     widths = [phase * c / omega for c in speeds]
+    # below the normal doubles c/omega rounds, and the phases drift
+    if min(phase * c1, *widths) < sys.float_info.min:
+        raise ValueError("a layer width, phase * c / omega, or its phase * "
+                         "c is below the normal double range")
     x = [0.0]
     for h in widths:
         x.append(x[-1] + h)

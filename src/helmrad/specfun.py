@@ -12,7 +12,8 @@ take a 1-D array of arguments.  Their results then gain a trailing point
 axis, and a float argument keeps its scalar path.  Each point of an array
 takes the branch, and the downward start, that its scalar call would, from
 its own argument, so its value does not depend on the other points of its
-batch.  The closed forms of orders 0 and 1 take one sin and one cos per
+batch; ``_jn_seq`` alone decides whether its downward pass runs alone or
+batched.  The closed forms of orders 0 and 1 take one sin and one cos per
 argument for j and y together.
 
 One evaluator, ``_fundamental``, forms the pair from one sin and one cos
@@ -37,6 +38,11 @@ import numpy as np
 #: rounding even in the turning-point region (order comparable to argument)
 _MILLER_GUARD = 20
 _MILLER_MARGIN = 30
+
+#: points at or below the turning point past which their downward passes
+#: are batched (``_miller_rows``): one x86-64 core takes as long for either
+#: at 12 (m = 2-10) to 16-18 (m = 30) points
+_MILLER_BATCH = 12
 
 #: arguments of this exact type take the array path; a type identity test
 #: keeps the argument check on a float within ~50 ns of a bare compare
@@ -106,7 +112,9 @@ def _jn_seq(m_max: int, x, s, c, up: bool = False) -> np.ndarray:
     with ``up`` (m_max >= 1) also order m_max + 1, from the same pass.
 
     The branch and the downward start are m_max's with or without ``up``,
-    so orders 0..m_max keep their bits.  Only the two running orders and
+    so orders 0..m_max keep their bits.  More than ``_MILLER_BATCH`` points
+    of an array at or below the turning point share one ``_miller_rows``
+    pass; fewer take this scalar one each.  Only the two running orders and
     the returned ones are held; a pass that crosses the rescale threshold
     scales its held orders down.
     """
@@ -121,12 +129,15 @@ def _jn_seq(m_max: int, x, s, c, up: bool = False) -> np.ndarray:
         high = x > m_max
         if high.all():
             return _forward(m_max + up, x, j0, j1)
-        if not high.any():
-            return _miller_rows(m_max, x, j0, j1, up)
         f = np.empty((m_max + 1 + up,) + x.shape, dtype=x.dtype)
-        f[:, high] = _forward(m_max + up, x[high], j0[high], j1[high])
+        if high.any():
+            f[:, high] = _forward(m_max + up, x[high], j0[high], j1[high])
         low = ~high
-        f[:, low] = _miller_rows(m_max, x[low], j0[low], j1[low], up)
+        if np.count_nonzero(low) > _MILLER_BATCH:
+            f[:, low] = _miller_rows(m_max, x[low], j0[low], j1[low], up)
+        else:           # a few points: one scalar pass each costs less
+            for i in map(tuple, np.argwhere(low).tolist()):
+                f[(slice(None),) + i] = _jn_seq(m_max, x[i], s[i], c[i], up)
         return f
     if x > m_max:
         return _forward(m_max + up, x, j0, j1)
@@ -168,7 +179,8 @@ def _forward(m_max: int, x, f0, f1) -> np.ndarray:
 
 def _miller_rows(m_max: int, x: np.ndarray, j0, j1, up: bool = False
                  ) -> np.ndarray:
-    """The downward recurrence of ``_jn_seq`` over an array x.
+    """The downward recurrence of ``_jn_seq`` over an array x, for more
+    than ``_MILLER_BATCH`` points.
 
     Each point starts where the scalar path would start at its entry, and
     waits at (0, 1) until then, so its rows have the bits of the scalar
@@ -442,11 +454,10 @@ class Tier(NamedTuple):
     an array of doubles, ``cexp(t)`` is exp(i t), ``log`` and ``log10`` are
     logarithms of reals (``log`` also of an array of them), and ``cdtype``
     is the dtype of an array of the tier's complex numbers.
-    ``pair_eval(pair, x, shift=True)`` takes a 1-D
-    array of arguments, of the tier's reals, and gives (f_1, f_1', f_2,
-    f_2', g_1, g_2) of the fundamental system at each, as the six rows of
-    one array of the tier's complex numbers (the first four alone without
-    ``shift``), from one f_1 evaluation per point.  g_p is
+    ``pair_eval(pair, x)`` takes a 1-D array of arguments, of the tier's
+    reals, and gives (f_1, f_1', f_2, f_2', g_1, g_2) of the fundamental
+    system at each, as the six rows of one array of the tier's complex
+    numbers, from one f_1 evaluation per point.  g_p is
     the shifted order of f_p in f_p' = (kappa_p/x) f_p + g_p, for d=3
     kappa_1 = -(m+1), g_1 = h_{m-1} (e^{ix}/x at m = 0) and kappa_2 = m,
     g_2 = -j_{m+1} (DLMF 10.51.2), for d=1 kappa = 0 and g_p = f_p'.  The
@@ -467,35 +478,15 @@ class Tier(NamedTuple):
     eps: object
 
 
-def _pair_eval_ext(pair: FundamentalPair, x: np.ndarray,
-                   shift: bool = True) -> np.ndarray:
+def _pair_eval_ext(pair: FundamentalPair, x: np.ndarray) -> np.ndarray:
     """Rows (f_1, f_1', f_2, f_2', g_1, g_2) at each entry of ``x``, in
-    extended precision; the first four alone without ``shift``.
-
-    f_2 and f_2' are the real rows of f_1 and f_1', kept complex, so
-    products with them round as those of a ``which=2`` evaluation.  Every
-    point above the turning point, x > m, and every point of a closed form
-    goes in one array call.  A point at or below it with m >= 2 goes alone:
-    the routes pass only 2n + 1 points a spec, and a batched Miller pass over
-    a few points costs more than the scalar loop.
-    """
-    x = _positive(x, np.longdouble)
-    # the real rows (f_2, f_2'[, Re g_1, g_2]) and the imaginary ones of
-    # (f_1, f_1'[, g_1])
-    re = np.empty((4 if shift else 2, len(x)), dtype=x.dtype)
-    im = np.empty((3 if shift else 2, len(x)), dtype=x.dtype)
-    low = np.flatnonzero(x <= pair.m) if pair.d == 3 and pair.m >= 2 else ()
-    groups = list(low)
-    if len(low) < len(x):
-        groups.append(x > pair.m if len(low) else slice(None))
-    for at in groups:
-        re[:, at], im[:, at] = _fundamental(pair, x[at], 1, shift=shift)
-    out = np.zeros((6 if shift else 4, len(x)), dtype=np.clongdouble)
-    out.real[:4] = re[[0, 1, 0, 1]]
-    out.imag[:2] = im[:2]
-    if shift:
-        out.real[4:] = re[2:]
-        out.imag[4] = im[2]
+    extended precision, from one ``_fundamental`` call; f_2 and f_2' are
+    kept complex, so products with them round as a ``which=2`` call's."""
+    (f, df, g1, g2), (f_im, df_im, g1_im) = _fundamental(
+        pair, _positive(x, np.longdouble), 1, shift=True)
+    out = np.array((f, df, f, df, g1, g2), dtype=np.clongdouble)
+    out.imag[:2] = f_im, df_im
+    out.imag[4] = g1_im
     return out
 
 
@@ -514,14 +505,12 @@ def mp_tier() -> Tier:
     """mpmath, at the precision of the active context (built on first use)."""
     import mpmath as mp
 
-    def pair_eval(pair, x, shift=True):
-        out = np.empty((6 if shift else 4, len(x)), dtype=object)
+    def pair_eval(pair, x):
+        out = np.empty((6, len(x)), dtype=object)
         for i, v in enumerate(x):
-            (f, df, *g), (f_im, df_im, *g_im) = _rows_mp(pair, v, shift)
-            out[:4, i] = (mp.mpc(f, f_im), mp.mpc(df, df_im), mp.mpc(f),
-                          mp.mpc(df))
-            if shift:
-                out[4:, i] = mp.mpc(g[0], g_im[0]), mp.mpc(g[1])
+            (f, df, g1, g2), (f_im, df_im, g1_im) = _rows_mp(pair, v, True)
+            out[:, i] = (mp.mpc(f, f_im), mp.mpc(df, df_im), mp.mpc(f),
+                         mp.mpc(df), mp.mpc(g1, g1_im), mp.mpc(g2))
         return out
     return Tier(
         real=np.frompyfunc(mp.mpf, 1, 1),

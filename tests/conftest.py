@@ -18,18 +18,18 @@ from helmrad.specfun import EXTENDED
 def m0_oracle_on_every_extended_run():
     """Check every extended-precision d=3, m=0 recursion run of the session
     against the jump-ratio step (``m0_oracle``), to 1e-12."""
-    recursion = green._recursion
+    recursion = green.recursion
 
-    def checked(tier, spec, omega=None, x=None, shift=False):
+    def checked(tier, spec, omega=None, x=None):
         if tier is EXTENDED and omega is None:   # the spec's own values
             omega = EXTENDED.real(spec.omega)
             x = EXTENDED.real(np.asarray(spec.profile.jump_points))
-        seq, error = recursion(tier, spec, omega, x, shift)
+        seq, error = recursion(tier, spec, omega, x)
         if tier is EXTENDED and spec.dimension == 3 and spec.mode == 0:
             m0_oracle.check(spec, omega, x, seq)
         return seq, error
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(green, "_recursion", checked)
+        patch.setattr(green, "recursion", checked)
         yield
 
 

@@ -7,7 +7,7 @@ u = e^{-i delta_ell} beta_{ell-1} and q_ell = (c_{ell+1} - c_ell) /
 Starting each step from the run's own beta_{ell-1}, the oracle recomputes
 beta_ell in this form and compares phase and log-modulus with the run.
 ``conftest.py`` applies it to every extended-precision d=3, m=0 run of
-``green._recursion`` the suite makes.
+``green.recursion`` the suite makes.
 """
 
 import numpy as np
@@ -23,7 +23,7 @@ def divergence(spec, omega, x, seq) -> float:
     """Largest per-step difference between ``seq`` and the jump-ratio step.
 
     ``omega`` and ``x`` are the extended-precision data the run was made
-    from; ``seq`` is the sequence ``green._recursion`` returned for them.
+    from; ``seq`` is the sequence ``green.recursion`` returned for them.
     With a trailing sample axis (a batch) the worst over every sample.
     """
     worst = 0.0

@@ -56,7 +56,7 @@ class TestNormalisation:
         from helmrad import assembly
         from helmrad.specfun import EXTENDED
         spec = SPECS[2]
-        c, args, values = assembly.interface_pair(EXTENDED, spec, shift=True)
+        c, args, values = assembly.interface_pair(EXTENDED, spec)
         values = values.copy()
         for ell in (2, 3):
             values[2:, spec.n + ell - 1] = 0.0   # f_2, f_2' right of ell

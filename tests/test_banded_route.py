@@ -230,6 +230,18 @@ class TestRefinedAcceptance:
             solve_direct(construct_stable_example(8, 1.0, 3.0))
         assert mp_calls == [assembly._MP_DIGITS]
 
+    def test_layer_of_zero_terms_is_refused_in_mpmath(self, mp_calls):
+        """Speeds 1e-300 and 1e300: a layer's terms are all 0, which
+        numpy's 0/0 reads as not settled and mpmath would divide by; the
+        mpmath tier refuses the answer as the extended one does."""
+        spec = ProblemSpec(WaveSpeedProfile((0.0, 0.5, 1.0), (1e-300, 1e300)),
+                           dimension=1, omega=3.0)
+        for route in (solve, solve_direct):
+            with pytest.raises(SingularSystem,
+                               match="arbitrary-precision solve refused"):
+                route(spec)
+        assert mp_calls == [assembly._MP_DIGITS] * 2
+
     def test_negligible_coefficient_below_double_range_is_zero(self,
                                                               mp_calls):
         """A_2 is about 1e-828, and its term lies hundreds of digits below
@@ -536,7 +548,7 @@ class TestOuterColumn:
 
     def test_b_last_bit_for_bit(self, population):
         for spec in population:
-            for at in (green.extended_run(spec)[0].pair,
+            for at in (green.recursion(green.EXTENDED, spec)[0].pair,
                        normalize(spec).pair):
                 got = assembly.b_last_extended(spec, at)
                 want = former_b_last(spec)

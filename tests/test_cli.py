@@ -156,7 +156,8 @@ class TestSolve:
         cli.main(["solve", "--input", doc, "--output-dir", str(out),
                   "--grid", "8"])
         diag = json.loads((out / "diagnostics.json").read_text())
-        beta, _ = green.extended_run(ProblemSpec.from_json(doc))
+        beta, _ = green.recursion(green.EXTENDED,
+                                  ProblemSpec.from_json(doc))
         assert diag["recursion"] == {
             "tier": tier, "error_bound_digits": beta.error_bound_digits}
         limit = -13.0 - float(np.log10(np.finfo(np.longdouble).eps))
@@ -197,9 +198,9 @@ class TestSolve:
         """The diagnostics read the solve's pair, at its 2n + 1 points."""
         calls = []
 
-        def spy(pair, x, shift=True):
+        def spy(pair, x):
             calls.append(len(x))
-            return specfun._pair_eval_ext(pair, x, shift)
+            return specfun._pair_eval_ext(pair, x)
         tier = specfun.EXTENDED._replace(pair_eval=spy)
         for module in (specfun, assembly, green, evaluate):
             monkeypatch.setattr(module, "EXTENDED", tier)
@@ -282,6 +283,28 @@ class TestSolve:
             assert err.startswith("error: GammaDegenerate: ")
         assert not list(tmp_path.iterdir())
 
+    def test_zero_terms_in_mpmath_are_a_refused_solve(self, tmp_path,
+                                                      capsys):
+        """mpmath raised a bare ZeroDivisionError from the settle rule."""
+        rc = cli.main(["solve", "--input", _spec_json(
+            dimension=1, jump_points=[0, 0.5, 1], speeds=[1e-300, 1e300]),
+            "--output-dir", str(tmp_path / "out")])
+        assert rc == cli.EXIT_SUITE_FAILED
+        assert capsys.readouterr().err == \
+            "error: SingularSystem: arbitrary-precision solve refused\n"
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_gauss_nodes_at_the_origin(self, d, tmp_path):
+        """Jump points (0, 5e-324, 1): the energy's nodes in layer 1 round
+        to r = 0, which the field evaluator refuses."""
+        out = tmp_path / "out"
+        rc = cli.main(["solve", "--input", _spec_json(
+            dimension=d, jump_points=[0, 5e-324, 1], speeds=[1, 2]),
+            "--output-dir", str(out), "--grid", "8"])
+        assert rc == cli.EXIT_OK
+        diag = _strict_json((out / "diagnostics.json").read_text())
+        assert math.isfinite(diag["energy_norm"])
+
     @pytest.mark.parametrize("option,value", [
         ("--grid", "0"), ("--grid", "-1"), ("--quad-order", "4"),
         ("--quad-order", "4097")])
@@ -342,6 +365,17 @@ class TestConstruct:
         out, err = capsys.readouterr()
         assert not out and err.startswith("error: omega, ")
         assert err.count("\n") == 1 and "is not finite" in err
+
+    @pytest.mark.parametrize("n,c1,c2", [(3, "1e-320", "2e-320"),
+                                         (1, "1e-308", "1e10")])
+    def test_subnormal_widths_exit_with_validation_code(self, n, c1, c2,
+                                                        capsys):
+        rc = cli.main(["construct", "--kind", "stable", "--n", str(n),
+                       "--c1", c1, "--c2", c2])
+        assert rc == cli.EXIT_VALIDATION == 2
+        out, err = capsys.readouterr()
+        assert not out and err.count("\n") == 1
+        assert "below the normal double range" in err
 
 
 class TestScan:

@@ -191,6 +191,17 @@ class TestEnergy:
         assert energy_norm(sol) == pytest.approx(
             _energy_by_uniform_grid(sol), rel=1e-7)
 
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_nodes_that_round_to_the_origin_are_left_out(self, d):
+        """A first layer of width 5e-324 puts every Gauss node at r = 0;
+        left out, they leave the energy of the one outer layer alone."""
+        spec = ProblemSpec(WaveSpeedProfile((0.0, 5e-324, 1.0), (1.0, 2.0)),
+                           dimension=d, omega=3.0)
+        outer = ProblemSpec(WaveSpeedProfile((0.0, 1.0), (2.0,)),
+                            dimension=d, omega=3.0)
+        assert energy_norm(solve(spec)) == pytest.approx(
+            energy_norm(solve(outer)), rel=1e-12)
+
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_first_layer_lower_bound_holds_and_grows(self, n):
         """The corrected closed-form bound: the zeroth-order part of the

@@ -113,7 +113,7 @@ class TestBetaSequence:
         spec = SPECS[0]
         omega = np.longdouble(spec.omega)
         x = [np.longdouble(v) for v in spec.profile.jump_points]
-        seq, _ = green._recursion(EXTENDED, spec, omega, x)
+        seq, _ = green.recursion(EXTENDED, spec, omega, x)
         assert m0_oracle.divergence(spec, omega, x, seq) <= 1e-12
 
     def test_m0_oracle_rejects_a_perturbed_run(self, monkeypatch):
@@ -175,7 +175,7 @@ def _summed_loss(spec: ProblemSpec) -> float:
     them, u = e^{-i delta} times the previous phase."""
     omega = np.longdouble(spec.omega)
     x = np.array(spec.profile.jump_points, dtype=np.longdouble)
-    seq, _ = green._recursion(EXTENDED, spec, omega, x)
+    seq, _ = green.recursion(EXTENDED, spec, omega, x)
     it, n = green._interfaces(EXTENDED, seq.pair), spec.n
     delta = omega * (x[1:n + 1] - x[:n]) / seq.pair.speeds[:-1]
     loss = 0.0
@@ -241,8 +241,8 @@ class TestRunningErrorBound:
         spec = SPECS[2]
         omega = np.longdouble([spec.omega, 1.3 * spec.omega])
         x = np.array([spec.profile.jump_points] * 2, np.longdouble).T
-        runs = [green.extended_run(s) for s in SPECS]
-        for seq, error in runs + [green.extended_run(spec, False, omega, x)]:
+        runs = [green.recursion(EXTENDED, s) for s in SPECS]
+        for seq, error in runs + [green.recursion(EXTENDED, spec, omega, x)]:
             assert np.shape(error) == np.shape(seq.error_bound_digits)
             assert np.all(error == EXTENDED.eps
                           * np.longdouble(10) ** seq.error_bound_digits)
@@ -304,7 +304,7 @@ class TestRunningErrorBound:
                 pass
         infinite = 0
         for spec, digits in calls:
-            lost = green.extended_run(spec)[0].error_bound_digits
+            lost = green.recursion(EXTENDED, spec)[0].error_bound_digits
             if math.isinf(lost):
                 infinite += 1
                 lost = -math.log10(np.finfo(np.longdouble).eps)
@@ -381,8 +381,8 @@ class TestRerunSelfCheck:
         and the digits lost, infinite."""
         spec = high_mode_population()[7]
         x = [np.longdouble(v) for v in spec.profile.jump_points]
-        seq, error = green._recursion(EXTENDED, spec,
-                                      np.longdouble(spec.omega), x)
+        seq, error = green.recursion(EXTENDED, spec,
+                                     np.longdouble(spec.omega), x)
         assert error == np.inf and seq.error_bound_digits == np.inf
         assert np.isneginf(seq.log_moduli[1:]).all()
         with np.errstate(invalid="ignore"):
@@ -555,8 +555,8 @@ class TestInterfaceArrays:
         spec = self._spec(3, 0)
         evaluate = EXTENDED.pair_eval
 
-        def vanishing(pair, x, shift=True):
-            values = evaluate(pair, x, shift)
+        def vanishing(pair, x):
+            values = evaluate(pair, x)
             for v in values:
                 v[[1, 2, spec.n + 1, spec.n + 2]] = 0
             return values

@@ -212,6 +212,15 @@ class TestConstructedExamples:
         with pytest.raises(ValueError, match="omega, .* is not finite"):
             make(3, 1.0, c2)
 
+    @pytest.mark.parametrize("make", [construct_localisation_example,
+                                      construct_stable_example])
+    @pytest.mark.parametrize("c1,c2", [(1e-320, 2e-320), (1e-308, 1e10)])
+    def test_rejects_widths_below_the_normal_range(self, make, c1, c2):
+        """Subnormal speeds round c/omega (x_1 = 0.1666754 for 1/6), and
+        a normal 1e-308 beside 1e10 gives the subnormal width 1e-318."""
+        with pytest.raises(ValueError, match="below the normal double"):
+            make(3, c1, c2)
+
     def test_interference_needs_alternating_sign_pattern(self):
         # same speeds on both sides => q = 0, not an interference profile
         p = _profile(2.0, 2.0)

@@ -8,11 +8,12 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helmrad.specfun import (EXTENDED, FundamentalPair, SingularAtOrigin,
-                             eval_limit_at_origin, fundamental_eval,
-                             fundamental_eval_d2, spherical_bessel_j,
-                             spherical_bessel_y, spherical_hankel_h1,
-                             spherical_jn_seq, spherical_yn_seq, wronskian_w)
+from helmrad.specfun import (_MILLER_BATCH, EXTENDED, FundamentalPair,
+                             SingularAtOrigin, eval_limit_at_origin,
+                             fundamental_eval, fundamental_eval_d2,
+                             spherical_bessel_j, spherical_bessel_y,
+                             spherical_hankel_h1, spherical_jn_seq,
+                             spherical_yn_seq, wronskian_w)
 from interface_oracles import fundamental_eval_mp
 
 
@@ -225,6 +226,11 @@ class TestArrayArguments:
                                rtol=1e-13, atol=0.0)
             assert np.allclose(y[:, i], spherical_yn_seq(12, float(v)),
                                rtol=1e-13, atol=0.0)
+        # any shape: each point as in a flat batch
+        grid = np.array([[0.3, 4.0], [25.0, 13.0]])
+        assert np.array_equal(spherical_jn_seq(12, grid),
+                              spherical_jn_seq(12, grid.ravel()).reshape(
+                                  13, 2, 2))
 
     def test_batched_recurrence_holds_no_start_by_points_table(self):
         """Every point is at or below the turning point, so all take the
@@ -247,21 +253,32 @@ class TestArrayArguments:
         downward at or below it) and the downward start of its own
         argument, so a column of a batch has the bits of the call at that
         point (compared as values: the padding bytes of the 80-bit format
-        are not reproducible)."""
-        x = _BATCH_X.astype(dtype)
-        batch = spherical_jn_seq(m, x, dtype)
-        for i, v in enumerate(x):
-            assert np.array_equal(batch[:, i], spherical_jn_seq(m, v, dtype))
+        are not reproducible).  That holds on both sides of the count of
+        points at or below the turning point past which their downward
+        passes are batched: ``low`` of them, the turning point among them,
+        beside three above it."""
+        above = m + np.array([0.5, 3.0, 40.0])
+        for low in (None, _MILLER_BATCH, _MILLER_BATCH + 1):
+            x = _BATCH_X if low is None else np.concatenate(
+                (np.linspace(0.05, m, low), above))
+            x = x.astype(dtype)
+            assert low is None or np.count_nonzero(x <= m) == low
+            batch = spherical_jn_seq(m, x, dtype)
+            for i, v in enumerate(x):
+                assert np.array_equal(batch[:, i],
+                                      spherical_jn_seq(m, v, dtype))
 
     @pytest.mark.parametrize("d,m", _BATCH_PAIRS)
     def test_extended_pair_rows_are_the_pointwise_values(self, d, m):
-        """The extended tier's pair evaluation, which sends the points above
-        the turning point in one array call and the others one by one,
-        gives each point's ``fundamental_eval`` values."""
+        """The extended tier's pair evaluation, one array call over every
+        point (``_jn_seq`` alone choosing a batched or a scalar downward
+        pass), gives six rows, the first four each point's
+        ``fundamental_eval`` values."""
         from helmrad.specfun import EXTENDED
         pair = FundamentalPair(d, m)
         x = _BATCH_X.astype(np.longdouble)
         rows = EXTENDED.pair_eval(pair, x)
+        assert rows.shape == (6, len(x))
         for i, v in enumerate(x):
             f, df = fundamental_eval(pair, 1, v, np.longdouble)
             assert [rows[0, i], rows[1, i]] == [f, df]
@@ -516,6 +533,7 @@ class TestShiftedOrders:
         with mp.workdps(30):
             x = [mp.mpf(v) for v in SHIFT_ARGS[::4]]
             rows = mp_tier().pair_eval(FundamentalPair(3, m), x)
+        assert rows.shape == (6, len(x))
         with mp.workdps(60):
             for v, g1, g2 in zip(x, rows[4], rows[5]):
                 ref1, ref2, env = _shifted_reference(m, v)
