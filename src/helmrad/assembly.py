@@ -60,7 +60,7 @@ _MP_DIGITS = 75
 
 
 class DegenerateNormaliser(Exception):
-    """A row-normalising Wronskian is numerically zero (invalid profile)."""
+    """A normaliser vanished: w^{2,1} (banded) or gamma-plus (recursion)."""
 
 
 class SingularSystem(Exception):

@@ -311,7 +311,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NEAR_RESONANT
     except (ZeroDivisionError, OverflowError, assembly.SingularSystem,
-            green.GammaDegenerate) as exc:
+            assembly.DegenerateNormaliser) as exc:
         # a refused solve
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SUITE_FAILED

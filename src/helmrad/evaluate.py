@@ -70,6 +70,23 @@ class RadialSolution:
     def pair(self) -> FundamentalPair:
         return FundamentalPair(self.spec.dimension, self.spec.mode)
 
+    @functools.cached_property
+    def layers(self):
+        """(k, A, B, e), formed once for every field pass: k = omega/c in
+        double (inf or 0 out of range), A and B by layer j = 1..N, and e,
+        the coefficients divided by 2**e: e > 0 only past 2**_SCALE_FROM,
+        exactly, keeping the field's squares in range and its bits."""
+        # (_, _, A_1 = 0, B_1, A_2, B_2, ..., A_N, B_N)
+        coef = np.concatenate((np.zeros(3, dtype=complex),
+                               self.coeffs.entries, [self.coeffs.b_last]))
+        e = math.frexp(float(np.max(np.abs(coef))))[1]
+        e = e if e > _SCALE_FROM else 0
+        if e:
+            coef = np.ldexp(coef.real, -e) + np.ldexp(coef.imag, -e) * 1j
+        with np.errstate(over="ignore", under="ignore"):
+            k = self.spec.omega / np.array((np.inf, *self.spec.profile.speeds))
+        return k, coef[0::2], coef[1::2], e
+
 
 def solve(spec: ProblemSpec) -> RadialSolution:
     """Solve by the recursion where it is checked right, else by banded
@@ -87,9 +104,9 @@ def solve(spec: ProblemSpec) -> RadialSolution:
     never rerun in mpmath here.  The answering route's Green column, read
     with that pair, comes with the answer.  A refusal of the banded route
     propagates (``SingularSystem``, or ``OverflowError`` for a coefficient
-    outside the double range), as do ``green.GammaDegenerate`` and the
-    recursion's ``green.NearResonantDenominator`` and ``OverflowError`` on
-    its accepted path.
+    outside the double range), as do either route's DegenerateNormaliser
+    (a vanished normaliser) and the recursion's NearResonantDenominator
+    and ``OverflowError`` on its accepted path.
     """
     return _solve([spec], np.longdouble(spec.omega),
                   np.longdouble(np.asarray(spec.profile.jump_points)))[0]
@@ -100,8 +117,8 @@ def solve_many(specs: list[ProblemSpec]) -> list[RadialSolution]:
     omega and the jump points (else ValueError), as ``helmrad scan``'s do:
     each stage runs once, on arrays with a trailing sample axis, and a
     sample the estimate or the gate refuses falls back alone to the banded
-    route.  The first refused spec in order raises; a batch that ``green``
-    refuses as a whole is solved one spec at a time to find it."""
+    route.  The first refused spec in order raises; a batch refused as a
+    whole is solved one spec at a time to find it."""
     if len({(s.dimension, s.mode, s.profile.speeds, s.boundary_coefficient)
             for s in specs}) > 1:
         raise ValueError("the specs differ in more than omega and x")
@@ -110,7 +127,7 @@ def solve_many(specs: list[ProblemSpec]) -> list[RadialSolution]:
     try:
         return _solve(specs, np.longdouble([s.omega for s in specs]), np.array(
             [s.profile.jump_points for s in specs], np.longdouble).T)
-    except (green.GammaDegenerate, green.NearResonantDenominator):
+    except (assembly.DegenerateNormaliser, green.NearResonantDenominator):
         return [solve(s) for s in specs]
 
 
@@ -169,34 +186,21 @@ def solve_direct(spec: ProblemSpec) -> tuple[RadialSolution, float]:
     return RadialSolution(spec=spec, coeffs=coeffs), resid
 
 
-def _layers(sol: RadialSolution):
-    """Wavenumbers k, coefficients A and B (index j = 1..N) and e, the
-    coefficients divided by 2**e: e > 0 only when the largest passes
-    2**_SCALE_FROM, an exact scaling that keeps the field's squares in
-    range and in-range results in their bits."""
-    # (_, _, A_1 = 0, B_1, A_2, B_2, ..., A_N, B_N)
-    coef = np.concatenate((np.zeros(3, dtype=complex), sol.coeffs.entries,
-                           [sol.coeffs.b_last]))
-    e = math.frexp(float(np.max(np.abs(coef))))[1]
-    e = e if e > _SCALE_FROM else 0
-    if e:
-        coef = np.ldexp(coef.real, -e) + np.ldexp(coef.imag, -e) * 1j
-    k = sol.spec.omega / np.array((np.inf, *sol.spec.profile.speeds))
-    return k, coef[0::2], coef[1::2], e
-
-
 def _field(sol: RadialSolution, layer: np.ndarray, r: np.ndarray,
            slope: bool = False):
     """(e, u, u') at radii r > 0, r[i] in layer ``layer[i]``: u = A f_1(k r)
-    + B f_2(k r) and, with ``slope``, u' (else None), in units of 2**e.
+    + B f_2(k r) and, with ``slope``, u' (else None), in units of 2**e; a
+    k r that is not a positive finite double raises OverflowError.
 
     One ``fundamental_pair_eval`` per block of at most _BLOCK points.  Each
     sum adds the A term to 0, then the B term, as a per-layer array
     evaluation did, so every value keeps its bits.
     """
-    k, a, b, e = _layers(sol)
+    k, a, b, e = sol.layers
     k, a, b = k[layer], a[layer], b[layer]
     x = k * r
+    if not ((x > 0.0) & (x < np.inf)).all():
+        raise OverflowError("a field argument k r is outside the double range")
     u, du = np.zeros(len(r), dtype=complex), None
     if slope:
         du, ka, kb = np.zeros(len(r), dtype=complex), a * k, b * k
@@ -304,7 +308,8 @@ def ode_residual(sol: RadialSolution, samples_per_layer: int = 8) -> float:
     The fundamental solutions satisfy the equation identically, so the
     residual measures only the rounding of the special-function
     recurrences.  Normalisation uses the magnitude of the two ansatz terms
-    separately, which keeps the measure meaningful at zeros of u.
+    separately, which keeps the measure meaningful at zeros of u.  A layer
+    whose A and B both vanish has no nodes.
     """
     if samples_per_layer < 3:
         raise ValueError("need at least 3 samples per layer")
@@ -320,20 +325,15 @@ def ode_residual(sol: RadialSolution, samples_per_layer: int = 8) -> float:
     # evaluator's own floor well under the acceptance tolerance; the nodes
     # of every layer form one batch, each carrying its layer's k, A and B
     cdt = np.clongdouble
-    nodes = []
-    for j in range(1, spec.profile.num_layers + 1):
-        a, b = cdt(sol.coeffs.a(j)), cdt(sol.coeffs.b(j))
-        if a == 0.0 and b == 0.0:
-            continue
-        x0, x1 = map(np.longdouble, spec.profile.jump_points[j - 1:j + 1])
-        r = x0 + (x1 - x0) * unit
-        r = r[r > 0.0]
-        k = np.longdouble(spec.omega) / np.longdouble(spec.speed(j))
-        nodes.append((r, np.full_like(r, k), np.full(r.shape, a),
-                      np.full(r.shape, b)))
-    if not nodes:
-        return 0.0
-    r, k, a, b = (np.concatenate(col) for col in zip(*nodes))
+    rows = np.concatenate(([0j], sol.coeffs.entries, [sol.coeffs.b_last])
+                          ).astype(cdt).reshape(-1, 2)
+    keep = (rows != 0.0).any(1)
+    x = np.asarray(spec.profile.jump_points, np.longdouble)
+    r = (x[:-1, None] + (x[1:] - x[:-1])[:, None] * unit)[keep]
+    k = spec.omega / np.asarray(spec.profile.speeds, np.longdouble)
+    pos = r > 0.0
+    r, k, a, b = (np.broadcast_to(v, r.shape)[pos] for v in (
+        r, k[keep, None], rows[keep, :1], rows[keep, 1:]))
     # one evaluation of f_1 at every node; f_2 = Re f_1 in extended
     # precision, kept complex so its products round as f_1's do
     f1 = fundamental_eval_d2(sol.pair, 1, k * r, dtype=np.longdouble)
@@ -351,15 +351,16 @@ def ode_residual(sol: RadialSolution, samples_per_layer: int = 8) -> float:
         dd[use] += c * kc * kc * d2f
         mag[use] += np.abs(c * f)
     resid = -dd - (d - 1) / r * der + (lam / r**2 - k * k) * val
-    return float(np.max(np.abs(resid) / (k * k * np.maximum(mag, 1e-300))))
+    return float(np.max(np.abs(resid) / (k * k * np.maximum(mag, 1e-300)),
+                        initial=0.0))
 
 
 def dtn_residual(sol: RadialSolution) -> float:
     """Scaled defect of the radiating boundary condition at r = 1."""
     spec = sol.spec
-    kN = spec.omega / spec.speed(spec.profile.num_layers)
+    val, der = eval_radial(sol, 1.0)    # refuses a k_N out of range first
+    kN = float(sol.layers[0][-1])
     f1, df1 = fundamental_eval(sol.pair, 1, kN)
-    val, der = eval_radial(sol, 1.0)
     g = complex(spec.boundary_coefficient)
     defect = der - kN * (df1 / f1) * val - g
     return abs(defect) / max(1.0, abs(g))
@@ -394,7 +395,7 @@ def _energy_sum(sol: RadialSolution, order: int):
         pos = r > 0.0
         r, layer = r[pos], np.repeat(np.arange(j, j + len(half)), order)[pos]
         e, val, der = _field(sol, layer, r, slope=True)
-        k = spec.omega / np.asarray(spec.profile.speeds)[layer - 1]
+        k = sol.layers[0][layer]
         dens = np.zeros(pos.shape)
         dens[pos] = (np.abs(der) ** 2 + (k * np.abs(val)) ** 2) * r ** (d - 1)
         if lam != 0.0:
@@ -440,7 +441,7 @@ def energy_upper_bound(sol: RadialSolution) -> float:
     total = 0.0
     h = spec.profile.widths
     z = spec.z
-    _, a, b, e = _layers(sol)
+    _, a, b, e = sol.layers
     for j in range(1, spec.profile.num_layers + 1):
         cj = spec.speed(j)
         scale = (cj / spec.omega) ** 2 * h[j - 1]

@@ -44,8 +44,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .assembly import (_DEGENERACY_FLOOR, CoefficientVector, InterfacePair,
-                       b_last_extended, coefficient_vector, interface_pair)
+from .assembly import (_DEGENERACY_FLOOR, CoefficientVector,
+                       DegenerateNormaliser, InterfacePair, b_last_extended,
+                       coefficient_vector, interface_pair)
 from .problem import ProblemSpec
 from .specfun import EXTENDED, Tier, mp_tier
 
@@ -58,10 +59,6 @@ NEAR_RESONANCE_FLOOR = 1e-250
 _EXT = np.longdouble
 _IU = np.clongdouble(1j)
 _NEG_IU = -_IU
-
-
-class GammaDegenerate(Exception):
-    """The reflection normaliser gamma-plus vanished (invalid profile)."""
 
 
 class NearResonantDenominator(Exception):
@@ -85,8 +82,9 @@ class _Interface(NamedTuple):
 
 def _interfaces(tier: Tier, at: InterfacePair) -> _Interface:
     """Reflection quantities and w^{1,2} at every interface in ``tier``,
-    from the pair values ``at``.  Raises GammaDegenerate naming the first
-    interface whose gamma-plus vanishes, before anything is divided by it.
+    from the pair values ``at``.  Raises DegenerateNormaliser, as the banded
+    route does for w^{2,1}, naming the first interface whose gamma-plus
+    vanishes, before anything is divided by it.
     """
     c, args, values = at
     n = len(c) - 1
@@ -100,7 +98,7 @@ def _interfaces(tier: Tier, at: InterfacePair) -> _Interface:
     vanished = size < _DEGENERACY_FLOOR
     if np.count_nonzero(vanished):
         first = np.argmax(vanished.reshape(n, -1).any(1)) + 1
-        raise GammaDegenerate(f"gamma-plus vanished at interface {first}")
+        raise DegenerateNormaliser(f"gamma-plus vanished at interface {first}")
     gt_minus = df1l * f1r / cl - df1r * f1l / cr
     g_plus = 1j * tier.cexp(zl - zr) * gt_plus
     g_minus = 1j * tier.cexp(-zl - zr) * gt_minus

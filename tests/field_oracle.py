@@ -16,7 +16,8 @@ import math
 import numpy as np
 
 from helmrad.evaluate import RadialSolution
-from helmrad.specfun import eval_limit_at_origin, fundamental_eval
+from helmrad.specfun import (eval_limit_at_origin, fundamental_eval,
+                             fundamental_eval_d2)
 
 
 def layer_terms(sol: RadialSolution, j: int, r):
@@ -102,3 +103,46 @@ def energy_norm(sol: RadialSolution, order: int = 32) -> float:
             return math.sqrt(total)
         prev = total
         order *= 2
+
+
+def ode_residual(sol: RadialSolution, samples_per_layer: int = 8) -> float:
+    """The collocation residual of the radial equation, its nodes, k, A
+    and B gathered layer by layer, each layer's nodes in extended
+    precision and a layer whose A and B both vanish left out."""
+    spec = sol.spec
+    d = spec.dimension
+    lam = np.longdouble(spec.angular_eigenvalue)
+    theta = (2.0 * np.arange(samples_per_layer) + 1.0) \
+        / (2.0 * samples_per_layer) * math.pi
+    unit = (0.5 * (1.0 - np.cos(theta))).astype(np.longdouble)
+    cdt = np.clongdouble
+    nodes = []
+    for j in range(1, spec.profile.num_layers + 1):
+        a, b = cdt(sol.coeffs.a(j)), cdt(sol.coeffs.b(j))
+        if a == 0.0 and b == 0.0:
+            continue
+        x0, x1 = map(np.longdouble, spec.profile.jump_points[j - 1:j + 1])
+        r = x0 + (x1 - x0) * unit
+        r = r[r > 0.0]
+        k = np.longdouble(spec.omega) / np.longdouble(spec.speed(j))
+        nodes.append((r, np.full_like(r, k), np.full(r.shape, a),
+                      np.full(r.shape, b)))
+    if not nodes:
+        return 0.0
+    r, k, a, b = (np.concatenate(col) for col in zip(*nodes))
+    f1 = fundamental_eval_d2(sol.pair, 1, k * r, dtype=np.longdouble)
+    f2 = tuple(v.real.astype(cdt) for v in f1)
+    val, der, dd = (np.zeros(r.shape, dtype=cdt) for _ in range(3))
+    mag = np.zeros(r.shape, dtype=np.longdouble)
+    for coef, terms in ((a, f1), (b, f2)):
+        use = coef != 0.0
+        if not use.any():
+            continue
+        f, df, d2f = (v[use] for v in terms)
+        c, kc = coef[use], k[use]
+        val[use] += c * f
+        der[use] += c * kc * df
+        dd[use] += c * kc * kc * d2f
+        mag[use] += np.abs(c * f)
+    resid = -dd - (d - 1) / r * der + (lam / r**2 - k * k) * val
+    return float(np.max(np.abs(resid) / (k * k * np.maximum(mag, 1e-300))))

@@ -33,6 +33,35 @@ S35 = dict(dimension=3, mode=9, omega=0.10966058234766524,
            jump_points=[0.0, 0.9998689203491512, 1.0],
            speeds=[9.167185700130128, 0.05721307044791071])
 
+# specs validate accepts, at speeds 1e-300/1e300 or 1e-150/1e150 with
+# g = 1, and the typed refusal each meets: the banded route's w^{2,1}
+# vanishes (DegenerateNormaliser), or omega/c, or k r, leaves the double
+# range (OverflowError, from the field evaluator)
+EXTREME = [
+    (dict(dimension=d, mode=m, omega=omega, boundary_coefficient=[1.0, 0.0],
+          jump_points=[0.0, 0.5, 1.0], speeds=list(c)), refusal)
+    for d, m, omega, c, refusal in [
+        (3, 0, 1e-300, (1e-300, 1e300), "OverflowError"),
+        (3, 0, 1e100, (1e-300, 1e300), "OverflowError"),
+        (3, 0, 1e-300, (1e300, 1e-300), "OverflowError"),
+        (3, 0, 1e-300, (1e150, 1e-150), "OverflowError"),
+        (3, 2, 1e-300, (1e-300, 1e300), "DegenerateNormaliser"),
+        (3, 2, 1e100, (1e-300, 1e300), "DegenerateNormaliser"),
+        (3, 2, 1e100, (1e300, 1e-300), "OverflowError"),
+        (3, 2, 3.0, (1e-150, 1e150), "DegenerateNormaliser"),
+        (3, 20, 1e-300, (1e-300, 1e300), "DegenerateNormaliser"),
+        (3, 20, 3.0, (1e-300, 1e300), "DegenerateNormaliser"),
+        (3, 20, 1e100, (1e-300, 1e300), "DegenerateNormaliser"),
+        (3, 20, 1e100, (1e300, 1e-300), "OverflowError"),
+        (3, 20, 1e-300, (1e-150, 1e150), "DegenerateNormaliser"),
+        (3, 20, 3.0, (1e-150, 1e150), "DegenerateNormaliser"),
+        (3, 20, 1e100, (1e-150, 1e150), "DegenerateNormaliser"),
+        (1, 0, 1e-300, (1e300, 1e-300), "OverflowError"),
+        (1, 0, 1e-300, (1e150, 1e-150), "OverflowError"),
+    ]]
+EXTREME_IDS = [f"d{doc['dimension']}-m{doc['mode']}-w{doc['omega']:g}"
+               f"-c{doc['speeds'][0]:g}" for doc, _ in EXTREME]
+
 HIGH_MODE_SEED = 7204
 
 

@@ -18,7 +18,8 @@ import pytest
 import scipy.integrate
 
 from helmrad import evaluate
-from helmrad.assembly import CoefficientVector, normalize
+from helmrad.assembly import (CoefficientVector, DegenerateNormaliser,
+                              normalize)
 from helmrad.evaluate import (RadialSolution, UnsupportedMode, diagnostics,
                               dtn_residual, energy_lower_bound, energy_norm,
                               energy_upper_bound, eval_radial,
@@ -30,6 +31,7 @@ from helmrad.specfun import (FundamentalPair, fundamental_eval,
                              fundamental_pair_eval)
 import field_oracle
 from interface_oracles import exact_interface_residuals, raw_solve_mp
+from populations import EXTREME, EXTREME_IDS
 
 
 def _spec(speeds, cuts, omega, d=3, m=0, g=1.0 + 0.0j):
@@ -404,6 +406,20 @@ class TestFieldBitsAgainstOracle:
         assert energy_norm(sol) == field_oracle.energy_norm(sol)
 
     @pytest.mark.parametrize("spec", ORACLE_SPECS)
+    def test_ode_residual(self, spec):
+        """One array over the layers, as the per-layer loop built it; with
+        A_2 and B_2 zeroed, layer 2 has no nodes unless it is the last."""
+        sol = solve(spec)
+        entries = sol.coeffs.entries.copy()
+        entries[1:3] = 0.0
+        gap = replace(sol, coeffs=CoefficientVector(entries,
+                                                    sol.coeffs.b_last))
+        for s in (sol, gap):
+            for samples in (3, 8, 17):
+                assert ode_residual(s, samples) \
+                    == field_oracle.ode_residual(s, samples)
+
+    @pytest.mark.parametrize("spec", ORACLE_SPECS)
     def test_interfaces(self, spec):
         """The interface residuals take the pair in extended precision, not
         from the field evaluator: within 1e-15 + 1e-3 relative of the
@@ -500,6 +516,40 @@ class TestCoefficientsNearTheDoubleRange:
                                                  rel=1e-12)
         with pytest.raises(OverflowError):
             energy_upper_bound(big)
+
+
+class TestRefusedExtremes:
+    """Specs validate accepts at the edges of the double range: each
+    raises the one typed exception of its cause.  The special functions'
+    closed forms warn on the way (their x**2 underflows at tiny k r)."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("doc,refusal", EXTREME, ids=EXTREME_IDS)
+    def test_banded_route(self, doc, refusal):
+        """Through ``solve_direct`` and the diagnostics, as a solve that
+        falls back to the banded route; an OverflowError may come from a
+        coefficient out of range before the field is reached."""
+        spec = ProblemSpec.from_dict(doc)
+        if refusal == "DegenerateNormaliser":
+            with pytest.raises(DegenerateNormaliser, match="interface 1$"):
+                solve_direct(spec)
+        else:
+            with pytest.raises(OverflowError):
+                diagnostics(solve_direct(spec)[0])
+
+    def test_wavenumbers_past_the_double_range(self):
+        """omega = 1e100 at c = (1e-300, 1e300): k_1 overflows, and is
+        formed without a warning; the diagnostics refuse at the first
+        field pass that reaches layer 1, the energy norm's."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            sol = solve(ProblemSpec.from_dict(EXTREME[1][0]))
+        assert sol.layers[0].tolist() == [0.0, math.inf, 1e-200]
+        assert sol.layers is sol.layers
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(OverflowError, match="^a field argument k r"):
+                diagnostics(sol)
 
 
 class TestCsvBytes:

@@ -562,7 +562,7 @@ class TestInterfaceArrays:
             return values
         monkeypatch.setattr(green, "EXTENDED",
                             EXTENDED._replace(pair_eval=vanishing))
-        with pytest.raises(green.GammaDegenerate,
+        with pytest.raises(assembly.DegenerateNormaliser,
                            match="gamma-plus vanished at interface 2$"):
             green.beta_sequence(spec)
 
