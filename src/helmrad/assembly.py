@@ -554,16 +554,21 @@ def dense_solve(system: BlockSystem
     x, resid, rhs = np.zeros(2 * system.n), 0.0, system.b_last
     if system.n and rhs:
         x, resid = _solution(system)
-    size = np.abs(x)
-    log_mag = np.full(len(x), -np.inf)
-    log_mag[size != 0] = np.log(size[size != 0]) if x.dtype != object \
-        else [float(mp_tier().log(v)) for v in size[size != 0]]
-    coeffs = coefficient_vector(system.spec, log_mag,
+    coeffs = coefficient_vector(system.spec, log_moduli(x),
                                 lambda inside: x[inside].astype(complex),
                                 rhs, system.pair)
     if system.n and not rhs:
         x = _solution(replace(system, b_last=np.clongdouble(1)))[0]
     return coeffs, resid, x / (rhs or 1)
+
+
+def log_moduli(x: np.ndarray) -> np.ndarray:
+    """log|x| as doubles, -inf for 0, of an extended or an mpmath vector."""
+    size = np.abs(x)
+    log = np.full(len(x), -np.inf)
+    log[size != 0] = np.log(size[size != 0]) if x.dtype != object \
+        else [float(mp_tier().log(v)) for v in size[size != 0]]
+    return log
 
 
 def _solution(system: BlockSystem) -> tuple[np.ndarray, float]:

@@ -65,11 +65,11 @@ def cmd_solve(args) -> int:
         evaluate.write_disc_csv(sol, out(args.output_dir, "disc.csv"),
                                 grid=args.grid)
     green_doc = {
-        "odd": [[v.real, v.imag] for v in column.odd_entries],
-        "even": [[v.real, v.imag] for v in column.even_entries],
+        "odd": [[v.real, v.imag] for v in column.entries[0::2]],
+        "even": [[v.real, v.imag] for v in column.entries[1::2]],
         # a zero entry's log is -inf, not a JSON number
-        "odd_log_magnitude": _finite(column.odd_log_mag),
-        "even_log_magnitude": _finite(column.even_log_mag),
+        "odd_log_magnitude": _finite(column.log[0::2]),
+        "even_log_magnitude": _finite(column.log[1::2]),
     }
     evaluate._atomic_write(out(args.output_dir, "green_column.json"),
                            _json_dumps(green_doc))

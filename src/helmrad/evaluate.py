@@ -407,8 +407,8 @@ def _energy_sum(sol: RadialSolution, order: int):
 
 def energy_norm(sol: RadialSolution, quad_order: int = _QUAD_ORDER) -> float:
     """Gauss-Legendre energy norm, order doubled from ``quad_order``, in
-    [8, ``_QUAD_MAX_ORDER``] (else ValueError), until 1e-10 agreement; past
-    ``_QUAD_MAX_ORDER`` the last order's, with a logged warning."""
+    [8, ``_QUAD_MAX_ORDER``] (else ValueError), until 1e-10 agreement; at a
+    total not finite or past ``_QUAD_MAX_ORDER``, the last, with a warning."""
     if not 8 <= quad_order <= _QUAD_MAX_ORDER:
         raise ValueError(f"quadrature order must be in [8, {_QUAD_MAX_ORDER}]")
     totals = []
@@ -421,6 +421,8 @@ def energy_norm(sol: RadialSolution, quad_order: int = _QUAD_ORDER) -> float:
             return math.ldexp(math.sqrt(total), e)
         totals.append(total)
         order *= 2
+        if not math.isfinite(total):    # no higher order mends it
+            break
     # as norms: a total in absolute units overflows for scaled coefficients
     _log.warning("energy_norm: no %g agreement by quadrature order %d, "
                  "last norms %s", _QUAD_TOL, order // 2,

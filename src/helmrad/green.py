@@ -5,7 +5,8 @@ column is expressed through a complex scalar recursion (beta below).  The
 recursion is real-linear in (beta, conj beta), so it can be advanced on the
 unit circle while the modulus is accumulated in log space — configurations
 with strong localisation reach moduli like 3^(n/2), which overflow doubles
-long before the recursion itself loses accuracy.
+long before the recursion itself loses accuracy.  The column's rows are in
+the unknowns' order (B_1, A_2, B_2, ..., A_{n+1}), as in ``assembly``.
 
 Everything about the interfaces that does not depend on beta (reflection
 strengths, Wronskians, layer phases, rotations, the bound's per-interface
@@ -39,14 +40,15 @@ and otherwise the banded route's answer with its column
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .assembly import (_DEGENERACY_FLOOR, CoefficientVector,
                        DegenerateNormaliser, InterfacePair, b_last_extended,
-                       coefficient_vector, interface_pair)
+                       coefficient_vector, interface_pair, log_moduli)
 from .problem import ProblemSpec
 from .specfun import EXTENDED, Tier, mp_tier
 
@@ -58,7 +60,6 @@ NEAR_RESONANCE_FLOOR = 1e-250
 # (the problem data are exact doubles, so the extra bits are all signal).
 _EXT = np.longdouble
 _IU = np.clongdouble(1j)
-_NEG_IU = -_IU
 
 
 class NearResonantDenominator(Exception):
@@ -330,60 +331,48 @@ def beta_sequence(spec: ProblemSpec) -> BetaSequence:
 
 @dataclass(frozen=True)
 class GreenColumn:
-    """Last column of the Green's operator, odd/even rows separated.
+    """Last column of the Green's operator, rows 1..2n in the unknowns'
+    order (``CoefficientVector.entries``): row 2*ell-1 is the B_ell slot
+    and row 2*ell the A_{ell+1} slot.
 
-    ``odd_entries[ell-1]`` is row 2*ell-1 (the B_ell slot) and
-    ``even_entries[ell-1]`` row 2*ell (the A_{ell+1} slot): display values,
-    clipped at e^700, that decide no coefficient.  The rows themselves are
-    the unit phases ``odd_phase``, ``even_phase`` times e to the logs
-    ``odd_log_mag``, ``even_log_mag``, since they can overflow doubles.
-    ``tier`` names the route that formed it, the recursion's ("extended",
-    "mp@<digits>") or "banded", and ``error_bound_digits`` is the extended
-    recursion's estimate (``BetaSequence.error_bound_digits``), also where
-    it was refused.
+    The rows, which can overflow doubles, are the unit phases ``phase``
+    times e to the logs ``log``, a batch's with a trailing sample axis;
+    ``entries`` are display values, clipped at e^700, that decide no
+    coefficient.  ``tier`` names the route that formed it, the recursion's
+    ("extended", "mp@<digits>") or "banded", and ``error_bound_digits`` is
+    the extended recursion's estimate, also where it was refused.
     """
 
-    odd_entries: np.ndarray
-    even_entries: np.ndarray
-    odd_log_mag: np.ndarray
-    even_log_mag: np.ndarray
-    odd_phase: np.ndarray
-    even_phase: np.ndarray
+    log: np.ndarray
+    phase: np.ndarray
     pair: InterfacePair | None = None   # the extended pair it is read with
     tier: str = "extended"
     error_bound_digits: float = 0.0
 
+    @cached_property
+    def entries(self) -> np.ndarray:
+        # by math.exp on the clipped logs: np.exp does not always
+        # reproduce its bits
+        return self.phase * np.array([math.exp(v) for v in np.minimum(
+            self.log, 700.0).ravel().tolist()]).reshape(self.log.shape)
+
     def max_abs(self) -> float:
-        return float(np.exp(max(np.max(self.odd_log_mag, initial=-np.inf),
-                                np.max(self.even_log_mag, initial=-np.inf))))
+        return float(np.exp(np.max(self.log, initial=-np.inf)))
 
     def sample(self, k: int) -> GreenColumn:
         """The column of sample ``k`` (see ``InterfacePair.sample``)."""
-        if self.odd_log_mag.ndim == 1:
+        if self.log.ndim == 1:
             return self
-        rows = (getattr(self, f.name)[:, k].copy() for f in fields(self)[:6])
-        return GreenColumn(*rows, self.pair.sample(k), self.tier,
+        return GreenColumn(self.log[:, k].copy(), self.phase[:, k].copy(),
+                           self.pair.sample(k), self.tier,
                            float(self.error_bound_digits[k]))
-
-
-def _column(log: np.ndarray, phase: np.ndarray, pair: InterfacePair | None,
-            tier: str, digits: float) -> GreenColumn:
-    """The column with the logs ``log`` and unit phases ``phase`` of its
-    odd rows then its even ones, and its display entries."""
-    n = len(log) // 2
-    # display entries by math.exp on the clipped logs: np.exp does not
-    # always reproduce its bits
-    entry = phase * np.array([math.exp(v) for v in np.minimum(
-        log, 700.0).ravel().tolist()]).reshape(log.shape)
-    return GreenColumn(entry[:n], entry[n:], log[:n], log[n:], phase[:n],
-                       phase[n:], pair, tier, digits)
 
 
 def green_last_column(spec: ProblemSpec, beta: BetaSequence | None = None
                       ) -> GreenColumn:
-    """Evaluate the closed-form last-column entries from the beta sequence;
-    with a batched ``beta``'s trailing sample axis, of every sample, all
-    refused if one is near resonance."""
+    """Evaluate the closed-form last-column entries, in the unknowns' order,
+    from the beta sequence; with a batched ``beta``'s trailing sample axis,
+    of every sample, all refused if one is near resonance."""
     beta = beta or beta_sequence(spec)
     n = beta.n
     low = beta.log_moduli[n].min()
@@ -395,38 +384,37 @@ def green_last_column(spec: ProblemSpec, beta: BetaSequence | None = None
     at = beta.pair or interface_pair(EXTENDED, spec)
     turned = np.exp(_IU * np.concatenate((np.zeros(
         (1,) + at.args.shape[1:], _EXT), at.args[n:2 * n]))) * beta.phases
-    # the odd rows, then the even ones: the scalar products behind the even
-    # entries are purely imaginary, so conjugation contributes the factor
-    # -i there; a zero sign leaves a zero entry (its log is -inf)
+    # each odd row beside the even one after it; the scalar products behind
+    # the even ones are purely imaginary, so conjugation contributes the
+    # factor -i there; a zero sign leaves a zero entry (its log is -inf)
     sign = beta.rot_im_sign[1:]
-    phase = (np.concatenate((turned[:n], _NEG_IU * sign)) / turned[n]) \
-        .astype(complex)
-    phase[n:][sign == 0.0] = 0.0
-    log = (np.concatenate((beta.log_moduli[:n], beta.rot_im_log[1:]))
-           - beta.log_moduli[n]).astype(float)
-    return _column(log, phase, beta.pair, beta.tier, beta.error_bound_digits)
+    rows = (2 * n,) + sign.shape[1:]
+    phase = (np.stack((turned[:n], -_IU * sign), 1).reshape(rows)
+             / turned[n]).astype(complex)
+    phase[1::2][sign == 0.0] = 0.0
+    log = (np.stack((beta.log_moduli[:n], beta.rot_im_log[1:]), 1)
+           .reshape(rows) - beta.log_moduli[n]).astype(float)
+    return GreenColumn(log, phase, beta.pair, beta.tier,
+                       beta.error_bound_digits)
 
 
 def banded_column(column: np.ndarray, pair: InterfacePair, digits: float
                   ) -> GreenColumn:
-    """The Green column of a banded solve from ``dense_solve``'s
-    ``column``, read with the solve's extended ``pair``: tier "banded",
-    with ``digits`` the refused extended recursion's estimate."""
-    y = np.concatenate((column[0::2], column[1::2]))   # odd rows, then even
-    size = np.abs(y)
-    log, phase = np.full(len(y), -np.inf), np.zeros(len(y), dtype=complex)
+    """The Green column of a banded solve, ``dense_solve``'s ``column`` in
+    the unknowns' order as it stands, read with the solve's extended
+    ``pair``: tier "banded", ``digits`` the refused recursion's estimate."""
+    size = np.abs(column)
+    phase = np.zeros(len(column), dtype=complex)
     nonzero = size != 0
-    log[nonzero] = np.log(size[nonzero]) if y.dtype != object \
-        else [float(mp_tier().log(v)) for v in size[nonzero]]
-    phase[nonzero] = (y[nonzero] / size[nonzero]).astype(complex)
-    return _column(log, phase, pair, "banded", digits)
+    phase[nonzero] = (column[nonzero] / size[nonzero]).astype(complex)
+    return GreenColumn(log_moduli(column), phase, pair, "banded", digits)
 
 
 def layer_coefficients(spec: ProblemSpec,
                        column: GreenColumn | None = None) -> CoefficientVector:
     """Recover (A_j, B_j) by scaling the Green column with the boundary data.
 
-    :func:`assembly.coefficient_vector` decides each from its column log
+    :func:`assembly.coefficient_vector` decides entry i from row i's log
     magnitude plus log|B_N|, B_N in extended precision (rounded, it can
     flush to 0), never from the clipped display entries.
     One in range is the column entry times B_N as a double or, where its
@@ -438,19 +426,15 @@ def layer_coefficients(spec: ProblemSpec,
     at = column.pair or interface_pair(EXTENDED, spec)
     b_last = b_last_extended(spec, at)
     scale = complex(b_last)
-    log_col, entry = (np.ravel(rows, "F") for rows in (
-        (column.odd_log_mag, column.even_log_mag),
-        (column.odd_entries, column.even_entries)))
 
     def formed(inside):
-        log, value = log_col[inside], entry[inside] * scale
+        log, value = column.log[inside], column.entries[inside] * scale
         out = np.abs(log) > 700.0        # the display entry is clipped
         if out.any():
             held = np.clip(log[out], -700.0, 700.0)
-            phase = np.ravel((column.odd_phase, column.even_phase), "F")
-            value[out] = phase[inside][out] * np.exp(held) * scale \
+            value[out] = column.phase[inside][out] * np.exp(held) * scale \
                 * np.exp(log[out] - held)
         return value
     return coefficient_vector(
-        spec, log_col + (float(np.log(abs(b_last))) if b_last else -np.inf),
+        spec, column.log + (float(np.log(abs(b_last))) if b_last else -np.inf),
         formed, b_last, at)

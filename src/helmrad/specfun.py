@@ -386,12 +386,12 @@ def wronskian_w(pair: FundamentalPair, p: int, q: int,
     return fp * dfq / c_k - dfp * fq / c_j
 
 
-def _rows_mp(pair: FundamentalPair, x, shift: bool = False):
+def _rows_mp(pair: FundamentalPair, x):
     """(Re rows, Im rows) of f_1 at ``x`` in the active mpmath context, as
-    ``_fundamental`` gives them at deriv 1: the package's one mpmath
-    evaluator, behind ``mp_tier().pair_eval``.  y_m comes from the upward
-    recurrence on the closed forms of orders 0 and 1, j_{m-1} and j_m (and
-    with ``shift`` j_{m+1}) from one hypergeometric series each; the d=1
+    ``_fundamental`` gives them at deriv 1 with the shifted orders: the
+    package's one mpmath evaluator, behind ``mp_tier().pair_eval``.  y_m
+    comes from the upward recurrence on the closed forms of orders 0 and 1,
+    j_{m-1}, j_m and j_{m+1} from one hypergeometric series each; the d=1
     rows and the slope identity are those of ``_rows``."""
     import mpmath as mp
     x = mp.mpf(x)
@@ -399,8 +399,8 @@ def _rows_mp(pair: FundamentalPair, x, shift: bool = False):
         raise ValueError("argument must be positive and finite")
     if pair.d == 1:
         c, s = mp.cos_sin(x)
-        return (_rows(pair, 1, x, s, c, False, shift),
-                _rows(pair, 1, x, s, c, True, shift))
+        return (_rows(pair, 1, x, s, c, False, True),
+                _rows(pair, 1, x, s, c, True, True))
 
     m = pair.m
     # the closed forms of orders 0 and 1 get 10 guard digits for the y
@@ -424,10 +424,9 @@ def _rows_mp(pair: FundamentalPair, x, shift: bool = False):
     # unary + rounds each order to the working precision
     re = _value_slope(m, x, +j_lo, +j)
     im = _value_slope(m, x, +y_lo, +y)
-    if shift:
-        # h_{-1} = e^{ix}/x = -y_0 + i j_0 at m = 0, where -j_1 = j_0'
-        re += (-y_lo, re[1]) if m == 0 else (+j_lo, -series(m + 1))
-        im += (+(j_lo if m == 0 else y_lo),)
+    # h_{-1} = e^{ix}/x = -y_0 + i j_0 at m = 0, where -j_1 = j_0'
+    re += (-y_lo, re[1]) if m == 0 else (+j_lo, -series(m + 1))
+    im += (+(j_lo if m == 0 else y_lo),)
     return re, im
 
 
@@ -508,7 +507,7 @@ def mp_tier() -> Tier:
     def pair_eval(pair, x):
         out = np.empty((6, len(x)), dtype=object)
         for i, v in enumerate(x):
-            (f, df, g1, g2), (f_im, df_im, g1_im) = _rows_mp(pair, v, True)
+            (f, df, g1, g2), (f_im, df_im, g1_im) = _rows_mp(pair, v)
             out[:, i] = (mp.mpc(f, f_im), mp.mpc(df, df_im), mp.mpc(f),
                          mp.mpc(df), mp.mpc(g1, g1_im), mp.mpc(g2))
         return out

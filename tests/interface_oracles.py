@@ -42,8 +42,8 @@ _DEGENERACY_FLOOR = 1e-300
 def fundamental_eval_mp(pair: FundamentalPair, which: int, x) -> tuple:
     """Value and derivative of f_{m,d,which} at x > 0 as mpc, in the active
     mpmath context; f_2 is Re f_1, bit for bit."""
-    re, im = _rows_mp(pair, x)
-    return tuple(map(mp.mpc, re, im if _outgoing(which) else (0, 0)))
+    re, im = _rows_mp(pair, x)      # value and slope, then shifted orders
+    return tuple(map(mp.mpc, re[:2], im[:2] if _outgoing(which) else (0, 0)))
 
 
 def _pair(spec: ProblemSpec) -> FundamentalPair:

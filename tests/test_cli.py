@@ -6,7 +6,7 @@ import json
 import math
 import os
 import platform
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -70,6 +70,21 @@ class TestSolve:
         assert diag["max_green_magnitude"] > 0.0
         col = json.loads((out / "green_column.json").read_text())
         assert len(col["odd"]) == 1 and len(col["even"]) == 1
+
+    def test_exceeded_thresholds_exit_1_after_the_artifacts(
+            self, tmp_path, monkeypatch, capsys):
+        """A report that fails its thresholds still writes every
+        artifact, then exits 1 with one line naming the failure."""
+        monkeypatch.setattr(evaluate.DiagnosticsReport, "passes",
+                            lambda self: False)
+        out = tmp_path / "run"
+        rc = cli.main(["solve", "--input", _spec_json(),
+                       "--output-dir", str(out), "--grid", "8"])
+        assert rc == cli.EXIT_SUITE_FAILED
+        assert capsys.readouterr().err == "residual thresholds exceeded\n"
+        for name in ("radial.csv", "disc.csv", "green_column.json",
+                     "diagnostics.json"):
+            assert (out / name).exists()
 
     def test_reruns_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -237,8 +252,7 @@ class TestSolve:
             sol = solve(spec)
             col = sol.column
             return replace(sol, column=replace(
-                col, odd_log_mag=np.array([-np.inf, *col.odd_log_mag[1:]]),
-                even_log_mag=np.array([-np.inf, *col.even_log_mag[1:]])))
+                col, log=np.array([-np.inf, -np.inf, *col.log[2:]])))
         monkeypatch.setattr(cli.evaluate, "solve", zero_entries)
         cli.main(["solve", "--input", _spec_json(), "--output-dir",
                   str(tmp_path), "--grid", "8"])
@@ -554,7 +568,7 @@ class TestBatchedScan:
         specs = [cli._scan_spec(base, *sj) for sj in seeds]
         sup = evaluate.sup_scaled if (base.dimension, base.mode) == (3, 0) \
             else evaluate.sup_radial
-        names = [f.name for f in fields(green.GreenColumn)[:6]]
+        names = ("entries", "log", "phase")
         seen = set()
         for (s, jit), spec, mine, row in zip(seeds, specs,
                                              evaluate.solve_many(specs),
@@ -562,7 +576,7 @@ class TestBatchedScan:
             ref = evaluate.solve(spec)
             assert _bits(mine.coeffs.entries, mine.coeffs.b_last) \
                 == _bits(ref.coeffs.entries, ref.coeffs.b_last)
-            # display entries, log magnitudes and phases, odd and even
+            # display entries, log magnitudes and phases
             assert _bits(*(getattr(mine.column, a) for a in names)) \
                 == _bits(*(getattr(ref.column, a) for a in names))
             assert (mine.column.tier, mine.column.error_bound_digits) \

@@ -136,6 +136,8 @@ class TestResiduals:
     def test_sample_count_is_validated(self):
         with pytest.raises(ValueError):
             ode_residual(solve(SPECS[0]), samples_per_layer=2)
+        with pytest.raises(ValueError):
+            sup_radial(solve(SPECS[0]), 0)
 
 
 class TestSingleLayer:
@@ -253,6 +255,23 @@ class TestEnergy:
         assert record.getMessage() == (
             f"energy_norm: no 1e-10 agreement by quadrature order 16, last "
             f"norms {norms!r}")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_total_not_finite_ends_the_doubling(self, monkeypatch, caplog):
+        """Speeds 1e-300 and 1e300 make every total NaN, which no higher
+        order mends: one sum, at the first order, returned with one
+        warning naming that order."""
+        sol = solve(_spec((1e-300, 1e300), (0.5,), 3.0))
+        orders, energy_sum = [], evaluate._energy_sum
+        monkeypatch.setattr(evaluate, "_energy_sum", lambda sol, order: (
+            orders.append(order) or energy_sum(sol, order)))
+        with caplog.at_level(logging.WARNING, logger="helmrad.evaluate"):
+            got = energy_norm(sol)
+        assert orders == [evaluate._QUAD_ORDER] and math.isnan(got)
+        [record] = caplog.records
+        assert record.getMessage() == (
+            f"energy_norm: no 1e-10 agreement by quadrature order "
+            f"{evaluate._QUAD_ORDER}, last norms [nan]")
 
     @pytest.mark.parametrize("order", [7, 4097])
     def test_energy_norm_refuses_orders_outside_its_range(self, order):
@@ -491,6 +510,12 @@ class TestCoefficientsNearTheDoubleRange:
                         math.ldexp(val.imag, 600)),
                 complex(math.ldexp(der.real, 600),
                         math.ldexp(der.imag, 600)))
+        # radial.csv's and disc.csv's fields
+        rs = evaluate._radial_template(1024)[0]
+        for values in (lambda s: evaluate._radial_values(s, rs),
+                       lambda s: evaluate._disc_values(s, 64)):
+            assert values(big).view(float).tobytes() \
+                == np.ldexp(values(sol).view(float), 600).tobytes()
 
     def test_diagnostics_stay_finite(self):
         """g = 1e305 on localised n = 8 gives coefficients up to 8.1e306:

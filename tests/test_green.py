@@ -397,10 +397,8 @@ class TestGreenColumn:
         M = to_dense(system)
         last = np.linalg.inv(M)[:, -1]
         col = green.green_last_column(spec)
-        ref_odd, ref_even = last[0::2], last[1::2]
         scale = np.max(np.abs(last))
-        assert np.max(np.abs(col.odd_entries - ref_odd)) < 1e-10 * scale
-        assert np.max(np.abs(col.even_entries - ref_even)) < 1e-10 * scale
+        assert np.max(np.abs(col.entries - last)) < 1e-10 * scale
 
     @pytest.mark.parametrize("spec", SPECS)
     def test_banded_column_is_the_recursion_column(self, spec):
@@ -413,8 +411,7 @@ class TestGreenColumn:
             banded = green.banded_column(assembly.dense_solve(system)[2],
                                          system.pair, 1.5)
             assert (banded.tier, banded.error_bound_digits) == ("banded", 1.5)
-            for name in ("odd_log_mag", "even_log_mag", "odd_phase",
-                         "even_phase", "odd_entries", "even_entries"):
+            for name in ("log", "phase", "entries"):
                 got, want = getattr(banded, name), getattr(col, name)
                 scale = np.maximum(1.0, np.abs(want))
                 assert np.all(np.abs(got - want) <= 1e-12 * scale), name
@@ -422,15 +419,14 @@ class TestGreenColumn:
     @pytest.mark.parametrize("spec", SPECS)
     def test_log_magnitudes_are_consistent(self, spec):
         col = green.green_last_column(spec)
-        for entry, lg in zip(col.odd_entries, col.odd_log_mag):
+        for entry, lg in zip(col.entries[0::2], col.log[0::2]):
             assert abs(entry) == pytest.approx(math.exp(lg), rel=1e-12)
-        for entry, lg in zip(col.even_entries, col.even_log_mag):
+        for entry, lg in zip(col.entries[1::2], col.log[1::2]):
             if math.isfinite(lg):
                 assert abs(entry) == pytest.approx(math.exp(lg), rel=1e-12)
             else:
                 assert entry == 0.0
-        assert col.max_abs() >= max(np.max(np.abs(col.odd_entries)),
-                                    np.max(np.abs(col.even_entries)))
+        assert col.max_abs() >= np.max(np.abs(col.entries))
 
     def test_near_resonance_guard(self, monkeypatch):
         monkeypatch.setattr(green, "NEAR_RESONANCE_FLOOR", 1e300)
@@ -442,12 +438,11 @@ class TestGreenColumn:
         # off the critical phases, so the comparison stays at n = 24
         spec = construct_localisation_example(24, 1.0, 3.0)
         col = green.green_last_column(spec)
-        assert np.all(np.isfinite(col.odd_log_mag))
-        assert np.all(np.isfinite(col.odd_entries))
+        assert np.all(np.isfinite(col.log[0::2]))
+        assert np.all(np.isfinite(col.entries[0::2]))
         # innermost entry carries the full interference amplification
-        assert col.odd_log_mag[0] == pytest.approx(12.0 * math.log(3.0),
-                                                   rel=1e-4)
-        assert col.max_abs() >= math.exp(col.odd_log_mag[0])
+        assert col.log[0] == pytest.approx(12.0 * math.log(3.0), rel=1e-4)
+        assert col.max_abs() >= math.exp(col.log[0])
 
 
 class TestLayerCoefficients:
@@ -466,7 +461,7 @@ class TestLayerCoefficients:
         spec = replace(construct_localisation_example(220, 1.0, 1000.0),
                        boundary_coefficient=1e300)
         column = green.green_last_column(spec)
-        assert np.min(column.even_log_mag) < math.log(5e-324)
+        assert np.min(column.log[1::2]) < math.log(5e-324)
         rec = green.layer_coefficients(spec, column)
         direct = solve_direct(spec)[0].coeffs
         assert np.all(np.abs(rec.entries - direct.entries)

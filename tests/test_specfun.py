@@ -565,7 +565,8 @@ class TestShiftedOrders:
 
 
 class TestArbitraryPrecisionCost:
-    """One series per order for j; y by recurrence, with no bessely."""
+    """One series per order for j, the shifted order j_{m+1} included, as
+    ``mp_tier().pair_eval`` reads it; y by recurrence, with no bessely."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -586,21 +587,24 @@ class TestArbitraryPrecisionCost:
 
     @pytest.mark.parametrize("m", [2, 7, 40])
     @pytest.mark.parametrize("x", [1e-7, 0.6, 17.0, 150.0])
-    def test_two_bessel_j_evaluations_and_no_bessely(self, counts, m, x):
+    def test_three_bessel_j_evaluations_and_no_bessely(self, counts, m, x):
+        """j_{m-1}, j_m and j_{m+1}."""
         import mpmath as mp
         with mp.workdps(75):
             fundamental_eval_mp(FundamentalPair(3, m), 1, x)
-        assert counts.get("besselj", 0) + counts.get("hyp0f1", 0) <= 2
+        assert counts.get("besselj", 0) + counts.get("hyp0f1", 0) <= 3
         assert counts.get("bessely", 0) == 0
         if x < 32:  # below mpmath's switch to the asymptotic expansion
-            assert counts["hypsum"] == 2
+            assert counts["hypsum"] == 3
 
     @pytest.mark.parametrize("m", [0, 1])
-    def test_low_orders_take_no_series(self, counts, m):
+    def test_low_orders_take_no_series_but_the_shifted_one(self, counts, m):
+        """The closed forms give orders 0 and 1; m = 1's shifted order j_2
+        takes one series."""
         import mpmath as mp
         with mp.workdps(75):
             fundamental_eval_mp(FundamentalPair(3, m), 1, 0.3)
-        assert not counts
+        assert counts == ({"hyp0f1": 1, "hypsum": 1} if m else {})
 
 
 class TestValidation:
