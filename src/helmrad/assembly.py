@@ -5,28 +5,28 @@ coefficients (A_j, B_j) through a complex 2n x 2n block-tridiagonal matrix.
 Unknown ordering: (B_1, A_2, B_2, ..., A_n, B_n, A_{n+1}); A_1 = 0 and B_N
 are fixed by the conditions at the origin and at r = 1 and carried
 separately.  After row normalisation the sub/super-diagonal blocks become
-the constant matrices R_HAT and T_HAT and the right-hand side has a single
-nonzero entry at position 2n; each constant block has one nonzero entry,
-so the normalised matrix is tridiagonal.  The diagonal blocks are written
-once, over a precision tier of :mod:`specfun`: :func:`normalize` builds
-them in extended precision, and the mpmath escalation builds the same
-blocks in mpmath.  Their two same-family Wronskians (h with h, j with j)
-are formed from the shifted orders of f' = (kappa/x) f + g, so that the
-kappa/x parts, which cancel up to hundreds of digits at thin high-mode
-layers, drop out exactly (DLMF 10.51.2; Wiscombe, Appl. Opt. 19:1505,
-1980).  Their pair values come from :func:`interface_pair`, the one
-evaluation of a solve, at 2n + 1 points: the interfaces, whose columns
+constants R-hat and T-hat, one entry each (+1 below, -1 above the
+diagonal), and the right-hand side one nonzero entry, at 2n: the matrix is
+tridiagonal, stored as the band it is factored in.  Its diagonal blocks are
+written once, over a precision tier of :mod:`specfun`: :func:`normalize`
+builds the band in extended precision, and the mpmath escalation the same
+band in mpmath.  The blocks' two same-family Wronskians (h with h,
+j with j) are formed from the shifted orders of f' = (kappa/x) f + g, so
+that the kappa/x parts, which cancel up to hundreds of digits at thin
+high-mode layers, drop out exactly (DLMF 10.51.2; Wiscombe, Appl. Opt.
+19:1505, 1980).  Their pair values come from :func:`interface_pair`, the
+one evaluation of a solve, at 2n + 1 points: the interfaces, whose columns
 the recursion and the interface residuals read too, and kappa = omega/c_N,
 whose column gives B_N, the right-hand side, in each attempt's numbers.
 :func:`dense_solve` factors the band in double and refines against the
-extended blocks; when that is refused, it tries once more on the band
-scaled exactly by powers of two, each unknown to its term in its layer and
-each row to its largest entry, and only then solves the same scaled band
-in mpmath, once, at 75 digits.  One rule, :func:`_refine`, accepts or
-refuses an answer of either tier: the blocks kept enough digits, the
-corrections stop shrinking by half, the last is negligible against every
-layer's terms, and the componentwise backward error is a few eps of the
-tier (Higham 2002, ch. 12; Arioli, Demmel and Duff 1989).
+extended band; when that is refused, it tries once more on the band scaled
+exactly by powers of two, each unknown to its term in its layer and each
+row to its largest entry, and only then solves the same scaled band in
+mpmath, once, at 75 digits.  One rule, :func:`_refine`, accepts or refuses
+an answer of either tier: the blocks kept enough digits, the corrections
+stop shrinking by half, the last is negligible against every layer's terms,
+and the componentwise backward error is a few eps of the tier (Higham 2002,
+ch. 12; Arioli, Demmel and Duff 1989).
 """
 
 from __future__ import annotations
@@ -41,10 +41,6 @@ from scipy.linalg import lapack
 
 from .problem import ProblemSpec
 from .specfun import EXTENDED, FundamentalPair, Tier, mp_tier
-
-#: exact sub/super-diagonal blocks of the normalised system
-R_HAT = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-T_HAT = np.array([[0.0, 0.0], [-1.0, 0.0]], dtype=complex)
 
 #: pivot/normaliser magnitudes below this are treated as exactly singular
 _DEGENERACY_FLOOR = 1e-300
@@ -68,7 +64,7 @@ class SingularSystem(Exception):
 
 
 def _band_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """M x for a tridiagonal M in the layout of :meth:`BlockSystem.band`."""
+    """M x for a tridiagonal M in the layout of :attr:`BlockSystem.band`."""
     y = band[1] * x
     y[:-1] += band[0, 1:] * x[1:]
     y[1:] += band[2, :-1] * x[:-1]
@@ -97,18 +93,21 @@ def _backward_error(band: np.ndarray, size: np.ndarray, b: np.ndarray,
 
 @dataclass(frozen=True)
 class BlockSystem:
-    """Normalised block-tridiagonal system; R/T blocks are R_HAT, T_HAT.
+    """The normalised tridiagonal system, stored as its diagonals in LAPACK
+    band layout: column j of ``band`` holds M[j-1, j], M[j, j] and
+    M[j+1, j].  Block ell sits in rows 1, 0 and 2 of columns 2 ell and
+    2 ell + 1, between the couplings -1 (row 0) and +1 (row 2).
 
-    ``S_hat`` is stored in extended precision, or as mpmath numbers in an
-    object array; ``spec`` lets the solver rebuild the blocks in mpmath
-    when the extended-precision solve fails its acceptance test.
+    ``band`` holds extended numbers, or mpmath numbers in an object array;
+    ``spec`` lets the solver rebuild it in mpmath when the
+    extended-precision solve fails its acceptance test.
     """
 
     n: int
-    S_hat: np.ndarray      # (n, 2, 2)
+    band: np.ndarray       # (3, 2n)
     b_last: np.clongdouble  # B_N from b_last_extended (mpc in _solve_mp)
     spec: ProblemSpec
-    pair: InterfacePair     # the extended pair values the blocks are from
+    pair: InterfacePair     # the extended pair values the band is from
     block_loss: float = 0.0   # decimal digits cancelled inside the blocks
 
     @cached_property
@@ -126,20 +125,6 @@ class BlockSystem:
         ends[:, 1:] = np.maximum(ends[:, 1:], size[:, n:2 * n])  # left 2..n+1
         # (A_1, B_1, A_2, ..., A_N, B_N) without A_1 = 0
         return np.ldexp(np.longdouble(1), np.frexp(ends.T.ravel()[1:])[1])
-
-    def band(self) -> np.ndarray:
-        """The diagonals in LAPACK band layout, in the blocks' dtype: column
-        j holds M[j-1, j], M[j, j] and M[j+1, j].  The entries of R_HAT and
-        T_HAT go in as reals, which mpmath multiplies 3 times faster."""
-        S = self.S_hat
-        band = np.zeros((3, 2 * self.n), dtype=S.dtype)
-        band[0, 1::2] = S[:, 0, 1]
-        band[0, 2::2] = T_HAT[1, 0].real
-        band[1, 0::2] = S[:, 0, 0]
-        band[1, 1::2] = S[:, 1, 1]
-        band[2, 0::2] = S[:, 1, 0]
-        band[2, 1:-1:2] = R_HAT[0, 1].real
-        return band
 
 
 @dataclass(frozen=True)
@@ -287,9 +272,9 @@ _P_ROW, _P_SLOPE, _P_SIDE, _Q_ROW, _Q_SLOPE, _Q_SIDE = np.array([
 
 def _blocks(tier: Tier, spec: ProblemSpec, at: InterfacePair | None = None
             ) -> tuple[np.ndarray, float]:
-    """Wronskian-form diagonal blocks S_hat (n, 2, 2) in ``tier`` and the
-    decimal digits cancelled while forming them, from the pair values
-    ``at`` (by default :func:`interface_pair`'s in ``tier``).
+    """The normalised system's band (3, 2n) in ``tier`` and the decimal
+    digits cancelled while forming its Wronskian-form blocks, from the pair
+    values ``at`` (by default :func:`interface_pair`'s in ``tier``).
 
     The three cross Wronskians are w^{p,q} = f_p f_q' / c_q - f_p' f_q /
     c_p.  The two same-family ones, w^{1,1} (h with h) and w^{2,2} (j with
@@ -308,11 +293,13 @@ def _blocks(tier: Tier, spec: ProblemSpec, at: InterfacePair | None = None
     if np.count_nonzero(vanished):
         raise DegenerateNormaliser(f"normalising Wronskian vanished at "
                                    f"interface {np.argmax(vanished) + 1}")
-    S_hat = np.empty((n, 2, 2), dtype=tier.cdtype)
-    S_hat[:, 0, 0], S_hat[:, 0, 1], S_hat[:, 1, 1] = w[1], w[2], w[4]
-    S_hat[:, 1, 0] = -w[3]
-    S_hat /= w[0, :, None, None]
-    return S_hat, float(tier.log10(ratio)) if ratio > 1 else 0.0
+    # each block [[w^{2,2}, w^{1,2} right], [-w^{1,2} left, w^{1,1}]] / w^{2,1}
+    w[3] = -w[3]
+    band = np.zeros((3, 2 * n), dtype=tier.cdtype)
+    band[1, 0::2], band[0, 1::2], band[2, 0::2], band[1, 1::2] = w[1:] / w[0]
+    # the couplings as reals, which mpmath multiplies 3 times faster
+    band[0, 2::2], band[2, 1:-1:2] = -1.0, 1.0
+    return band, float(tier.log10(ratio)) if ratio > 1 else 0.0
 
 
 def _wronskians(c: np.ndarray, values: np.ndarray) -> tuple:
@@ -335,13 +322,13 @@ def _wronskians(c: np.ndarray, values: np.ndarray) -> tuple:
 
 def normalize(spec: ProblemSpec, at: InterfacePair | None = None
               ) -> BlockSystem:
-    """Normalised system with Wronskian-form diagonal blocks, held in
-    extended precision: the solve refines against them, and stiff modes
-    can push the condition number past what double entries represent;
-    from the extended pair values ``at`` when given."""
+    """Normalised system, stored as :func:`_blocks`'s band in extended
+    precision: the solve refines against it, and stiff modes can push the
+    condition number past what double entries represent; from the
+    extended pair values ``at`` when given."""
     at = at or interface_pair(EXTENDED, spec)
-    S_hat, block_loss = _blocks(EXTENDED, spec, at)
-    return BlockSystem(spec.n, S_hat, b_last_extended(spec, at), spec, at,
+    band, block_loss = _blocks(EXTENDED, spec, at)
+    return BlockSystem(spec.n, band, b_last_extended(spec, at), spec, at,
                        block_loss)
 
 
@@ -410,9 +397,8 @@ def _settled(system: BlockSystem, step: np.ndarray, size: np.ndarray,
     return bool(ratio <= _SETTLE_TOL)
 
 
-def _equilibrated(system: BlockSystem, band: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """``band`` with each column divided by its unknown's term scale
+def _equilibrated(system: BlockSystem) -> tuple[np.ndarray, np.ndarray]:
+    """The system's band with each column divided by its unknown's term scale
     (:attr:`BlockSystem.scales`), then each row multiplied by 2**-e, e the
     frexp exponent of its largest entry (in mpmath ``mag``'s bound on it,
     at most 2 above), and those row factors: exact, in the band's numbers,
@@ -420,6 +406,7 @@ def _equilibrated(system: BlockSystem, band: np.ndarray
     cast to double does not overflow.  The solution of the scaled system
     is the unknowns' terms: x = y / scales, and the rhs takes the row
     factors."""
+    band = system.band
     if band.dtype != object:
         scaled = band / system.scales[:-1]
         rows = np.ldexp(np.longdouble(1),
@@ -456,7 +443,7 @@ def _double_solve(band: np.ndarray, b: np.ndarray):
 
 def _tridiag_lu(band: np.ndarray) -> tuple:
     """Factor the tridiagonal matrix in ``band`` (the layout of
-    :meth:`BlockSystem.band`) by elimination with partial pivoting, as
+    :attr:`BlockSystem.band`) by elimination with partial pivoting, as
     LAPACK's xGTTRF does.  Returns (multipliers, reciprocals of U's
     diagonal, its first and second superdiagonals, row interchanges); the
     superdiagonals are padded with zeros to length N."""
@@ -496,8 +483,8 @@ def _tridiag_solve(lu: tuple, b: list) -> np.ndarray:
 
 def _solve_mp(system: BlockSystem, digits: int) -> tuple[np.ndarray, float]:
     """:func:`_solution`'s last attempt, in mpmath at ``digits`` working
-    digits: the blocks rebuilt by :func:`_blocks` and, if they pass
-    :func:`_digits_left`, the band equilibrated as the scaled extended
+    digits: the band rebuilt by :func:`_blocks` and, if its blocks pass
+    :func:`_digits_left`, equilibrated as the scaled extended
     attempt's (:func:`_equilibrated`), factored by :func:`_tridiag_lu`, then
     refined and judged by :func:`_refine`, all in mpmath's eps.  Raises
     SingularSystem when it is refused: there is no second attempt."""
@@ -505,11 +492,11 @@ def _solve_mp(system: BlockSystem, digits: int) -> tuple[np.ndarray, float]:
 
     solved, eps = None, mp_tier().eps
     with mp.workdps(digits):
-        S_hat, block_loss = _blocks(mp_tier(), system.spec)
-        system = replace(system, S_hat=S_hat, block_loss=block_loss,
+        band, block_loss = _blocks(mp_tier(), system.spec)
+        system = replace(system, band=band, block_loss=block_loss,
                          b_last=mp.mpmathify(system.b_last))
         if _digits_left(system, eps):
-            band, rows = _equilibrated(system, system.band())
+            band, rows = _equilibrated(system)
             lu = _tridiag_lu(band)
             b = np.zeros(band.shape[1], dtype=object)
             b[-1] = rows[-1] * system.b_last
@@ -574,7 +561,7 @@ def log_moduli(x: np.ndarray) -> np.ndarray:
 def _solution(system: BlockSystem) -> tuple[np.ndarray, float]:
     """:func:`dense_solve`'s answer to a nonzero right-hand side and its
     backward error, before rounding."""
-    band = system.band()
+    band = system.band
     b = np.zeros(band.shape[1], dtype=band.dtype)
     b[-1] = system.b_last
     eps = EXTENDED.eps
@@ -583,7 +570,7 @@ def _solution(system: BlockSystem) -> tuple[np.ndarray, float]:
     solve = _double_solve(band, b)
     solved = solve and _refine(system, band, solve, b, eps)
     if not solved:
-        scaled, rows = _equilibrated(system, band)
+        scaled, rows = _equilibrated(system)
         b = rows * b
         solve = _double_solve(scaled, b)
         solved = solve and _refine(system, scaled, solve, b, eps, scaled=True)

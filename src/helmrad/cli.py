@@ -41,11 +41,7 @@ def _load_spec(arg: str) -> ProblemSpec:
 
 
 def _json_dumps(doc) -> str:
-    def default(x):
-        if isinstance(x, (np.floating, np.integer)):
-            return x.item()
-        raise TypeError(type(x))
-    return json.dumps(doc, indent=2, default=default) + "\n"
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def _finite(values) -> list:
@@ -294,19 +290,24 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command.  The one place where an invalid problem
-    description, a near resonance or a refused solve becomes an exit code
-    and one ``error:`` line, with no traceback and no artifact."""
+    description, a path that cannot be read or created, a near resonance
+    or a refused solve becomes an exit code and one ``error:`` line, with
+    no traceback and no artifact."""
     args = _parser().parse_args(argv)
     if "input" in args:
         try:
             args.spec = _load_spec(args.input)
-        except (ValueError, KeyError, TypeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError) as exc:
             print(f"error: invalid problem description: {exc}",
                   file=sys.stderr)
             return EXIT_VALIDATION
     try:
         # looked up at call time, so a replaced module attribute is what runs
         return globals()[f"cmd_{args.command}"](args)
+    except OSError as exc:
+        # an --output-dir that cannot be created or written
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     except green.NearResonantDenominator as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NEAR_RESONANT

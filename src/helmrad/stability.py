@@ -10,14 +10,13 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import green
 from .problem import ProblemSpec, is_localisation_interference, relative_jumps
-from .specfun import FundamentalPair, fundamental_eval, spherical_hankel_h1, \
-    wronskian_w
+from .specfun import FundamentalPair, spherical_hankel_h1, wronskian_w
 
 #: two-step majorant constant
 C0_MAJORANT = 20.0

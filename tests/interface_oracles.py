@@ -4,9 +4,10 @@ The raw (unnormalised) block system, the row-normalising blocks that turn
 it into the normalised one, and the determinant companion recursion are
 written here in plain double precision from ``wronskian_w`` and
 ``fundamental_eval``; the raw system is also built in mpmath and solved
-densely.  The dense form of a normalised system is assembled from its
-blocks.  The tests compare helmrad's normalised system, its banded solve
-and its beta recursion against them; the determinant identities read the
+densely.  The dense form of a normalised system is assembled from the
+diagonal blocks of its band and the constant couplings R_HAT and T_HAT.
+The tests compare helmrad's normalised system, its banded solve and its
+beta recursion against them; the determinant identities read the
 companion of beta through a closed-form map.  ``interface`` is the
 reflection data of one interface, formed point by point in a precision
 tier from scalar pair evaluations: the reference for the recursion's
@@ -28,15 +29,18 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
-from helmrad.assembly import (_LOG_EPS, _LOG_MAX, _LOG_TINY, R_HAT, T_HAT,
-                              BlockSystem, CoefficientVector,
-                              DegenerateNormaliser)
+from helmrad.assembly import (_LOG_EPS, _LOG_MAX, _LOG_TINY, BlockSystem,
+                              CoefficientVector, DegenerateNormaliser)
 from helmrad.problem import ProblemSpec
 from helmrad.specfun import (EXTENDED, FundamentalPair, Tier, _outgoing,
                              _rows_mp, fundamental_eval, wronskian_w)
 
 #: normaliser magnitudes below this are treated as exactly singular
 _DEGENERACY_FLOOR = 1e-300
+
+#: exact sub/super-diagonal blocks of the normalised system
+R_HAT = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+T_HAT = np.array([[0.0, 0.0], [-1.0, 0.0]], dtype=complex)
 
 
 def fundamental_eval_mp(pair: FundamentalPair, which: int, x) -> tuple:
@@ -250,13 +254,21 @@ def beta_tilde(spec: ProblemSpec, beta: complex) -> complex:
     return (-1j) ** n * np.exp(1j * z[n] / spec.speed(n + 1)) * beta / prod
 
 
+def diagonal_block(system: BlockSystem, ell: int) -> np.ndarray:
+    """The normalised system's diagonal block ell (0-based) in its band's
+    numbers, taken out of rows 1, 0 and 2 of columns 2 ell, 2 ell + 1."""
+    (up, diag, low), i = system.band, 2 * ell
+    return np.array([[diag[i], up[i + 1]], [low[i], diag[i + 1]]])
+
+
 def to_dense(system: BlockSystem) -> np.ndarray:
-    """The normalised matrix in double, placed block by block."""
+    """The normalised matrix in double, placed block by block: the
+    diagonal blocks out of the band, the couplings R_HAT and T_HAT."""
     n = system.n
     M = np.zeros((2 * n, 2 * n), dtype=complex)
     for ell in range(n):
         i = 2 * ell
-        M[i:i + 2, i:i + 2] = system.S_hat[ell].astype(complex)
+        M[i:i + 2, i:i + 2] = diagonal_block(system, ell).astype(complex)
         if ell < n - 1:
             M[i:i + 2, i + 2:i + 4] = T_HAT
             M[i + 2:i + 4, i:i + 2] = R_HAT

@@ -6,12 +6,13 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from helmrad.assembly import (R_HAT, T_HAT, CoefficientVector, _band_matvec,
-                              _wronskians, dense_solve, normalize)
+from helmrad.assembly import (CoefficientVector, _band_matvec, _wronskians,
+                              dense_solve, normalize)
 from helmrad.evaluate import solve_direct
 from helmrad.problem import ProblemSpec, WaveSpeedProfile
 from helmrad.specfun import EXTENDED, FundamentalPair, mp_tier
-from interface_oracles import (assemble_raw, determinant_recursion,
+from interface_oracles import (R_HAT, T_HAT, assemble_raw,
+                               determinant_recursion, diagonal_block,
                                normalizer_blocks, rhs, to_dense, w_sequence)
 from populations import high_mode_population
 
@@ -35,13 +36,14 @@ SPECS = [
 class TestNormalisation:
     @pytest.mark.parametrize("spec", SPECS)
     def test_normaliser_turns_blocks_into_constants(self, spec):
-        """D S = S_hat, D R = R_HAT, D T = T_HAT, D rhs = rhs_hat."""
+        """D S = S_hat, each diagonal block of the band, D R = R_HAT,
+        D T = T_HAT, D rhs = rhs_hat."""
         raw = assemble_raw(spec)
         D = normalizer_blocks(spec)
         system = normalize(spec)
         for ell in range(spec.n):
             assert np.allclose(D[ell] @ raw.S[ell],
-                               system.S_hat[ell].astype(complex),
+                               diagonal_block(system, ell).astype(complex),
                                rtol=1e-10, atol=1e-12)
         for ell in range(spec.n - 1):
             assert np.allclose(D[ell + 1] @ raw.R[ell], R_HAT, atol=1e-10)
@@ -71,7 +73,7 @@ class TestNormalisation:
         rng = np.random.default_rng(7)
         x = rng.normal(size=2 * spec.n) + 1j * rng.normal(size=2 * spec.n)
         assert np.allclose(to_dense(system) @ x,
-                           _band_matvec(system.band(), x).astype(complex),
+                           _band_matvec(system.band, x).astype(complex),
                            rtol=1e-12)
 
 

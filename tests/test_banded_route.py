@@ -121,9 +121,16 @@ def _forced_mp(spec, digits=assembly._MP_DIGITS):
 
 
 def _rhs(system):
-    b = np.zeros(2 * system.n, dtype=system.S_hat.dtype)
+    b = np.zeros(2 * system.n, dtype=system.band.dtype)
     b[-1] = system.b_last
     return b
+
+
+def _block_entries(n):
+    """The band positions of the 4n diagonal-block entries of an n-interface
+    system, block by block in row-major order; the couplings left out."""
+    return [(row, 2 * ell + col) for ell in range(n)
+            for row, col in ((1, 0), (0, 1), (2, 0), (1, 1))]
 
 
 def _refined(system, band, b, factored=None, scaled=False):
@@ -208,7 +215,7 @@ class TestRefinedAcceptance:
         mpmath."""
         spec = ProblemSpec.from_dict(FAULT_C)
         system = normalize(spec)
-        assert _refined(system, system.band(), _rhs(system)) is None
+        assert _refined(system, system.band, _rhs(system)) is None
         coeffs = solve_direct(spec)[0].coeffs
         assert mp_calls == []
         assert _normwise(coeffs.entries, raw_solve_mp(spec)) <= 1e-13
@@ -334,7 +341,7 @@ class TestScaledAttempt:
         the answer is right."""
         spec = ProblemSpec.from_dict(STALLED)
         system = normalize(spec)
-        x, resid = _refined(system, system.band(), _rhs(system))
+        x, resid = _refined(system, system.band, _rhs(system))
         assert resid < 1e-15
         ref = raw_solve_mp(spec)
         assert _normwise(x.astype(complex), ref) <= 1e-13
@@ -347,34 +354,33 @@ class TestScaledAttempt:
         is still refused: its steps stop halving far from settled."""
         monkeypatch.setattr(assembly, "_BERR_ULPS", math.inf)
         system = normalize(ProblemSpec.from_dict(FAULT_C))
-        assert _refined(system, system.band(), _rhs(system)) is None
+        assert _refined(system, system.band, _rhs(system)) is None
 
     @pytest.mark.parametrize("scaled", [False, True],
                              ids=["unscaled", "scaled"])
     def test_perturbed_factors_are_refused_or_corrected(self, scaled):
         """Refined against the true band with the factors of a band whose
-        one S_hat entry is off by 1e-8 or 1e-4, every answer is either
-        refused or the unperturbed one; both happen on the high-mode
+        one diagonal-block entry is off by 1e-8 or 1e-4, every answer is
+        either refused or the unperturbed one; both happen on the high-mode
         population.  (Off by 1e-8 alone, the scaled attempt corrects all
         316 with B_N in extended precision as its right-hand side.)"""
         outcomes = set()
         for spec in high_mode_population():
             system = normalize(spec)
             if not spec.n or system.block_loss >= 12 - math.log10(
-                    np.finfo(system.S_hat.real.dtype).eps):
+                    np.finfo(system.band.real.dtype).eps):
                 continue
-            band, b = system.band(), _rhs(system)
+            band, b = system.band, _rhs(system)
             if scaled:
-                band, rows = assembly._equilibrated(system, band)
+                band, rows = assembly._equilibrated(system)
                 b = rows * b
             unperturbed = _refined(system, band, b, scaled=scaled)
             if not unperturbed:
                 continue
             for entry, off in itertools.product(
-                    np.ndindex(system.S_hat.shape), (1e-8, 1e-4)):
-                S_hat = system.S_hat.copy()
-                S_hat[entry] *= 1 + off
-                wrong = replace(system, S_hat=S_hat).band()
+                    _block_entries(system.n), (1e-8, 1e-4)):
+                wrong = system.band.copy()
+                wrong[entry] *= 1 + off
                 if scaled:
                     # the true band's scaling, applied to the wrong one
                     wrong = wrong / system.scales[:-1] * _row_factors(rows)
@@ -417,8 +423,8 @@ class TestHighModeAnswers:
             _, berr = solve_direct(spec)
             assert berr <= 16 * np.finfo(np.longdouble).eps
             system = normalize(spec)
-            band, b = system.band(), _rhs(system)
-            scaled, rows = assembly._equilibrated(system, band)
+            band, b = system.band, _rhs(system)
+            scaled, rows = assembly._equilibrated(system)
             x = raw_solve_mp(spec).astype(np.clongdouble)
             y = x * system.scales[:-1]
             assert assembly._backward_error(
@@ -434,7 +440,7 @@ class TestHighModeAnswers:
         flush to 0."""
         spec = high_mode_population()[0]
         system = normalize(spec)
-        band, b = system.band(), _rhs(system)
+        band, b = system.band, _rhs(system)
         tiny = np.ldexp(np.longdouble(1), -1200)
         x, _ = _refined(system, band, b)
         solved = _refined(system, band, b * tiny)
@@ -636,12 +642,16 @@ class TestBandedMpElimination:
         assert err < 1e-25
 
     def test_zero_pivot_raises(self):
-        with mp.workdps(30):
-            # [[1, 2], [2, 4]] in band layout
-            band = np.array([[0, mp.mpc(2)], [mp.mpc(1), mp.mpc(4)],
-                             [mp.mpc(2), 0]], dtype=object)
-            with pytest.raises(SingularSystem):
-                assembly._tridiag_lu(band)
+        # [[1, 2], [2, 4]], a singular last pivot, and [[0, 2], [0, 4]], a
+        # zero column inside the elimination, in band layout
+        for (a, b), (c, d), column in (((1, 2), (2, 4), 1),
+                                       ((0, 2), (0, 4), 0)):
+            with mp.workdps(30):
+                band = np.array([[0, mp.mpc(b)], [mp.mpc(a), mp.mpc(d)],
+                                 [mp.mpc(c), 0]], dtype=object)
+                with pytest.raises(SingularSystem,
+                                   match=f"zero pivot in column {column}$"):
+                    assembly._tridiag_lu(band)
 
     def test_too_few_digits_fail_the_residual_check(self):
         # 10 working digits cannot resolve this system; the answer must
@@ -715,9 +725,12 @@ class TestBandedMpElimination:
 class TestBandStorage:
     @pytest.mark.parametrize("doc", [FAULT_C, FAULT_D])
     def test_band_holds_the_block_tridiagonal_matrix(self, doc):
+        """The dense matrix takes its diagonal blocks out of the band and
+        places R_HAT and T_HAT itself: the band's couplings and zeros are
+        checked against them."""
         system = normalize(ProblemSpec.from_dict(doc))
         M = to_dense(system)
-        band = system.band()
+        band = system.band
         b = band.astype(complex)
         assert np.array_equal(
             np.diag(b[1]) + np.diag(b[0, 1:], 1) + np.diag(b[2, :-1], -1), M)

@@ -340,6 +340,12 @@ class TestSolve:
         cli.main(["solve", "--input", _spec_json(),
                   "--output-dir", str(out), "--grid", "8"])
         assert not [p for p in os.listdir(out) if p.startswith(".tmp-")]
+        # a failed rename, onto a directory, propagates and removes its
+        # temp file
+        (out / "taken").mkdir()
+        with pytest.raises(IsADirectoryError):
+            evaluate._atomic_write(out / "taken", "text")
+        assert not [p for p in os.listdir(out) if p.startswith(".tmp-")]
 
     def test_artifacts_get_the_mode_open_gives(self, tmp_path):
         # the temp file behind each rename is made with mode 0600
@@ -388,6 +394,38 @@ EXTREME_LINES = {
 _ORACLE_REJECTS = pytest.mark.xfail(
     raises=AssertionError, strict=True,
     reason="the m = 0 oracle rejects a run its estimate refuses")
+
+
+class TestUnusablePaths:
+    """A directory as --input, or an --output-dir that is a file or lies
+    under one: exit 2, one error line naming the path, and no artifact."""
+
+    @pytest.mark.parametrize("case", ["input-directory", "output-dir-file",
+                                      "output-dir-under-file"])
+    @pytest.mark.parametrize("command", [
+        ["solve"], ["scan", "--seed", "1", "--samples", "1"]],
+        ids=["solve", "scan"])
+    def test_exit_2_with_one_error_line(self, command, case, tmp_path,
+                                        capsys):
+        blocker = tmp_path / "blocker"
+        if case == "input-directory":
+            blocker.mkdir()
+            paths = ["--input", str(blocker), "--output-dir",
+                     str(tmp_path / "out")]
+        else:
+            blocker.write_text("")
+            out = blocker if case == "output-dir-file" else blocker / "out"
+            paths = ["--input", _spec_json(), "--output-dir", str(out)]
+        rc = cli.main(command[:1] + paths + command[1:])
+        assert rc == cli.EXIT_VALIDATION == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(blocker) in err
+        assert [p.name for p in tmp_path.iterdir()] == ["blocker"]
+        if blocker.is_file():
+            assert blocker.read_text() == ""
+        else:
+            assert not list(blocker.iterdir())
 
 
 class TestExtremeSpecs:

@@ -575,8 +575,8 @@ class TestSingleLayer:
             assert beta.n == 0 and beta.log_moduli.tolist() == [0.0]
         assert seq.tier == "extended" and forced.tier == "mp@50"
         with mp.workdps(50):
-            S_hat, loss = assembly._blocks(mp_tier(), spec)
-        assert S_hat.shape == (0, 2, 2) and loss == 0.0
+            band, loss = assembly._blocks(mp_tier(), spec)
+        assert band.shape == (3, 0) and loss == 0.0
         rec = green.layer_coefficients(spec)
         sol, resid = solve_direct(spec)
         for coeffs in (rec, sol.coeffs):

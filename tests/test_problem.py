@@ -47,6 +47,8 @@ class TestValidation:
     def test_rejects_count_mismatch(self):
         with pytest.raises(ValueError, match="jump points"):
             WaveSpeedProfile((0.0, 0.3, 0.6, 1.0), (1.0, 2.0))
+        with pytest.raises(ValueError, match="at least one layer"):
+            WaveSpeedProfile((0.0, 1.0), ())
 
     def test_spec_rejects_bad_dimension_mode_frequency(self):
         p = _profile(1.0, 2.0)
@@ -225,3 +227,13 @@ class TestConstructedExamples:
         # same speeds on both sides => q = 0, not an interference profile
         p = _profile(2.0, 2.0)
         assert not is_localisation_interference(ProblemSpec(p, omega=1.0))
+        # every phase factor -i, as in the localised example, but the jumps
+        # alternate from q_1 < 0
+        speeds = (3.0, 1.0, 3.0, 1.0, 3.0)
+        x = tuple(np.cumsum((0.0,) + speeds) / sum(speeds))
+        s = ProblemSpec(WaveSpeedProfile(x, speeds),
+                        omega=math.pi / 2 * sum(speeds))
+        for dl in s.delta:
+            assert cmath.exp(-1j * dl) == pytest.approx(-1j, abs=1e-12)
+        assert relative_jumps(s.profile)[0] < 0
+        assert not is_localisation_interference(s)
