@@ -250,7 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--input", required=True,
                    help="path to, or inline, problem JSON")
     s.add_argument("--output-dir", default=".")
-    s.add_argument("--grid", type=_within(1), default=64)
+    # disc.csv holds grid**2 rows: 2048 peaks at about 0.8 GB
+    s.add_argument("--grid", type=_within(1, 2049), default=64)
     s.add_argument("--quad-order", default=32,
                    type=_within(8, evaluate._QUAD_MAX_ORDER + 1))
 

@@ -1,11 +1,9 @@
 """Command-line interface: exit codes, artifacts, and determinism."""
 
 import functools
-import hashlib
 import json
 import math
 import os
-import platform
 from dataclasses import replace
 
 import mpmath as mp
@@ -322,15 +320,15 @@ class TestSolve:
         assert math.isfinite(diag["energy_norm"])
 
     @pytest.mark.parametrize("option,value", [
-        ("--grid", "0"), ("--grid", "-1"), ("--quad-order", "4"),
-        ("--quad-order", "4097")])
+        ("--grid", "0"), ("--grid", "-1"), ("--grid", "2049"),
+        ("--quad-order", "4"), ("--quad-order", "4097")])
     def test_parser_rejects_out_of_range_sizes(self, option, value,
                                                tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["solve", "--input", _spec_json(),
                       "--output-dir", str(tmp_path / "out"), option, value])
         assert exc.value.code == cli.EXIT_VALIDATION == 2
-        message = {"--grid": "must be at least 1",
+        message = {"--grid": "must be in [1, 2049)",
                    "--quad-order": "must be in [8, 4097)"}[option]
         assert f"{option}: {message}" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
@@ -750,91 +748,3 @@ class TestWhisper:
                        "--x1", "0.5", "--omega-window", "16.2", "16.3",
                        "--samples", "50"])
         assert rc == cli.EXIT_VALIDATION
-
-
-class TestGoldenBytes:
-    """Artifacts of localised and stable n = 8 (c_2 = 3) against SHA-256
-    digests recorded before the field evaluator took every layer in one
-    pass; those of diagnostics.json since j_m above the turning point took
-    the forward recurrence, which moved its ode_residual.  ``RECORDS`` pins
-    the recursion's sequences, recorded before ``BetaSequence`` became the
-    run's one record.  The bits come from numpy's and the C library's
-    kernels, so the digests hold on the build they were recorded with:
-    numpy 2.4.6 on x86_64 (with AVX-512)."""
-
-    RECORDED_WITH = ("2.4.6", "x86_64")
-    SOLVE = {
-        "localised": {
-            "diagnostics.json": "29e2f6a91ec75f50075342cf733784b3"
-                                "62804978f71d67c9d7963a151f559c13",
-            "disc.csv": "59c30086d3ec636e06312d6b8d605ec2"
-                        "1916b1d9f2046075e31511782d8fd37f",
-            "green_column.json": "61e6cd4c2a646a3d9ea467a8b5e4e2ee"
-                                 "bbf272debbf8accaba0ac14120e373a0",
-            "radial.csv": "a59d156e5b9db6a64e89bf7876c7506f"
-                          "ef6b9d2834d3d895ea863e777d99b398",
-        },
-        "stable": {
-            "diagnostics.json": "7fccc65bf4182bf203a7f822b16e09a2"
-                                "f176f8e79b2fc5b6deac36610f0eaa92",
-            "disc.csv": "710b95d5562d3eed9c49c26ac05dd662"
-                        "7d3d49ef30d21b5b6260083139f69c50",
-            "green_column.json": "b4527f450b243dcd487101ffb8936f50"
-                                 "12dd7a3b91ab6d937d35147fecb8775e",
-            "radial.csv": "38c0ec0836d8c52b5d58dc8e8275d067"
-                          "f22a30aeb87520b764b702855b2a4c3b",
-        },
-    }
-    SCAN = ("9a2c4649aa0f5028e8e2b495828c208d"
-            "062de3c421b5b2321888030a1595a5d2")
-    RECORDS = ("98ca8158a180c2efe526c070da4ece0b"
-               "738db7263614d18949cde4d4049569a6")
-
-    @pytest.fixture(autouse=True)
-    def _recorded_build(self):
-        build = (np.__version__, platform.machine())
-        if build != self.RECORDED_WITH:
-            pytest.skip(f"digests recorded with numpy {self.RECORDED_WITH[0]}"
-                        f" on {self.RECORDED_WITH[1]}, not {build}")
-
-    @staticmethod
-    def _digest(path):
-        return hashlib.sha256(path.read_bytes()).hexdigest()
-
-    @pytest.mark.parametrize("kind", ["localised", "stable"])
-    def test_solve_artifacts(self, kind, tmp_path):
-        build = construct_localisation_example if kind == "localised" \
-            else construct_stable_example
-        assert cli.main(["solve", "--input", build(8, 1.0, 3.0).to_json(),
-                         "--output-dir", str(tmp_path)]) == cli.EXIT_OK
-        assert {name: self._digest(tmp_path / name)
-                for name in self.SOLVE[kind]} == self.SOLVE[kind]
-
-    def test_scan(self, tmp_path):
-        spec = construct_localisation_example(8, 1.0, 3.0)
-        assert cli.main(["scan", "--input", spec.to_json(), "--output-dir",
-                         str(tmp_path), "--seed", "1", "--samples", "40"]
-                        ) == cli.EXIT_OK
-        assert self._digest(tmp_path / "scan.csv") == self.SCAN
-
-    def test_recursion_records(self):
-        """``beta_sequence`` over the oracle seed-20260823 specs and the
-        high-mode population: tier, digits and every array, mpmath reruns
-        included, and each refusal's message, hashed through ``repr`` of
-        each value (the bytes of an np.longdouble carry padding that equal
-        values need not share)."""
-        rng = np.random.default_rng(20260823)
-        specs = [random_spec(rng) for _ in range(200)] \
-            + high_mode_population()
-        h = hashlib.sha256()
-        for spec in specs:
-            try:
-                seq = green.beta_sequence(spec)
-            except (ZeroDivisionError, assembly.DegenerateNormaliser) as exc:
-                h.update(f"{type(exc).__name__}: {exc}".encode())
-                continue
-            h.update(f"{seq.tier} {float(seq.error_bound_digits)!r}".encode())
-            for rows in (seq.log_moduli, seq.phases, seq.rot_im_log,
-                         seq.rot_im_sign):
-                h.update(" ".join(repr(v) for v in rows).encode())
-        assert h.hexdigest() == self.RECORDS
