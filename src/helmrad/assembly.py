@@ -21,9 +21,10 @@ whose column gives B_N, the right-hand side, in each attempt's numbers.
 :func:`dense_solve` factors the band in double and refines against the
 extended band; when that is refused, it tries once more on the band scaled
 exactly by powers of two, each unknown to its term in its layer and each
-row to its largest entry, and only then solves the same scaled band in
+row to its largest entry, then factors that band in extended precision if
+its block entries are normal extended numbers, and only then solves it in
 mpmath, once, at 75 digits.  One rule, :func:`_refine`, accepts or refuses
-an answer of either tier: the blocks kept enough digits, the corrections
+an answer of any attempt: the blocks kept enough digits, the corrections
 stop shrinking by half, the last is negligible against every layer's terms,
 and the componentwise backward error is a few eps of the tier (Higham 2002,
 ch. 12; Arioli, Demmel and Duff 1989).
@@ -32,6 +33,7 @@ ch. 12; Arioli, Demmel and Duff 1989).
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
@@ -44,6 +46,9 @@ from .specfun import EXTENDED, FundamentalPair, Tier, mp_tier
 
 #: pivot/normaliser magnitudes below this are treated as exactly singular
 _DEGENERACY_FLOOR = 1e-300
+#: no block entry below this, the least normal extended, is factored in
+#: extended precision: one that underflowed would be factored as exact
+_NORMAL_MIN = np.finfo(np.longdouble).tiny
 
 # acceptance of the refined solve in both tiers (see _refine)
 _MAX_SWEEPS = 4
@@ -60,7 +65,7 @@ class DegenerateNormaliser(Exception):
 
 
 class SingularSystem(Exception):
-    """A vanishing pivot, or an mpmath answer that :func:`_refine` refuses."""
+    """A vanishing pivot, or a refused answer, of the last (mpmath) attempt."""
 
 
 def _band_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -481,12 +486,18 @@ def _tridiag_solve(lu: tuple, b: list) -> np.ndarray:
     return np.array(y[:-2])
 
 
+def _lu_refined(system: BlockSystem, band: np.ndarray, b: np.ndarray, eps):
+    """:func:`_refine` of the scaled ``band`` on :func:`_tridiag_lu`'s LU."""
+    lu = _tridiag_lu(band)
+    return _refine(system, band, lambda r: _tridiag_solve(lu, r), b, eps,
+                   scaled=True)
+
+
 def _solve_mp(system: BlockSystem, digits: int) -> tuple[np.ndarray, float]:
     """:func:`_solution`'s last attempt, in mpmath at ``digits`` working
     digits: the band rebuilt by :func:`_blocks` and, if its blocks pass
-    :func:`_digits_left`, equilibrated as the scaled extended
-    attempt's (:func:`_equilibrated`), factored by :func:`_tridiag_lu`, then
-    refined and judged by :func:`_refine`, all in mpmath's eps.  Raises
+    :func:`_digits_left`, equilibrated and solved by :func:`_lu_refined` as
+    the extended factors' attempt is, in mpmath's eps.  Raises
     SingularSystem when it is refused: there is no second attempt."""
     import mpmath as mp
 
@@ -497,11 +508,9 @@ def _solve_mp(system: BlockSystem, digits: int) -> tuple[np.ndarray, float]:
                          b_last=mp.mpmathify(system.b_last))
         if _digits_left(system, eps):
             band, rows = _equilibrated(system)
-            lu = _tridiag_lu(band)
             b = np.zeros(band.shape[1], dtype=object)
             b[-1] = rows[-1] * system.b_last
-            solved = _refine(system, band, lambda r: _tridiag_solve(lu, r),
-                             b, eps, scaled=True)
+            solved = _lu_refined(system, band, b, eps)
     if not solved:
         raise SingularSystem("arbitrary-precision solve refused")
     return solved
@@ -520,11 +529,13 @@ def dense_solve(system: BlockSystem
     with the band scaled exactly by powers of two (:func:`_equilibrated`):
     at high modes its entries and unknowns span hundreds of decades, which
     a double factorisation does not survive unscaled.  When that is
-    refused too, or :func:`_digits_left` refuses both, :func:`_solve_mp`
-    rebuilds the blocks in mpmath at 75 digits, solves them equilibrated
-    the same way and judges the answer by the same rules in mpmath's eps;
-    if it is refused, SingularSystem.
-    Either answer becomes doubles by :func:`coefficient_vector`, the rule
+    refused too, and every block entry is a normal extended number, the
+    scaled band is factored in extended precision and refined the same
+    way.  When that is refused as well, or :func:`_digits_left` refuses
+    all three, :func:`_solve_mp` rebuilds the blocks in mpmath at 75
+    digits, solves them the same way and judges the answer by the same
+    rules in mpmath's eps; if it is refused, SingularSystem.
+    Any answer becomes doubles by :func:`coefficient_vector`, the rule
     of the recursion route too, which reads its column's log magnitudes:
     the column's clipped entries are display values that decide no
     coefficient.
@@ -574,4 +585,8 @@ def _solution(system: BlockSystem) -> tuple[np.ndarray, float]:
         b = rows * b
         solve = _double_solve(scaled, b)
         solved = solve and _refine(system, scaled, solve, b, eps, scaled=True)
+    if not solved and np.all(np.abs(np.concatenate((
+            band[1], band[0, 1::2], band[2, 0::2]))) >= _NORMAL_MIN):
+        with suppress(SingularSystem), np.errstate(all="ignore"):  # to mpmath
+            solved = _lu_refined(system, scaled, b, eps)
     return solved or _solve_mp(system, _MP_DIGITS)

@@ -2,9 +2,10 @@
 
 The refined extended-precision solve is accepted on its own convergence
 and componentwise backward error; when it is refused, the same solve runs
-once more on the band scaled by powers of two, and the banded elimination
-in mpmath runs only when that is refused too, and returns only answers its
-residual confirms.
+once more on the band scaled by powers of two, then once on that band
+factored in extended precision, and the banded elimination in mpmath runs
+only when that is refused too, and returns only answers its residual
+confirms.
 Every answer is compared with the raw system solved densely in mpmath
 (``interface_oracles.raw_solve_mp``), which shares no code with either
 tier.  Also covers the array Wronskian behind the whispering-gallery scan
@@ -96,11 +97,17 @@ BELOW_RANGE = (6, 9, 12, 18, 20, 21, 23, 24, 26, 32)
 # high-mode specs the unscaled refinement refuses and the scaled attempt
 # solves; those whose blocks lost 16 digits or more, and went to mpmath,
 # while w^{2,2} and w^{1,1} were formed from the slopes; and the one of
-# them that still goes to mpmath, its extended attempts refused on their
-# componentwise backward error
+# them that both double-factor attempts refuse, the cast to double flushing
+# its scaled couplings, and the extended factors solve
 SCALED = (4, 7, 8, 13, 15, 25, 27)
 BLOCK_LOSS = (6, 9, 12, 16, 18, 20, 21, 22, 23, 24, 26, 32)
-REFUSED = (24,)
+EXTENDED_LU = (24,)
+
+# a populations.EXTREME spec whose M[0, 0] underflows to 0 in extended
+# precision: factored as it stands, the band is solved exactly, and wrongly
+UNDERFLOWED = dict(dimension=3, mode=20, omega=1e100,
+                   boundary_coefficient=[1.0, 0.0],
+                   jump_points=[0.0, 0.5, 1.0], speeds=[1e300, 1e-300])
 
 # the specs of the oracle population at seed 20260823 whose normwise
 # condition number, times the blocks' cancellation, exceeded 1e-12 while
@@ -277,7 +284,8 @@ class TestScaledAttempt:
         assert resid < 1e-15
         assert _normwise(sol.coeffs.entries, raw_solve_mp(spec)) <= 1e-13
 
-    @pytest.mark.parametrize("index", sorted(set(BLOCK_LOSS) - set(REFUSED)))
+    @pytest.mark.parametrize("index",
+                             sorted(set(BLOCK_LOSS) - set(EXTENDED_LU)))
     def test_formerly_cancelling_specs_stay_in_extended(self, index, no_mp):
         """Formed from the shifted orders, these blocks cancel at most half
         a digit, where their slopes cancelled 16 to 545; the residual of
@@ -289,12 +297,59 @@ class TestScaledAttempt:
         assert resid < 1e-15
         assert _normwise(sol.coeffs.entries, raw_solve_mp(spec)) <= 1e-13
 
-    @pytest.mark.parametrize("index", REFUSED)
-    def test_refused_spec_escalates_once(self, index, mp_calls):
+    @pytest.mark.parametrize("index", EXTENDED_LU)
+    def test_flushed_spec_is_solved_by_extended_factors(self, index, no_mp,
+                                                        monkeypatch):
+        """Both double-factor attempts are refused, and the band the scaled
+        one cast to double is factored in extended precision."""
+        factored = []
+        tridiag_lu = assembly._tridiag_lu
+
+        def spy(band):
+            factored.append(band.dtype)
+            return tridiag_lu(band)
+        monkeypatch.setattr(assembly, "_tridiag_lu", spy)
         spec = high_mode_population()[index]
+        sol, resid = solve_direct(spec)
+        assert factored == [np.clongdouble] and resid < 1e-15
+        assert _normwise(sol.coeffs.entries, raw_solve_mp(spec)) <= 1e-13
+
+    def test_zero_extended_pivot_goes_to_mpmath(self, monkeypatch, mp_calls):
+        """A zero pivot of the extended factors is a refusal, not an
+        error: mpmath answers."""
+        tridiag_lu = assembly._tridiag_lu
+
+        def singular(band):
+            if band.dtype != object:
+                raise SingularSystem("zero pivot in column 0")
+            return tridiag_lu(band)
+        monkeypatch.setattr(assembly, "_tridiag_lu", singular)
+        spec = high_mode_population()[EXTENDED_LU[0]]
         coeffs = solve_direct(spec)[0].coeffs
         assert mp_calls == [assembly._MP_DIGITS]
         assert _normwise(coeffs.entries, raw_solve_mp(spec)) <= 1e-13
+
+    def test_underflowed_block_entry_is_not_factored(self, no_mp):
+        """M[0, 0] is 0 here, so the extended factors are not tried, and
+        the route goes to mpmath."""
+        system = normalize(ProblemSpec.from_dict(UNDERFLOWED))
+        assert system.band[1, 0] == 0
+        with pytest.raises(AssertionError, match="arbitrary precision"):
+            assembly._solution(system)
+
+    def test_underflowed_block_entry_gives_a_wrong_extended_answer(
+            self, monkeypatch):
+        """Without the rule the extended factors solve the band exactly,
+        backward error 0, to B_1 about -1.3e4028 and A_2 = 0, where
+        mpmath's answer is B_1 = 0 and A_2 = 0.997 + 0.076i."""
+        system = normalize(ProblemSpec.from_dict(UNDERFLOWED))
+        ref, _ = assembly._solve_mp(system, assembly._MP_DIGITS)
+        monkeypatch.setattr(assembly, "_NORMAL_MIN", 0)
+        monkeypatch.setattr(assembly, "_solve_mp", None)
+        x, berr = assembly._solution(system)
+        assert berr == 0 and x[1] == 0
+        assert abs(x[0]) > np.longdouble("1e4000")
+        assert ref[0] == 0 and abs(complex(ref[1]) - (0.997 + 0.076j)) < 1e-3
 
     @pytest.mark.parametrize("build", [construct_localisation_example,
                                        construct_stable_example],
@@ -302,7 +357,8 @@ class TestScaledAttempt:
     def test_families_escalate_where_they_did(self, build, monkeypatch):
         """n = 5 to 64 go to mpmath, as before the scaled attempt: there
         the blocks cancel 14 to 19 digits, except stable n = 16, where
-        both extended attempts are refused."""
+        both double-factor attempts are refused and a block entry of
+        exactly 0 keeps the extended factors out."""
         class Escalated(Exception):
             pass
 
@@ -398,7 +454,7 @@ class TestHighModeAnswers:
     """Every high-mode banded answer, whichever attempt gives it."""
 
     def test_every_answer_agrees_with_the_raw_system(self, mp_calls):
-        """Only spec 24 still goes to mpmath."""
+        """None goes to mpmath."""
         escalated = []
         for index, spec in enumerate(high_mode_population()):
             del mp_calls[:]
@@ -408,7 +464,7 @@ class TestHighModeAnswers:
             if spec.n:
                 assert _normwise(sol.coeffs.entries,
                                  raw_solve_mp(spec)) <= 1e-13
-        assert escalated == list(REFUSED)
+        assert escalated == []
 
     def test_one_residual_for_every_attempt(self):
         """The residual reported is the componentwise backward error,
@@ -418,7 +474,7 @@ class TestHighModeAnswers:
         answers of specs 15 and 27 read 6.4e12 and 3e60: their unknowns
         span hundreds of decades."""
         population = high_mode_population()
-        for index in (15, 25, 27) + REFUSED:
+        for index in (15, 25, 27) + EXTENDED_LU:
             spec = population[index]
             _, berr = solve_direct(spec)
             assert berr <= 16 * np.finfo(np.longdouble).eps
@@ -669,12 +725,14 @@ class TestBandedMpElimination:
             _forced_mp(spec, 20)
         assert _normwise(_forced_mp(spec), raw_solve_mp(spec)) <= 1e-13
 
-    def test_high_mode_escalations_pass_at_the_working_digits(self,
+    def test_localised_escalations_pass_at_the_working_digits(self,
                                                               mp_calls):
-        """The floor on the step refuses no high-mode answer at 75
-        digits: every escalation runs once."""
+        """The floor on the step refuses no answer of localised n = 24 or
+        32, whose extended blocks are wrong, at 75 digits: every
+        escalation runs once."""
         escalated = 0
-        for spec in high_mode_population():
+        for n in (24, 32):
+            spec = construct_localisation_example(n, 1.0, 3.0)
             del mp_calls[:]
             solve_direct(spec)
             assert mp_calls in ([], [assembly._MP_DIGITS])
